@@ -3,13 +3,16 @@
 
 Re-runs every check family through the command-line interface and drops the
 JSON/CSV reports into ./reports (or the directory given as the first
-argument).  Exit status is nonzero if any check fails.
+argument), together with summary.json: per run the report file name, argv,
+exit code, status and seconds, then the pass count and the total.  Exit
+status is nonzero if any check fails.
 
     python3 scripts/run_full_verification.py [reports_dir]
 
 Set QGRASS_WORKERS to fan relation sweeps out over a thread pool.
 """
 
+import json
 import pathlib
 import sys
 import time
@@ -84,17 +87,20 @@ RUNS = [
 def main() -> int:
     out_dir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "reports")
     out_dir.mkdir(parents=True, exist_ok=True)
-    failures = []
+    runs = []
     for filename, argv in RUNS:
         t0 = time.monotonic()
         code = qgrass_main(argv + ["--out", str(out_dir / filename)])
         elapsed = time.monotonic() - t0
         status = {0: "pass", 1: "FAIL"}.get(code, "usage-error")
         print(f"{status:>11}  {elapsed:6.1f}s  {filename}")
-        if code != 0:
-            failures.append((filename, code))
-    print(f"\n{len(RUNS) - len(failures)}/{len(RUNS)} runs passed; reports in {out_dir}/")
-    return 1 if failures else 0
+        runs.append({"file": filename, "argv": argv, "exit_code": code,
+                     "status": status, "seconds": round(elapsed, 3)})
+    passed = sum(run["exit_code"] == 0 for run in runs)
+    summary = {"runs": runs, "passed": passed, "total": len(runs)}
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    print(f"\n{passed}/{len(runs)} runs passed; reports in {out_dir}/")
+    return 0 if passed == len(runs) else 1
 
 
 if __name__ == "__main__":

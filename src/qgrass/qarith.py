@@ -12,12 +12,20 @@ their factorials, the balanced Gaussian binomials, and the unbalanced
 q-binomials built from (r)_q = (q^r - 1)/(q - 1).  All are computed by
 division-free recursions in Z[v, v^-1] and then mapped into the requested
 field, so root-of-unity evaluation never divides by a vanishing q-bracket.
+
+Coefficients -- of a LaurentPoly and of a cyclotomic residue -- have one
+canonical form: a plain int when integral, otherwise a reduced Fraction whose
+denominator exceeds 1.  Floats are refused wherever a coefficient is built,
+and every division goes through Fraction.  The constants handed out by
+QMode.q_power, minus_q_power, scalar, one and zero are shared ScalarQ objects,
+immutable like every ScalarQ.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -42,32 +50,58 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ONE_COEFFS = {0: 1}
+
+
+def _coef(c) -> int | Fraction:
+    """Canonical coefficient: an int when integral, else a reduced Fraction."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, numbers.Rational):
+        return _coef(Fraction(c))
+    raise TypeError(f"coefficients are exact rationals, not {type(c).__name__}: {c!r}")
+
+
+def _div(a, b) -> int | Fraction:
+    # exact quotient of two coefficients; int / int would be a float
+    return _coef(Fraction(a, b))
 
 
 class LaurentPoly:
     """Sparse Laurent polynomial in v with exact rational coefficients.
 
-    Stored as a map exponent -> nonzero Fraction; the zero polynomial has an
-    empty map.  Instances are immutable by convention: no method mutates
-    ``coeffs`` after construction.
+    Stored as a map exponent -> nonzero coefficient in canonical form (an int
+    when integral, else a reduced Fraction with denominator > 1; never a
+    float, which the constructors refuse with TypeError); the zero polynomial
+    has an empty map.  Instances are immutable by convention: no method
+    mutates ``coeffs`` after construction.
     """
 
     __slots__ = ("coeffs", "_hash")
 
-    def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
-        cleaned: dict[int, Fraction] = {}
+    def __init__(self, coeffs: Mapping[int, int | Fraction] | None = None):
+        cleaned: dict[int, int | Fraction] = {}
         if coeffs:
             for k, c in coeffs.items():
-                c = Fraction(c)
+                c = _coef(c)
                 if c:
                     cleaned[int(k)] = c
         self.coeffs = cleaned
         self._hash: int | None = None
 
     @classmethod
-    def term(cls, coeff: Fraction | int, exp: int = 0) -> "LaurentPoly":
-        return cls({exp: Fraction(coeff)})
+    def _wrap(cls, coeffs: dict[int, int | Fraction]) -> "LaurentPoly":
+        # adopt a map that is already canonical, nonzero and not shared
+        res = cls.__new__(cls)
+        res.coeffs = coeffs
+        res._hash = None
+        return res
+
+    @classmethod
+    def term(cls, coeff: int | Fraction, exp: int = 0) -> "LaurentPoly":
+        return cls({exp: coeff})
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -75,7 +109,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: _ONE})
+        return cls._wrap({0: 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -90,10 +124,10 @@ class LaurentPoly:
         """Multiply by v^k."""
         if k == 0 or not self.coeffs:
             return self
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        return LaurentPoly._wrap({e + k: c for e, c in self.coeffs.items()})
 
-    def scale(self, c: Fraction) -> "LaurentPoly":
-        c = Fraction(c)
+    def scale(self, c: int | Fraction) -> "LaurentPoly":
+        c = _coef(c)
         if not c:
             return LaurentPoly()
         return LaurentPoly({e: a * c for e, a in self.coeffs.items()})
@@ -101,38 +135,32 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, _ZERO) + c
+            s = out.get(e, 0) + c
             if s:
-                out[e] = s
+                out[e] = s if type(s) is int else _coef(s)
             else:
                 out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = out
-        res._hash = None
-        return res
+        return LaurentPoly._wrap(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._wrap({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not self.coeffs or not other.coeffs:
             return LaurentPoly()
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                s = out.get(e, _ZERO) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
-                    out[e] = s
+                    out[e] = s if type(s) is int else _coef(s)
                 else:
                     out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = out
-        res._hash = None
-        return res
+        return LaurentPoly._wrap(out)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -168,19 +196,19 @@ class LaurentPoly:
             den = den * c.denominator // math.gcd(den, c.denominator)
         return Fraction(num, den)
 
-    def leading_coeff(self) -> Fraction:
-        return self.coeffs[self.max_exp()] if self.coeffs else _ZERO
+    def leading_coeff(self) -> int | Fraction:
+        return self.coeffs[self.max_exp()] if self.coeffs else 0
 
-    def evaluate(self, x: Fraction) -> Fraction:
+    def evaluate(self, x: int | Fraction) -> Fraction:
         """Evaluate at a nonzero rational point."""
-        x = Fraction(x)
+        x = Fraction(_coef(x))
         if not x:
             raise ZeroDivisionError("Laurent polynomial at 0")
         return sum((c * x**e for e, c in self.coeffs.items()), _ZERO)
 
     def invert_variable(self) -> "LaurentPoly":
         """Substitute v -> v^-1."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
+        return LaurentPoly._wrap({-e: c for e, c in self.coeffs.items()})
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -212,16 +240,16 @@ def _poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPo
     # ordinary polynomial division; both arguments must have min_exp >= 0
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    quot: dict[int, Fraction] = {}
+    quot: dict[int, int | Fraction] = {}
     rem = a
     db = b.max_exp()
     lb = b.leading_coeff()
     while rem.coeffs and rem.max_exp() >= db:
         e = rem.max_exp() - db
-        c = rem.leading_coeff() / lb
+        c = _div(rem.leading_coeff(), lb)
         quot[e] = c
         rem = rem - b.shift(e).scale(c)
-    return LaurentPoly(quot), rem
+    return LaurentPoly._wrap(quot), rem
 
 
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -230,7 +258,7 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         _, r = _poly_divmod(a, b)
         a, b = b, r
     if a.coeffs:
-        a = a.scale(1 / a.leading_coeff())
+        a = a.scale(_div(1, a.leading_coeff()))
     return a
 
 
@@ -246,7 +274,7 @@ def cyclotomic_poly(d: int) -> LaurentPoly:
     """The d-th cyclotomic polynomial Phi_d, monic with integer coefficients."""
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
-    num = LaurentPoly({d: _ONE, 0: -_ONE})  # v^d - 1
+    num = LaurentPoly({d: 1, 0: -1})  # v^d - 1
     for e in range(1, d):
         if d % e == 0:
             num = _poly_exact_div(num, cyclotomic_poly(e))
@@ -278,25 +306,26 @@ class QMode:
             return ScalarQ._make_generic(self, p, LaurentPoly.one())
         return ScalarQ._make_root(self, _reduce_mod_phi(self.d, p))
 
-    def scalar(self, c: Fraction | int) -> "ScalarQ":
-        return self.from_laurent(LaurentPoly.term(Fraction(c)))
+    # The constants below are shared ScalarQ objects (see _constant).
+
+    def scalar(self, c: int | Fraction) -> "ScalarQ":
+        return _constant(self, _coef(c), 0)
 
     def zero(self) -> "ScalarQ":
-        return self.scalar(0)
+        return _constant(self, 0, 0)
 
     def one(self) -> "ScalarQ":
-        return self.scalar(1)
+        return _constant(self, 1, 0)
 
     def q(self) -> "ScalarQ":
-        return self.from_laurent(LaurentPoly.term(_ONE, 1))
+        return _constant(self, 1, 1)
 
     def q_power(self, k: int) -> "ScalarQ":
-        return self.from_laurent(LaurentPoly.term(_ONE, k))
+        return _constant(self, 1, k)
 
     def minus_q_power(self, k: int) -> "ScalarQ":
         """(-q)^k for any integer k."""
-        sign = _ONE if k % 2 == 0 else -_ONE
-        return self.from_laurent(LaurentPoly.term(sign, k))
+        return _constant(self, -1 if k % 2 else 1, k)
 
 
 GENERIC = QMode(None)
@@ -307,28 +336,38 @@ def root_of_unity(d: int) -> QMode:
 
 
 @functools.lru_cache(maxsize=None)
-def _phi_reduction_table(d: int) -> tuple[tuple[Fraction, ...], ...]:
+def _constant(mode: QMode, coeff: int | Fraction, exp: int) -> "ScalarQ":
+    # coeff * q^exp, built once per key; callers pass a canonical coeff
+    return mode.from_laurent(LaurentPoly.term(coeff, exp))
+
+
+@functools.lru_cache(maxsize=None)
+def _phi_reduction_table(d: int) -> tuple[tuple[int, ...], ...]:
     # row k: coefficients of v^(deg+k) reduced mod Phi_d; covers every exponent
     # reachable from products of residues (2*deg - 2) and from v^(d-1)
     phi = cyclotomic_poly(d)
     deg = phi.max_exp()
     top_exp = max(2 * deg - 2, d - 1)
-    rows: list[tuple[Fraction, ...]] = []
-    # v^deg = -(phi - v^deg)
-    cur = [-phi.coeffs.get(i, _ZERO) for i in range(deg)]
+    rows: list[tuple[int, ...]] = []
+    # v^deg = -(phi - v^deg); Phi_d is monic and integral, so every row is too
+    cur = [-phi.coeffs.get(i, 0) for i in range(deg)]
     rows.append(tuple(cur))
     for _ in range(top_exp - deg):
         top = cur[-1]
-        cur = [_ZERO] + cur[:-1]
+        cur = [0] + cur[:-1]
         if top:
             cur = [cur[i] + top * rows[0][i] for i in range(deg)]
         rows.append(tuple(cur))
     return tuple(rows)
 
 
-def _reduce_mod_phi(d: int, p: LaurentPoly) -> tuple[Fraction, ...]:
+def _canonical_residue(res: list) -> tuple[int | Fraction, ...]:
+    return tuple(c if type(c) is int else _coef(c) for c in res)
+
+
+def _reduce_mod_phi(d: int, p: LaurentPoly) -> tuple[int | Fraction, ...]:
     deg = cyclotomic_poly(d).max_exp()
-    res = [_ZERO] * deg
+    res = [0] * deg
     table = _phi_reduction_table(d)
     for e, c in p.coeffs.items():
         e %= d  # v^d = 1 in Q[v]/Phi_d
@@ -339,12 +378,12 @@ def _reduce_mod_phi(d: int, p: LaurentPoly) -> tuple[Fraction, ...]:
             for i in range(deg):
                 if row[i]:
                     res[i] += c * row[i]
-    return tuple(res)
+    return _canonical_residue(res)
 
 
-def _residue_mul(d: int, a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _residue_mul(d: int, a: tuple, b: tuple) -> tuple[int | Fraction, ...]:
     deg = len(a)
-    prod = [_ZERO] * (2 * deg - 1)
+    prod = [0] * (2 * deg - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -359,10 +398,10 @@ def _residue_mul(d: int, a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tu
             for i in range(deg):
                 if row[i]:
                     res[i] += c * row[i]
-    return tuple(res)
+    return _canonical_residue(res)
 
 
-def _residue_inv(d: int, a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _residue_inv(d: int, a: tuple) -> tuple[int | Fraction, ...]:
     # extended Euclid in Q[v] against Phi_d; Phi_d is irreducible over Q
     phi = cyclotomic_poly(d)
     r0, r1 = phi, LaurentPoly({i: c for i, c in enumerate(a) if c})
@@ -374,7 +413,7 @@ def _residue_inv(d: int, a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
     # r0 = gcd (a nonzero constant), s0 * a = r0 (mod phi)
-    inv = s0.scale(1 / r0.coeffs[0])
+    inv = s0.scale(_div(1, r0.coeffs[0]))
     return _reduce_mod_phi(d, inv)
 
 
@@ -384,7 +423,14 @@ class ScalarQ:
     Generic mode stores a reduced fraction num/den of Laurent polynomials with
     the denominator an honest polynomial, coprime to the numerator, content 1
     and positive leading coefficient; equality is then representational.
-    Root mode stores the residue vector modulo Phi_d.
+    Root mode stores the residue vector modulo Phi_d.  Every coefficient, of
+    num, den or the residue, is in the canonical form of the module
+    docstring: an int when integral, else a reduced Fraction, never a float.
+
+    Instances are immutable by convention and may be shared: the QMode
+    constants (q_power, scalar, one, ...) return the same object on every
+    call.  The lazily computed ``_hash`` is the only field written after
+    construction, and writing it again stores the same value.
     """
 
     __slots__ = ("mode", "num", "den", "res", "_hash")
@@ -402,7 +448,7 @@ class ScalarQ:
         return obj
 
     @classmethod
-    def _make_root(cls, mode: QMode, res: tuple[Fraction, ...]) -> "ScalarQ":
+    def _make_root(cls, mode: QMode, res: tuple[int | Fraction, ...]) -> "ScalarQ":
         obj = cls.__new__(cls)
         obj.mode, obj.num, obj.den, obj.res, obj._hash = mode, None, None, res, None
         return obj
@@ -431,7 +477,9 @@ class ScalarQ:
             return ScalarQ._make_generic(
                 self.mode, self.num * other.den + other.num * self.den, self.den * other.den
             )
-        return ScalarQ._make_root(self.mode, tuple(a + b for a, b in zip(self.res, other.res)))
+        return ScalarQ._make_root(
+            self.mode, _canonical_residue([a + b for a, b in zip(self.res, other.res)])
+        )
 
     def __sub__(self, other: "ScalarQ") -> "ScalarQ":
         return self + (-other)
@@ -498,7 +546,7 @@ class ScalarQ:
     def __repr__(self) -> str:
         return f"ScalarQ({self})"
 
-    def evaluate(self, q0: Fraction) -> Fraction:
+    def evaluate(self, q0: int | Fraction) -> Fraction:
         """Generic mode only: evaluate at a rational point (probabilistic screens)."""
         if not self.mode.is_generic:
             raise ValueError("evaluate() applies to generic mode")
@@ -506,6 +554,8 @@ class ScalarQ:
 
 
 def _normalize_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    if den.coeffs == _ONE_COEFFS:
+        return num, den
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
@@ -523,8 +573,9 @@ def _normalize_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly
         if den.leading_coeff() < 0:
             c = -c
         if c != 1:
-            num = num.scale(1 / c)
-            den = den.scale(1 / c)
+            inv = _div(1, c)
+            num = num.scale(inv)
+            den = den.scale(inv)
     return num, den
 
 
@@ -540,7 +591,7 @@ def _q_int_laurent(n: int) -> LaurentPoly:
         return LaurentPoly.zero()
     if n < 0:
         return -_q_int_laurent(-n)
-    return LaurentPoly({n - 1 - 2 * k: _ONE for k in range(n)})
+    return LaurentPoly({n - 1 - 2 * k: 1 for k in range(n)})
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,7 +1,11 @@
+import importlib.util
 import json
 import os
+import pathlib
 
 from qgrass.cli import main
+
+SWEEP_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_full_verification.py"
 
 
 def run(capsys, *argv):
@@ -112,3 +116,30 @@ def test_workers_env_smoke(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_full_sweep_writes_summary(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("run_full_verification", SWEEP_SCRIPT)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    runs = [
+        ("qtest.json", ["qtest", "--max", "3"]),
+        ("dims.csv", ["dims", "--family", "omega", "--m", "1", "--n", "1",
+                      "--t-max", "2", "--format", "csv"]),
+    ]
+    monkeypatch.setattr(sweep, "RUNS", runs)
+    monkeypatch.setattr("sys.argv", ["run_full_verification.py", str(tmp_path / "reports")])
+    assert sweep.main() == 0
+    capsys.readouterr()
+
+    summary = json.loads((tmp_path / "reports" / "summary.json").read_text())
+    assert (summary["passed"], summary["total"]) == (2, 2)
+    assert [r["file"] for r in summary["runs"]] == ["qtest.json", "dims.csv"]
+    for run_entry, (filename, argv) in zip(summary["runs"], runs):
+        assert run_entry["argv"] == argv
+        assert (run_entry["exit_code"], run_entry["status"]) == (0, "pass")
+        assert run_entry["seconds"] >= 0
+        # the sweep writes each report exactly as the CLI does on its own
+        direct = tmp_path / ("direct-" + filename)
+        assert main(argv + ["--out", str(direct)]) == 0
+        assert (tmp_path / "reports" / filename).read_bytes() == direct.read_bytes()

@@ -111,6 +111,140 @@ def test_generic_normalization_is_canonical():
     assert quotient.den == LaurentPoly.one()
 
 
+# ---------------------------------------------------------------------------
+# canonical coefficients, shared constants, specialisation
+# ---------------------------------------------------------------------------
+
+MODES = [GENERIC] + [root_of_unity(d) for d in (3, 5, 8, 12)]
+MODE_IDS = ["generic"] + [f"d{d}" for d in (3, 5, 8, 12)]
+
+
+def assert_canonical_coeff(c):
+    # an int, or a Fraction that is not an int in disguise; never a float
+    assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+def assert_canonical_scalar(x):
+    if x.mode.is_generic:
+        coeffs = [*x.num.coeffs.values(), *x.den.coeffs.values()]
+    else:
+        coeffs = list(x.res)
+    for c in coeffs:
+        assert_canonical_coeff(c)
+
+
+@st.composite
+def scalars(draw, mode):
+    """Scalars with integral and with honest rational coefficients."""
+    ell = char_of(mode).ell or 7
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        terms = draw(st.dictionaries(st.integers(-4, 4), small_fracs, max_size=3))
+        return mode.from_laurent(LaurentPoly(terms))
+    if kind == 1:  # (1 + v)/(1 - v) q^k: a generic denominator, a residue inverse
+        v = mode.q()
+        return (mode.one() + v) / (mode.one() - v) * mode.q_power(draw(st.integers(-3, 3)))
+    if kind == 2:  # [k]! is invertible for k < char(q)
+        return q_factorial(draw(st.integers(0, ell - 1)), mode).inverse()
+    if kind == 3:
+        return q_binom(draw(st.integers(-5, 8)), draw(st.integers(0, 4)), mode)
+    return mode.scalar(draw(small_fracs)) * mode.minus_q_power(draw(st.integers(-6, 6)))
+
+
+@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+def test_coefficients_stay_canonical(mode):
+    @given(scalars(mode), scalars(mode), st.integers(-3, 3))
+    @settings(max_examples=40, deadline=None)
+    def inner(a, b, k):
+        results = [a, b, a + b, a - b, a * b, -a]
+        if b:
+            results.append(a / b)
+        if a:
+            results += [a.inverse(), a ** k]
+        for x in results:
+            assert_canonical_scalar(x)
+        if mode.is_generic:
+            for x in results:
+                for q0 in (2, Fraction(-3, 5)):
+                    if x.den.evaluate(q0):
+                        assert type(x.evaluate(q0)) is Fraction
+
+    inner()
+
+
+def test_q_combinatorics_coefficients_are_integers():
+    for d in range(1, 31):
+        assert all(type(c) is int for c in cyclotomic_poly(d).coeffs.values())
+    for mode in MODES:
+        for n in range(0, 9):
+            assert_canonical_scalar(q_factorial(n, mode))
+            for r in range(-1, n + 2):
+                assert_canonical_scalar(q_binom(n, r, mode))
+                assert_canonical_scalar(q_binom(-n, r, mode))
+        for n in range(-8, 9):
+            assert_canonical_scalar(q_int(n, mode))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LaurentPoly({0: 0.1}),
+        lambda: LaurentPoly.term(0.5, 2),
+        lambda: LaurentPoly.one().scale(0.5),
+        lambda: LaurentPoly.one().evaluate(0.5),
+        lambda: GENERIC.scalar(0.5),
+        lambda: root_of_unity(5).scalar(0.25),
+        lambda: GENERIC.q().evaluate(0.5),
+    ],
+    ids=["init", "term", "scale", "evaluate", "scalar-generic", "scalar-root", "scalar-evaluate"],
+)
+def test_float_coefficients_are_refused(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+integral_laurents = st.dictionaries(st.integers(-8, 8), st.integers(-4, 4), max_size=4).map(
+    LaurentPoly
+)
+
+
+@pytest.mark.parametrize("d", [3, 5, 8, 12])
+def test_specialisation_is_a_ring_map(d):
+    mode = root_of_unity(d)
+
+    @given(integral_laurents, integral_laurents)
+    @settings(max_examples=40, deadline=None)
+    def inner(p, r):
+        assert mode.from_laurent(p * r) == mode.from_laurent(p) * mode.from_laurent(r)
+        assert mode.from_laurent(p + r) == mode.from_laurent(p) + mode.from_laurent(r)
+
+    inner()
+
+
+@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+def test_shared_constants_match_fresh_construction(mode):
+    def fresh(c, k=0):
+        return mode.from_laurent(LaurentPoly.term(c, k))
+
+    for k in range(-12, 13):
+        assert mode.q_power(k) == fresh(1, k)
+        assert mode.minus_q_power(k) == fresh(Fraction(-1) ** k, k)
+        assert mode.q_power(k) is mode.q_power(k)
+    for c in (0, 1, -1, 7, Fraction(3, 4), Fraction(-5, 2)):
+        assert mode.scalar(c) == fresh(c)
+    assert mode.scalar(Fraction(6, 3)) is mode.scalar(2)
+    assert mode.one() == fresh(1) and mode.zero() == fresh(0)
+    assert mode.q() == fresh(1, 1)
+
+
+def test_mixed_modes_raise():
+    with pytest.raises(ValueError, match="mixed coefficient modes"):
+        GENERIC.q_power(2) + root_of_unity(3).q_power(2)
+    with pytest.raises(ValueError, match="mixed coefficient modes"):
+        root_of_unity(5).one() * root_of_unity(8).one()
+    assert root_of_unity(3).one() != GENERIC.one()
+
+
 def test_root_mode_residue_degree_bound():
     for mode in (D3, D8):
         deg = cyclotomic_poly(mode.d).max_exp()
