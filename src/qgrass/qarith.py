@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -59,8 +58,8 @@ def _coef(c) -> int | Fraction:
         return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, numbers.Rational):
-        return _coef(Fraction(c))
+    if isinstance(c, int):  # bool
+        return int(c)
     raise TypeError(f"coefficients are exact rationals, not {type(c).__name__}: {c!r}")
 
 
@@ -302,9 +301,7 @@ class QMode:
     # ---- element constructors -------------------------------------------
 
     def from_laurent(self, p: LaurentPoly) -> "ScalarQ":
-        if self.is_generic:
-            return ScalarQ._make_generic(self, p, LaurentPoly.one())
-        return ScalarQ._make_root(self, _reduce_mod_phi(self.d, p))
+        return _from_laurent(self, p)
 
     # The constants below are shared ScalarQ objects (see _constant).
 
@@ -335,10 +332,16 @@ def root_of_unity(d: int) -> QMode:
     return QMode(d)
 
 
+def _from_laurent(mode: QMode, p: LaurentPoly) -> "ScalarQ":
+    if mode.is_generic:
+        return ScalarQ._make_generic(mode, p, LaurentPoly.one())
+    return ScalarQ._make_root(mode, _reduce_mod_phi(mode.d, p))
+
+
 @functools.lru_cache(maxsize=None)
 def _constant(mode: QMode, coeff: int | Fraction, exp: int) -> "ScalarQ":
     # coeff * q^exp, built once per key; callers pass a canonical coeff
-    return mode.from_laurent(LaurentPoly.term(coeff, exp))
+    return _from_laurent(mode, LaurentPoly.term(coeff, exp))
 
 
 @functools.lru_cache(maxsize=None)
