@@ -8,8 +8,6 @@ exit code, status and seconds, then the pass count and the total.  Exit
 status is nonzero if any check fails.
 
     python3 scripts/run_full_verification.py [reports_dir]
-
-Set QGRASS_WORKERS to fan relation sweeps out over a thread pool.
 """
 
 import json

@@ -14,9 +14,7 @@ Subcommands:
 
 Exit status: 0 all checks passed, 1 a verification failed (the report is
 still written), 2 usage error.  Reports embed the run configuration and are
-byte-deterministic for fixed flags; files are written atomically.  The
-environment variable QGRASS_WORKERS sets the worker-pool width for relation
-sweeps (default 1).
+byte-deterministic for fixed flags; files are written atomically.
 """
 
 from __future__ import annotations

@@ -365,7 +365,10 @@ def _phi_reduction_table(d: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _canonical_residue(res: list) -> tuple[int | Fraction, ...]:
-    return tuple(c if type(c) is int else _coef(c) for c in res)
+    for c in res:
+        if type(c) is not int:
+            return tuple(c if type(c) is int else _coef(c) for c in res)
+    return tuple(res)
 
 
 def _reduce_mod_phi(d: int, p: LaurentPoly) -> tuple[int | Fraction, ...]:
@@ -497,7 +500,14 @@ class ScalarQ:
     def __mul__(self, other: "ScalarQ") -> "ScalarQ":
         self._check(other)
         if self.mode.is_generic:
-            return ScalarQ._make_generic(self.mode, self.num * other.num, self.den * other.den)
+            # a den-1 factor leaves the other den; _make_generic reduces it
+            if self.den.coeffs == _ONE_COEFFS:
+                den = other.den
+            elif other.den.coeffs == _ONE_COEFFS:
+                den = self.den
+            else:
+                den = self.den * other.den
+            return ScalarQ._make_generic(self.mode, self.num * other.num, den)
         return ScalarQ._make_root(self.mode, _residue_mul(self.mode.d, self.res, other.res))
 
     def inverse(self) -> "ScalarQ":

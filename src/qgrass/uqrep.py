@@ -33,14 +33,11 @@ from .superspaces import (
     multiply,
     top_degree,
 )
-from concurrent.futures import ThreadPoolExecutor
-
 from .weyl import (
     OperatorWord,
     PairCheck,
     Relation,
     RelationReport,
-    _worker_count,
     apply_word,
     mult_x,
     parity,
@@ -724,13 +721,8 @@ def component_report(space: SpaceSpec, t: int) -> ComponentReport:
         verdict = "inconclusive"
     else:
         verdict = "simple"
-        workers = _worker_count()
-        if workers > 1 and len(basis) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                ranks = list(pool.map(span_rank, basis))
-        else:
-            ranks = [span_rank(seed) for seed in basis]
-        for seed, rank in zip(basis, ranks):
+        for seed in basis:
+            rank = span_rank(seed)
             if rank < dim:
                 verdict = "not_simple"
                 witnesses.append({"seed_with_proper_span": str(seed), "span_rank": rank})

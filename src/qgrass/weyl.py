@@ -14,7 +14,9 @@ first).  Relation suites instantiate the defining relation systems of the
 derivative algebra, its pointed-Hopf cover, and the quantum Weyl algebra of
 (m|n)-type as operator identities, decided by exhaustive evaluation on graded
 bases up to a degree bound; the identities are degree-homogeneous, so this is
-sound for the degrees checked.
+sound for the degrees checked.  While ``run_checks`` runs one suite, every
+atom image it derives is memoised per space and dropped when the call
+returns; outside it each atom is applied afresh.
 
 The smash product (polynomial part) # (group part) # (derivative part) gets a
 normal form by left-to-right absorption of generators; its induced product is
@@ -24,8 +26,7 @@ checked against operator composition (faithfulness) in the test suite.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -241,6 +242,12 @@ def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, 
     raise InvalidAtomError(f"unknown atom {atom}")
 
 
+# space -> {(atom, idx): apply_atom result}, set only while run_checks runs;
+# a context variable, so a thread outside that call never sees the memo
+_atom_memo: ContextVar[dict | None] = ContextVar("atom_memo", default=None)
+_MISS = object()
+
+
 @dataclass(frozen=True)
 class OperatorWord:
     """scalar * (atoms[0] o atoms[1] o ... ), the rightmost atom acting first."""
@@ -275,10 +282,18 @@ class OperatorWord:
         return body
 
     def apply_to_index(self, idx: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
+        space = self.space
+        memo = _atom_memo.get()
+        table = None if memo is None else memo.setdefault(space, {})
         coeff = self.coeff()
         cur = idx
         for atom in reversed(self.atoms):
-            hit = apply_atom(self.space, atom, cur)
+            if table is None:
+                hit = apply_atom(space, atom, cur)
+            else:
+                hit = table.get((atom, cur), _MISS)
+                if hit is _MISS:
+                    hit = table[atom, cur] = apply_atom(space, atom, cur)
             if hit is None:
                 return None
             c, cur = hit
@@ -338,23 +353,40 @@ def _degree_range(space: SpaceSpec, t_max: int) -> range:
     return range(t_max + 1)
 
 
+def _index_image(expr: tuple[OperatorWord, ...], idx: MultiIndex) -> dict[MultiIndex, ScalarQ]:
+    """Terms of apply_expr(expr, monomial idx), summed straight from the words."""
+    out: dict[MultiIndex, ScalarQ] = {}
+    for w in expr:
+        hit = w.apply_to_index(idx)
+        if hit is None:
+            continue
+        coeff, target = hit
+        s = out.get(target)
+        s = coeff if s is None else s + coeff
+        if s.is_zero():
+            out.pop(target, None)
+        else:
+            out[target] = s
+    return out
+
+
 def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int) -> EqualityResult:
     """Exhaustively compare two operator expressions on all basis monomials of
     degree <= t_max; on failure reports the first witness monomial."""
     exprA, exprB = _as_expr(wA), _as_expr(wB)
     space = (exprA or exprB)[0].space
+    if any(w.space != space for w in exprA + exprB):
+        raise InvalidAtomError("operator and vector live on different spaces")
     for t in _degree_range(space, t_max):
         for idx in basis_of_degree(space, t):
-            u = SuperVector.monomial(space, idx)
-            va = apply_expr(exprA, u)
-            vb = apply_expr(exprB, u)
-            if va != vb:
+            if _index_image(exprA, idx) != _index_image(exprB, idx):
+                u = SuperVector.monomial(space, idx)
                 return EqualityResult(
                     False,
                     {
                         "monomial": str(idx),
-                        "lhs_image": va.to_json(),
-                        "rhs_image": vb.to_json(),
+                        "lhs_image": apply_expr(exprA, u).to_json(),
+                        "rhs_image": apply_expr(exprB, u).to_json(),
                     },
                 )
     return EqualityResult(True)
@@ -468,20 +500,13 @@ class RelationReport:
         }
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("QGRASS_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_checks(suite: str, space: SpaceSpec, checks: list, t_max: int) -> RelationReport:
-    workers = _worker_count()
-    if workers > 1 and len(checks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: c.run(t_max), checks))
-    else:
+    """Run the checks in order, sharing one atom memo among them."""
+    token = _atom_memo.set({})
+    try:
         results = [c.run(t_max) for c in checks]
+    finally:
+        _atom_memo.reset(token)
     return RelationReport(suite, space, t_max, results)
 
 

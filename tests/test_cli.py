@@ -108,16 +108,6 @@ def test_atomic_write(tmp_path, capsys):
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".qgrass-")]
 
 
-def test_workers_env_smoke(capsys, monkeypatch):
-    monkeypatch.setenv("QGRASS_WORKERS", "2")
-    code, out = run(
-        capsys, "check-dq", "--suite", "partials", "--family", "omega",
-        "--m", "1", "--n", "1", "--t-max", "3",
-    )
-    assert code == 0
-    assert json.loads(out)["passed"] is True
-
-
 def test_full_sweep_writes_summary(tmp_path, monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("run_full_verification", SWEEP_SCRIPT)
     sweep = importlib.util.module_from_spec(spec)

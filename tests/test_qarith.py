@@ -7,7 +7,7 @@ product formula evaluated by honest division in Q(v).
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qgrass.qarith import (
@@ -15,6 +15,7 @@ from qgrass.qarith import (
     CharProfile,
     LaurentPoly,
     QParity,
+    ScalarQ,
     char_of,
     cyclotomic_poly,
     q_binom,
@@ -109,6 +110,19 @@ def test_generic_normalization_is_canonical():
     quotient = a / b
     assert quotient == GENERIC.q() + GENERIC.one()
     assert quotient.den == LaurentPoly.one()
+
+
+@given(laurents, laurents, laurents)
+@settings(max_examples=60, deadline=None)
+def test_product_with_a_den_one_factor_matches_full_formula(p, r, s):
+    # the product takes the other den as it is and must still reduce
+    assume(not s.is_zero())
+    a = GENERIC.from_laurent(p)
+    b = GENERIC.from_laurent(r) / GENERIC.from_laurent(s)
+    assume(b.den != LaurentPoly.one())
+    full = ScalarQ._make_generic(GENERIC, a.num * b.num, a.den * b.den)
+    assert a * b == full and b * a == full
+    assert GENERIC.from_laurent(s) * b == GENERIC.from_laurent(r)
 
 
 # ---------------------------------------------------------------------------

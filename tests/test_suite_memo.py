@@ -1,0 +1,238 @@
+"""The atom memo that run_checks opens, and index-level operator equality.
+
+run_checks memoises atom images for the length of one call; every report must
+be the one the checks give without the memo, and operators_equal must decide
+and witness exactly as evaluation on monomial vectors does.
+"""
+
+import threading
+
+import pytest
+
+from qgrass import uqrep, weyl
+from qgrass.indices import MultiIndex
+from qgrass.qarith import GENERIC, root_of_unity
+from qgrass.superspaces import Family, SuperVector, basis_of_degree, make_space
+from qgrass.uqrep import verify_module_algebra, verify_uq_relations
+from qgrass.weyl import (
+    SUITE_NAMES,
+    CheckResult,
+    InvalidAtomError,
+    OperatorWord,
+    Relation,
+    apply_expr,
+    apply_word,
+    build_suite,
+    mult_x,
+    operators_equal,
+    partial,
+    run_checks,
+    tau,
+)
+
+D3 = root_of_unity(3)
+D8 = root_of_unity(8)
+MODES = [GENERIC, D3, D8]
+MODE_IDS = ["generic", "d3", "d8"]
+
+OMEGA11 = make_space(Family.OMEGA, 1, 1)
+OMEGA21 = make_space(Family.OMEGA, 2, 1)
+
+
+def word(space, *atoms, coeff=None):
+    return OperatorWord(space, tuple(atoms), coeff)
+
+
+def memo_less(checks, t_max):
+    assert weyl._atom_memo.get() is None
+    return [c.run(t_max).to_json() for c in checks]
+
+
+# ---------------------------------------------------------------------------
+# run_checks against the same checks run without the memo
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_suite_reports_match_memo_less_run(suite, mode):
+    space = make_space(Family.OMEGA, 1, 1, mode)
+    try:
+        checks = build_suite(suite, space)
+    except InvalidAtomError:
+        # the root branches exist only at a root of the matching parity
+        assert suite in ("weyl-odd-root", "weyl-even-root")
+        return
+    t_max = 2 if suite == "leibniz" else 3
+    report = run_checks(suite, space, checks, t_max).to_json()
+    assert report["relations"] == memo_less(checks, t_max)
+
+
+def test_one_memo_serves_spaces_of_one_shape():
+    # the same (atom, idx) keys recur on each space; their images differ
+    spaces = [make_space(Family.OMEGA, 1, 1, mode) for mode in MODES]
+    checks = [c for space in spaces for c in build_suite("weyl-generic", space)]
+    report = run_checks("mixed", spaces[0], checks, 3).to_json()
+    assert report["relations"] == memo_less(checks, 3)
+
+
+def capture_checks(monkeypatch):
+    """Make uqrep's run_checks also record the memo-less results."""
+    seen = []
+
+    def recording(suite, space, checks, t_max):
+        expected = memo_less(checks, t_max)
+        report = run_checks(suite, space, checks, t_max)
+        seen.append((report.to_json()["relations"], expected))
+        return report
+
+    monkeypatch.setattr(uqrep, "run_checks", recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        make_space(Family.OMEGA, 2, 1),
+        make_space(Family.DUAL, 1, 2),
+        make_space(Family.OMEGA_RESTRICTED, 1, 1, D3),
+        make_space(Family.DUAL_RESTRICTED, 1, 1, D8),
+    ],
+    ids=["omega21", "dual12", "omega11-d3", "dual11-d8"],
+)
+def test_uq_and_module_algebra_reports_match_memo_less_run(space, monkeypatch):
+    seen = capture_checks(monkeypatch)
+    verify_uq_relations(space, 3)
+    verify_uq_relations(space, 3, variant="sl")
+    verify_module_algebra(space, 2)
+    assert len(seen) == 3
+    for report, expected in seen:
+        assert report == expected
+
+
+# ---------------------------------------------------------------------------
+# index-level equality against evaluation on monomial vectors
+# ---------------------------------------------------------------------------
+
+
+def vector_level_equal(lhs, rhs, t_max):
+    """operators_equal evaluated through apply_expr on SuperVectors."""
+    space = (lhs or rhs)[0].space
+    for t in range(t_max + 1):
+        for idx in basis_of_degree(space, t):
+            u = SuperVector.monomial(space, idx)
+            va, vb = apply_expr(lhs, u), apply_expr(rhs, u)
+            if va != vb:
+                return False, {"monomial": str(idx), "lhs_image": va.to_json(),
+                               "rhs_image": vb.to_json()}
+    return True, None
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs",
+    [
+        ((word(OMEGA11, partial(1), mult_x(1)),), (word(OMEGA11, mult_x(1), partial(1)),)),
+        ((word(OMEGA11, mult_x(1)), word(OMEGA11, mult_x(2))), (word(OMEGA11, mult_x(1)),)),
+    ],
+    ids=["d1 x1 = x1 d1", "x1 + x2 = x1"],
+)
+def test_false_relation_witness_matches_vector_images(lhs, rhs):
+    res = operators_equal(lhs, rhs, 3)
+    assert not res.equal
+    idx = MultiIndex((0, 0), OMEGA11.shape)
+    u = SuperVector.monomial(OMEGA11, idx)
+    assert res.witness == {
+        "monomial": str(idx),
+        "lhs_image": apply_expr(lhs, u).to_json(),
+        "rhs_image": apply_expr(rhs, u).to_json(),
+    }
+    assert len(res.witness["lhs_image"]) == len(lhs)
+    report = run_checks("false", OMEGA11, [Relation("false", lhs, rhs)], 3)
+    assert report.results[0].witness == res.witness
+
+
+@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+def test_perturbed_relations_decide_as_on_vectors(mode):
+    # every relation of the generic Weyl suite, then with its right side
+    # scaled by q, or its first left word dropped: many fail, at many monomials
+    space = make_space(Family.OMEGA, 1, 1, mode)
+    q = mode.q()
+    failing = 0
+    for rel in build_suite("weyl-generic", space):
+        variants = [
+            (rel.lhs, rel.rhs),
+            (rel.lhs, tuple(w.scaled(q) for w in rel.rhs)),
+            (rel.lhs[1:], rel.rhs),
+        ]
+        for lhs, rhs in variants:
+            if not lhs and not rhs:
+                continue
+            res = operators_equal(lhs, rhs, 3)
+            assert (res.equal, res.witness) == vector_level_equal(lhs, rhs, 3)
+            failing += not res.equal
+    assert failing > 20
+
+
+def test_mixed_space_expression_raises():
+    lhs = (word(OMEGA11, partial(1)), word(OMEGA21, partial(1)))
+    with pytest.raises(InvalidAtomError):
+        operators_equal(lhs, (), 3)
+    with pytest.raises(InvalidAtomError):
+        operators_equal(word(OMEGA11, partial(1)), word(OMEGA21, partial(1)), 3)
+
+
+# ---------------------------------------------------------------------------
+# scope of the memo
+# ---------------------------------------------------------------------------
+
+
+class Probe:
+    """A check that records whether a memo is open while it runs, for it and
+    for a thread it starts."""
+
+    name = "probe"
+
+    def __init__(self):
+        self.memo_open = self.thread_memo_open = None
+
+    def run(self, t_max):
+        self.memo_open = weyl._atom_memo.get() is not None
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(weyl._atom_memo.get()))
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        self.thread_memo_open = seen != [None]
+        return CheckResult(self.name, True)
+
+
+class InvalidTwice:
+    """A check applying an invalid atom twice; both applications must raise."""
+
+    name = "invalid twice"
+
+    def run(self, t_max):
+        w = word(OMEGA21, tau(1))
+        u = SuperVector.unit(OMEGA21)
+        for _ in range(2):
+            with pytest.raises(InvalidAtomError):
+                apply_word(w, u)
+        return CheckResult(self.name, True)
+
+
+def test_memo_is_open_only_inside_run_checks():
+    probe = Probe()
+    assert weyl._atom_memo.get() is None
+    report = run_checks("scope", OMEGA11, [probe, InvalidTwice()], 2)
+    assert report.passed and probe.memo_open
+    assert probe.thread_memo_open is False
+    assert weyl._atom_memo.get() is None
+    Probe.run(probe, 2)
+    assert probe.memo_open is False
+
+
+def test_memo_is_dropped_when_a_check_raises():
+    bad = Relation("mixed", (word(OMEGA11, partial(1)),), (word(OMEGA21, partial(1)),))
+    with pytest.raises(InvalidAtomError):
+        run_checks("raises", OMEGA11, [Probe(), bad], 2)
+    assert weyl._atom_memo.get() is None
