@@ -15,12 +15,15 @@ Subcommands:
 Exit status: 0 all checks passed, 1 a verification failed (the report is
 still written), 2 usage error.  Reports embed the run configuration and are
 byte-deterministic for fixed flags; files are written atomically.
+``main(argv)`` may be called repeatedly in one process; it builds its parser
+once and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -50,6 +53,7 @@ from .uqrep import (
     verify_uq_relations,
 )
 from .weyl import (
+    InvalidAtomError,
     OperatorWord,
     apply_word,
     mult_x,
@@ -115,6 +119,8 @@ def _emit(payload: dict, args, csv_rows: list[dict] | None = None) -> None:
     if args.format == "csv":
         if csv_rows is None:
             raise UsageError("this subcommand has no CSV table; use --format json")
+        if not csv_rows:
+            raise UsageError("the degree range is empty, so the CSV table has no rows")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()))
         writer.writeheader()
@@ -149,12 +155,22 @@ def _parse_monomial(text: str, shape) -> MultiIndex:
         chunk = chunk.strip()
         if not chunk:
             return []
-        return [int(tok) for tok in chunk.split(",")]
+        try:
+            return [int(tok) for tok in chunk.split(",")]
+        except ValueError:
+            raise UsageError(f"monomial entries must be integers, got {text!r}") from None
 
     entries = tuple(ints(first) + ints(second))
     if len(entries) != shape.size:
         raise UsageError(f"monomial needs {shape.size} entries")
     return MultiIndex(entries, shape)
+
+
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise UsageError(f"{flag} takes a comma list of integers, got {text!r}") from None
 
 
 def _parse_word(text: str, space) -> OperatorWord:
@@ -164,26 +180,24 @@ def _parse_word(text: str, space) -> OperatorWord:
     return word
 
 
+# generator token prefixes, each before any prefix of itself (SKinv before SK)
+_GEN_TOKENS = (
+    ("SKinv", Gen.SKINV),
+    ("SK", Gen.SK),
+    ("Kinv", Gen.KINV),
+    ("K", Gen.K),
+    ("E", Gen.E),
+    ("F", Gen.F),
+)
+_ATOM_TOKENS = (("d", partial), ("x", mult_x), ("X", mult_x_divpow), ("t", tau))
+
+
 def _parse_token(token: str, space) -> OperatorWord:
-    gen_map = {
-        "E": Gen.E,
-        "F": Gen.F,
-        "K": Gen.K,
-        "Kinv": Gen.KINV,
-        "SK": Gen.SK,
-        "SKinv": Gen.SKINV,
-    }
     if token == "sigma":
-        return generator_word(Gen.PARITY, 0, space)
-    for name in ("SKinv", "SK", "Kinv", "K", "E", "F"):
+        return _generator(Gen.PARITY, 0, space)
+    for name, gen in _GEN_TOKENS:
         if token.startswith(name) and token[len(name):].isdigit():
-            return generator_word(gen_map[name], int(token[len(name):]), space)
-    atoms = {
-        "d": partial,
-        "x": mult_x,
-        "X": mult_x_divpow,
-        "t": tau,
-    }
+            return _generator(gen, int(token[len(name):]), space)
     if token.startswith("Th(") and token.endswith(")"):
         label = _parse_monomial(token[2:], space.shape)
         return OperatorWord(space, (theta_op(label),))
@@ -193,10 +207,17 @@ def _parse_token(token: str, space) -> OperatorWord:
         return OperatorWord(space, (sigma(int(token[4:]), -1),))
     if token.startswith("s") and token[1:].isdigit():
         return OperatorWord(space, (sigma(int(token[1:]), 1),))
-    for prefix, ctor in atoms.items():
+    for prefix, ctor in _ATOM_TOKENS:
         if token.startswith(prefix) and token[len(prefix):].isdigit():
             return OperatorWord(space, (ctor(int(token[len(prefix):])),))
     raise UsageError(f"cannot parse generator token {token!r}")
+
+
+def _generator(kind: Gen, i: int, space) -> OperatorWord:
+    try:
+        return generator_word(kind, i, space)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +249,10 @@ def _cmd_act(args) -> int:
     if not idx.is_valid_basis_key():
         raise UsageError(f"{idx} is not a basis monomial of this space")
     word = _parse_word(args.word, space)
-    image = apply_word(word, SuperVector.monomial(space, idx))
+    try:
+        image = apply_word(word, SuperVector.monomial(space, idx))
+    except InvalidAtomError as exc:
+        raise UsageError(str(exc)) from exc
     payload = {
         "config": _config(args, word=args.word, monomial=str(idx)),
         "space": space.describe(),
@@ -283,11 +307,11 @@ def _cmd_hopf(args) -> int:
     if args.hopf_family in ("taft-orders", "taft-orders-generalized"):
         if not args.orders:
             raise UsageError("this family needs --orders, e.g. --orders 2,3")
-        kwargs["orders"] = tuple(int(t) for t in args.orders.split(","))
+        kwargs["orders"] = _int_list(args.orders, "--orders")
         if args.hopf_family == "taft-orders-generalized":
             if not args.group_orders:
                 raise UsageError("needs --group-orders")
-            kwargs["group_orders"] = tuple(int(t) for t in args.group_orders.split(","))
+            kwargs["group_orders"] = _int_list(args.group_orders, "--group-orders")
     try:
         pres = hopf_mod.build(args.hopf_family, **kwargs)
     except ValueError as exc:
@@ -340,7 +364,11 @@ def _cmd_simple(args) -> int:
 
 
 def _cmd_qtest(args) -> int:
-    orders = [int(t) for t in args.d_list.split(",")] if args.d_list else [3, 5, 6, 8]
+    orders = _int_list(args.d_list, "--d-list") if args.d_list else (3, 5, 6, 8)
+    try:
+        roots = [root_of_unity(d) for d in orders]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     checks = []
 
     def record(name, passed):
@@ -351,7 +379,7 @@ def _cmd_qtest(args) -> int:
     for n in range(1, n_max + 1):
         ok &= q_int(-n) == -q_int(n)
     record(f"[-n] = -[n] for n <= {n_max}", ok)
-    modes = [GENERIC] + [root_of_unity(d) for d in orders]
+    modes = [GENERIC] + roots
     for mode in modes:
         label = "generic" if mode.is_generic else f"d={mode.d}"
         ok = True
@@ -369,8 +397,7 @@ def _cmd_qtest(args) -> int:
             val = q_binom(s, r)
             ok &= val.num.invert_variable() == val.num
     record("balanced symmetry of the Gaussian binomials", ok)
-    for d in orders:
-        mode = root_of_unity(d)
+    for d, mode in zip(orders, roots):
         ell = char_of(mode).ell
         ok = True
         for s in range(0, 3 * ell + 1):
@@ -484,10 +511,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(builder) -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on first use, then reused.
+
+    ``main`` passes the module's current ``build_parser``, so a replacement
+    bound there (a test double, a tracing wrapper) builds on its next call.
+    Reuse is safe because ``parse_args`` leaves the parser unchanged.
+    """
+    return builder()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser(build_parser).parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

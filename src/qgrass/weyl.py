@@ -135,6 +135,7 @@ def parity() -> Atom:
     return Atom(AtomKind.PARITY)
 
 
+_UNPOSITIONED = (AtomKind.THETA, AtomKind.PARITY)
 _POLY_SIDE = (Family.OMEGA, Family.OMEGA_RESTRICTED)
 _DUAL_SIDE = (Family.DUAL, Family.DUAL_RESTRICTED)
 
@@ -159,6 +160,9 @@ def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, 
     kind = atom.kind
     pos = atom.pos
     entries = idx.entries
+    # theta and parity carry no position; every other kind needs 1..size
+    if not 0 < pos <= space.shape.size and kind not in _UNPOSITIONED:
+        raise InvalidAtomError(f"{atom.render()}: position must lie in 1..{space.shape.size}")
 
     if kind is AtomKind.SIGMA:
         v = entries[pos - 1]

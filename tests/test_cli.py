@@ -3,6 +3,9 @@ import json
 import os
 import pathlib
 
+import pytest
+
+from qgrass import cli
 from qgrass.cli import main
 
 SWEEP_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_full_verification.py"
@@ -133,3 +136,107 @@ def test_full_sweep_writes_summary(tmp_path, monkeypatch, capsys):
         direct = tmp_path / ("direct-" + filename)
         assert main(argv + ["--out", str(direct)]) == 0
         assert (tmp_path / "reports" / filename).read_bytes() == direct.read_bytes()
+
+
+OMEGA11 = ["--family", "omega", "--m", "1", "--n", "1"]
+
+# one process, one parser: a usage error, --version, and a hopf run before
+# dims must leave nothing behind that a later call can see
+REUSE_SEQUENCE = [
+    ["dims", "--m", "1"],
+    ["--version"],
+    ["hopf", "--family", "dq", "--m", "2", "--n", "1"],
+    ["dims", *OMEGA11],
+    ["act", "--family", "omega", "--m", "2", "--n", "1",
+     "--word", "E1 F2 K1 Kinv2 SK1 SKinv2 sigma d1 x2 s1 sinv2 t3 par Th(1,0|0)",
+     "--monomial", "(2,0 | 1)"],
+    ["qtest", "--max", "4"],
+    ["dims", *OMEGA11, "--t-max", "3", "--format", "csv"],
+]
+
+
+def call(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_matches_a_fresh_parser(capsys):
+    cli._parser.cache_clear()
+    reused = [call(capsys, argv) for argv in REUSE_SEQUENCE]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        cli._parser.cache_clear()
+        fresh.append(call(capsys, argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0, 0, 0, 0]
+    assert reused[0][2].startswith("usage: qgrass dims")
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    original = cli.build_parser
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    assert main(["qtest", "--max", "2"]) == 0
+    assert main(["dims", *OMEGA11, "--t-max", "1"]) == 0
+    assert len(builds) == 1
+    monkeypatch.undo()
+    # build_parser stays a fresh parser per call, so a caller's changes to its
+    # own parser never reach main
+    mine = cli.build_parser()
+    assert mine is not cli.build_parser()
+    mine.prog = "other"
+    assert main(["dims"]) == 2
+    assert capsys.readouterr().err.startswith("usage: qgrass dims")
+
+
+ILL_POSED = {
+    "atom at position 0": ["act", *OMEGA11, "--word", "d0", "--monomial", "(1|1)"],
+    "twist at position 0": ["act", *OMEGA11, "--word", "s0", "--monomial", "(1|1)"],
+    "inverse twist past the end": ["act", *OMEGA11, "--word", "sinv3", "--monomial", "(1|1)"],
+    "derivative past the end": ["act", *OMEGA11, "--word", "d5", "--monomial", "(1|1)"],
+    "multiplication at position 0": ["act", *OMEGA11, "--word", "x0", "--monomial", "(1|1)"],
+    "letter in monomial": ["act", *OMEGA11, "--word", "d1", "--monomial", "(a|0)"],
+    "empty monomial entry": ["act", *OMEGA11, "--word", "d1", "--monomial", "(1|1,)"],
+    "two bars in monomial": ["act", *OMEGA11, "--word", "d1", "--monomial", "(0|0|0)"],
+    "letter in twist label": ["act", *OMEGA11, "--word", "Th(a|0)", "--monomial", "(1|1)"],
+    "empty twist label entry": ["act", *OMEGA11, "--word", "Th(1|1,)", "--monomial", "(1|1)"],
+    "letter in --orders": ["hopf", "--family", "taft-orders", "--orders", "2,a",
+                           "--q", "root", "--d", "6"],
+    "letter in --group-orders": ["hopf", "--family", "taft-orders-generalized",
+                                 "--orders", "2,3", "--group-orders", "x",
+                                 "--q", "root", "--d", "6"],
+    "letter in --d-list": ["qtest", "--d-list", "3,a"],
+    "order 0 in --d-list": ["qtest", "--d-list", "0"],
+    "generator index out of range": ["act", *OMEGA11, "--word", "E2", "--monomial", "(1|1)"],
+    "generator on the affine space": ["act", "--family", "affine", "--m", "1", "--n", "1",
+                                      "--word", "E1", "--monomial", "(1|1)"],
+    "tau on the dual side": ["act", "--family", "dual", "--m", "1", "--n", "1",
+                             "--word", "t2", "--monomial", "(1|1)"],
+    "divided power in generic mode": ["act", *OMEGA11, "--word", "X1", "--monomial", "(1|1)"],
+    "empty dims table as CSV": ["dims", *OMEGA11, "--t-max", "-1", "--format", "csv"],
+    "empty simple table as CSV": ["simple", *OMEGA11, "--t-min", "5", "--t-max", "2",
+                                  "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("argv", ILL_POSED.values(), ids=ILL_POSED.keys())
+def test_ill_posed_input_exits_2(capsys, argv):
+    code, out, err = call(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_empty_tables_stay_valid_json(capsys):
+    code, out, _ = call(capsys, ["dims", *OMEGA11, "--t-max", "-1"])
+    assert (code, json.loads(out)["rows"]) == (0, [])
+    code, out, _ = call(capsys, ["simple", *OMEGA11, "--t-min", "5", "--t-max", "2"])
+    assert (code, json.loads(out)["components"]) == (0, [])

@@ -13,6 +13,7 @@ from qgrass.superspaces import (
 from qgrass.weyl import (
     InvalidAtomError,
     OperatorWord,
+    apply_atom,
     apply_word,
     mult_x,
     mult_x_divpow,
@@ -268,3 +269,21 @@ def test_smash_product_matches_concatenation_and_associates():
         assert smash_mul(ea, eb) == smash_normal_form(space, list(wa) + list(wb))
     for a, b, c in itertools.product(els[:6], repeat=3):
         assert smash_mul(smash_mul(a, b), c) == smash_mul(a, smash_mul(b, c))
+
+
+POSITIONAL_ATOMS = (partial, mult_x, mult_x_divpow, sigma, lambda i: sigma(i, -1), tau)
+
+
+@pytest.mark.parametrize("space", [
+    OMEGA21,
+    make_space(Family.OMEGA, 2, 1, D3),
+    DUAL21,
+    make_space(Family.OMEGA_RESTRICTED, 2, 1, D3),
+], ids=["omega", "omega d=3", "dual", "omega-restricted d=3"])
+def test_positional_atoms_refuse_positions_outside_the_space(space):
+    size = space.shape.size
+    for idx in (MultiIndex((0, 0, 0), space.shape), MultiIndex((1, 1, 1), space.shape)):
+        for ctor in POSITIONAL_ATOMS:
+            for pos in (0, size + 1):
+                with pytest.raises(InvalidAtomError, match="position"):
+                    apply_atom(space, ctor(pos), idx)
