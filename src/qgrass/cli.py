@@ -43,7 +43,15 @@ from .qarith import (
     q_int,
     root_of_unity,
 )
-from .superspaces import Family, SuperVector, basis_of_degree, make_space, top_degree
+from .superspaces import (
+    DUAL_SIDE,
+    POLY_SIDE,
+    Family,
+    SuperVector,
+    basis_of_degree,
+    make_space,
+    top_degree,
+)
 from .uqrep import (
     Gen,
     component_report,
@@ -89,7 +97,21 @@ def _mode_from_args(args) -> QMode:
         raise UsageError(str(exc)) from exc
 
 
+# the families a subcommand runs on, where it does not take every family
+_FAMILIES = {
+    "check-uq": POLY_SIDE + DUAL_SIDE,
+    "check-leibniz": POLY_SIDE + DUAL_SIDE,
+    "simple": POLY_SIDE + DUAL_SIDE,
+    "check-weyl": POLY_SIDE,
+    "check-dq": POLY_SIDE,
+}
+
+
 def _space_from_args(args):
+    allowed = _FAMILIES.get(args.command)
+    if allowed and Family(args.family) not in allowed:
+        names = "/".join(f.value for f in allowed)
+        raise UsageError(f"{args.command} runs on --family {names}, not {args.family}")
     mode = _mode_from_args(args)
     try:
         return make_space(args.family, args.m, args.n, mode)
@@ -324,7 +346,10 @@ def _cmd_hopf(args) -> int:
         **report.to_json(),
     }
     if args.divided_power is not None:
-        dp = hopf_mod.divided_power_coproduct_check(pres, args.divided_power - 1, args.p_max)
+        try:
+            dp = hopf_mod.divided_power_coproduct_check(pres, args.divided_power - 1, args.p_max)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         payload["divided_power"] = dp.to_json()
         ok = report.passed and dp.passed
     else:
@@ -334,6 +359,8 @@ def _cmd_hopf(args) -> int:
 
 
 def _cmd_simple(args) -> int:
+    if args.t_min < 0:
+        raise UsageError("--t-min must be nonnegative")
     space = _space_from_args(args)
     top = top_degree(space)
     t_hi = args.t_max if top is None else min(args.t_max, top)

@@ -666,6 +666,8 @@ def build(family: str, **params) -> HopfPresentation:
 
     # multi-rank families over an arbitrary diagonal matrix
     orders = tuple(params["orders"])
+    if any(o < 1 for o in orders):
+        raise ValueError(f"orders must be positive, got {list(orders)}")
     n = len(orders)
     if family == "taft-orders-generalized":
         group_orders = tuple(params["group_orders"])
@@ -1047,6 +1049,8 @@ def divided_power_coproduct_check(pres: HopfPresentation, i: int, p_max: int) ->
     group order closes).  Two-sided coproducts (the derivative cover) get the
     threshold check only.
     """
+    if not 0 <= i < len(pres.xgens):
+        raise ValueError(f"no skew generator {i + 1}: they are numbered 1..{len(pres.xgens)}")
     mode = pres.mode
     checks: list[HopfCheck] = []
     xg = pres.xgens[i]

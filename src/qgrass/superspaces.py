@@ -30,6 +30,8 @@ from .qarith import GENERIC, QMode, ScalarQ, char_of, q_binom
 
 __all__ = [
     "Family",
+    "POLY_SIDE",
+    "DUAL_SIDE",
     "SpaceSpec",
     "SuperVector",
     "SpaceMismatchError",
@@ -56,7 +58,9 @@ class Family(Enum):
 
 
 _RESTRICTED = (Family.OMEGA_RESTRICTED, Family.DUAL_RESTRICTED)
-_DUAL_SIDE = (Family.DUAL, Family.DUAL_RESTRICTED)
+# the two sides of the Grassmann-type families; the affine family is neither
+POLY_SIDE = (Family.OMEGA, Family.OMEGA_RESTRICTED)
+DUAL_SIDE = (Family.DUAL, Family.DUAL_RESTRICTED)
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,7 @@ class SpaceSpec:
     mode: QMode
 
     def __post_init__(self):
-        dual = self.family in _DUAL_SIDE
+        dual = self.family in DUAL_SIDE
         if self.shape.fermionic_first != dual:
             raise ValueError("shape layout does not match the family side")
         if self.family in _RESTRICTED:
@@ -104,7 +108,7 @@ class SpaceSpec:
 def make_space(family: Family | str, m: int, n: int, mode: QMode = GENERIC) -> SpaceSpec:
     """Build a SpaceSpec with the layout and caps implied by the family."""
     family = Family(family) if not isinstance(family, Family) else family
-    dual = family in _DUAL_SIDE
+    dual = family in DUAL_SIDE
     cap = None
     if family in _RESTRICTED:
         cap = char_of(mode).ell if not mode.is_generic else 0
@@ -201,7 +205,7 @@ def commutation_factor(space: SpaceSpec, a: MultiIndex, b: MultiIndex, mode: QMo
     its own bicharacter with mirrored exponents.
     """
     mode = mode or space.mode
-    if space.family not in _DUAL_SIDE:
+    if space.family not in DUAL_SIDE:
         return theta(a, b, mode)
     bb_ab, ff_ab, _, bf_ab = _split_star(a, b)
     bb_ba, ff_ba, _, bf_ba = _split_star(b, a)
@@ -348,7 +352,7 @@ def parity_map(u: SuperVector) -> SuperVector:
     or by divided-power degree (dual side)."""
     if u.space.family is Family.AFFINE:
         raise ValueError("parity automorphism is defined on the Grassmann-type spaces")
-    dual = u.space.family in _DUAL_SIDE
+    dual = u.space.family in DUAL_SIDE
     out = {}
     for idx, c in u.terms.items():
         weight = idx.bosonic_degree() if dual else idx.fermionic_degree()

@@ -8,13 +8,17 @@ atomic actions supplied by the weyl module.
 Verification is exhaustive on graded components: the defining relations of the
 quantum general (special) linear supergroup, the module-algebra (twisted
 Leibniz) law against the bosonized coproduct, highest-weight extraction by
-exact kernel computation, and a simplicity certificate via cyclic spans.  The
-simplicity criterion is sound because every graded component checked has
-pairwise distinct toral weights on its monomial basis: any nonzero submodule
-then contains a basis monomial, so simplicity is equivalent to every basis
-monomial generating the full component.  When the weight-separation
+exact kernel computation, and a simplicity certificate by monomial
+reachability.  The simplicity criterion is sound because every graded
+component checked has pairwise distinct toral weights on its monomial basis:
+any nonzero submodule then contains a basis monomial, so simplicity is
+equivalent to every basis monomial generating the full component.  Every
+E_j / F_j word sends a basis monomial to a scalar times one basis monomial,
+so the submodule a monomial generates is spanned by the monomials it
+reaches, and its dimension is their count.  When the weight-separation
 precondition fails the verdict is reported as inconclusive, never as a
-definite answer.
+definite answer.  The one exact elimination, ``RowSpace``, serves the
+highest-weight kernels and ``exact_rank``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from enum import Enum
 from .indices import MultiIndex
 from .qarith import ScalarQ, char_of
 from .superspaces import (
+    DUAL_SIDE,
+    POLY_SIDE,
     Family,
     SpaceSpec,
     SuperVector,
@@ -61,9 +67,6 @@ __all__ = [
     "ComponentReport",
 ]
 
-_DUAL_SIDE = (Family.DUAL, Family.DUAL_RESTRICTED)
-
-
 class Gen(Enum):
     E = "E"
     F = "F"
@@ -91,7 +94,7 @@ def generator_word(kind: Gen, i: int, space: SpaceSpec) -> OperatorWord:
     if kind is not Gen.PARITY:
         _check_index(space, kind, i)
     m = space.shape.m
-    dual = space.family in _DUAL_SIDE
+    dual = space.family in DUAL_SIDE
 
     if kind is Gen.E:
         atoms = (mult_x(i), partial(i + 1), sigma(i, 1))
@@ -159,7 +162,7 @@ def verify_uq_relations(space: SpaceSpec, t_max: int, variant: str = "gl") -> Re
         return generator_word(kind, i, space)
 
     if variant == "gl":
-        for i in J if False else range(1, size + 1):
+        for i in range(1, size + 1):
             checks.append(
                 Relation(f"K{i} Kinv{i} = 1", (word(Gen.K, i).then(word(Gen.KINV, i)),), (_w(space),))
             )
@@ -412,70 +415,76 @@ def dim_formula(space: SpaceSpec, t: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class RowSpace:
-    """Reduced row span of homogeneous vectors, pivoted in monomial order."""
+def _axpy(row: dict, other: dict, c: ScalarQ) -> None:
+    """row += c * other, in place, dropping entries that cancel."""
+    for key, v in other.items():
+        s = row.pop(key, None)
+        s = v * c if s is None else s + v * c
+        if not s.is_zero():
+            row[key] = s
 
-    def __init__(self, space: SpaceSpec):
-        self.space = space
-        self.degree: int | None = None
-        self.rows: dict[MultiIndex, SuperVector] = {}  # pivot monomial -> row
+
+class RowSpace:
+    """Sparse exact row reduction over totally ordered keys.
+
+    Rows are dicts key -> scalar, kept in reduced echelon form: each stored
+    row has coefficient 1 at its pivot, its least key, and no stored row has
+    a term at another row's pivot.  An optional tag (a dict over any hashable
+    keys) is reduced alongside each row; when every row is tagged and one
+    reduces to zero, its reduced tag is a linear relation among the rows
+    added so far, recorded in ``relations``.
+    """
+
+    def __init__(self):
+        self.rows: dict = {}  # pivot key -> (row, tag)
+        self.relations: list[dict] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _leading(self, v: SuperVector) -> MultiIndex:
-        return min(v.terms, key=lambda idx: idx.entries)
-
-    def reduce(self, v: SuperVector) -> SuperVector:
-        while not v.is_zero():
-            lead = self._leading(v)
-            row = self.rows.get(lead)
-            if row is None:
-                return v
-            v = v - row.scaled(v.terms[lead])
-        return v
-
-    def add(self, v: SuperVector) -> bool:
-        """Insert v; True iff it enlarges the span."""
-        if v.is_zero():
+    def add(self, row: dict, tag: dict | None = None) -> bool:
+        """Insert a row; True iff it enlarges the span."""
+        row, tag = dict(row), dict(tag or {})
+        # rows are reduced, so clearing one pivot leaves the others untouched
+        for key in [k for k in row if k in self.rows]:
+            prow, ptag = self.rows[key]
+            c = -row[key]
+            _axpy(row, prow, c)
+            _axpy(tag, ptag, c)
+        if not row:
+            if tag:
+                self.relations.append(tag)
             return False
-        deg = v.degree()
-        if deg is None:
-            raise ValueError("inhomogeneous vector")
-        if self.degree is None:
-            self.degree = deg
-        elif deg != self.degree:
-            raise ValueError("mixed degrees rejected")
-        v = self.reduce(v)
-        if v.is_zero():
-            return False
-        lead = self._leading(v)
-        v = v.scaled(v.terms[lead].inverse())
-        # keep previously stored rows fully reduced against the new pivot
-        for key in list(self.rows):
-            row = self.rows[key]
-            c = row.terms.get(lead)
+        lead = min(row)
+        inv = row[lead].inverse()
+        row = {k: v * inv for k, v in row.items()}
+        tag = {k: v * inv for k, v in tag.items()}
+        for prow, ptag in self.rows.values():
+            c = prow.get(lead)
             if c is not None:
-                self.rows[key] = row - v.scaled(c)
-        self.rows[lead] = v
+                _axpy(prow, row, -c)
+                _axpy(ptag, tag, -c)
+        self.rows[lead] = (row, tag)
         return True
-
-    def basis(self) -> list[SuperVector]:
-        return [self.rows[k] for k in sorted(self.rows, key=lambda idx: idx.entries)]
 
 
 def exact_rank(vectors: list[SuperVector]) -> tuple[int, list[SuperVector]]:
-    """Rank and a reduced basis of the span of homogeneous vectors."""
+    """Rank and the reduced echelon basis, in monomial order, of the span of
+    homogeneous vectors of one degree."""
     if not vectors:
         return 0, []
     space = vectors[0].space
-    rs = RowSpace(space)
+    if any(v.space != space for v in vectors):
+        raise ValueError("vectors live in different spaces")
+    vectors = [v for v in vectors if not v.is_zero()]
+    degrees = {v.degree() for v in vectors}
+    if None in degrees or len(degrees) > 1:
+        raise ValueError("vectors must be homogeneous of one degree")
+    rs = RowSpace()
     for v in vectors:
-        if v.space != space:
-            raise ValueError("vectors live in different spaces")
-        rs.add(v)
-    return rs.rank, rs.basis()
+        rs.add(v.terms)
+    return rs.rank, [SuperVector(space, rs.rows[k][0]) for k in sorted(rs.rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -498,15 +507,12 @@ def weight_of(space: SpaceSpec, idx: MultiIndex) -> tuple[tuple[int, ...], int]:
     return tuple(exps), par
 
 
-_OMEGA_LIKE = (Family.OMEGA, Family.OMEGA_RESTRICTED)
-
-
 def expected_highest_weight(space: SpaceSpec, t: int) -> tuple[MultiIndex, tuple[int, ...], str] | None:
     """Predicted highest-weight monomial, weight (epsilon-coordinates) and a
     fundamental-weight label for the component of degree t, when covered."""
     m, n = space.shape.m, space.shape.n
     shape = space.shape
-    if space.family in _OMEGA_LIKE and m == 0:
+    if space.family in POLY_SIDE and m == 0:
         return None
     if space.family is Family.OMEGA:
         idx = MultiIndex((t,) + (0,) * (m - 1) + (0,) * n, shape)
@@ -547,70 +553,50 @@ def expected_highest_weight(space: SpaceSpec, t: int) -> tuple[MultiIndex, tuple
 
 
 def _highest_weight_space(space: SpaceSpec, t: int) -> list[SuperVector]:
-    """Exact joint kernel of all raising operators on the degree-t component."""
+    """Exact joint kernel of all raising operators on the degree-t component.
+
+    Each basis monomial contributes the row of its stacked E_j images, tagged
+    with itself; the relations left by rows that reduce to zero are the
+    kernel, each scaled to 1 at its least monomial.
+    """
     basis = basis_of_degree(space, t)
-    dim = len(basis)
-    size = space.shape.size
-    raisers = [generator_word(Gen.E, j, space) for j in range(1, size)]
-    if not raisers or dim == 0:
-        return [SuperVector.monomial(space, idx) for idx in basis]
-    # columns: input basis monomials; rows: stacked output coordinates
-    cols = []
-    out_keys: dict[tuple[int, MultiIndex], int] = {}
-    for c, idx in enumerate(basis):
+    raisers = [generator_word(Gen.E, j, space) for j in range(1, space.shape.size)]
+    rs = RowSpace()
+    for idx in basis:
         u = SuperVector.monomial(space, idx)
-        col: dict[int, ScalarQ] = {}
-        for jw, w in enumerate(raisers):
-            img = apply_word(w, u)
-            for oidx, coeff in img.terms.items():
-                key = (jw, oidx)
-                row = out_keys.setdefault(key, len(out_keys))
-                col[row] = coeff
-        cols.append(col)
-    # gaussian elimination on the columns' coordinates to find the null space
-    nrows = len(out_keys)
-    pivots: dict[int, int] = {}  # row -> col index of pivot
-    reduced: list[dict[int, ScalarQ]] = []
-    combos: list[dict[int, ScalarQ]] = []  # expression of reduced col in inputs
-    one = space.mode.one()
-    kernel: list[SuperVector] = []
-    for c, col in enumerate(cols):
-        combo = {c: one}
-        col = dict(col)
-        while col:
-            r = min(col)
-            p = pivots.get(r)
-            if p is None:
-                break
-            factor = col[r]
-            pcol, pcombo = reduced[p], combos[p]
-            for rr, vv in pcol.items():
-                s = col.get(rr)
-                s = -vv * factor if s is None else s - vv * factor
-                if s.is_zero():
-                    col.pop(rr, None)
-                else:
-                    col[rr] = s
-            for cc, vv in pcombo.items():
-                s = combo.get(cc)
-                s = -vv * factor if s is None else s - vv * factor
-                if s.is_zero():
-                    combo.pop(cc, None)
-                else:
-                    combo[cc] = s
-        if not col:
-            vec = SuperVector(space, {basis[cc]: vv for cc, vv in combo.items()})
-            lead = min(vec.terms, key=lambda i: i.entries)
-            kernel.append(vec.scaled(vec.terms[lead].inverse()))
-        else:
-            r = min(col)
-            lead = col[r].inverse()
-            col = {rr: vv * lead for rr, vv in col.items()}
-            combo = {cc: vv * lead for cc, vv in combo.items()}
-            pivots[r] = len(reduced)
-            reduced.append(col)
-            combos.append(combo)
-    return kernel
+        row = {
+            (j, oidx.entries): coeff
+            for j, w in enumerate(raisers)
+            for oidx, coeff in apply_word(w, u).terms.items()
+        }
+        rs.add(row, {idx: space.mode.one()})
+    kernel = [SuperVector(space, rel) for rel in rs.relations]
+    return [v.scaled(v.terms[min(v.terms)].inverse()) for v in kernel]
+
+
+def _span_ranks(space: SpaceSpec, basis: list[MultiIndex]):
+    """Yield each basis monomial with the rank of the submodule it generates.
+
+    Every E_j / F_j word sends a basis monomial to a scalar times one basis
+    monomial, so that rank is the number of monomials the seed reaches.
+    """
+    ops = [generator_word(kind, j, space)
+           for kind in (Gen.E, Gen.F) for j in range(1, space.shape.size)]
+    images: dict[MultiIndex, list[MultiIndex]] = {}
+    for idx in basis:
+        u = SuperVector.monomial(space, idx)
+        imgs = [apply_word(op, u).terms for op in ops]
+        if any(len(img) > 1 for img in imgs):
+            raise RuntimeError(f"a generator sends {idx} to a sum of monomials")
+        images[idx] = [nxt for img in imgs for nxt in img]
+    for seed in basis:
+        reached, todo = {seed}, [seed]
+        while todo and len(reached) < len(basis):
+            for nxt in images[todo.pop()]:
+                if nxt not in reached:
+                    reached.add(nxt)
+                    todo.append(nxt)
+        yield seed, len(reached)
 
 
 @dataclass
@@ -697,32 +683,11 @@ def component_report(space: SpaceSpec, t: int) -> ComponentReport:
         if not matches:
             witnesses.append({"hw_mismatch": [v.to_json() for v in kernel]})
 
-    size = space.shape.size
-    ops = [generator_word(Gen.E, j, space) for j in range(1, size)] + [
-        generator_word(Gen.F, j, space) for j in range(1, size)
-    ]
-
-    def span_rank(seed: MultiIndex) -> int:
-        rs = RowSpace(space)
-        seed_vec = SuperVector.monomial(space, seed)
-        rs.add(seed_vec)
-        frontier = [seed_vec]
-        while frontier and rs.rank < dim:
-            new = []
-            for v in frontier:
-                for op in ops:
-                    img = apply_word(op, v)
-                    if not img.is_zero() and rs.add(img):
-                        new.append(img)
-            frontier = new
-        return rs.rank
-
     if not separated:
         verdict = "inconclusive"
     else:
         verdict = "simple"
-        for seed in basis:
-            rank = span_rank(seed)
+        for seed, rank in _span_ranks(space, basis):
             if rank < dim:
                 verdict = "not_simple"
                 witnesses.append({"seed_with_proper_span": str(seed), "span_rank": rank})

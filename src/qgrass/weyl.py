@@ -34,6 +34,8 @@ from typing import Callable, Iterable, Sequence
 from .indices import MultiIndex, Shape, theta
 from .qarith import QParity, ScalarQ, char_of, q_factorial
 from .superspaces import (
+    DUAL_SIDE,
+    POLY_SIDE,
     Family,
     SpaceSpec,
     SuperVector,
@@ -136,8 +138,6 @@ def parity() -> Atom:
 
 
 _UNPOSITIONED = (AtomKind.THETA, AtomKind.PARITY)
-_POLY_SIDE = (Family.OMEGA, Family.OMEGA_RESTRICTED)
-_DUAL_SIDE = (Family.DUAL, Family.DUAL_RESTRICTED)
 
 
 def _is_fermionic(space: SpaceSpec, pos: int) -> bool:
@@ -167,32 +167,32 @@ def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, 
     if kind is AtomKind.SIGMA:
         v = entries[pos - 1]
         if _is_fermionic(space, pos):
-            if space.family in _POLY_SIDE:
+            if space.family in POLY_SIDE:
                 coeff = mode.minus_q_power(atom.exp * v)
             else:
                 coeff = mode.q_power(atom.exp * v)
         else:
-            if space.family in _POLY_SIDE or space.family is Family.AFFINE:
+            if space.family in POLY_SIDE or space.family is Family.AFFINE:
                 coeff = mode.q_power(atom.exp * v)
             else:
                 coeff = mode.q_power(-atom.exp * v)
         return coeff, idx
 
     if kind is AtomKind.TAU:
-        if space.family not in _POLY_SIDE or not _is_fermionic(space, pos):
+        if space.family not in POLY_SIDE or not _is_fermionic(space, pos):
             raise InvalidAtomError("tau acts on exterior directions of the polynomial side")
         v = entries[pos - 1]
         return (mode.scalar(-1 if v % 2 else 1)), idx
 
     if kind is AtomKind.THETA:
-        if space.family not in _POLY_SIDE:
+        if space.family not in POLY_SIDE:
             raise InvalidAtomError("twist labels act on the polynomial side")
         return theta(atom.label, idx, mode), idx
 
     if kind is AtomKind.PARITY:
         if space.family is Family.AFFINE:
             raise InvalidAtomError("parity operator undefined on the affine superspace")
-        dual = space.family in _DUAL_SIDE
+        dual = space.family in DUAL_SIDE
         w = idx.bosonic_degree() if dual else idx.fermionic_degree()
         return mode.scalar(-1 if w % 2 else 1), idx
 
@@ -207,18 +207,18 @@ def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, 
         return monomial_product(space, gen_label, idx)
 
     fermionic = _is_fermionic(space, pos)
-    poly_side = space.family in _POLY_SIDE or space.family is Family.AFFINE
+    poly_side = space.family in POLY_SIDE or space.family is Family.AFFINE
 
     if kind is AtomKind.MULT_X:
         gen_label = MultiIndex.basis_vector(space.shape, pos)
         return monomial_product(space, gen_label, idx)
 
     if kind is AtomKind.PARTIAL:
+        if space.family is Family.AFFINE:
+            raise InvalidAtomError("derivatives act on the Grassmann-type spaces")
         v = entries[pos - 1]
         if v == 0:
             return None
-        if space.family is Family.AFFINE:
-            raise InvalidAtomError("derivatives act on the Grassmann-type spaces")
         prefix = idx.prefix_sum(pos)
         target = idx.shifted(pos, -1)
         if poly_side:
@@ -970,7 +970,7 @@ def build_suite(suite: str, space: SpaceSpec) -> list:
 
 
 def verify_relation_suite(suite: str, space: SpaceSpec, t_max: int) -> RelationReport:
-    if space.family in _DUAL_SIDE or space.family is Family.AFFINE:
+    if space.family not in POLY_SIDE:
         raise InvalidAtomError("relation suites run on the Grassmann-type polynomial side")
     checks = build_suite(suite, space)
     return run_checks(suite, space, checks, t_max)
@@ -1265,7 +1265,7 @@ def _term_times_monomial(
 
 def smash_normal_form(space: SpaceSpec, atoms: Iterable[Atom], coeff: ScalarQ | None = None) -> SmashElement:
     """Normal form of a word in the Weyl-algebra generator alphabet."""
-    if space.family not in _POLY_SIDE:
+    if space.family not in POLY_SIDE:
         raise InvalidAtomError("the smash product is built over the Grassmann space")
     el = SmashElement.unit(space)
     if coeff is not None:

@@ -223,6 +223,25 @@ ILL_POSED = {
     "empty dims table as CSV": ["dims", *OMEGA11, "--t-max", "-1", "--format", "csv"],
     "empty simple table as CSV": ["simple", *OMEGA11, "--t-min", "5", "--t-max", "2",
                                   "--format", "csv"],
+    "negative --t-min": ["simple", *OMEGA11, "--t-min", "-3", "--t-max", "0"],
+    "divided power 0": ["hopf", "--family", "dq", "--m", "2", "--n", "1",
+                        "--divided-power", "0"],
+    "divided power past the last generator": ["hopf", "--family", "dq", "--m", "2", "--n", "1",
+                                              "--divided-power", "9"],
+    "order 0 in --orders": ["hopf", "--family", "taft-orders", "--orders", "2,0",
+                            "--q", "root", "--d", "6"],
+    "derivative on the affine space at exponent 0": ["act", "--family", "affine", "--m", "1",
+                                                     "--n", "1", "--word", "d1",
+                                                     "--monomial", "(0|1)"],
+    "check-uq on the affine space": ["check-uq", "--family", "affine", "--m", "1", "--n", "1"],
+    "check-leibniz on the affine space": ["check-leibniz", "--family", "affine",
+                                          "--m", "1", "--n", "1"],
+    "check-dq on the affine space": ["check-dq", "--family", "affine", "--m", "1", "--n", "1"],
+    "simple on the affine space": ["simple", "--family", "affine", "--m", "1", "--n", "1"],
+    "check-dq on the dual side": ["check-dq", "--family", "dual", "--m", "1", "--n", "1"],
+    "check-dq on the restricted dual side": ["check-dq", "--family", "dual-restricted",
+                                             "--m", "1", "--n", "1", "--d", "3"],
+    "check-weyl on the affine space": ["check-weyl", "--family", "affine", "--m", "1", "--n", "1"],
 }
 
 

@@ -248,6 +248,21 @@ def test_aq_binomial_expansion_and_threshold():
     assert any("threshold p = 3" in n for n in names)
 
 
+def test_divided_power_index_out_of_range():
+    p = build("dq", m=2, n=1, mode=GENERIC)
+    for i in (-1, len(p.xgens)):
+        with pytest.raises(ValueError, match="numbered 1..3"):
+            divided_power_coproduct_check(p, i, 3)
+
+
+@pytest.mark.parametrize("family", ["taft-orders", "taft-orders-generalized"])
+def test_nonpositive_orders_rejected(family):
+    with pytest.raises(ValueError, match="positive"):
+        build(family, orders=(2, 0), group_orders=(2, 3), mode=D6)
+    with pytest.raises(ValueError, match="positive"):
+        build(family, orders=(-2,), group_orders=(2,), mode=D6)
+
+
 def test_aq_expansion_spot_value_p2():
     p = build("aq", m=1, n=0, mode=GENERIC)
     lhs = p.tensor_mul(p.delta_gen_x(0), p.delta_gen_x(0), 2)

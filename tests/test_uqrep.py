@@ -1,10 +1,13 @@
 import pytest
 
 from qgrass.indices import MultiIndex
-from qgrass.qarith import q_int, root_of_unity
-from qgrass.superspaces import Family, SuperVector, basis_of_degree, make_space
+from qgrass.qarith import GENERIC, q_int, root_of_unity
+from qgrass.superspaces import Family, SuperVector, basis_of_degree, make_space, top_degree
 from qgrass.uqrep import (
     Gen,
+    RowSpace,
+    _highest_weight_space,
+    _span_ranks,
     component_report,
     dim_formula,
     exact_rank,
@@ -234,3 +237,97 @@ def test_component_report_dual():
 def test_component_report_out_of_range():
     with pytest.raises(ValueError):
         component_report(OMEGA21_R3, 6)
+
+
+# ---------------------------------------------------------------------------
+# the simplicity and highest-weight routes against independent ones
+# ---------------------------------------------------------------------------
+
+
+# omega (1|1) at d = 3 and 4 has components that are not simple, with
+# two-dimensional highest-weight spaces (t = 3, 6 and t = 2, 4, 6)
+CROSS_CHECK_SPACES = [
+    (make_space(Family.OMEGA, 1, 1, D3), 6),
+    (make_space(Family.OMEGA, 1, 1, root_of_unity(4)), 6),
+    (OMEGA21, 4),
+    (make_space(Family.DUAL_RESTRICTED, 1, 1, D3), 3),
+]
+CROSS_CHECK_IDS = ["omega11-d3", "omega11-d4", "omega21", "dual-restricted11-d3"]
+
+
+def chevalley_words(space, kinds):
+    return [generator_word(kind, j, space) for kind in kinds for j in range(1, space.shape.size)]
+
+
+def closure_rank(space, seed, ops):
+    """Rank of the cyclic span of a monomial, closed under ops by vector arithmetic."""
+    rank, basis = exact_rank([SuperVector.monomial(space, seed)])
+    while True:
+        new_rank, basis = exact_rank(basis + [apply_word(op, v) for v in basis for op in ops])
+        if new_rank == rank:
+            return rank
+        rank = new_rank
+
+
+def dense_rank(rows, zero):
+    """Rank of a dense scalar matrix by textbook Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != zero), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inv
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("space, t_hi", CROSS_CHECK_SPACES, ids=CROSS_CHECK_IDS)
+def test_reachability_rank_matches_the_span_closure(space, t_hi):
+    ops = chevalley_words(space, (Gen.E, Gen.F))
+    for t in range(t_hi + 1):
+        basis = basis_of_degree(space, t)
+        ranks = dict(_span_ranks(space, basis))
+        assert list(ranks) == list(basis)
+        for seed, rank in ranks.items():
+            assert rank == closure_rank(space, seed, ops), (t, seed)
+
+
+@pytest.mark.parametrize("space, t_hi", CROSS_CHECK_SPACES, ids=CROSS_CHECK_IDS)
+def test_highest_weight_kernel_matches_the_stacked_raising_map(space, t_hi):
+    raisers = chevalley_words(space, (Gen.E,))
+    zero = space.mode.zero()
+    for t in range(t_hi + 1):
+        basis = basis_of_degree(space, t)
+        kernel = _highest_weight_space(space, t)
+        for v in kernel:
+            assert all(apply_word(e, v).is_zero() for e in raisers)
+        assert exact_rank(kernel)[0] == len(kernel)
+        images = [[apply_word(e, SuperVector.monomial(space, idx)) for e in raisers] for idx in basis]
+        keys = sorted({(j, out) for row in images for j, img in enumerate(row) for out in img.terms})
+        matrix = [[row[j].terms.get(out, zero) for j, out in keys] for row in images]
+        assert len(kernel) == len(basis) - dense_rank(matrix, zero), t
+
+
+def test_rowspace_tags_give_the_relation_of_a_dependent_row():
+    one, q = GENERIC.one(), GENERIC.q()
+    r1 = {"a": one, "b": q}
+    r2 = {"b": one, "c": one}
+    # 2 r1 - [2] r2 = 2a + (2q - [2]) b - [2] c
+    r3 = {"a": GENERIC.scalar(2), "b": GENERIC.scalar(2) * q - q_int(2), "c": -q_int(2)}
+    rs = RowSpace()
+    assert rs.add(r1, {1: one}) and rs.add(r2, {2: one})
+    assert rs.rank == 2 and rs.relations == []
+    # reduced echelon form: unit pivots at the least keys, cleared elsewhere
+    assert rs.rows["a"][0] == {"a": one, "c": -q}
+    assert rs.rows["b"][0] == {"b": one, "c": one}
+    assert rs.add(r3, {3: one}) is False
+    assert rs.relations == [{1: GENERIC.scalar(-2), 2: q_int(2), 3: one}]
+    # a zero row is its own relation
+    assert rs.add({}, {4: one}) is False
+    assert rs.relations[-1] == {4: one}
+    assert rs.rank == 2

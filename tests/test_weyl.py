@@ -128,6 +128,13 @@ def test_invalid_atoms_rejected():
         apply_word(word(OMEGA21, mult_x_divpow(1)), mono(OMEGA21, 0, 0, 0))
 
 
+def test_derivative_on_the_affine_space_is_refused_at_every_exponent():
+    affine = make_space(Family.AFFINE, 1, 1)
+    for entries in ((0, 1), (1, 1), (0, 0)):
+        with pytest.raises(InvalidAtomError):
+            apply_atom(affine, partial(1), MultiIndex(entries, affine.shape))
+
+
 def test_degree_bookkeeping():
     w = word(OMEGA21, mult_x(1), partial(2), sigma(1))
     assert w.net_degree() == 0
