@@ -391,6 +391,8 @@ def _cmd_simple(args) -> int:
 
 
 def _cmd_qtest(args) -> int:
+    if args.max < 1:
+        raise UsageError("--max must be at least 1")
     orders = _int_list(args.d_list, "--d-list") if args.d_list else (3, 5, 6, 8)
     try:
         roots = [root_of_unity(d) for d in orders]

@@ -1051,6 +1051,8 @@ def divided_power_coproduct_check(pres: HopfPresentation, i: int, p_max: int) ->
     """
     if not 0 <= i < len(pres.xgens):
         raise ValueError(f"no skew generator {i + 1}: they are numbered 1..{len(pres.xgens)}")
+    if p_max < 1:
+        raise ValueError(f"the largest power p_max must be at least 1, got {p_max}")
     mode = pres.mode
     checks: list[HopfCheck] = []
     xg = pres.xgens[i]

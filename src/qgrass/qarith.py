@@ -462,15 +462,15 @@ class ScalarQ:
     # ---- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.mode.is_generic:
-            return self.num.is_zero()
+        if self.mode.d is None:
+            return not self.num.coeffs
         return not any(self.res)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def _check(self, other: "ScalarQ") -> None:
-        if self.mode != other.mode:
+        if self.mode is not other.mode and self.mode != other.mode:
             raise ValueError("mixed coefficient modes")
 
     # ---- ring/field operations -------------------------------------------
@@ -499,7 +499,17 @@ class ScalarQ:
 
     def __mul__(self, other: "ScalarQ") -> "ScalarQ":
         self._check(other)
-        if self.mode.is_generic:
+        if self.mode.d is None:
+            a, b = self.num.coeffs, other.num.coeffs
+            if len(a) == 1 == len(b) and self.den.coeffs == _ONE_COEFFS == other.den.coeffs:
+                # two monomials c1 v^e1, c2 v^e2 over den 1: c1 c2 v^(e1+e2),
+                # already reduced; c1 c2 is nonzero
+                ((e1, c1),), ((e2, c2),) = a.items(), b.items()
+                obj = ScalarQ.__new__(ScalarQ)
+                obj.mode, obj.num, obj.den, obj.res, obj._hash = (
+                    self.mode, LaurentPoly._wrap({e1 + e2: _coef(c1 * c2)}), self.den, None, None
+                )
+                return obj
             # a den-1 factor leaves the other den; _make_generic reduces it
             if self.den.coeffs == _ONE_COEFFS:
                 den = other.den

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 
@@ -324,14 +325,47 @@ class SuperVector:
     __repr__ = __str__
 
 
+# The memo tables of one weyl.run_checks call, per space: a product table
+# {(a.entries, b.entries): monomial_product result} read by multiply, and an
+# atom table {atom: {idx.entries: apply_atom result}} read by weyl.OperatorWord.
+# Set only while run_checks runs; a context variable, so a thread outside that
+# call never sees it.  A call that raises stores nothing.
+suite_memo: ContextVar[dict | None] = ContextVar("suite_memo", default=None)
+_MISS = object()
+
+
+def suite_tables(space: SpaceSpec) -> tuple[dict, dict] | None:
+    """(product table, atom table) of space under the open suite memo, or None."""
+    memo = suite_memo.get()
+    if memo is None:
+        return None
+    tables = memo.get(space)
+    if tables is None:
+        tables = memo[space] = ({}, {})
+    return tables
+
+
 def multiply(u: SuperVector, v: SuperVector) -> SuperVector:
-    """Bilinear extension of the monomial structure constants."""
+    """Bilinear extension of the monomial structure constants.
+
+    Inside weyl.run_checks each monomial product is looked up in the suite
+    memo's product table of the space and computed once; outside it every
+    product is computed afresh.
+    """
     u._check(v)
     space = u.space
+    tables = suite_tables(space)
+    products = None if tables is None else tables[0]
     out: dict[MultiIndex, ScalarQ] = {}
     for ia, ca in u.terms.items():
         for ib, cb in v.terms.items():
-            hit = monomial_product(space, ia, ib)
+            if products is None:
+                hit = monomial_product(space, ia, ib)
+            else:
+                key = (ia.entries, ib.entries)
+                hit = products.get(key, _MISS)
+                if hit is _MISS:
+                    hit = products[key] = monomial_product(space, ia, ib)
             if hit is None:
                 continue
             coeff, idx = hit

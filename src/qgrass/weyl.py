@@ -15,8 +15,9 @@ derivative algebra, its pointed-Hopf cover, and the quantum Weyl algebra of
 (m|n)-type as operator identities, decided by exhaustive evaluation on graded
 bases up to a degree bound; the identities are degree-homogeneous, so this is
 sound for the degrees checked.  While ``run_checks`` runs one suite, every
-atom image it derives is memoised per space and dropped when the call
-returns; outside it each atom is applied afresh.
+atom image and every monomial product it derives is memoised per space in the
+suite memo and dropped when the call returns; outside it each is computed
+afresh.
 
 The smash product (polynomial part) # (group part) # (derivative part) gets a
 normal form by left-to-right absorption of generators; its induced product is
@@ -26,7 +27,6 @@ checked against operator composition (faithfulness) in the test suite.
 from __future__ import annotations
 
 import itertools
-from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -43,6 +43,8 @@ from .superspaces import (
     make_space,
     monomial_product,
     multiply,
+    suite_memo,
+    suite_tables,
     top_degree,
 )
 
@@ -246,9 +248,6 @@ def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, 
     raise InvalidAtomError(f"unknown atom {atom}")
 
 
-# space -> {(atom, idx): apply_atom result}, set only while run_checks runs;
-# a context variable, so a thread outside that call never sees the memo
-_atom_memo: ContextVar[dict | None] = ContextVar("atom_memo", default=None)
 _MISS = object()
 
 
@@ -285,23 +284,44 @@ class OperatorWord:
         body = " ".join(a.render() for a in self.atoms) or "1"
         return body
 
-    def apply_to_index(self, idx: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
+    def steps(self) -> tuple[tuple[Atom, dict | None], ...]:
+        """The atoms in the order they act, each with its image table
+        {idx.entries: apply_atom result} in the suite memo's atom table of the
+        space, or None outside run_checks."""
+        tables = suite_tables(self.space)
+        if tables is None:
+            return tuple((atom, None) for atom in reversed(self.atoms))
+        atom_tables = tables[1]
+        return tuple((atom, atom_tables.setdefault(atom, {})) for atom in reversed(self.atoms))
+
+    def apply_to_index(
+        self, idx: MultiIndex, steps: tuple[tuple[Atom, dict | None], ...] | None = None
+    ) -> tuple[ScalarQ, MultiIndex] | None:
+        """The word on one basis monomial; None when the image is 0.
+
+        Inside run_checks every atom image comes from the suite memo's atom
+        table of the space, so each (atom, monomial) is applied once per call;
+        outside it each atom is applied afresh.  Callers that apply the word
+        to many monomials pass steps (``self.steps()``), resolved once.
+        """
         space = self.space
-        memo = _atom_memo.get()
-        table = None if memo is None else memo.setdefault(space, {})
-        coeff = self.coeff()
+        if steps is None:
+            steps = self.steps()
+        coeff = self.scalar
         cur = idx
-        for atom in reversed(self.atoms):
+        for atom, table in steps:
             if table is None:
                 hit = apply_atom(space, atom, cur)
             else:
-                hit = table.get((atom, cur), _MISS)
+                hit = table.get(cur.entries, _MISS)
                 if hit is _MISS:
-                    hit = table[atom, cur] = apply_atom(space, atom, cur)
+                    hit = table[cur.entries] = apply_atom(space, atom, cur)
             if hit is None:
                 return None
             c, cur = hit
-            coeff = coeff * c
+            coeff = c if coeff is None else coeff * c
+        if coeff is None:
+            return space.mode.one(), cur
         if coeff.is_zero():
             return None
         return coeff, cur
@@ -310,9 +330,10 @@ class OperatorWord:
 def apply_word(w: OperatorWord, u: SuperVector) -> SuperVector:
     if w.space != u.space:
         raise InvalidAtomError("operator and vector live on different spaces")
+    steps = w.steps()
     out: dict[MultiIndex, ScalarQ] = {}
     for idx, c in u.terms.items():
-        hit = w.apply_to_index(idx)
+        hit = w.apply_to_index(idx, steps)
         if hit is None:
             continue
         coeff, target = hit
@@ -357,11 +378,12 @@ def _degree_range(space: SpaceSpec, t_max: int) -> range:
     return range(t_max + 1)
 
 
-def _index_image(expr: tuple[OperatorWord, ...], idx: MultiIndex) -> dict[MultiIndex, ScalarQ]:
-    """Terms of apply_expr(expr, monomial idx), summed straight from the words."""
+def _index_image(expr: list[tuple[OperatorWord, tuple]], idx: MultiIndex) -> dict[MultiIndex, ScalarQ]:
+    """Terms of apply_expr on monomial idx, summed straight from the (word,
+    word.steps()) pairs of the expression."""
     out: dict[MultiIndex, ScalarQ] = {}
-    for w in expr:
-        hit = w.apply_to_index(idx)
+    for w, steps in expr:
+        hit = w.apply_to_index(idx, steps)
         if hit is None:
             continue
         coeff, target = hit
@@ -381,9 +403,11 @@ def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int
     space = (exprA or exprB)[0].space
     if any(w.space != space for w in exprA + exprB):
         raise InvalidAtomError("operator and vector live on different spaces")
+    resolvedA = [(w, w.steps()) for w in exprA]
+    resolvedB = [(w, w.steps()) for w in exprB]
     for t in _degree_range(space, t_max):
         for idx in basis_of_degree(space, t):
-            if _index_image(exprA, idx) != _index_image(exprB, idx):
+            if _index_image(resolvedA, idx) != _index_image(resolvedB, idx):
                 u = SuperVector.monomial(space, idx)
                 return EqualityResult(
                     False,
@@ -505,12 +529,18 @@ class RelationReport:
 
 
 def run_checks(suite: str, space: SpaceSpec, checks: list, t_max: int) -> RelationReport:
-    """Run the checks in order, sharing one atom memo among them."""
-    token = _atom_memo.set({})
+    """Run the checks in order under one suite memo (superspaces.suite_memo).
+
+    For the length of this call, per space, every atom image that
+    OperatorWord.apply_to_index derives and every monomial product that
+    superspaces.multiply derives is computed once and then looked up; both
+    tables are dropped when the call returns or a check raises.
+    """
+    token = suite_memo.set({})
     try:
         results = [c.run(t_max) for c in checks]
     finally:
-        _atom_memo.reset(token)
+        suite_memo.reset(token)
     return RelationReport(suite, space, t_max, results)
 
 

@@ -214,6 +214,8 @@ ILL_POSED = {
                                  "--q", "root", "--d", "6"],
     "letter in --d-list": ["qtest", "--d-list", "3,a"],
     "order 0 in --d-list": ["qtest", "--d-list", "0"],
+    "negative qtest --max": ["qtest", "--max", "-3"],
+    "qtest --max 0": ["qtest", "--max", "0"],
     "generator index out of range": ["act", *OMEGA11, "--word", "E2", "--monomial", "(1|1)"],
     "generator on the affine space": ["act", "--family", "affine", "--m", "1", "--n", "1",
                                       "--word", "E1", "--monomial", "(1|1)"],
@@ -228,6 +230,10 @@ ILL_POSED = {
                         "--divided-power", "0"],
     "divided power past the last generator": ["hopf", "--family", "dq", "--m", "2", "--n", "1",
                                               "--divided-power", "9"],
+    "negative --p-max": ["hopf", "--family", "dq", "--m", "2", "--n", "1",
+                         "--divided-power", "1", "--p-max", "-2"],
+    "--p-max 0": ["hopf", "--family", "dq", "--m", "2", "--n", "1",
+                  "--divided-power", "1", "--p-max", "0"],
     "order 0 in --orders": ["hopf", "--family", "taft-orders", "--orders", "2,0",
                             "--q", "root", "--d", "6"],
     "derivative on the affine space at exponent 0": ["act", "--family", "affine", "--m", "1",

@@ -255,6 +255,14 @@ def test_divided_power_index_out_of_range():
             divided_power_coproduct_check(p, i, 3)
 
 
+def test_divided_power_needs_a_positive_power_bound():
+    p = build("aq", m=1, n=0, mode=D3)
+    for p_max in (-2, 0):
+        with pytest.raises(ValueError, match="at least 1"):
+            divided_power_coproduct_check(p, 0, p_max)
+    assert divided_power_coproduct_check(p, 0, 1).checks
+
+
 @pytest.mark.parametrize("family", ["taft-orders", "taft-orders-generalized"])
 def test_nonpositive_orders_rejected(family):
     with pytest.raises(ValueError, match="positive"):

@@ -7,7 +7,7 @@ product formula evaluated by honest division in Q(v).
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qgrass.qarith import (
@@ -145,6 +145,37 @@ def assert_canonical_scalar(x):
         coeffs = list(x.res)
     for c in coeffs:
         assert_canonical_coeff(c)
+
+
+monomial_coeffs = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6).filter(bool),
+)
+
+
+def generic_monomial(c, e):
+    return GENERIC.from_laurent(LaurentPoly.term(c, e))
+
+
+@given(monomial_coeffs, st.integers(-12, 12), monomial_coeffs, st.integers(-12, 12))
+@example(Fraction(1, 2), 3, 2, -5)  # a Fraction times an int, integral product
+@example(Fraction(-2, 3), 0, Fraction(3, 2), 12)
+@settings(max_examples=100, deadline=None)
+def test_product_of_two_monomials_matches_full_formula(c1, e1, c2, e2):
+    # c1 v^e1 * c2 v^e2 over den 1 is built directly; it must be the reduced
+    # fraction the full product gives, coefficient canonical
+    a, b = generic_monomial(c1, e1), generic_monomial(c2, e2)
+    full = ScalarQ._make_generic(GENERIC, a.num * b.num, LaurentPoly.one())
+    for prod in (a * b, b * a):
+        assert prod.num.coeffs == full.num.coeffs == {e1 + e2: c1 * c2}
+        assert prod.den.coeffs == full.den.coeffs == {0: 1}
+        assert prod == full and hash(prod) == hash(full)
+        (coeff,) = prod.num.coeffs.values()
+        assert_canonical_coeff(coeff)
+    # one numerator term over a den other than 1 takes the full product
+    c = ScalarQ._make_generic(GENERIC, b.num, LaurentPoly({0: 1, 1: 1}))
+    full = ScalarQ._make_generic(GENERIC, a.num * c.num, a.den * c.den)
+    assert a * c == full and c * a == full
 
 
 @st.composite

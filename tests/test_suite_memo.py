@@ -1,18 +1,27 @@
-"""The atom memo that run_checks opens, and index-level operator equality.
+"""The suite memo that run_checks opens, and index-level operator equality.
 
-run_checks memoises atom images for the length of one call; every report must
-be the one the checks give without the memo, and operators_equal must decide
-and witness exactly as evaluation on monomial vectors does.
+run_checks memoises atom images and monomial products for the length of one
+call; every report must be the one the checks give without either memo, and
+operators_equal must decide and witness exactly as evaluation on monomial
+vectors does.
 """
 
 import threading
 
 import pytest
 
-from qgrass import uqrep, weyl
+from qgrass import superspaces, uqrep, weyl
 from qgrass.indices import MultiIndex
 from qgrass.qarith import GENERIC, root_of_unity
-from qgrass.superspaces import Family, SuperVector, basis_of_degree, make_space
+from qgrass.superspaces import (
+    Family,
+    SuperVector,
+    basis_of_degree,
+    make_space,
+    multiply,
+    suite_memo,
+    suite_tables,
+)
 from qgrass.uqrep import verify_module_algebra, verify_uq_relations
 from qgrass.weyl import (
     SUITE_NAMES,
@@ -44,7 +53,8 @@ def word(space, *atoms, coeff=None):
 
 
 def memo_less(checks, t_max):
-    assert weyl._atom_memo.get() is None
+    # one context variable carries both the atom and the product tables
+    assert suite_memo.get() is None
     return [c.run(t_max).to_json() for c in checks]
 
 
@@ -108,6 +118,76 @@ def test_uq_and_module_algebra_reports_match_memo_less_run(space, monkeypatch):
     assert len(seen) == 3
     for report, expected in seen:
         assert report == expected
+
+
+class Products:
+    """A check recording every product of basis monomials up to a degree."""
+
+    name = "products"
+
+    def __init__(self, space, t_max):
+        self.space, self.t_max, self.seen = space, t_max, []
+
+    def run(self, t_max):
+        space = self.space
+        monos = [SuperVector.monomial(space, i)
+                 for t in range(self.t_max + 1) for i in basis_of_degree(space, t)]
+        # twice over, so the second round reads the memo
+        for _ in range(2):
+            self.seen.append([multiply(u, v) for u in monos for v in monos])
+        return CheckResult(self.name, True)
+
+
+def test_one_product_memo_serves_spaces_of_one_shape():
+    # the same (a, b) keys recur on each space; their products differ
+    spaces = [
+        make_space(Family.OMEGA, 2, 1),
+        make_space(Family.OMEGA, 2, 1, D8),
+        make_space(Family.AFFINE, 2, 1),
+    ]
+    assert len({space.shape for space in spaces}) == 1
+    inside = [Products(space, 3) for space in spaces]
+    run_checks("products", spaces[0], inside, 3)
+    for check in inside:
+        outside = Products(check.space, 3)
+        outside.run(3)
+        assert check.seen == outside.seen
+    assert len({str(check.seen[0]) for check in inside}) == 3
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name, recording the arguments of every call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "space",
+    [make_space(Family.OMEGA, 2, 1), make_space(Family.OMEGA, 2, 1, D8)],
+    ids=["omega21", "omega21-d8"],
+)
+def test_each_product_and_atom_image_is_derived_once(space, monkeypatch):
+    checks = build_suite("leibniz", space)
+    # multiply reads superspaces' binding; apply_to_index reads weyl's
+    products = count_calls(monkeypatch, superspaces, "monomial_product")
+    atoms = count_calls(monkeypatch, weyl, "apply_atom")
+    report = run_checks("leibniz", space, checks, 3)
+    product_keys = [(s, a.entries, b.entries) for s, a, b in products]
+    atom_keys = [(s, atom, idx.entries) for s, atom, idx in atoms]
+    assert len(product_keys) == len(set(product_keys)) > 0
+    assert len(atom_keys) == len(set(atom_keys)) > 0
+    # without the memo the same checks derive them again and again
+    n_products, n_atoms = len(products), len(atoms)
+    assert report.to_json()["relations"] == memo_less(checks, 3)
+    assert len(products) - n_products > 2 * n_products
+    assert len(atoms) - n_atoms > 2 * n_atoms
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +276,9 @@ class Probe:
         self.memo_open = self.thread_memo_open = None
 
     def run(self, t_max):
-        self.memo_open = weyl._atom_memo.get() is not None
+        self.memo_open = suite_tables(OMEGA11) is not None
         seen = []
-        thread = threading.Thread(target=lambda: seen.append(weyl._atom_memo.get()))
+        thread = threading.Thread(target=lambda: seen.append(suite_memo.get()))
         thread.start()
         thread.join(timeout=10)
         assert not thread.is_alive()
@@ -222,11 +302,11 @@ class InvalidTwice:
 
 def test_memo_is_open_only_inside_run_checks():
     probe = Probe()
-    assert weyl._atom_memo.get() is None
+    assert suite_memo.get() is None
     report = run_checks("scope", OMEGA11, [probe, InvalidTwice()], 2)
     assert report.passed and probe.memo_open
     assert probe.thread_memo_open is False
-    assert weyl._atom_memo.get() is None
+    assert suite_memo.get() is None
     Probe.run(probe, 2)
     assert probe.memo_open is False
 
@@ -234,5 +314,6 @@ def test_memo_is_open_only_inside_run_checks():
 def test_memo_is_dropped_when_a_check_raises():
     bad = Relation("mixed", (word(OMEGA11, partial(1)),), (word(OMEGA21, partial(1)),))
     with pytest.raises(InvalidAtomError):
-        run_checks("raises", OMEGA11, [Probe(), bad], 2)
-    assert weyl._atom_memo.get() is None
+        run_checks("raises", OMEGA11, [Probe(), Products(OMEGA11, 2), bad], 2)
+    assert suite_memo.get() is None
+    assert suite_tables(OMEGA11) is None
