@@ -192,17 +192,6 @@ class HopfPresentation:
         gv[i] = e
         return {((0,) * len(self.xgens), self.group.reduce(tuple(gv))): self.mode.one()}
 
-    def element_of_word(self, word: Word) -> dict[Key, ScalarQ]:
-        out = self.unit()
-        for kind, i in word:
-            if kind == "x":
-                out = self.mul(out, self.gen_x(i))
-            elif kind == "g":
-                out = self.mul(out, self.gen_g(i))
-            else:
-                out = self.mul(out, self.gen_g(i, -1))
-        return out
-
     def chi_of(self, gvec: tuple[int, ...], j: int) -> ScalarQ:
         out = self.mode.one()
         for gi, e in enumerate(gvec):
@@ -1047,7 +1036,8 @@ def divided_power_coproduct_check(pres: HopfPresentation, i: int, p_max: int) ->
     binomial times the explicit q-power of the pairwise-swap count.  At
     p = ord(c) the middle terms vanish and the power is primitive (when the
     group order closes).  Two-sided coproducts (the derivative cover) get the
-    threshold check only.
+    threshold check only; where the swap character has no such threshold there
+    is nothing to check, and ValueError names the generator.
     """
     if not 0 <= i < len(pres.xgens):
         raise ValueError(f"no skew generator {i + 1}: they are numbered 1..{len(pres.xgens)}")
@@ -1062,6 +1052,13 @@ def divided_power_coproduct_check(pres: HopfPresentation, i: int, p_max: int) ->
     chi_L = pres.chi_of(pres.group.reduce(xg.gL), i)
     chi_R = pres.chi_of(pres.group.reduce(xg.gR), i)
     c_swap = chi_L * chi_R.inverse()
+    order = _multiplicative_order(mode, c_swap)
+    threshold = order is not None and order > 1 and (xg.cap is None or order < xg.cap)
+    if not one_sided and not threshold:
+        raise ValueError(
+            f"no divided-power check for {xg.name}: its coproduct is two-sided and its "
+            f"swap character {c_swap} has no finite order above 1 and below its nilpotency cap"
+        )
 
     def delta_power(p: int) -> dict:
         out = pres.tensor_unit(2)
@@ -1120,8 +1117,7 @@ def divided_power_coproduct_check(pres: HopfPresentation, i: int, p_max: int) ->
                 )
             )
 
-    order = _multiplicative_order(mode, c_swap)
-    if order is not None and order > 1 and (xg.cap is None or order < xg.cap):
+    if threshold:
         p = order
         lhs = delta_power(p)
         left_g = pres.group.power(xg.gL, p)

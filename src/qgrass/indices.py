@@ -62,9 +62,6 @@ class Shape:
     def fermionic_mask(self) -> tuple[bool, ...]:
         return tuple(self.is_fermionic_pos(p) for p in range(1, self.size + 1))
 
-    def bosonic_positions(self) -> tuple[int, ...]:
-        return tuple(p for p in range(1, self.size + 1) if not self.is_fermionic_pos(p))
-
     def fermionic_positions(self) -> tuple[int, ...]:
         return tuple(p for p in range(1, self.size + 1) if self.is_fermionic_pos(p))
 
@@ -117,9 +114,6 @@ class MultiIndex:
 
     def __neg__(self) -> "MultiIndex":
         return MultiIndex(tuple(-a for a in self.entries), self.shape)
-
-    def scaled(self, c: int) -> "MultiIndex":
-        return MultiIndex(tuple(c * a for a in self.entries), self.shape)
 
     def shifted(self, pos: int, delta: int) -> "MultiIndex":
         """New index with entry at 1-based position pos changed by delta."""

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = [
     "LaurentPoly",
@@ -293,10 +293,6 @@ class QMode:
     @property
     def is_generic(self) -> bool:
         return self.d is None
-
-    def phi_degree(self) -> int:
-        assert self.d is not None
-        return cyclotomic_poly(self.d).max_exp()
 
     # ---- element constructors -------------------------------------------
 
@@ -750,10 +746,3 @@ def q_binom_at_char(s: int, mode: QMode) -> ScalarQ:
     sign_exp = (s1 + 1) * ell + s0
     val = mode.scalar(s1)
     return -val if sign_exp % 2 else val
-
-
-def scalar_sum(mode: QMode, terms: Iterable[ScalarQ]) -> ScalarQ:
-    total = mode.zero()
-    for t in terms:
-        total = total + t
-    return total

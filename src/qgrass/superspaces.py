@@ -91,9 +91,6 @@ class SpaceSpec:
     def n(self) -> int:
         return self.shape.n
 
-    def ell(self) -> int | None:
-        return self.shape.restricted_ell
-
     def unit_index(self) -> MultiIndex:
         return MultiIndex.unit(self.shape)
 
@@ -307,9 +304,6 @@ class SuperVector:
         """Common degree of all terms, or None if inhomogeneous/zero."""
         degs = {idx.degree() for idx in self.terms}
         return degs.pop() if len(degs) == 1 else None
-
-    def homogeneous_component(self, t: int) -> "SuperVector":
-        return SuperVector(self.space, {i: c for i, c in self.terms.items() if i.degree() == t})
 
     def sorted_terms(self) -> list[tuple[MultiIndex, ScalarQ]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].entries)

@@ -1,4 +1,4 @@
-"""Quantum differential operators, relation verification, smash normal forms.
+"""Quantum differential operators and relation verification.
 
 Atomic operators send basis monomials to scalar multiples of basis monomials:
 
@@ -18,10 +18,6 @@ sound for the degrees checked.  While ``run_checks`` runs one suite, every
 atom image and every monomial product it derives is memoised per space in the
 suite memo and dropped when the call returns; outside it each is computed
 afresh.
-
-The smash product (polynomial part) # (group part) # (derivative part) gets a
-normal form by left-to-right absorption of generators; its induced product is
-checked against operator composition (faithfulness) in the test suite.
 """
 
 from __future__ import annotations
@@ -29,9 +25,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .indices import MultiIndex, Shape, theta
+from .indices import MultiIndex, theta
 from .qarith import QParity, ScalarQ, char_of, q_factorial
 from .superspaces import (
     DUAL_SIDE,
@@ -72,9 +68,6 @@ __all__ = [
     "SUITE_NAMES",
     "build_suite",
     "verify_relation_suite",
-    "SmashElement",
-    "smash_normal_form",
-    "smash_mul",
 ]
 
 
@@ -1004,356 +997,3 @@ def verify_relation_suite(suite: str, space: SpaceSpec, t_max: int) -> RelationR
         raise InvalidAtomError("relation suites run on the Grassmann-type polynomial side")
     checks = build_suite(suite, space)
     return run_checks(suite, space, checks, t_max)
-
-
-# ---------------------------------------------------------------------------
-# smash-product normal form
-# ---------------------------------------------------------------------------
-
-
-GroupKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-SmashKey = tuple[tuple[int, ...], GroupKey, tuple[int, ...]]
-
-
-def _group_reduce(space: SpaceSpec, th: tuple[int, ...], sg: tuple[int, ...], tu: tuple[int, ...]) -> GroupKey:
-    # in root mode every grading twist has eigenvalues of order dividing 2d
-    if not space.mode.is_generic:
-        p = 2 * space.mode.d
-        th = tuple(a % p for a in th)
-        sg = tuple(a % p for a in sg)
-    tu = tuple(a % 2 for a in tu)
-    return th, sg, tu
-
-
-class SmashElement:
-    """Sum of (coordinate monomial) (group element) (derivative monomial) terms.
-
-    The group part is recorded as exponent vectors (twist label, grading
-    twists, exterior involutions); in root-of-unity mode the exponents are
-    reduced modulo the order of the corresponding eigenvalue system, so that
-    equal keys act equally on the underlying space.
-    """
-
-    __slots__ = ("space", "terms")
-
-    def __init__(self, space: SpaceSpec, terms: dict[SmashKey, ScalarQ] | None = None):
-        self.space = space
-        self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
-
-    @classmethod
-    def unit(cls, space: SpaceSpec) -> "SmashElement":
-        size = space.shape.size
-        n = len(space.shape.fermionic_positions())
-        key = ((0,) * size, ((0,) * size, (0,) * size, (0,) * n), (0,) * size)
-        return cls(space, {key: space.mode.one()})
-
-    def _add_term(self, key: SmashKey, coeff: ScalarQ) -> None:
-        s = self.terms.get(key)
-        s = coeff if s is None else s + coeff
-        if s.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = s
-
-    def __add__(self, other: "SmashElement") -> "SmashElement":
-        out = SmashElement(self.space, dict(self.terms))
-        for k, c in other.terms.items():
-            out._add_term(k, c)
-        return out
-
-    def scaled(self, c: ScalarQ) -> "SmashElement":
-        return SmashElement(self.space, {k: a * c for k, a in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SmashElement)
-            and self.space == other.space
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for (x, (th, sg, tu), d), c in self.sorted_terms():
-            out.append(
-                {
-                    "x": list(x),
-                    "theta": list(th),
-                    "sigma": list(sg),
-                    "tau": list(tu),
-                    "partial": list(d),
-                    "coefficient": str(c),
-                }
-            )
-        return out
-
-    # ---- action on the underlying space ---------------------------------
-
-    def act(self, u: SuperVector) -> SuperVector:
-        space = self.space
-        out = SuperVector.zero(space)
-        for (x, (th, sg, tu), d), c in self.terms.items():
-            atoms: list[Atom] = []
-            lab = MultiIndex(th, space.shape)
-            if any(th):
-                atoms.append(theta_op(lab))
-            for i, e in enumerate(sg, start=1):
-                if e:
-                    s = 1 if e > 0 else -1
-                    atoms.extend([sigma(i, s)] * abs(e))
-            for j, e in zip(space.shape.fermionic_positions(), tu):
-                if e % 2:
-                    atoms.append(tau(j))
-            atoms.extend(_partial_letters(space, MultiIndex(d, space.shape)))
-            w = OperatorWord(space, tuple(atoms), c)
-            img = apply_word(w, u)
-            if not img.is_zero():
-                out = out + multiply(SuperVector.monomial(space, MultiIndex(x, space.shape)), img)
-        return out
-
-
-def _partial_letters(space: SpaceSpec, d_idx: MultiIndex) -> list[Atom]:
-    letters = []
-    for pos, e in enumerate(d_idx.entries, start=1):
-        letters.extend([partial(pos)] * e)
-    return letters
-
-
-def _group_conj_on_label(space: SpaceSpec, key: GroupKey, w: MultiIndex) -> ScalarQ:
-    """chi(g, w): g x_w g^-1 = chi * x_w for a group element g."""
-    th, sg, tu = key
-    mode = space.mode
-    coeff = theta(MultiIndex(th, space.shape), w, mode) if any(th) else mode.one()
-    for pos, e in enumerate(sg, start=1):
-        if not e:
-            continue
-        v = w.entries[pos - 1]
-        if not v:
-            continue
-        if _is_fermionic(space, pos):
-            coeff = coeff * mode.minus_q_power(e * v)
-        else:
-            coeff = coeff * mode.q_power(e * v)
-    sign = 0
-    for j, e in zip(space.shape.fermionic_positions(), tu):
-        sign += e * w.entries[j - 1]
-    if sign % 2:
-        coeff = -coeff
-    return coeff
-
-
-def _partials_past_group(space: SpaceSpec, d_idx: tuple[int, ...], atom: Atom) -> ScalarQ:
-    """c with (d^D) g = c g (d^D) for a single group atom g."""
-    mode = space.mode
-    lab = MultiIndex(d_idx, space.shape)
-    if atom.kind is AtomKind.THETA:
-        return theta(lab, atom.label, mode).inverse()
-    if atom.kind is AtomKind.SIGMA:
-        e = lab.entries[atom.pos - 1]
-        coeff = mode.q_power(atom.exp * e)
-        if _is_fermionic(space, atom.pos) and (atom.exp * e) % 2:
-            coeff = -coeff
-        return coeff
-    if atom.kind is AtomKind.TAU:
-        e = lab.entries[atom.pos - 1]
-        return mode.scalar(-1 if e % 2 else 1)
-    raise InvalidAtomError(f"not a group atom: {atom}")
-
-
-def _smash_absorb_atom(el: SmashElement, atom: Atom) -> SmashElement:
-    """Right-multiply a normal-form element by one generator."""
-    space = el.space
-    mode = space.mode
-    shape = space.shape
-    size = shape.size
-    cap = shape.restricted_ell
-    fermi_positions = shape.fermionic_positions()
-    out = SmashElement(space)
-
-    if atom.kind in (AtomKind.SIGMA, AtomKind.TAU, AtomKind.THETA):
-        for (x, (th, sg, tu), d), c in el.terms.items():
-            c2 = c * _partials_past_group(space, d, atom)
-            th2, sg2, tu2 = list(th), list(sg), list(tu)
-            if atom.kind is AtomKind.THETA:
-                th2 = [a + b for a, b in zip(th2, atom.label.entries)]
-            elif atom.kind is AtomKind.SIGMA:
-                sg2[atom.pos - 1] += atom.exp
-            else:
-                tu2[fermi_positions.index(atom.pos)] += 1
-            key = (x, _group_reduce(space, tuple(th2), tuple(sg2), tuple(tu2)), d)
-            out._add_term(key, c2)
-        return out
-
-    if atom.kind is AtomKind.PARITY:
-        for j in fermi_positions:
-            el = _smash_absorb_atom(el, tau(j))
-        return el
-
-    if atom.kind is AtomKind.PARTIAL:
-        pos = atom.pos
-        for (x, g, d), c in el.terms.items():
-            d_lab = MultiIndex(d, shape)
-            e_pos = MultiIndex.basis_vector(shape, pos)
-            # the derivative letters compose like affine-superspace coordinates
-            bb, ff, fb, _ = _dd_star(shape, d_lab, e_pos)
-            newd = list(d)
-            newd[pos - 1] += 1
-            if shape.is_fermionic_pos(pos) and newd[pos - 1] > 1:
-                continue
-            if cap is not None and not shape.is_fermionic_pos(pos) and newd[pos - 1] >= cap:
-                continue
-            coeff = mode.q_power(bb + ff + fb)
-            if ff % 2:
-                coeff = -coeff
-            out._add_term((x, g, tuple(newd)), c * coeff)
-        return out
-
-    if atom.kind in (AtomKind.MULT_X, AtomKind.MULT_X_DIV_POW):
-        if atom.kind is AtomKind.MULT_X_DIV_POW:
-            if mode.is_generic or _is_fermionic(space, atom.pos):
-                raise InvalidAtomError("divided-power letters need a bosonic root-of-unity direction")
-            w = MultiIndex.basis_vector(shape, atom.pos, char_of(mode).ell)
-        else:
-            w = MultiIndex.basis_vector(shape, atom.pos)
-        for (x, g, d), c in el.terms.items():
-            for c2, key in _term_times_monomial(space, x, g, d, w):
-                out._add_term(key, c * c2)
-        return out
-
-    raise InvalidAtomError(f"unknown atom {atom}")
-
-
-def _dd_star(shape: Shape, a: MultiIndex, b: MultiIndex) -> tuple[int, int, int, int]:
-    mask = shape.fermionic_mask
-    bb = ff = fb = bf = 0
-    run_bos = run_fer = 0
-    for ai, bi, fer in zip(a.entries, b.entries, mask):
-        if ai:
-            if fer:
-                ff += ai * run_fer
-                fb += ai * run_bos
-            else:
-                bb += ai * run_bos
-                bf += ai * run_fer
-        if fer:
-            run_fer += bi
-        else:
-            run_bos += bi
-    return bb, ff, fb, bf
-
-
-def _term_times_monomial(
-    space: SpaceSpec, x: tuple[int, ...], g: GroupKey, d: tuple[int, ...], w: MultiIndex
-) -> list[tuple[ScalarQ, SmashKey]]:
-    """(x g d^D) * x^w expanded back into normal form."""
-    mode = space.mode
-    shape = space.shape
-    if not any(d):
-        # move x^w past the group part, then multiply coordinate monomials
-        chi = _group_conj_on_label(space, g, w)
-        hit = monomial_product(space, MultiIndex(x, shape), w)
-        if hit is None:
-            return []
-        coeff, target = hit
-        return [(coeff * chi, (target.entries, g, d))]
-    # peel the last derivative letter: d_pos x^w = (d_pos applied to x^w) gamma
-    # + (left-twist eigenvalue on x^w) x^w d_pos
-    pos = max(p for p in range(1, shape.size + 1) if d[p - 1])
-    d_rest = list(d)
-    d_rest[pos - 1] -= 1
-    d_rest = tuple(d_rest)
-    results: list[tuple[ScalarQ, SmashKey]] = []
-
-    def collect(sub_terms, coeff, trailing_atoms):
-        for c2, key in sub_terms:
-            el = SmashElement(space, {key: coeff * c2})
-            for at in trailing_atoms:
-                el = _smash_absorb_atom(el, at)
-            results.extend((cc, kk) for kk, cc in el.terms.items())
-
-    hit = apply_atom(space, partial(pos), w)
-    if hit is not None:
-        c_a, w_a = hit
-        gamma: list[Atom] = [] if _is_fermionic(space, pos) else [sigma(pos, -1)]
-        collect(_term_times_monomial(space, x, g, d_rest, w_a), c_a, gamma)
-
-    e_pos = MultiIndex.basis_vector(shape, pos)
-    tw = theta(-e_pos, w, mode)
-    if _is_fermionic(space, pos):
-        if w.entries[pos - 1] % 2:
-            tw = -tw
-    elif w.entries[pos - 1]:
-        tw = tw * mode.q_power(w.entries[pos - 1])
-    collect(_term_times_monomial(space, x, g, d_rest, w), tw, [partial(pos)])
-    return results
-
-
-def smash_normal_form(space: SpaceSpec, atoms: Iterable[Atom], coeff: ScalarQ | None = None) -> SmashElement:
-    """Normal form of a word in the Weyl-algebra generator alphabet."""
-    if space.family not in POLY_SIDE:
-        raise InvalidAtomError("the smash product is built over the Grassmann space")
-    el = SmashElement.unit(space)
-    if coeff is not None:
-        el = el.scaled(coeff)
-    for atom in atoms:
-        el = _smash_absorb_atom(el, atom)
-    return el
-
-
-def _monomial_atom_word(space: SpaceSpec, x: tuple[int, ...]) -> tuple[list[Atom], ScalarQ]:
-    """Atom word whose normal form is exactly the coordinate monomial x."""
-    shape = space.shape
-    mode = space.mode
-    atoms: list[Atom] = []
-    ell = None if mode.is_generic else char_of(mode).ell
-    for pos, e in enumerate(x, start=1):
-        if not e:
-            continue
-        if _is_fermionic(space, pos):
-            atoms.append(mult_x(pos))
-        else:
-            if ell is not None and shape.restricted_ell is None:
-                lo, hi = e % ell, e // ell
-            else:
-                lo, hi = e, 0
-            atoms.extend([mult_x(pos)] * lo)
-            atoms.extend([mult_x_divpow(pos)] * hi)
-    # normalize: applying the word to the unit must give exactly x^(x)
-    probe = SuperVector.unit(space)
-    for at in reversed(atoms):
-        probe = apply_word(OperatorWord(space, (at,)), probe)
-    target = MultiIndex(x, shape)
-    c = probe.terms.get(target)
-    if c is None:
-        raise ArithmeticError(f"monomial {target} is not generated by the coordinate letters")
-    return atoms, c.inverse()
-
-
-def smash_mul(a: SmashElement, b: SmashElement) -> SmashElement:
-    """Product of two normal forms (bilinear, associative on bounded degrees)."""
-    if a.space != b.space:
-        raise InvalidAtomError("smash elements over different spaces")
-    space = a.space
-    out = SmashElement(space)
-    for (x, (th, sg, tu), d), c in b.terms.items():
-        atoms, scale = _monomial_atom_word(space, x)
-        lab = MultiIndex(th, space.shape)
-        if any(th):
-            atoms.append(theta_op(lab))
-        for i, e in enumerate(sg, start=1):
-            s = 1 if e > 0 else -1
-            atoms.extend([sigma(i, s)] * abs(e))
-        for j, e in zip(space.shape.fermionic_positions(), tu):
-            if e % 2:
-                atoms.append(tau(j))
-        atoms.extend(_partial_letters(space, MultiIndex(d, space.shape)))
-        piece = a.scaled(c * scale)
-        for at in atoms:
-            piece = _smash_absorb_atom(piece, at)
-        out = out + piece
-    return out

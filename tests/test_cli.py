@@ -234,6 +234,8 @@ ILL_POSED = {
                          "--divided-power", "1", "--p-max", "-2"],
     "--p-max 0": ["hopf", "--family", "dq", "--m", "2", "--n", "1",
                   "--divided-power", "1", "--p-max", "0"],
+    "divided power with no check to make": ["hopf", "--family", "dq", "--m", "2", "--n", "1",
+                                            "--divided-power", "1"],
     "order 0 in --orders": ["hopf", "--family", "taft-orders", "--orders", "2,0",
                             "--q", "root", "--d", "6"],
     "derivative on the affine space at exponent 0": ["act", "--family", "affine", "--m", "1",

@@ -263,6 +263,14 @@ def test_divided_power_needs_a_positive_power_bound():
     assert divided_power_coproduct_check(p, 0, 1).checks
 
 
+def test_divided_power_refuses_a_generator_with_no_check():
+    # two-sided coproducts get only the threshold check: generic v^-2 has no
+    # finite order, and at d = 3 the order equals the nilpotency cap
+    for p in (build("dq", m=2, n=1, mode=GENERIC), build("dq-restricted", m=1, n=1, mode=D3)):
+        with pytest.raises(ValueError, match="no divided-power check for d1"):
+            divided_power_coproduct_check(p, 0, 4)
+
+
 @pytest.mark.parametrize("family", ["taft-orders", "taft-orders-generalized"])
 def test_nonpositive_orders_rejected(family):
     with pytest.raises(ValueError, match="positive"):

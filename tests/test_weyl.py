@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from qgrass.indices import MultiIndex
@@ -21,8 +19,6 @@ from qgrass.weyl import (
     parity,
     partial,
     sigma,
-    smash_mul,
-    smash_normal_form,
     tau,
     theta_op,
     verify_relation_suite,
@@ -210,72 +206,6 @@ def test_vacuous_suite_on_tiny_space():
     space = make_space(Family.OMEGA, 0, 1)
     report = verify_relation_suite("weyl-generic", space, 3)
     assert report.passed
-
-
-# ---------------------------------------------------------------------------
-# smash normal form
-# ---------------------------------------------------------------------------
-
-
-def sample_words(space, with_divpow=False):
-    gens = [partial(1), partial(space.shape.size), mult_x(1), mult_x(space.shape.size),
-            sigma(1), sigma(space.shape.size, -1)]
-    if space.shape.n:
-        gens.append(tau(space.shape.fermionic_positions()[0]))
-    gens.append(theta_op(MultiIndex.basis_vector(space.shape, 1)))
-    if with_divpow:
-        gens.append(mult_x_divpow(1))
-    words = [[]]
-    words += [[g] for g in gens]
-    words += [[a, b] for a, b in itertools.product(gens[:6], repeat=2)]
-    words += [[partial(1), mult_x(1), partial(1)], [mult_x(1), partial(1), mult_x(1)]]
-    return words
-
-
-def nf_equals_operator(space, atoms, t_max=4):
-    el = smash_normal_form(space, atoms)
-    wop = OperatorWord(space, tuple(atoms))
-    for t in range(t_max + 1):
-        for idx in basis_of_degree(space, t):
-            u = SuperVector.monomial(space, idx)
-            if el.act(u) != apply_word(wop, u):
-                return False, atoms, idx
-    return True, None, None
-
-
-@pytest.mark.parametrize(
-    "space",
-    [OMEGA11, make_space(Family.OMEGA, 1, 1, D3), make_space(Family.OMEGA_RESTRICTED, 1, 1, D3)],
-    ids=["generic", "root", "restricted"],
-)
-def test_smash_normal_form_is_operator_faithful(space):
-    for atoms in sample_words(space, with_divpow=(space.family is Family.OMEGA and not space.mode.is_generic)):
-        ok, bad, idx = nf_equals_operator(space, atoms)
-        assert ok, (bad, idx)
-
-
-def test_smash_normal_form_examples():
-    # d1 x1 -> s1^-1 + q x1 d1
-    el = smash_normal_form(OMEGA11, [partial(1), mult_x(1)])
-    data = el.to_json()
-    assert len(data) == 2
-    terms = {(tuple(t["x"]), tuple(t["sigma"]), tuple(t["partial"])): t["coefficient"] for t in data}
-    assert terms[((0, 0), (-1, 0), (0, 0))] == "1"
-    assert terms[((1, 0), (0, 0), (1, 0))] == "v"
-    # group elements commute: Th(e1) s2 and s2 Th(e1) agree
-    a = smash_normal_form(OMEGA11, [theta_op(MultiIndex.basis_vector(OMEGA11.shape, 1)), sigma(2)])
-    b = smash_normal_form(OMEGA11, [sigma(2), theta_op(MultiIndex.basis_vector(OMEGA11.shape, 1))])
-    assert a == b
-
-
-def test_smash_product_matches_concatenation_and_associates():
-    space = OMEGA11
-    words = sample_words(space)[:18]
-    els = [smash_normal_form(space, w) for w in words]
-    for (wa, ea), (wb, eb) in itertools.product(list(zip(words, els))[:10], repeat=2):
-        assert smash_mul(ea, eb) == smash_normal_form(space, list(wa) + list(wb))
-    for a, b, c in itertools.product(els[:6], repeat=3):
-        assert smash_mul(smash_mul(a, b), c) == smash_mul(a, smash_mul(b, c))
 
 
 POSITIONAL_ATOMS = (partial, mult_x, mult_x_divpow, sigma, lambda i: sigma(i, -1), tau)
