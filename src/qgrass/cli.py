@@ -26,6 +26,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -338,6 +339,8 @@ def _cmd_hopf(args) -> int:
         pres = hopf_mod.build(args.hopf_family, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.exhaustive and hopf_mod.pbw_dim(pres) is math.inf:
+        raise UsageError("--exhaustive needs a finite presentation; this one is infinite")
     depth = "exhaustive" if args.exhaustive else "generators"
     report = hopf_mod.verify_hopf(pres, depth=depth)
     payload = {

@@ -236,6 +236,10 @@ ILL_POSED = {
                   "--divided-power", "1", "--p-max", "0"],
     "divided power with no check to make": ["hopf", "--family", "dq", "--m", "2", "--n", "1",
                                             "--divided-power", "1"],
+    "exhaustive on an infinite presentation": ["hopf", "--family", "aq", "--m", "1", "--n", "0",
+                                               "--q", "root", "--d", "3", "--exhaustive"],
+    "exhaustive on generic dq": ["hopf", "--family", "dq", "--m", "1", "--n", "1", "--exhaustive"],
+    "dq of rank (0|0)": ["hopf", "--family", "dq", "--m", "0", "--n", "0"],
     "order 0 in --orders": ["hopf", "--family", "taft-orders", "--orders", "2,0",
                             "--q", "root", "--d", "6"],
     "derivative on the affine space at exponent 0": ["act", "--family", "affine", "--m", "1",

@@ -5,6 +5,7 @@ import pytest
 
 from qgrass.hopf import (
     AbelianQuotient,
+    HopfPresentation,
     build,
     divided_power_coproduct_check,
     pbw_dim,
@@ -186,6 +187,49 @@ def test_group_likes_invert_under_antipode():
 
 
 # ---------------------------------------------------------------------------
+# the shared key product, on every basis pair and triple
+# ---------------------------------------------------------------------------
+
+# the warning-free finite presentations of dimension at most 16
+SMALL_FINITE = {
+    "taft-mn (1|0) d=3": lambda: build("taft-mn", m=1, n=0, mode=D3),
+    "taft-mn (0|1) d=3": lambda: build("taft-mn", m=0, n=1, mode=D3),
+    "taft-orders-generalized (2)/(4) d=4": lambda: build(
+        "taft-orders-generalized", orders=(2,), group_orders=(4,), mode=root_of_unity(4)
+    ),
+    "gq-restricted (1|0) d=3": lambda: build("gq-restricted", m=1, n=0, mode=D3),
+    "aq (0|1) d=3": lambda: build("aq", m=0, n=1, mode=D3),
+}
+
+
+@pytest.fixture(params=list(SMALL_FINITE), ids=list(SMALL_FINITE))
+def small_finite(request):
+    p = SMALL_FINITE[request.param]()
+    assert not p.warnings and pbw_dim(p) <= 16
+    return p
+
+
+def test_tensor_mul_is_the_legwise_product(small_finite):
+    p = small_finite
+    one = p.mode.one()
+    keys = p.basis_keys()
+    for a1, a2, b1, b2 in itertools.product(keys, repeat=4):
+        want = {
+            (k1, k2): c1 * c2
+            for k1, c1 in p.mul({a1: one}, {b1: one}).items()
+            for k2, c2 in p.mul({a2: one}, {b2: one}).items()
+        }
+        assert p.tensor_mul({(a1, a2): one}, {(b1, b2): one}) == want
+
+
+def test_mul_is_associative_on_basis_triples(small_finite):
+    p = small_finite
+    basis = [{k: p.mode.one()} for k in p.basis_keys()]
+    for a, b, c in itertools.product(basis, repeat=3):
+        assert p.mul(p.mul(a, b), c) == p.mul(a, p.mul(b, c))
+
+
+# ---------------------------------------------------------------------------
 # derivative cover
 # ---------------------------------------------------------------------------
 
@@ -198,9 +242,15 @@ def test_dq_generators_only_passes():
     assert report.passed, [c.to_json() for c in report.checks if not c.passed]
     # the square of the coproduct of an exterior derivative vanishes
     d2 = p.gen_x(1)
-    dd = p.tensor_mul(p.delta_gen_x(1), p.delta_gen_x(1), 2)
+    dd = p.tensor_mul(p.delta_gen_x(1), p.delta_gen_x(1))
     assert dd == {}
     assert p.mul(d2, d2) == {}
+
+
+@pytest.mark.parametrize("family, mode", [("dq", GENERIC), ("dq-restricted", D3)])
+def test_dq_needs_at_least_one_generator(family, mode):
+    with pytest.raises(ValueError, match="at least one generator"):
+        build(family, m=0, n=0, mode=mode)
 
 
 def test_dq_minus_variant_also_hopf():
@@ -248,6 +298,22 @@ def test_aq_binomial_expansion_and_threshold():
     assert any("threshold p = 3" in n for n in names)
 
 
+def test_divided_power_carries_the_coproduct_forward(monkeypatch):
+    # one tensor product per power: Delta(x^p) = Delta(x^(p-1)) Delta(x)
+    calls = 0
+    tensor_mul = HopfPresentation.tensor_mul
+
+    def counted(self, u, v):
+        nonlocal calls
+        calls += 1
+        return tensor_mul(self, u, v)
+
+    monkeypatch.setattr(HopfPresentation, "tensor_mul", counted)
+    report = divided_power_coproduct_check(build("aq", m=1, n=0, mode=GENERIC), 0, 12)
+    assert report.passed
+    assert calls <= 13
+
+
 def test_divided_power_index_out_of_range():
     p = build("dq", m=2, n=1, mode=GENERIC)
     for i in (-1, len(p.xgens)):
@@ -281,7 +347,7 @@ def test_nonpositive_orders_rejected(family):
 
 def test_aq_expansion_spot_value_p2():
     p = build("aq", m=1, n=0, mode=GENERIC)
-    lhs = p.tensor_mul(p.delta_gen_x(0), p.delta_gen_x(0), 2)
+    lhs = p.tensor_mul(p.delta_gen_x(0), p.delta_gen_x(0))
     two_q = q_binom_unbalanced(2, 1, GENERIC)
     x2 = ((2,), (0,))
     x1k = ((1,), (1,))
