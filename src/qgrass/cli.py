@@ -285,41 +285,19 @@ def _cmd_act(args) -> int:
     return 0
 
 
-def _cmd_check_uq(args) -> int:
+def _cmd_check(args) -> int:
     space = _space_from_args(args)
-    report = verify_uq_relations(space, args.t_max, variant=args.variant)
+    report = args.check(space, args)
     payload = {"config": _config(args), **report.to_json()}
     _emit(payload, args)
     return 0 if report.passed else 1
 
 
-def _cmd_check_leibniz(args) -> int:
-    space = _space_from_args(args)
-    report = verify_module_algebra(space, args.t_max)
-    payload = {"config": _config(args), **report.to_json()}
-    _emit(payload, args)
-    return 0 if report.passed else 1
-
-
-def _cmd_check_weyl(args) -> int:
-    suite = {"generic": "weyl-generic", "odd-root": "weyl-odd-root",
-             "even-root": "weyl-even-root"}[args.suite]
-    space = _space_from_args(args)
+def _check_weyl(space, args):
     try:
-        report = verify_relation_suite(suite, space, args.t_max)
+        return verify_relation_suite("weyl-" + args.suite, space, args.t_max)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    payload = {"config": _config(args), **report.to_json()}
-    _emit(payload, args)
-    return 0 if report.passed else 1
-
-
-def _cmd_check_dq(args) -> int:
-    space = _space_from_args(args)
-    report = verify_relation_suite(args.suite, space, args.t_max)
-    payload = {"config": _config(args), **report.to_json()}
-    _emit(payload, args)
-    return 0 if report.passed else 1
 
 
 def _cmd_hopf(args) -> int:
@@ -497,22 +475,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("check-uq", help="quantum supergroup defining relations")
     _add_common(p)
     p.add_argument("--variant", choices=["gl", "sl"], default="gl")
-    p.set_defaults(fn=_cmd_check_uq)
+    p.set_defaults(fn=_cmd_check, check=lambda space, args: verify_uq_relations(
+        space, args.t_max, variant=args.variant))
 
     p = subs.add_parser("check-leibniz", help="module-algebra law")
     _add_common(p)
-    p.set_defaults(fn=_cmd_check_leibniz)
+    p.set_defaults(fn=_cmd_check,
+                   check=lambda space, args: verify_module_algebra(space, args.t_max))
 
     p = subs.add_parser("check-weyl", help="quantum Weyl algebra relations")
     _add_common(p)
     p.add_argument("--suite", choices=["generic", "odd-root", "even-root"],
                    default="generic")
-    p.set_defaults(fn=_cmd_check_weyl)
+    p.set_defaults(fn=_cmd_check, check=_check_weyl)
 
     p = subs.add_parser("check-dq", help="derivative-algebra relations")
     _add_common(p)
     p.add_argument("--suite", choices=["partials", "dq", "leibniz"], default="dq")
-    p.set_defaults(fn=_cmd_check_dq)
+    p.set_defaults(fn=_cmd_check, check=lambda space, args: verify_relation_suite(
+        args.suite, space, args.t_max))
 
     p = subs.add_parser("hopf", help="pointed Hopf presentations and axioms")
     _add_common(p, family=False, degrees=False)

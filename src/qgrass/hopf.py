@@ -32,6 +32,7 @@ from .qarith import (
     QMode,
     QParity,
     ScalarQ,
+    add_term,
     char_of,
     q_binom,
     q_binom_unbalanced,
@@ -222,13 +223,13 @@ class HopfPresentation:
             for kb, cb in v.items():
                 hit = self._key_product(ka, kb)
                 if hit is not None:
-                    _add_term(out, hit[1], ca * cb * hit[0])
+                    add_term(out, hit[1], ca * cb * hit[0])
         return out
 
     def add(self, u: dict[Key, ScalarQ], v: dict[Key, ScalarQ]) -> dict[Key, ScalarQ]:
         out = dict(u)
         for k, c in v.items():
-            _add_term(out, k, c)
+            add_term(out, k, c)
         return out
 
     def scale(self, u: dict[Key, ScalarQ], c: ScalarQ) -> dict[Key, ScalarQ]:
@@ -281,7 +282,7 @@ class HopfPresentation:
                     coeff = coeff * hit[0]
                     key.append(hit[1])
                 else:
-                    _add_term(out, tuple(key), coeff)
+                    add_term(out, tuple(key), coeff)
         return out
 
     def tensor_unit(self) -> dict:
@@ -312,7 +313,7 @@ class HopfPresentation:
         out: dict = {}
         for k, c in u.items():
             for kk, cc in self.delta_key(k).items():
-                _add_term(out, kk, cc * c)
+                add_term(out, kk, cc * c)
         return out
 
     def delta_leg(self, tel: dict, leg: int) -> dict:
@@ -320,7 +321,7 @@ class HopfPresentation:
         out: dict = {}
         for key, c in tel.items():
             for kk, cc in self.delta_key(key[leg]).items():
-                _add_term(out, key[:leg] + kk + key[leg + 1 :], cc * c)
+                add_term(out, key[:leg] + kk + key[leg + 1 :], cc * c)
         return out
 
     # ---- bases ------------------------------------------------------------
@@ -382,16 +383,6 @@ class HopfPresentation:
 
     def _gname(self, gv: tuple[int, ...]) -> str:
         return self.render_key(((0,) * len(self.xgens), self.group.reduce(gv)))
-
-
-def _add_term(out: dict, key, c: ScalarQ) -> None:
-    """Add c at key in a sparse element, dropping the key if the sum vanishes."""
-    s = out.get(key)
-    s = c if s is None else s + c
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
 
 
 def _dim_json(v: int | float):
@@ -552,10 +543,7 @@ def _character_warnings(pres: HopfPresentation) -> None:
     """Record group relations that the conjugation characters do not respect."""
     for rel in pres.group.relations:
         for j, xg in enumerate(pres.xgens):
-            val = pres.mode.one()
-            for gi, e in enumerate(rel):
-                if e:
-                    val = val * pres.chi[gi][j] ** e
+            val = pres.chi_of(rel, j)
             if val != pres.mode.one():
                 pres.warnings.append(
                     f"group relation {list(rel)} conjugates {xg.name} by {val}, not 1 "
@@ -563,20 +551,22 @@ def _character_warnings(pres: HopfPresentation) -> None:
                 )
 
 
-def build(family: str, **params) -> HopfPresentation:
+def build(family: str, *, mode: QMode = GENERIC, m: int | None = None, n: int | None = None,
+          orders: tuple[int, ...] | None = None, group_orders: tuple[int, ...] | None = None,
+          nilpotency_caps: bool = True, coproduct_variant: str = "plus",
+          partial_caps: bool | None = None) -> HopfPresentation:
     """Construct one of the supported presentations.
 
-    Families: taft-mn (m, n, mode), aq (m, n, mode),
-    gq / gq-restricted (m, n, mode), dq / dq-restricted (m, n, mode,
-    coproduct_variant='plus'|'minus'), taft-orders (orders, mode, mu=None),
-    taft-orders-generalized (orders, group_orders, mode, mu=None).
+    Families and the keywords they read besides mode: taft-mn, aq (m, n);
+    gq / gq-restricted (m, n, nilpotency_caps); dq / dq-restricted (m, n,
+    coproduct_variant='plus'|'minus', partial_caps); taft-orders (orders);
+    taft-orders-generalized (orders, group_orders).  The diagonal families
+    take the matrix with q^(d / orders[i]) on the diagonal and 1 elsewhere.
     """
     if family not in HOPF_FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {HOPF_FAMILIES}")
-    mode: QMode = params.get("mode", GENERIC)
 
     if family == "taft-mn":
-        m, n = params["m"], params["n"]
         if mode.is_generic:
             raise ValueError("the finite multi-rank family needs q of finite order")
         L = mode.d  # nilpotency bound is the order of q here
@@ -587,7 +577,6 @@ def build(family: str, **params) -> HopfPresentation:
         return pres
 
     if family == "aq":
-        m, n = params["m"], params["n"]
         pres = _mixed_rank_presentation(
             family, m, n, mode, x_bos_cap=None, k_bos_order=mode.d, diag_exp=1
         )
@@ -595,8 +584,6 @@ def build(family: str, **params) -> HopfPresentation:
         return pres
 
     if family in ("gq", "gq-restricted"):
-        m, n = params["m"], params["n"]
-        caps = params.get("nilpotency_caps", True)
         if mode.is_generic:
             if family == "gq-restricted":
                 raise ValueError("the restricted bosonization needs char(q) = ell >= 3")
@@ -608,43 +595,35 @@ def build(family: str, **params) -> HopfPresentation:
         ell = profile.ell
         pres = _mixed_rank_presentation(
             family, m, n, mode,
-            x_bos_cap=ell if caps else None, k_bos_order=ell, diag_exp=2,
-            divided_power_tops=(family == "gq" and caps),
+            x_bos_cap=ell if nilpotency_caps else None, k_bos_order=ell, diag_exp=2,
+            divided_power_tops=(family == "gq" and nilpotency_caps),
         )
         pres.params["ell"] = ell
         return pres
 
     if family in ("dq", "dq-restricted"):
-        return _build_dq(family, mode=mode, **{k: v for k, v in params.items() if k != "mode"})
+        return _build_dq(family, m, n, mode, coproduct_variant, partial_caps)
 
-    # multi-rank families over an arbitrary diagonal matrix
-    orders = tuple(params["orders"])
+    # multi-rank families over a diagonal matrix
+    orders = tuple(orders)
     if any(o < 1 for o in orders):
         raise ValueError(f"orders must be positive, got {list(orders)}")
     n = len(orders)
     if family == "taft-orders-generalized":
-        group_orders = tuple(params["group_orders"])
+        group_orders = tuple(group_orders)
         if len(group_orders) != n or any(g % l for g, l in zip(group_orders, orders)):
             raise ValueError("group orders must be multiples of the nilpotency orders")
     else:
         group_orders = orders
-    mu = params.get("mu")
-    if mu is None:
-        if mode.is_generic:
-            raise ValueError("need a root-of-unity mode to build the default diagonal matrix")
-        d = mode.d
-        mu = [[mode.one() for _ in range(n)] for _ in range(n)]
-        for i, l in enumerate(orders):
-            if d % l:
-                raise ValueError(f"order {l} does not divide the order of q ({d})")
-            mu[i][i] = mode.q_power(d // l)
-    for i in range(n):
-        for j in range(n):
-            if i != j and mu[i][j] * mu[j][i] != mode.one():
-                raise ValueError("off-diagonal entries must be mutually inverse")
-        val, o = mu[i][i], orders[i]
+    if mode.is_generic:
+        raise ValueError("need a root-of-unity mode to build the diagonal matrix")
+    mu = [[mode.one() for _ in range(n)] for _ in range(n)]
+    for i, o in enumerate(orders):
+        if mode.d % o:
+            raise ValueError(f"order {o} does not divide the order of q ({mode.d})")
+        val = mu[i][i] = mode.q_power(mode.d // o)
         if val**o != mode.one() or any(val**k == mode.one() for k in range(1, o)):
-            raise ValueError(f"diagonal entry {i + 1} must have exact order {orders[i]}")
+            raise ValueError(f"diagonal entry {i + 1} must have exact order {o}")
 
     names_g = [f"K{i}" for i in range(1, n + 1)]
     relations = []
@@ -894,7 +873,7 @@ def verify_hopf(pres: HopfPresentation, depth: str = "generators") -> HopfReport
                 else:
                     dword = pres.tensor_mul(dword, pres.delta(pres.gen_g(i)))
             for k, c in dword.items():
-                _add_term(dsum, k, c * coeff)
+                add_term(dsum, k, c * coeff)
             esum = esum + eword * coeff
         checks.append(
             HopfCheck(f"Delta respects: {name}", not dsum,
@@ -920,13 +899,13 @@ def verify_hopf(pres: HopfPresentation, depth: str = "generators") -> HopfReport
         conv_l: dict = {}
         conv_r: dict = {}
         for (ka, kb), c in d.items():
-            _add_term(left, ka, c * pres.counit_key(kb))
-            _add_term(right, kb, c * pres.counit_key(ka))
+            add_term(left, ka, c * pres.counit_key(kb))
+            add_term(right, kb, c * pres.counit_key(ka))
             a, b = {ka: mode.one()}, {kb: mode.one()}
             for k, v in pres.mul(pres.antipode(a), b).items():
-                _add_term(conv_l, k, v * c)
+                add_term(conv_l, k, v * c)
             for k, v in pres.mul(a, pres.antipode(b)).items():
-                _add_term(conv_r, k, v * c)
+                add_term(conv_r, k, v * c)
         checks.append(HopfCheck(f"counit law on {name}", left == el and right == el))
         target = pres.scale(unit, pres.counit(el))
         checks.append(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .qarith import QMode, ScalarQ
 
-__all__ = ["Shape", "MultiIndex", "star", "theta", "ShapeMismatchError"]
+__all__ = ["Shape", "MultiIndex", "split_star", "star", "theta", "ShapeMismatchError"]
 
 
 class ShapeMismatchError(ValueError):
@@ -171,24 +171,31 @@ class MultiIndex:
         return self.render()
 
 
+def split_star(a: MultiIndex, b: MultiIndex) -> tuple[int, int, int, int]:
+    """The pairing a * b split by the parities of positions i > j, as (bos_a*bos_b,
+    fer_a*fer_b, fer_a*bos_b, bos_a*fer_b); a and b share one shape."""
+    mask = a.shape.fermionic_mask
+    bb = ff = fb = bf = 0
+    run_b_bos = run_b_fer = 0  # sums of b_j over earlier bosonic / fermionic j
+    for ai, bi, fer in zip(a.entries, b.entries, mask):
+        if ai:
+            if fer:
+                ff += ai * run_b_fer
+                fb += ai * run_b_bos
+            else:
+                bb += ai * run_b_bos
+                bf += ai * run_b_fer
+        if fer:
+            run_b_fer += bi
+        else:
+            run_b_bos += bi
+    return bb, ff, fb, bf
+
+
 def star(a: MultiIndex, b: MultiIndex) -> int:
     """The pairing sum_{i > j} a_i b_j over all positions; bilinear."""
     a._check(b)
-    total = 0
-    running = 0  # sum of b_j for j < i
-    for ai, bi in zip(a.entries, b.entries):
-        if ai:
-            total += ai * running
-        running += bi
-    return total
-
-
-def _split(a: MultiIndex) -> tuple[MultiIndex, MultiIndex]:
-    # bosonic / fermionic parts embedded back into full position tuples
-    mask = a.shape.fermionic_mask
-    bos = tuple(0 if f else e for e, f in zip(a.entries, mask))
-    fer = tuple(e if f else 0 for e, f in zip(a.entries, mask))
-    return MultiIndex(bos, a.shape), MultiIndex(fer, a.shape)
+    return sum(split_star(a, b))
 
 
 def theta(a: MultiIndex, b: MultiIndex, mode: QMode) -> ScalarQ:
@@ -201,11 +208,8 @@ def theta(a: MultiIndex, b: MultiIndex, mode: QMode) -> ScalarQ:
     if a.shape.fermionic_first:
         raise ShapeMismatchError("twist bicharacter is defined on polynomial-side labels")
     a._check(b)
-    a_bos, a_fer = _split(a)
-    b_bos, b_fer = _split(b)
-    bos_exp = star(a_bos, b_bos) - star(b_bos, a_bos)
-    fer_exp = star(a_fer, b_fer) - star(b_fer, a_fer)
-    cross_exp = star(a_fer, b_bos) - star(b_fer, a_bos)
-    sign = -1 if fer_exp % 2 else 1
-    value = mode.q_power(bos_exp + fer_exp + cross_exp)
-    return -value if sign < 0 else value
+    bb_ab, ff_ab, fb_ab, _ = split_star(a, b)
+    bb_ba, ff_ba, fb_ba, _ = split_star(b, a)
+    fer_exp = ff_ab - ff_ba
+    value = mode.q_power((bb_ab - bb_ba) + fer_exp + (fb_ab - fb_ba))
+    return -value if fer_exp % 2 else value

@@ -36,6 +36,7 @@ __all__ = [
     "GENERIC",
     "root_of_unity",
     "ScalarQ",
+    "add_term",
     "QParity",
     "CharProfile",
     "char_of",
@@ -160,18 +161,6 @@ class LaurentPoly:
                 else:
                     out.pop(e, None)
         return LaurentPoly._wrap(out)
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
@@ -570,6 +559,16 @@ class ScalarQ:
         if not self.mode.is_generic:
             raise ValueError("evaluate() applies to generic mode")
         return self.num.evaluate(q0) / self.den.evaluate(q0)
+
+
+def add_term(out: dict, key, c: ScalarQ) -> None:
+    """Add c at key in a sparse map of scalars, dropping the key if the sum vanishes."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
 
 
 def _normalize_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

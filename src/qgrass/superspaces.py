@@ -26,8 +26,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 
-from .indices import MultiIndex, Shape, theta
-from .qarith import GENERIC, QMode, ScalarQ, char_of, q_binom
+from .indices import MultiIndex, Shape, split_star, theta
+from .qarith import GENERIC, QMode, ScalarQ, add_term, char_of, q_binom
 
 __all__ = [
     "Family",
@@ -131,26 +131,6 @@ def top_degree(space: SpaceSpec) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _split_star(a: MultiIndex, b: MultiIndex) -> tuple[int, int, int, int]:
-    # (bos*bos, fer*fer, fer_a*bos_b, bos_a*fer_b) positional star pairings
-    mask = a.shape.fermionic_mask
-    bb = ff = fb = bf = 0
-    run_b_bos = run_b_fer = 0
-    for ai, bi, fer in zip(a.entries, b.entries, mask):
-        if ai:
-            if fer:
-                ff += ai * run_b_fer
-                fb += ai * run_b_bos
-            else:
-                bb += ai * run_b_bos
-                bf += ai * run_b_fer
-        if fer:
-            run_b_fer += bi
-        else:
-            run_b_bos += bi
-    return bb, ff, fb, bf
-
-
 def monomial_product(space: SpaceSpec, a: MultiIndex, b: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
     """Structure constant of a*b, or None when the product vanishes."""
     target = a + b
@@ -159,7 +139,7 @@ def monomial_product(space: SpaceSpec, a: MultiIndex, b: MultiIndex) -> tuple[Sc
         if fer and e > 1:
             return None
     mode = space.mode
-    bb, ff, fb, bf = _split_star(a, b)
+    bb, ff, fb, bf = split_star(a, b)
 
     if space.family is Family.AFFINE:
         coeff = mode.q_power(bb + ff + fb)
@@ -205,8 +185,8 @@ def commutation_factor(space: SpaceSpec, a: MultiIndex, b: MultiIndex, mode: QMo
     mode = mode or space.mode
     if space.family not in DUAL_SIDE:
         return theta(a, b, mode)
-    bb_ab, ff_ab, _, bf_ab = _split_star(a, b)
-    bb_ba, ff_ba, _, bf_ba = _split_star(b, a)
+    bb_ab, ff_ab, _, bf_ab = split_star(a, b)
+    bb_ba, ff_ba, _, bf_ba = split_star(b, a)
     fer_exp = ff_ba - ff_ab
     cross_exp = bf_ba - bf_ab
     value = mode.q_power((bb_ba - bb_ab) + fer_exp + cross_exp)
@@ -225,17 +205,24 @@ class SuperVector:
 
     __slots__ = ("space", "terms")
 
-    def __init__(self, space: SpaceSpec, terms: dict[MultiIndex, ScalarQ] | None = None, *, _skip_check: bool = False):
+    def __init__(self, space: SpaceSpec, terms: dict[MultiIndex, ScalarQ] | None = None):
         self.space = space
         clean: dict[MultiIndex, ScalarQ] = {}
         if terms:
             for idx, c in terms.items():
                 if c.is_zero():
                     continue
-                if not _skip_check and not idx.is_valid_basis_key():
+                if not idx.is_valid_basis_key():
                     raise ValueError(f"invalid basis key {idx} for {space.family.value}")
                 clean[idx] = c
         self.terms = clean
+
+    @classmethod
+    def _wrap(cls, space: SpaceSpec, terms: dict[MultiIndex, ScalarQ]) -> "SuperVector":
+        # adopt a map of basis keys to nonzero scalars that is not shared
+        res = cls.__new__(cls)
+        res.space, res.terms = space, terms
+        return res
 
     @classmethod
     def zero(cls, space: SpaceSpec) -> "SuperVector":
@@ -260,32 +247,19 @@ class SuperVector:
         self._check(other)
         out = dict(self.terms)
         for idx, c in other.terms.items():
-            s = out.get(idx)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        res = SuperVector.__new__(SuperVector)
-        res.space, res.terms = self.space, out
-        return res
+            add_term(out, idx, c)
+        return SuperVector._wrap(self.space, out)
 
     def __sub__(self, other: "SuperVector") -> "SuperVector":
         return self + (-other)
 
     def __neg__(self) -> "SuperVector":
-        res = SuperVector.__new__(SuperVector)
-        res.space = self.space
-        res.terms = {idx: -c for idx, c in self.terms.items()}
-        return res
+        return SuperVector._wrap(self.space, {idx: -c for idx, c in self.terms.items()})
 
     def scaled(self, c: ScalarQ) -> "SuperVector":
         if c.is_zero():
             return SuperVector.zero(self.space)
-        res = SuperVector.__new__(SuperVector)
-        res.space = self.space
-        res.terms = {idx: a * c for idx, a in self.terms.items()}
-        return res
+        return SuperVector._wrap(self.space, {idx: a * c for idx, a in self.terms.items()})
 
     def __mul__(self, other: "SuperVector") -> "SuperVector":
         return multiply(self, other)
@@ -363,16 +337,8 @@ def multiply(u: SuperVector, v: SuperVector) -> SuperVector:
             if hit is None:
                 continue
             coeff, idx = hit
-            coeff = coeff * ca * cb
-            s = out.get(idx)
-            s = coeff if s is None else s + coeff
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-    res = SuperVector.__new__(SuperVector)
-    res.space, res.terms = space, out
-    return res
+            add_term(out, idx, coeff * ca * cb)
+    return SuperVector._wrap(space, out)
 
 
 def parity_map(u: SuperVector) -> SuperVector:
@@ -385,7 +351,7 @@ def parity_map(u: SuperVector) -> SuperVector:
     for idx, c in u.terms.items():
         weight = idx.bosonic_degree() if dual else idx.fermionic_degree()
         out[idx] = -c if weight % 2 else c
-    return SuperVector(u.space, out, _skip_check=True)
+    return SuperVector._wrap(u.space, out)
 
 
 @functools.lru_cache(maxsize=None)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
 from .indices import MultiIndex
-from .qarith import ScalarQ, char_of
+from .qarith import ScalarQ, add_term, char_of
 from .superspaces import (
     DUAL_SIDE,
     POLY_SIDE,
@@ -418,10 +418,7 @@ def dim_formula(space: SpaceSpec, t: int) -> int:
 def _axpy(row: dict, other: dict, c: ScalarQ) -> None:
     """row += c * other, in place, dropping entries that cancel."""
     for key, v in other.items():
-        s = row.pop(key, None)
-        s = v * c if s is None else s + v * c
-        if not s.is_zero():
-            row[key] = s
+        add_term(row, key, v * c)
 
 
 class RowSpace:
@@ -552,50 +549,56 @@ def expected_highest_weight(space: SpaceSpec, t: int) -> tuple[MultiIndex, tuple
     return idx, tuple(idx.entries), label
 
 
-def _highest_weight_space(space: SpaceSpec, t: int) -> list[SuperVector]:
-    """Exact joint kernel of all raising operators on the degree-t component.
+def _generator_images(space: SpaceSpec,
+                      basis: tuple[MultiIndex, ...]) -> dict[MultiIndex, list[dict]]:
+    """The image terms of E_1, .., E_{m+n-1}, then of F_1, .., on each monomial."""
+    words = [generator_word(kind, j, space)
+             for kind in (Gen.E, Gen.F) for j in range(1, space.shape.size)]
+    images = {}
+    for idx in basis:
+        u = SuperVector.monomial(space, idx)
+        images[idx] = [apply_word(w, u).terms for w in words]
+    return images
+
+
+def _highest_weight_space(space: SpaceSpec, basis: tuple[MultiIndex, ...],
+                          images: dict) -> list[SuperVector]:
+    """Exact joint kernel of all raising operators on the span of basis.
 
     Each basis monomial contributes the row of its stacked E_j images, tagged
     with itself; the relations left by rows that reduce to zero are the
     kernel, each scaled to 1 at its least monomial.
     """
-    basis = basis_of_degree(space, t)
-    raisers = [generator_word(Gen.E, j, space) for j in range(1, space.shape.size)]
+    raisers = space.shape.size - 1
     rs = RowSpace()
     for idx in basis:
-        u = SuperVector.monomial(space, idx)
         row = {
             (j, oidx.entries): coeff
-            for j, w in enumerate(raisers)
-            for oidx, coeff in apply_word(w, u).terms.items()
+            for j, terms in enumerate(images[idx][:raisers])
+            for oidx, coeff in terms.items()
         }
         rs.add(row, {idx: space.mode.one()})
     kernel = [SuperVector(space, rel) for rel in rs.relations]
     return [v.scaled(v.terms[min(v.terms)].inverse()) for v in kernel]
 
 
-def _span_ranks(space: SpaceSpec, basis: list[MultiIndex]):
+def _span_ranks(basis: tuple[MultiIndex, ...], images: dict):
     """Yield each basis monomial with the rank of the submodule it generates.
 
     Every E_j / F_j word sends a basis monomial to a scalar times one basis
     monomial, so that rank is the number of monomials the seed reaches.
     """
-    ops = [generator_word(kind, j, space)
-           for kind in (Gen.E, Gen.F) for j in range(1, space.shape.size)]
-    images: dict[MultiIndex, list[MultiIndex]] = {}
     for idx in basis:
-        u = SuperVector.monomial(space, idx)
-        imgs = [apply_word(op, u).terms for op in ops]
-        if any(len(img) > 1 for img in imgs):
+        if any(len(img) > 1 for img in images[idx]):
             raise RuntimeError(f"a generator sends {idx} to a sum of monomials")
-        images[idx] = [nxt for img in imgs for nxt in img]
     for seed in basis:
         reached, todo = {seed}, [seed]
         while todo and len(reached) < len(basis):
-            for nxt in images[todo.pop()]:
-                if nxt not in reached:
-                    reached.add(nxt)
-                    todo.append(nxt)
+            for img in images[todo.pop()]:
+                for nxt in img:
+                    if nxt not in reached:
+                        reached.add(nxt)
+                        todo.append(nxt)
         yield seed, len(reached)
 
 
@@ -659,7 +662,8 @@ def component_report(space: SpaceSpec, t: int) -> ComponentReport:
             break
         weights[w] = idx
 
-    kernel = _highest_weight_space(space, t)
+    images = _generator_images(space, basis)
+    kernel = _highest_weight_space(space, basis, images)
     hw_weights = []
     for vec in kernel:
         ws = {weight_of(space, idx) for idx in vec.terms}
@@ -687,7 +691,7 @@ def component_report(space: SpaceSpec, t: int) -> ComponentReport:
         verdict = "inconclusive"
     else:
         verdict = "simple"
-        for seed, rank in _span_ranks(space, basis):
+        for seed, rank in _span_ranks(basis, images):
             if rank < dim:
                 verdict = "not_simple"
                 witnesses.append({"seed_with_proper_span": str(seed), "span_rank": rank})

@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .indices import MultiIndex, theta
-from .qarith import QParity, ScalarQ, char_of, q_factorial
+from .qarith import QParity, ScalarQ, add_term, char_of, q_factorial
 from .superspaces import (
     DUAL_SIDE,
     POLY_SIDE,
@@ -330,16 +330,8 @@ def apply_word(w: OperatorWord, u: SuperVector) -> SuperVector:
         if hit is None:
             continue
         coeff, target = hit
-        coeff = coeff * c
-        s = out.get(target)
-        s = coeff if s is None else s + coeff
-        if s.is_zero():
-            out.pop(target, None)
-        else:
-            out[target] = s
-    res = SuperVector.__new__(SuperVector)
-    res.space, res.terms = u.space, out
-    return res
+        add_term(out, target, coeff * c)
+    return SuperVector._wrap(u.space, out)
 
 
 Expr = Sequence[OperatorWord]
@@ -380,12 +372,7 @@ def _index_image(expr: list[tuple[OperatorWord, tuple]], idx: MultiIndex) -> dic
         if hit is None:
             continue
         coeff, target = hit
-        s = out.get(target)
-        s = coeff if s is None else s + coeff
-        if s.is_zero():
-            out.pop(target, None)
-        else:
-            out[target] = s
+        add_term(out, target, coeff)
     return out
 
 

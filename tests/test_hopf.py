@@ -391,3 +391,12 @@ def test_hopf_json_shape():
     blob = p.to_json()
     assert blob["group"]["order"] == 3
     assert blob["skew_generators"][0]["coproduct"] == "x1 (x) 1 + K1 (x) x1"
+
+
+def test_build_refuses_unknown_keywords():
+    with pytest.raises(TypeError):
+        build("taft-orders", orders=(3,), mode=D3, mu=[[D3.q()]])
+    with pytest.raises(TypeError):
+        build("aq", m=1, n=0, mode=GENERIC, group_order_cap=True)
+    with pytest.raises(TypeError):
+        build("aq", muu=1, n=0, mode=GENERIC)

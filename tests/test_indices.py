@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgrass.indices import MultiIndex, Shape, ShapeMismatchError, star, theta
+from qgrass.indices import MultiIndex, Shape, ShapeMismatchError, split_star, star, theta
 from qgrass.qarith import GENERIC, root_of_unity
 
 SH21 = Shape(2, 1)
@@ -43,6 +43,26 @@ def test_star_zero_left():
 def test_star_bilinear(a, b, c):
     assert star(a + b, c) == star(a, c) + star(b, c)
     assert star(a, b + c) == star(a, b) + star(a, c)
+
+
+DUAL21 = Shape(2, 1, fermionic_first=True)
+
+
+@pytest.mark.parametrize("shape", [SH21, SH22, DUAL21], ids=["poly21", "poly22", "dual21"])
+def test_split_star_matches_the_double_sum_per_parity_class(shape):
+    @given(labels(shape), labels(shape))
+    @settings(max_examples=60, deadline=None)
+    def inner(a, b):
+        fer = shape.fermionic_mask
+        parts = {(False, False): 0, (True, True): 0, (True, False): 0, (False, True): 0}
+        for i in range(shape.size):
+            for j in range(i):
+                parts[fer[i], fer[j]] += a.entries[i] * b.entries[j]
+        expected = (parts[False, False], parts[True, True], parts[True, False], parts[False, True])
+        assert split_star(a, b) == expected
+        assert star(a, b) == sum(split_star(a, b))
+
+    inner()
 
 
 def test_star_shape_mismatch():

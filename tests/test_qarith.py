@@ -16,6 +16,7 @@ from qgrass.qarith import (
     LaurentPoly,
     QParity,
     ScalarQ,
+    add_term,
     char_of,
     cyclotomic_poly,
     q_binom,
@@ -437,3 +438,20 @@ def test_digit_split_full_sweep(d):
 def test_digit_split_rejects_generic():
     with pytest.raises(ValueError):
         q_binom_split(3, 1, GENERIC)
+
+
+@pytest.mark.parametrize("mode", [GENERIC, D3], ids=["generic", "d3"])
+def test_add_term_adds_inserts_and_drops_a_vanishing_sum(mode):
+    q, one = mode.q(), mode.one()
+    out = {"a": q}
+    add_term(out, "a", one)
+    assert out == {"a": q + one}
+    add_term(out, "b", q)
+    assert out == {"a": q + one, "b": q}
+    add_term(out, "a", -(q + one))
+    assert out == {"b": q}
+    if mode.d == 3:
+        # 1 + q + q^2 = 0 at a primitive cube root: a vanishing sum of nonzero terms
+        add_term(out, "b", one)
+        add_term(out, "b", q * q)
+        assert out == {}

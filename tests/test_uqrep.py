@@ -6,6 +6,7 @@ from qgrass.superspaces import Family, SuperVector, basis_of_degree, make_space,
 from qgrass.uqrep import (
     Gen,
     RowSpace,
+    _generator_images,
     _highest_weight_space,
     _span_ranks,
     component_report,
@@ -291,7 +292,7 @@ def test_reachability_rank_matches_the_span_closure(space, t_hi):
     ops = chevalley_words(space, (Gen.E, Gen.F))
     for t in range(t_hi + 1):
         basis = basis_of_degree(space, t)
-        ranks = dict(_span_ranks(space, basis))
+        ranks = dict(_span_ranks(basis, _generator_images(space, basis)))
         assert list(ranks) == list(basis)
         for seed, rank in ranks.items():
             assert rank == closure_rank(space, seed, ops), (t, seed)
@@ -303,7 +304,7 @@ def test_highest_weight_kernel_matches_the_stacked_raising_map(space, t_hi):
     zero = space.mode.zero()
     for t in range(t_hi + 1):
         basis = basis_of_degree(space, t)
-        kernel = _highest_weight_space(space, t)
+        kernel = _highest_weight_space(space, basis, _generator_images(space, basis))
         for v in kernel:
             assert all(apply_word(e, v).is_zero() for e in raisers)
         assert exact_rank(kernel)[0] == len(kernel)
