@@ -62,15 +62,12 @@ class AbelianQuotient:
         self.rank = rank
         self.relations = [tuple(r) for r in relations if any(r)]
         self._hnf = _hermite_normal_form(self.relations, rank)
-        self._pivots = {}
-        for row in self._hnf:
-            col = next(i for i, v in enumerate(row) if v)
-            self._pivots[col] = row
+        pivots = {next(i for i, v in enumerate(row) if v): row for row in self._hnf}
+        self._pivots = dict(sorted(pivots.items()))  # reduce walks the columns in order
 
     def reduce(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         v = list(vec)
-        for col in sorted(self._pivots):
-            row = self._pivots[col]
+        for col, row in self._pivots.items():
             t = v[col] // row[col]
             if t:
                 for i in range(col, self.rank):
@@ -164,6 +161,11 @@ Key = tuple[tuple[int, ...], tuple[int, ...]]  # (x exponents, group element)
 
 @dataclass
 class HopfPresentation:
+    """A presentation with its structure maps.  It is immutable once ``build``
+    returns: ``_memo`` holds, filled on demand, the chi twists of
+    ``_key_product``, S(x_i) per generator, and Delta and S of each basis key.
+    Memoised dicts are shared; callers read them and never mutate them."""
+
     family: str
     mode: QMode
     group_names: list[str]
@@ -174,6 +176,7 @@ class HopfPresentation:
     relations: list[tuple[str, list[tuple[ScalarQ, Word]]]]
     params: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ---- elements ---------------------------------------------------------
 
@@ -209,7 +212,10 @@ class HopfPresentation:
         coeff = self.mode.one()
         for j, e in enumerate(xb):
             if e:
-                coeff = coeff * self.chi_of(ga, j) ** e
+                twist = self._memo.get(("chi", ga, j, e))
+                if twist is None:
+                    twist = self._memo[("chi", ga, j, e)] = self.chi_of(ga, j) ** e
+                coeff = coeff * twist
         for i, ai in enumerate(xa):
             if ai:
                 for j in range(i):
@@ -224,12 +230,6 @@ class HopfPresentation:
                 hit = self._key_product(ka, kb)
                 if hit is not None:
                     add_term(out, hit[1], ca * cb * hit[0])
-        return out
-
-    def add(self, u: dict[Key, ScalarQ], v: dict[Key, ScalarQ]) -> dict[Key, ScalarQ]:
-        out = dict(u)
-        for k, c in v.items():
-            add_term(out, k, c)
         return out
 
     def scale(self, u: dict[Key, ScalarQ], c: ScalarQ) -> dict[Key, ScalarQ]:
@@ -251,20 +251,30 @@ class HopfPresentation:
 
     def antipode(self, u: dict[Key, ScalarQ]) -> dict[Key, ScalarQ]:
         out: dict[Key, ScalarQ] = {}
-        for (xv, gv), c in u.items():
-            term = {((0,) * len(self.xgens), self.group.inv(gv)): c}
-            for i in reversed(range(len(self.xgens))):
-                for _ in range(xv[i]):
-                    term = self.mul(term, self._antipode_x(i))
-            out = self.add(out, term)
+        for key, c in u.items():
+            image = self._memo.get(("S", key))
+            if image is None:
+                # S(x^a g) = S(g) S(x_n)^a_n ... S(x_1)^a_1
+                xv, gv = key
+                image = {((0,) * len(self.xgens), self.group.inv(gv)): self.mode.one()}
+                for i in reversed(range(len(self.xgens))):
+                    for _ in range(xv[i]):
+                        image = self.mul(image, self._antipode_x(i))
+                self._memo[("S", key)] = image
+            for k, v in image.items():
+                add_term(out, k, v * c)
         return out
 
     def _antipode_x(self, i: int) -> dict[Key, ScalarQ]:
         # S(x) = -gL^-1 x gR^-1, forced by the convolution identity
-        g = self.xgens[i]
-        left = {((0,) * len(self.xgens), self.group.inv(g.gL)): self.mode.one()}
-        right = {((0,) * len(self.xgens), self.group.inv(g.gR)): self.mode.one()}
-        return self.scale(self.mul(self.mul(left, self.gen_x(i)), right), -self.mode.one())
+        image = self._memo.get(("Sx", i))
+        if image is None:
+            g = self.xgens[i]
+            left = {((0,) * len(self.xgens), self.group.inv(g.gL)): self.mode.one()}
+            right = {((0,) * len(self.xgens), self.group.inv(g.gR)): self.mode.one()}
+            image = self.scale(self.mul(self.mul(left, self.gen_x(i)), right), -self.mode.one())
+            self._memo[("Sx", i)] = image
+        return image
 
     # ---- tensor square ----------------------------------------------------
 
@@ -301,12 +311,16 @@ class HopfPresentation:
         }
 
     def delta_key(self, key: Key) -> dict:
-        xv, gv = key
-        zero_x = (0,) * len(self.xgens)
-        out = {((zero_x, gv), (zero_x, gv)): self.mode.one()}
-        for i in reversed(range(len(self.xgens))):
-            for _ in range(xv[i]):
-                out = self.tensor_mul(self.delta_gen_x(i), out)
+        """Delta of one basis key, memoised: the returned dict is shared."""
+        out = self._memo.get(("Delta", key))
+        if out is None:
+            xv, gv = key
+            zero_x = (0,) * len(self.xgens)
+            out = {((zero_x, gv), (zero_x, gv)): self.mode.one()}
+            for i in reversed(range(len(self.xgens))):
+                for _ in range(xv[i]):
+                    out = self.tensor_mul(self.delta_gen_x(i), out)
+            self._memo[("Delta", key)] = out
         return out
 
     def delta(self, u: dict[Key, ScalarQ]) -> dict:
@@ -608,6 +622,9 @@ def build(family: str, *, mode: QMode = GENERIC, m: int | None = None, n: int | 
     orders = tuple(orders)
     if any(o < 1 for o in orders):
         raise ValueError(f"orders must be positive, got {list(orders)}")
+    if 1 in orders:
+        raise ValueError(f"an order of 1 makes x{orders.index(1) + 1} zero; "
+                         f"nilpotency orders must be at least 2, got {list(orders)}")
     n = len(orders)
     if family == "taft-orders-generalized":
         group_orders = tuple(group_orders)

@@ -297,6 +297,11 @@ class QMode:
         return _constant(self, 0, 0)
 
     def one(self) -> "ScalarQ":
+        return self._one
+
+    @functools.cached_property
+    def _one(self) -> "ScalarQ":
+        # the shared one; every product reads it, so it skips the lru_cache
         return _constant(self, 1, 0)
 
     def q(self) -> "ScalarQ":
@@ -421,7 +426,9 @@ class ScalarQ:
     Instances are immutable by convention and may be shared: the QMode
     constants (q_power, scalar, one, ...) return the same object on every
     call.  The lazily computed ``_hash`` is the only field written after
-    construction, and writing it again stores the same value.
+    construction, and writing it again stores the same value.  So a product
+    by the shared one (the object ``mode.one()`` returns) returns the other
+    factor itself, after the mode check.
     """
 
     __slots__ = ("mode", "num", "den", "res", "_hash")
@@ -484,6 +491,11 @@ class ScalarQ:
 
     def __mul__(self, other: "ScalarQ") -> "ScalarQ":
         self._check(other)
+        one = self.mode._one
+        if other is one:
+            return self
+        if self is one:
+            return other
         if self.mode.d is None:
             a, b = self.num.coeffs, other.num.coeffs
             if len(a) == 1 == len(b) and self.den.coeffs == _ONE_COEFFS == other.den.coeffs:
@@ -518,14 +530,18 @@ class ScalarQ:
     def __pow__(self, n: int) -> "ScalarQ":
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.mode.one()
+        if n == 0:
+            return self.mode._one
+        # square-and-multiply from the base: no one * base, no square past the top bit
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScalarQ) or self.mode != other.mode:

@@ -242,6 +242,11 @@ ILL_POSED = {
     "dq of rank (0|0)": ["hopf", "--family", "dq", "--m", "0", "--n", "0"],
     "order 0 in --orders": ["hopf", "--family", "taft-orders", "--orders", "2,0",
                             "--q", "root", "--d", "6"],
+    "order 1 in --orders": ["hopf", "--family", "taft-orders", "--orders", "1,3",
+                            "--q", "root", "--d", "3"],
+    "order 1 in generalized --orders": ["hopf", "--family", "taft-orders-generalized",
+                                        "--orders", "1", "--group-orders", "2",
+                                        "--q", "root", "--d", "4"],
     "derivative on the affine space at exponent 0": ["act", "--family", "affine", "--m", "1",
                                                      "--n", "1", "--word", "d1",
                                                      "--monomial", "(0|1)"],

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import pytest
@@ -12,7 +13,7 @@ from qgrass.hopf import (
     presentation_diff,
     verify_hopf,
 )
-from qgrass.qarith import GENERIC, q_binom_unbalanced, root_of_unity
+from qgrass.qarith import GENERIC, add_term, q_binom_unbalanced, root_of_unity
 
 D3 = root_of_unity(3)
 D6 = root_of_unity(6)
@@ -230,6 +231,97 @@ def test_mul_is_associative_on_basis_triples(small_finite):
 
 
 # ---------------------------------------------------------------------------
+# memoised structure maps against their definitions
+# ---------------------------------------------------------------------------
+
+# every finite presentation the tests build with dimension at most 200; the
+# ones with warnings are not associative, and the memos must agree there too
+FINITE = {
+    **SMALL_FINITE,
+    "taft-mn (1|1) d=3": lambda: build("taft-mn", m=1, n=1, mode=D3),
+    "taft-orders (2,3) d=6": lambda: build("taft-orders", orders=(2, 3), mode=D6),
+    "gq-restricted (1|1) d=3": lambda: build("gq-restricted", m=1, n=1, mode=D3),
+}
+
+
+@pytest.fixture(params=list(FINITE), ids=list(FINITE))
+def finite(request):
+    p = FINITE[request.param]()
+    assert pbw_dim(p) <= 200
+    return p
+
+
+def test_delta_key_is_the_chain_of_generator_coproducts(finite):
+    # Delta(x^a g) = Delta(x_1)^a_1 ... Delta(x_n)^a_n (g (x) g), taken from the right
+    p = finite
+    zero_x = (0,) * len(p.xgens)
+    for _ in range(2):  # the second round reads the memo
+        for xv, gv in p.basis_keys():
+            want = {((zero_x, gv), (zero_x, gv)): p.mode.one()}
+            for i in reversed(range(len(p.xgens))):
+                for _ in range(xv[i]):
+                    want = p.tensor_mul(p.delta_gen_x(i), want)
+            assert p.delta_key((xv, gv)) == want
+
+
+def test_antipode_is_the_product_of_generator_antipodes(finite):
+    # S(x^a g) = S(g) S(x_n)^a_n ... S(x_1)^a_1 with S(x_i) = -gL^-1 x_i gR^-1
+    p = finite
+    one = p.mode.one()
+    zero_x = (0,) * len(p.xgens)
+
+    def group_like(gv):
+        return {(zero_x, p.group.reduce(gv)): one}
+
+    s_x = [
+        p.scale(p.mul(p.mul(group_like(p.group.inv(g.gL)), p.gen_x(i)),
+                      group_like(p.group.inv(g.gR))), -one)
+        for i, g in enumerate(p.xgens)
+    ]
+    keys = p.basis_keys()
+    c = p.mode.q() + p.mode.scalar(2)
+    for _ in range(2):  # the second round reads the memo
+        for xv, gv in keys:
+            want = group_like(p.group.inv(gv))
+            for i in reversed(range(len(p.xgens))):
+                for _ in range(xv[i]):
+                    want = p.mul(want, s_x[i])
+            assert p.antipode({(xv, gv): c}) == p.scale(want, c)
+            assert p.antipode({(xv, gv): one}) == want
+        total = dict(p.antipode({keys[0]: one}))
+        for k, v in p.antipode({keys[-1]: c}).items():
+            add_term(total, k, v)
+        assert p.antipode({keys[0]: one, keys[-1]: c}) == total
+
+
+@pytest.mark.parametrize("name", list(FINITE))
+def test_a_second_verification_reports_the_same(name):
+    p = FINITE[name]()
+    first = json.dumps([verify_hopf(p, "exhaustive").to_json(), p.to_json()])
+    again = json.dumps([verify_hopf(p, "exhaustive").to_json(), p.to_json()])
+    fresh = FINITE[name]()
+    assert again == first
+    assert json.dumps([verify_hopf(fresh, "exhaustive").to_json(), fresh.to_json()]) == first
+
+
+def test_exhaustive_verification_builds_each_coproduct_once(monkeypatch):
+    # 30 relation-word products plus one chain per basis key: 84 for this
+    # presentation, where recomputing Delta per leg took 300
+    calls = 0
+    tensor_mul = HopfPresentation.tensor_mul
+
+    def counted(self, u, v):
+        nonlocal calls
+        calls += 1
+        return tensor_mul(self, u, v)
+
+    monkeypatch.setattr(HopfPresentation, "tensor_mul", counted)
+    report = verify_hopf(build("taft-orders", orders=(2, 3), mode=D6), "exhaustive")
+    assert report.passed
+    assert calls <= 100
+
+
+# ---------------------------------------------------------------------------
 # derivative cover
 # ---------------------------------------------------------------------------
 
@@ -335,6 +427,15 @@ def test_divided_power_refuses_a_generator_with_no_check():
     for p in (build("dq", m=2, n=1, mode=GENERIC), build("dq-restricted", m=1, n=1, mode=D3)):
         with pytest.raises(ValueError, match="no divided-power check for d1"):
             divided_power_coproduct_check(p, 0, 4)
+
+
+@pytest.mark.parametrize("family", ["taft-orders", "taft-orders-generalized"])
+def test_order_one_rejected(family):
+    # cap 1 makes x_i = 0, so gen_x would build a key outside the basis
+    with pytest.raises(ValueError, match="order of 1 makes x1 zero"):
+        build(family, orders=(1, 3), group_orders=(2, 3), mode=D6)
+    with pytest.raises(ValueError, match="order of 1 makes x2 zero"):
+        build(family, orders=(3, 1), group_orders=(3, 2), mode=D6)
 
 
 @pytest.mark.parametrize("family", ["taft-orders", "taft-orders-generalized"])

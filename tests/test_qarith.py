@@ -455,3 +455,59 @@ def test_add_term_adds_inserts_and_drops_a_vanishing_sum(mode):
         add_term(out, "b", one)
         add_term(out, "b", q * q)
         assert out == {}
+
+
+# ---------------------------------------------------------------------------
+# products by one and powers
+# ---------------------------------------------------------------------------
+
+ONE_MODES = [GENERIC] + [root_of_unity(d) for d in (3, 4, 5, 8, 12)]
+ONE_MODE_IDS = ["generic"] + [f"d{d}" for d in (3, 4, 5, 8, 12)]
+
+
+@pytest.mark.parametrize("mode", ONE_MODES, ids=ONE_MODE_IDS)
+def test_a_product_by_one_is_the_other_factor(mode):
+    q = mode.q()
+    built_one = q * q.inverse()  # equal to the shared one, but another object
+    assert built_one == mode.one() and built_one is not mode.one()
+
+    @given(scalars(mode))
+    @settings(max_examples=40, deadline=None)
+    def inner(a):
+        for one in (mode.one(), built_one):
+            for prod in (a * one, one * a):
+                assert prod == a and hash(prod) == hash(a)
+                assert_canonical_scalar(prod)
+
+    inner()
+
+
+def test_a_product_by_one_still_refuses_mixed_modes():
+    pairs = [
+        (GENERIC.one(), D3.q()),
+        (D3.q(), GENERIC.one()),
+        (D8.one(), GENERIC.q()),
+        (GENERIC.q(), D8.one()),
+        (D3.one(), D8.one()),
+    ]
+    for a, b in pairs:
+        with pytest.raises(ValueError, match="mixed coefficient modes"):
+            a * b
+
+
+@pytest.mark.parametrize("mode", ONE_MODES, ids=ONE_MODE_IDS)
+def test_powers_match_repeated_multiplication(mode):
+    @given(scalars(mode))
+    @settings(max_examples=20, deadline=None)
+    def inner(a):
+        assert a ** 0 is mode.one()
+        bases = [(a, range(1, 17))]
+        if a:
+            bases.append((a.inverse(), range(-1, -9, -1)))
+        for base, exponents in bases:
+            acc = base
+            for n in exponents:
+                assert a ** n == acc, n
+                acc = acc * base
+
+    inner()
