@@ -4,8 +4,9 @@
 Re-runs every check family through the command-line interface and drops the
 JSON/CSV reports into ./reports (or the directory given as the first
 argument), together with summary.json: per run the report file name, argv,
-exit code, status and seconds, then the pass count and the total.  Exit
-status is nonzero if any check fails.
+exit code, status and seconds, then the pass count and the total.  Each run
+also prints one progress line to stderr as it ends.  Exit status is nonzero
+if any check fails.
 
     python3 scripts/run_full_verification.py [reports_dir]
 """
@@ -86,11 +87,12 @@ def main() -> int:
     out_dir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "reports")
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = []
-    for filename, argv in RUNS:
+    for k, (filename, argv) in enumerate(RUNS, start=1):
         t0 = time.monotonic()
         code = qgrass_main(argv + ["--out", str(out_dir / filename)])
         elapsed = time.monotonic() - t0
         status = {0: "pass", 1: "FAIL"}.get(code, "usage-error")
+        print(f"[{k}/{len(RUNS)}] {filename} {status} {elapsed:.2f}s", file=sys.stderr, flush=True)
         print(f"{status:>11}  {elapsed:6.1f}s  {filename}")
         runs.append({"file": filename, "argv": argv, "exit_code": code,
                      "status": status, "seconds": round(elapsed, 3)})

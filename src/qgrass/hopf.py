@@ -46,7 +46,6 @@ __all__ = [
     "pbw_dim",
     "verify_hopf",
     "divided_power_coproduct_check",
-    "presentation_diff",
 ]
 
 
@@ -1093,37 +1092,3 @@ def _multiplicative_order(mode: QMode, val: ScalarQ, bound: int = 64) -> int | N
         if acc == mode.one():
             return k
     return None
-
-
-def presentation_diff(a: HopfPresentation, b: HopfPresentation) -> dict:
-    """Structural diff of two presentations over the same ranks: which
-    conjugation/commutation scalars differ."""
-    diffs = []
-    for gi in range(min(len(a.chi), len(b.chi))):
-        for xj in range(min(len(a.chi[gi]), len(b.chi[gi]))):
-            if a.chi[gi][xj] != b.chi[gi][xj]:
-                diffs.append(
-                    {
-                        "kind": "conjugation",
-                        "group_gen": a.group_names[gi],
-                        "x_gen": a.xgens[xj].name,
-                        "left": str(a.chi[gi][xj]),
-                        "right": str(b.chi[gi][xj]),
-                    }
-                )
-    for i in range(min(len(a.comm), len(b.comm))):
-        for j in range(min(len(a.comm[i]), len(b.comm[i]))):
-            if a.comm[i][j] != b.comm[i][j]:
-                diffs.append(
-                    {
-                        "kind": "commutation",
-                        "pair": [a.xgens[i].name, a.xgens[j].name],
-                        "left": str(a.comm[i][j]),
-                        "right": str(b.comm[i][j]),
-                    }
-                )
-    return {
-        "x_dims_equal": a.x_dim() == b.x_dim(),
-        "group_orders_equal": a.group.order() == b.group.order(),
-        "differences": diffs,
-    }

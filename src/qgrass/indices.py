@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 from .qarith import QMode, ScalarQ
 
-__all__ = ["Shape", "MultiIndex", "split_star", "star", "theta", "ShapeMismatchError"]
+__all__ = [
+    "Shape", "MultiIndex", "split_star", "position_sums", "star", "theta", "ShapeMismatchError",
+]
 
 
 class ShapeMismatchError(ValueError):
@@ -48,7 +50,7 @@ class Shape:
         if self.restricted_ell is not None and self.restricted_ell < 3:
             raise ValueError("restricted exponent cap requires ell >= 3")
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         return self.m + self.n
 
@@ -80,6 +82,13 @@ class MultiIndex:
     def __post_init__(self):
         if len(self.entries) != self.shape.size:
             raise ShapeMismatchError("entry count does not match shape")
+
+    @classmethod
+    def _wrap(cls, entries: tuple[int, ...], shape: Shape) -> "MultiIndex":
+        # adopt entries already known to have the shape's length
+        obj = cls.__new__(cls)
+        obj.__dict__.update(entries=entries, shape=shape)
+        return obj
 
     # ---- views -------------------------------------------------------------
 
@@ -158,10 +167,6 @@ class MultiIndex:
         """Sum of entries strictly before 1-based position pos."""
         return sum(self.entries[: pos - 1])
 
-    def suffix_sum(self, pos: int) -> int:
-        """Sum of entries strictly after 1-based position pos."""
-        return sum(self.entries[pos:])
-
     def render(self) -> str:
         first = self.entries[: self.shape.m]
         second = self.entries[self.shape.m :]
@@ -190,6 +195,22 @@ def split_star(a: MultiIndex, b: MultiIndex) -> tuple[int, int, int, int]:
         else:
             run_b_bos += bi
     return bb, ff, fb, bf
+
+
+def position_sums(a: MultiIndex) -> list[tuple[int, int, int, int]]:
+    """Per position j, the sums of a over the bosonic and the fermionic
+    positions before j, then over those after j: (bos_before, fer_before,
+    bos_after, fer_after).  For fixed a, split_star(a, b) and split_star(b, a)
+    are linear in b, with these sums as the coefficients of b_j."""
+    mask = a.shape.fermionic_mask
+    before, after = [], []
+    for pairs, out in ((zip(a.entries, mask), before),
+                       (zip(reversed(a.entries), reversed(mask)), after)):
+        sums = [0, 0]  # bosonic, fermionic
+        for e, fer in pairs:
+            out.append(tuple(sums))
+            sums[fer] += e
+    return [b + f for b, f in zip(before, reversed(after))]
 
 
 def star(a: MultiIndex, b: MultiIndex) -> int:

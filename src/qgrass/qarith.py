@@ -17,8 +17,8 @@ Coefficients -- of a LaurentPoly and of a cyclotomic residue -- have one
 canonical form: a plain int when integral, otherwise a reduced Fraction whose
 denominator exceeds 1.  Floats are refused wherever a coefficient is built,
 and every division goes through Fraction.  The constants handed out by
-QMode.q_power, minus_q_power, scalar, one and zero are shared ScalarQ objects,
-immutable like every ScalarQ.
+QMode.q_power, minus_q_power, scalar, one and zero, and the q_binom values,
+are shared ScalarQ objects, immutable like every ScalarQ.
 """
 
 from __future__ import annotations
@@ -278,6 +278,11 @@ class QMode:
     def __post_init__(self):
         if self.d is not None and self.d < 3:
             raise ValueError("root-of-unity order must be >= 3 (q = +-1 excluded)")
+        # every memo keyed on a mode hashes it; hash it once
+        object.__setattr__(self, "_hash", hash(self.d))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_generic(self) -> bool:
@@ -307,8 +312,9 @@ class QMode:
     def q(self) -> "ScalarQ":
         return _constant(self, 1, 1)
 
-    def q_power(self, k: int) -> "ScalarQ":
-        return _constant(self, 1, k)
+    def q_power(self, k: int, sign: int = 1) -> "ScalarQ":
+        """sign * q^k, for sign in (1, -1)."""
+        return _constant(self, sign, k)
 
     def minus_q_power(self, k: int) -> "ScalarQ":
         """(-q)^k for any integer k."""
@@ -675,8 +681,10 @@ def q_factorial(n: int, mode: QMode = GENERIC) -> ScalarQ:
     return mode.from_laurent(_q_factorial_laurent(n))
 
 
+@functools.lru_cache(maxsize=None)
 def q_binom(s: int, r: int, mode: QMode = GENERIC) -> ScalarQ:
-    """Balanced Gaussian binomial for any integers s, r (zero for r < 0)."""
+    """Balanced Gaussian binomial for any integers s, r (zero for r < 0); a
+    shared ScalarQ, built once per key."""
     return mode.from_laurent(_q_binom_laurent(s, r))
 
 

@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
+from typing import Sequence
 
-from .indices import MultiIndex, Shape, split_star, theta
+from .indices import MultiIndex, Shape, position_sums, split_star, theta
 from .qarith import GENERIC, QMode, ScalarQ, add_term, char_of, q_binom
 
 __all__ = [
@@ -41,6 +44,8 @@ __all__ = [
     "parity_map",
     "basis_of_degree",
     "monomial_product",
+    "MonomialRule",
+    "left_mult_rule",
     "commutation_factor",
     "top_degree",
 ]
@@ -82,6 +87,11 @@ class SpaceSpec:
                 raise ValueError("shape cap must equal char(q)")
         elif self.shape.restricted_ell is not None:
             raise ValueError("exponent cap is only for restricted families")
+        # every memo keyed on a space hashes it; hash it once
+        object.__setattr__(self, "_hash", hash((self.family, self.shape, self.mode)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def m(self) -> int:
@@ -131,49 +141,144 @@ def top_degree(space: SpaceSpec) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def monomial_product(space: SpaceSpec, a: MultiIndex, b: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
-    """Structure constant of a*b, or None when the product vanishes."""
-    target = a + b
+class _Constants(dict):
+    """Shared scalars of one mode by key, each built once on first use."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(*key)
+        return value
+
+
+@functools.lru_cache(maxsize=None)
+def _mode_constants(mode: QMode) -> tuple[_Constants, _Constants]:
+    # (e, odd) -> (-1)^odd q^e and (s, r) -> [s choose r]_q, read on every rule
+    # evaluation: a dict lookup, where the lru_caches would hash the mode again
+    return (_Constants(lambda e, odd: mode.q_power(e, -1 if odd else 1)),
+            _Constants(lambda s, r: q_binom(s, r, mode)))
+
+
+class MonomialRule:
+    """An operator that sends each basis monomial to one monomial or to 0:
+
+        x^(a) -> (-1)^(lam.a + lam0) q^(mu.a + mu0) * B(a) * scale * x^(a + shift),
+
+    B(a) the product of [a_i + off + k choose k]_q over ``binoms`` (i, off, k).
+    The image is 0 where the coefficient vanishes or a check (i, lo, hi, off,
+    k) finds a_i outside [lo, hi].  A check with k > 0 is a restricted cap,
+    whose binomial [a_i + off + k choose k]_q must vanish there; checks run in
+    acting order, so a composed rule asserts that only where atom-by-atom
+    application would.  Positions are 0-based; ``forms`` holds the nonzero
+    (i, mu_i, lam_i mod 2).  Immutable by convention.
+    """
+
+    __slots__ = ("shift", "checks", "forms", "lam0", "mu0", "binoms", "scale",
+                 "_moves", "_powers", "_binomials")
+
+    def __init__(self, mode: QMode, shift: tuple[int, ...],
+                 checks: tuple[tuple[int, int, int, int, int], ...] = (),
+                 lam: Sequence[int] = (), lam0: int = 0, mu: Sequence[int] = (), mu0: int = 0,
+                 binoms: tuple[tuple[int, int, int], ...] = (), scale: ScalarQ | None = None):
+        self.shift, self.checks, self.binoms, self.scale = shift, checks, binoms, scale
+        self.lam0, self.mu0 = lam0, mu0
+        zero = (0,) * len(shift)
+        self.forms = tuple((i, m, l & 1) for i, (m, l) in enumerate(zip(mu or zero, lam or zero))
+                           if m or l & 1)
+        self._moves = tuple((i, s) for i, s in enumerate(shift) if s)
+        self._powers, self._binomials = _mode_constants(mode)
+
+    @classmethod
+    def compose(cls, mode: QMode, size: int, rules: Sequence["MonomialRule"],
+                scale: ScalarQ | None = None) -> "MonomialRule":
+        """The rules applied in turn, the first acting first, then times scale:
+        shifts add, and each later rule reads a + (the shift so far), which
+        moves its constants, binomial offsets and bounds."""
+        shift, lam, mu = [0] * size, [0] * size, [0] * size
+        lam0 = mu0 = 0
+        checks: list = []
+        binoms: list = []
+        for rule in rules:
+            if rule.checks:
+                checks += [(i, lo - shift[i], hi - shift[i], off + shift[i], k)
+                           for i, lo, hi, off, k in rule.checks]
+            if rule.binoms:
+                binoms += [(i, off + shift[i], k) for i, off, k in rule.binoms]
+            lam0 += rule.lam0
+            mu0 += rule.mu0
+            for i, m, l in rule.forms:
+                mu[i] += m
+                lam[i] += l
+                mu0 += m * shift[i]
+                lam0 += l * shift[i]
+            for i, s in rule._moves:
+                shift[i] += s
+        return cls(mode, tuple(shift), tuple(checks), lam, lam0, mu, mu0, tuple(binoms), scale)
+
+    def image(self, idx: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
+        """The rule on one basis monomial; None when the image is 0."""
+        entries = idx.entries
+        for i, lo, hi, off, k in self.checks:
+            x = entries[i]
+            if not lo <= x <= hi:
+                if k:
+                    binom = self._binomials[x + off + k, k]
+                    assert binom.is_zero(), "restricted overflow with nonzero binomial"
+                return None
+        e, odd = self.mu0, self.lam0
+        for i, m, l in self.forms:
+            x = entries[i]
+            e += m * x
+            odd += l * x
+        coeff = self._powers[e, odd & 1]
+        if self.binoms or self.scale is not None:
+            for i, off, k in self.binoms:
+                x = entries[i] + off
+                if x:
+                    coeff = coeff * self._binomials[x + k, k]
+            if self.scale is not None:
+                coeff = coeff * self.scale
+            if coeff.is_zero():
+                return None
+        if self._moves:
+            idx = MultiIndex._wrap(tuple(map(add, entries, self.shift)), idx.shape)
+        return coeff, idx
+
+
+@functools.lru_cache(maxsize=None)
+def left_mult_rule(space: SpaceSpec, a: MultiIndex) -> MonomialRule:
+    """Left multiplication by the basis monomial a, as a rule on b.  Its
+    exponents are the star pairings split_star(a, b), linear in b:
+    (-1)^(fer*fer) q^(fer_a*bos_b + bos*bos + fer*fer) on the affine and
+    Grassmann spaces, (-q)^(-bos_a*fer_b - fer*fer) q^(-bos*bos) on the dual
+    ones, times [a_i + b_i choose a_i]_q per divided-power direction."""
     mask = space.shape.fermionic_mask
-    for e, fer in zip(target.entries, mask):
-        if fer and e > 1:
-            return None
-    mode = space.mode
-    bb, ff, fb, bf = split_star(a, b)
-
-    if space.family is Family.AFFINE:
-        coeff = mode.q_power(bb + ff + fb)
-        if ff % 2:
-            coeff = -coeff
-        return coeff, target
-
     cap = space.shape.restricted_ell
-    if space.family in (Family.OMEGA, Family.OMEGA_RESTRICTED):
-        # q^(fer_a*bos_b) cross, q^(bos*bos) divided-power, (-q)^(fer*fer) exterior
-        exp = fb + bb + ff
-        sign = -1 if ff % 2 else 1
-    else:
-        # (-q)^(-bos_a*fer_b) cross, (-q)^(-fer*fer) exterior, q^(-bos*bos)
-        exp = -(bf + bb + ff)
-        sign = -1 if (ff + bf) % 2 else 1
-    coeff = mode.q_power(exp)
-    if sign < 0:
-        coeff = -coeff
+    dual = space.family in DUAL_SIDE
+    lam, mu, fer_checks, cap_checks, binoms = [], [], [], [], []
+    for j, (ai, fer, sums) in enumerate(zip(a.entries, mask, position_sums(a))):
+        _, _, after_bos, after_fer = sums
+        if fer:
+            lam.append(after_fer + after_bos if dual else after_fer)
+            mu.append(-(after_bos + after_fer) if dual else after_fer)
+            if ai:
+                fer_checks.append((j, -sys.maxsize, 1 - ai, 0, 0))
+        else:
+            lam.append(0)
+            mu.append(-after_bos if dual else after_bos + after_fer)
+            if ai and space.family is not Family.AFFINE:
+                if cap is not None:
+                    cap_checks.append((j, -sys.maxsize, cap - 1 - ai, 0, ai))
+                binoms.append((j, 0, ai))
+    return MonomialRule(space.mode, a.entries, tuple(fer_checks + cap_checks),
+                        tuple(lam), 0, tuple(mu), 0, tuple(binoms))
 
-    # divided-power block: product of one-variable balanced binomials
-    for ai, bi, fer in zip(a.entries, b.entries, mask):
-        if fer or not (ai and bi):
-            continue
-        if cap is not None and ai + bi >= cap:
-            binom = q_binom(ai + bi, ai, mode)
-            assert binom.is_zero(), "restricted overflow with nonzero binomial"
-            return None
-        coeff = coeff * q_binom(ai + bi, ai, mode)
-    if coeff.is_zero():
-        return None
-    if cap is not None and not target.is_valid_basis_key():
-        return None
-    return coeff, target
+
+def monomial_product(space: SpaceSpec, a: MultiIndex, b: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
+    """Structure constant of a*b, or None when the product vanishes: the
+    left-multiplication rule of a on b."""
+    return left_mult_rule(space, a).image(b)
 
 
 def commutation_factor(space: SpaceSpec, a: MultiIndex, b: MultiIndex, mode: QMode | None = None) -> ScalarQ:
@@ -293,24 +398,23 @@ class SuperVector:
     __repr__ = __str__
 
 
-# The memo tables of one weyl.run_checks call, per space: a product table
-# {(a.entries, b.entries): monomial_product result} read by multiply, and an
-# atom table {atom: {idx.entries: apply_atom result}} read by weyl.OperatorWord.
-# Set only while run_checks runs; a context variable, so a thread outside that
+# The memo of one weyl.run_checks call: per space, a product table
+# {(a.entries, b.entries): monomial_product result} read by multiply.  Set
+# only while run_checks runs; a context variable, so a thread outside that
 # call never sees it.  A call that raises stores nothing.
 suite_memo: ContextVar[dict | None] = ContextVar("suite_memo", default=None)
 _MISS = object()
 
 
-def suite_tables(space: SpaceSpec) -> tuple[dict, dict] | None:
-    """(product table, atom table) of space under the open suite memo, or None."""
+def suite_products(space: SpaceSpec) -> dict | None:
+    """The product table of space under the open suite memo, or None."""
     memo = suite_memo.get()
     if memo is None:
         return None
-    tables = memo.get(space)
-    if tables is None:
-        tables = memo[space] = ({}, {})
-    return tables
+    products = memo.get(space)
+    if products is None:
+        products = memo[space] = {}
+    return products
 
 
 def multiply(u: SuperVector, v: SuperVector) -> SuperVector:
@@ -322,8 +426,7 @@ def multiply(u: SuperVector, v: SuperVector) -> SuperVector:
     """
     u._check(v)
     space = u.space
-    tables = suite_tables(space)
-    products = None if tables is None else tables[0]
+    products = suite_products(space)
     out: dict[MultiIndex, ScalarQ] = {}
     for ia, ca in u.terms.items():
         for ib, cb in v.terms.items():

@@ -9,16 +9,17 @@ Verification is exhaustive on graded components: the defining relations of the
 quantum general (special) linear supergroup, the module-algebra (twisted
 Leibniz) law against the bosonized coproduct, highest-weight extraction by
 exact kernel computation, and a simplicity certificate by monomial
-reachability.  The simplicity criterion is sound because every graded
-component checked has pairwise distinct toral weights on its monomial basis:
-any nonzero submodule then contains a basis monomial, so simplicity is
-equivalent to every basis monomial generating the full component.  Every
-E_j / F_j word sends a basis monomial to a scalar times one basis monomial,
-so the submodule a monomial generates is spanned by the monomials it
-reaches, and its dimension is their count.  When the weight-separation
-precondition fails the verdict is reported as inconclusive, never as a
-definite answer.  The one exact elimination, ``RowSpace``, serves the
-highest-weight kernels and ``exact_rank``.
+reachability.  Every E_j / F_j word sends a basis monomial to a scalar times
+one basis monomial, and every other generator is diagonal on monomials, so
+the span of the monomials a seed reaches is a submodule: a seed reaching a
+proper subset proves the component not simple.  The converse needs pairwise
+distinct toral weights on the monomial basis: any nonzero submodule then
+contains a basis monomial, so simplicity is equivalent to every basis
+monomial generating the full component.  When that weight-separation
+precondition fails and every seed reaches the whole basis, the verdict is
+reported as inconclusive, never as a definite answer.  The one exact
+elimination, ``RowSpace``, serves the highest-weight kernels and
+``exact_rank``.
 """
 
 from __future__ import annotations
@@ -687,15 +688,14 @@ def component_report(space: SpaceSpec, t: int) -> ComponentReport:
         if not matches:
             witnesses.append({"hw_mismatch": [v.to_json() for v in kernel]})
 
-    if not separated:
-        verdict = "inconclusive"
-    else:
-        verdict = "simple"
-        for seed, rank in _span_ranks(basis, images):
-            if rank < dim:
-                verdict = "not_simple"
-                witnesses.append({"seed_with_proper_span": str(seed), "span_rank": rank})
-                break
+    # a proper reach set spans a submodule with or without weight separation;
+    # without it, every seed reaching the whole basis proves nothing
+    verdict = "simple" if separated else "inconclusive"
+    for seed, rank in _span_ranks(basis, images):
+        if rank < dim:
+            verdict = "not_simple"
+            witnesses.append({"seed_with_proper_span": str(seed), "span_rank": rank})
+            break
 
     return ComponentReport(
         space=space,

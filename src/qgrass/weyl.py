@@ -9,38 +9,46 @@ Atomic operators send basis monomials to scalar multiples of basis monomials:
 * ``sigma(i, e)``, ``tau(i)``, ``theta_op(label)``, ``parity()`` -- diagonal
   twist automorphisms.
 
-An OperatorWord is a scalar times a composition of atoms (rightmost acts
-first).  Relation suites instantiate the defining relation systems of the
-derivative algebra, its pointed-Hopf cover, and the quantum Weyl algebra of
-(m|n)-type as operator identities, decided by exhaustive evaluation on graded
-bases up to a degree bound; the identities are degree-homogeneous, so this is
-sound for the degrees checked.  While ``run_checks`` runs one suite, every
-atom image and every monomial product it derives is memoised per space in the
-suite memo and dropped when the call returns; outside it each is computed
-afresh.
+Each atom sends x^(a) to (-1)^(lam.a + lam0) q^(mu.a + mu0) times balanced
+binomials at x^(a + s), or to 0 outside a box of bounds: a
+superspaces.MonomialRule, built once per atom and space and checked against
+``apply_atom``, the direct one-atom definition, on the unit monomial.  An
+OperatorWord is a scalar times a composition of atoms (rightmost acts
+first); it compiles once into one rule of the same form, which it evaluates
+on each monomial.  Relation suites instantiate the defining relation systems
+of the derivative algebra, its pointed-Hopf cover, and the quantum Weyl
+algebra of (m|n)-type as operator identities, decided by exhaustive
+evaluation on graded bases up to a degree bound; the identities are
+degree-homogeneous, so this is sound for the degrees checked.  While
+``run_checks`` runs one suite, every monomial product it derives is memoised
+per space in the suite memo and dropped when the call returns; outside it
+each is computed afresh.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .indices import MultiIndex, theta
+from .indices import MultiIndex, position_sums, theta
 from .qarith import QParity, ScalarQ, add_term, char_of, q_factorial
 from .superspaces import (
     DUAL_SIDE,
     POLY_SIDE,
     Family,
+    MonomialRule,
     SpaceSpec,
     SuperVector,
     basis_of_degree,
+    left_mult_rule,
     make_space,
     monomial_product,
     multiply,
     suite_memo,
-    suite_tables,
     top_degree,
 )
 
@@ -139,16 +147,6 @@ def _is_fermionic(space: SpaceSpec, pos: int) -> bool:
     return space.shape.is_fermionic_pos(pos)
 
 
-def atom_degree(space: SpaceSpec, atom: Atom) -> int:
-    if atom.kind is AtomKind.PARTIAL:
-        return -1
-    if atom.kind is AtomKind.MULT_X:
-        return 1
-    if atom.kind is AtomKind.MULT_X_DIV_POW:
-        return char_of(space.mode).ell
-    return 0
-
-
 def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
     """One atomic operator on one basis monomial; None when the image is 0."""
     mode = space.mode
@@ -241,7 +239,51 @@ def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, 
     raise InvalidAtomError(f"unknown atom {atom}")
 
 
-_MISS = object()
+@functools.lru_cache(maxsize=None)
+def _atom_rule(space: SpaceSpec, atom: Atom) -> MonomialRule:
+    """The rule of one atom on one space, built once from linear forms in
+    O(size).  apply_atom on the unit monomial first refuses an atom the space
+    does not have (an error is not cached: every word holding the atom raises
+    it), and its image there must be the rule's."""
+    unit = space.unit_index()
+    expected = apply_atom(space, atom, unit)
+    kind, p, mask = atom.kind, atom.pos - 1, space.shape.fermionic_mask
+    if kind in (AtomKind.MULT_X, AtomKind.MULT_X_DIV_POW):
+        power = 1 if kind is AtomKind.MULT_X else char_of(space.mode).ell
+        rule = left_mult_rule(space, MultiIndex.basis_vector(space.shape, atom.pos, power))
+    else:
+        poly = space.family in POLY_SIDE
+        lam, mu, shift = [0] * len(mask), [0] * len(mask), [0] * len(mask)
+        if kind is AtomKind.SIGMA:
+            # base -q on polynomial-side exterior directions; q^-1 on dual divided powers
+            lam[p] = int(poly and mask[p])
+            mu[p] = -atom.exp if space.family in DUAL_SIDE and not mask[p] else atom.exp
+        elif kind is AtomKind.TAU:
+            lam[p] = 1
+        elif kind is AtomKind.PARITY:
+            # exterior degree on the polynomial side, divided-power degree on the dual
+            lam = [int(fer == poly) for fer in mask]
+        elif kind is AtomKind.THETA:
+            # theta(label, b): the star pairings of label and b, both ways
+            for j, (bos_before, fer_before, bos_after, fer_after) in enumerate(position_sums(atom.label)):
+                if mask[j]:
+                    lam[j] = fer_after - fer_before
+                    mu[j] = fer_after - fer_before - bos_before
+                else:
+                    mu[j] = bos_after - bos_before + fer_after
+        else:  # PARTIAL: q^-prefix (polynomial side) or q^prefix (dual side)
+            shift[p] = -1
+            mu[:p] = [-1 if poly else 1] * p
+            if mask[p]:
+                # (-1)^(exterior prefix), or base -q on the dual side
+                lam[:p] = [int(fer) for fer in mask[:p]] if poly else [1] * p
+            elif not poly:
+                lam = [int(fer) for fer in mask]  # (-1)^(exterior degree)
+        checks = ((p, 1, sys.maxsize, 0, 0),) if kind is AtomKind.PARTIAL else ()
+        rule = MonomialRule(space.mode, tuple(shift), checks, lam, 0, mu)
+    if rule.image(unit) != expected:
+        raise AssertionError(f"{atom.render()}: rule and apply_atom differ on the unit monomial")
+    return rule
 
 
 @dataclass(frozen=True)
@@ -270,63 +312,31 @@ class OperatorWord:
             out = out.then(self)
         return out
 
-    def net_degree(self) -> int:
-        return sum(atom_degree(self.space, a) for a in self.atoms)
-
     def render(self) -> str:
         body = " ".join(a.render() for a in self.atoms) or "1"
         return body
 
-    def steps(self) -> tuple[tuple[Atom, dict | None], ...]:
-        """The atoms in the order they act, each with its image table
-        {idx.entries: apply_atom result} in the suite memo's atom table of the
-        space, or None outside run_checks."""
-        tables = suite_tables(self.space)
-        if tables is None:
-            return tuple((atom, None) for atom in reversed(self.atoms))
-        atom_tables = tables[1]
-        return tuple((atom, atom_tables.setdefault(atom, {})) for atom in reversed(self.atoms))
-
-    def apply_to_index(
-        self, idx: MultiIndex, steps: tuple[tuple[Atom, dict | None], ...] | None = None
-    ) -> tuple[ScalarQ, MultiIndex] | None:
-        """The word on one basis monomial; None when the image is 0.
-
-        Inside run_checks every atom image comes from the suite memo's atom
-        table of the space, so each (atom, monomial) is applied once per call;
-        outside it each atom is applied afresh.  Callers that apply the word
-        to many monomials pass steps (``self.steps()``), resolved once.
-        """
+    @functools.cached_property
+    def rule(self) -> MonomialRule:
+        """The word compiled once into one rule: its atoms' rules composed in
+        acting order, times the scalar.  Raises InvalidAtomError for an atom
+        the space does not have, whether or not a monomial reaches it."""
         space = self.space
-        if steps is None:
-            steps = self.steps()
-        coeff = self.scalar
-        cur = idx
-        for atom, table in steps:
-            if table is None:
-                hit = apply_atom(space, atom, cur)
-            else:
-                hit = table.get(cur.entries, _MISS)
-                if hit is _MISS:
-                    hit = table[cur.entries] = apply_atom(space, atom, cur)
-            if hit is None:
-                return None
-            c, cur = hit
-            coeff = c if coeff is None else coeff * c
-        if coeff is None:
-            return space.mode.one(), cur
-        if coeff.is_zero():
-            return None
-        return coeff, cur
+        rules = [_atom_rule(space, atom) for atom in reversed(self.atoms)]
+        return MonomialRule.compose(space.mode, space.shape.size, rules, self.scalar)
+
+    def apply_to_index(self, idx: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
+        """The word on one basis monomial; None when the image is 0."""
+        return self.rule.image(idx)
 
 
 def apply_word(w: OperatorWord, u: SuperVector) -> SuperVector:
     if w.space != u.space:
         raise InvalidAtomError("operator and vector live on different spaces")
-    steps = w.steps()
+    image = w.rule.image
     out: dict[MultiIndex, ScalarQ] = {}
     for idx, c in u.terms.items():
-        hit = w.apply_to_index(idx, steps)
+        hit = image(idx)
         if hit is None:
             continue
         coeff, target = hit
@@ -363,12 +373,12 @@ def _degree_range(space: SpaceSpec, t_max: int) -> range:
     return range(t_max + 1)
 
 
-def _index_image(expr: list[tuple[OperatorWord, tuple]], idx: MultiIndex) -> dict[MultiIndex, ScalarQ]:
-    """Terms of apply_expr on monomial idx, summed straight from the (word,
-    word.steps()) pairs of the expression."""
+def _index_image(images: list[Callable], idx: MultiIndex) -> dict[MultiIndex, ScalarQ]:
+    """Terms of apply_expr on monomial idx, summed straight from the rule
+    images of the expression's words."""
     out: dict[MultiIndex, ScalarQ] = {}
-    for w, steps in expr:
-        hit = w.apply_to_index(idx, steps)
+    for image in images:
+        hit = image(idx)
         if hit is None:
             continue
         coeff, target = hit
@@ -383,8 +393,8 @@ def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int
     space = (exprA or exprB)[0].space
     if any(w.space != space for w in exprA + exprB):
         raise InvalidAtomError("operator and vector live on different spaces")
-    resolvedA = [(w, w.steps()) for w in exprA]
-    resolvedB = [(w, w.steps()) for w in exprB]
+    resolvedA = [w.rule.image for w in exprA]
+    resolvedB = [w.rule.image for w in exprB]
     for t in _degree_range(space, t_max):
         for idx in basis_of_degree(space, t):
             if _index_image(resolvedA, idx) != _index_image(resolvedB, idx):
@@ -458,6 +468,21 @@ class PairCheck:
         return CheckResult(self.name, True)
 
 
+def _triples(space: SpaceSpec, t_max: int) -> Iterator[tuple[MultiIndex, MultiIndex, MultiIndex]]:
+    """The triples of basis monomials with degree sum <= t_max, in the order of
+    itertools.product over the degree-sorted basis: each factor runs over the
+    prefix of that list its remaining budget allows."""
+    levels = [basis_of_degree(space, t) for t in _degree_range(space, t_max)]
+    upto = list(itertools.accumulate(levels))  # upto[t]: the monomials of degree <= t
+    top = len(upto) - 1
+    for ta, basis_a in enumerate(levels):
+        for ia in basis_a:
+            for tb, basis_b in enumerate(levels[: t_max - ta + 1]):
+                for ib in basis_b:
+                    for ic in upto[min(t_max - ta - tb, top)]:
+                        yield ia, ib, ic
+
+
 @dataclass
 class TripleCheck:
     """Identity quantified over triples of basis monomials (degree sum bound)."""
@@ -468,12 +493,7 @@ class TripleCheck:
 
     def run(self, t_max: int) -> CheckResult:
         space = self.space
-        monos = []
-        for t in _degree_range(space, t_max):
-            monos.extend(basis_of_degree(space, t))
-        for ia, ib, ic in itertools.product(monos, repeat=3):
-            if ia.degree() + ib.degree() + ic.degree() > t_max:
-                continue
+        for ia, ib, ic in _triples(space, t_max):
             u, v, w = (SuperVector.monomial(space, i) for i in (ia, ib, ic))
             lhs, rhs = self.fn(u, v, w)
             if lhs != rhs:
@@ -511,10 +531,9 @@ class RelationReport:
 def run_checks(suite: str, space: SpaceSpec, checks: list, t_max: int) -> RelationReport:
     """Run the checks in order under one suite memo (superspaces.suite_memo).
 
-    For the length of this call, per space, every atom image that
-    OperatorWord.apply_to_index derives and every monomial product that
-    superspaces.multiply derives is computed once and then looked up; both
-    tables are dropped when the call returns or a check raises.
+    For the length of this call, per space, every monomial product that
+    superspaces.multiply derives is computed once and then looked up; the
+    table is dropped when the call returns or a check raises.
     """
     token = suite_memo.set({})
     try:
@@ -887,19 +906,17 @@ def _suite_leibniz(space: SpaceSpec) -> list:
     def leibniz_fn(i: int, sign: int):
         e_i = _gen_label(space, i)
         d_i = _w(space, partial(i))
+        if i in fermi:
+            tw, s_i = _w(space, theta_op(-e_i), tau(i)), None
+        else:
+            tw, s_i = _w(space, theta_op(-e_i), sigma(i, sign)), _w(space, sigma(i, -sign))
 
         def fn(u: SuperVector, v: SuperVector):
             lhs = apply_word(d_i, multiply(u, v))
-            if i in fermi:
-                tw = _w(space, theta_op(-e_i), tau(i))
-                rhs = multiply(apply_word(d_i, u), v) + multiply(
-                    apply_word(tw, u), apply_word(d_i, v)
-                )
-            else:
-                tw = _w(space, theta_op(-e_i), sigma(i, sign))
-                rhs = multiply(apply_word(d_i, u), apply_word(_w(space, sigma(i, -sign)), v)) + multiply(
-                    apply_word(tw, u), apply_word(d_i, v)
-                )
+            right = v if s_i is None else apply_word(s_i, v)
+            rhs = multiply(apply_word(d_i, u), right) + multiply(
+                apply_word(tw, u), apply_word(d_i, v)
+            )
             return lhs, rhs
 
         return fn
@@ -926,12 +943,15 @@ def _suite_leibniz(space: SpaceSpec) -> list:
 
     checks.append(TripleCheck("associativity", space, assoc_fn))
 
+    twists: dict[MultiIndex, OperatorWord] = {}  # the twist word of each left factor
+
     def twist_move_fn(u, v, w):
         (ia,) = u.terms
+        tw = twists.get(ia)
+        if tw is None:
+            tw = twists[ia] = _w(space, theta_op(ia))
         lhs = multiply(multiply(u, v), w)
-        rhs = multiply(
-            apply_word(_w(space, theta_op(ia)), v), multiply(u, w)
-        )
+        rhs = multiply(apply_word(tw, v), multiply(u, w))
         return lhs, rhs
 
     checks.append(TripleCheck("left factor moves past via its twist", space, twist_move_fn))
@@ -943,18 +963,16 @@ def _suite_leibniz(space: SpaceSpec) -> list:
         d_i = _w(space, partial(i))
         for lab in seeds:
             u0 = SuperVector.monomial(space, lab)
+            if i in fermi:
+                tw, s_i = _w(space, theta_op(lab - e_i), tau(i)), None
+            else:
+                tw, s_i = _w(space, theta_op(lab - e_i), sigma(i, -1)), _w(space, sigma(i, 1))
 
-            def fn(v, w, lab=lab, u0=u0, i=i, e_i=e_i, d_i=d_i):
+            def fn(v, w, u0=u0, d_i=d_i, tw=tw, s_i=s_i):
                 op = lambda z: multiply(u0, apply_word(d_i, z))
                 lhs = op(multiply(v, w))
-                if i in fermi:
-                    tw = _w(space, theta_op(lab - e_i), tau(i))
-                    rhs = multiply(op(v), w) + multiply(apply_word(tw, v), op(w))
-                else:
-                    tw = _w(space, theta_op(lab - e_i), sigma(i, -1))
-                    rhs = multiply(op(v), apply_word(_w(space, sigma(i, 1)), w)) + multiply(
-                        apply_word(tw, v), op(w)
-                    )
+                right = w if s_i is None else apply_word(s_i, w)
+                rhs = multiply(op(v), right) + multiply(apply_word(tw, v), op(w))
                 return lhs, rhs
 
             checks.append(

@@ -123,7 +123,11 @@ def test_full_sweep_writes_summary(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sweep, "RUNS", runs)
     monkeypatch.setattr("sys.argv", ["run_full_verification.py", str(tmp_path / "reports")])
     assert sweep.main() == 0
-    capsys.readouterr()
+    out, err = capsys.readouterr()
+    # one progress line per run on stderr; stdout keeps its own lines
+    assert [line.rsplit(" ", 1)[0] for line in err.splitlines()] == [
+        "[1/2] qtest.json pass", "[2/2] dims.csv pass"]
+    assert [line.split()[-1] for line in out.splitlines()[:2]] == ["qtest.json", "dims.csv"]
 
     summary = json.loads((tmp_path / "reports" / "summary.json").read_text())
     assert (summary["passed"], summary["total"]) == (2, 2)
@@ -222,6 +226,8 @@ ILL_POSED = {
     "tau on the dual side": ["act", "--family", "dual", "--m", "1", "--n", "1",
                              "--word", "t2", "--monomial", "(1|1)"],
     "divided power in generic mode": ["act", *OMEGA11, "--word", "X1", "--monomial", "(1|1)"],
+    "tau behind an atom that kills the monomial": ["act", *OMEGA11, "--word", "t1 d2",
+                                                   "--monomial", "(0|0)"],
     "empty dims table as CSV": ["dims", *OMEGA11, "--t-max", "-1", "--format", "csv"],
     "empty simple table as CSV": ["simple", *OMEGA11, "--t-min", "5", "--t-max", "2",
                                   "--format", "csv"],

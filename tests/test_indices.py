@@ -30,7 +30,7 @@ def test_star_basis_vector_prefix_rule():
     for i in range(1, 5):
         e_i = MultiIndex.basis_vector(sh, i)
         assert star(e_i, beta) == beta.prefix_sum(i)
-        assert star(beta, e_i) == beta.suffix_sum(i)
+        assert star(beta, e_i) == sum(beta.entries[i:])
 
 
 def test_star_zero_left():

@@ -1,0 +1,188 @@
+"""Compiled monomial rules against the definitions they are built from.
+
+A word compiles once into one MonomialRule; on every basis monomial its image
+must be the one the word's atoms give when applied one at a time through
+apply_atom.  monomial_product evaluates the left-multiplication rule of its
+first factor; it must give the structure constants of the star pairing.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from qgrass.indices import MultiIndex, split_star
+from qgrass.qarith import GENERIC, q_binom, root_of_unity
+from qgrass.superspaces import (
+    DUAL_SIDE,
+    Family,
+    basis_of_degree,
+    make_space,
+    monomial_product,
+)
+from qgrass.weyl import (
+    InvalidAtomError,
+    OperatorWord,
+    TripleCheck,
+    _degree_range,
+    _triples,
+    apply_atom,
+    mult_x,
+    mult_x_divpow,
+    parity,
+    partial,
+    sigma,
+    tau,
+    theta_op,
+)
+
+D3, D4, D8 = root_of_unity(3), root_of_unity(4), root_of_unity(8)
+
+SPACES = [
+    make_space(family, m, n, mode)
+    for family, m, n, modes in [
+        (Family.OMEGA, 2, 1, (GENERIC, D3, D4, D8)),
+        (Family.DUAL, 1, 2, (GENERIC, D3, D4, D8)),
+        (Family.OMEGA_RESTRICTED, 2, 1, (D3, D8)),
+        (Family.DUAL_RESTRICTED, 1, 2, (D3, D8)),
+        (Family.AFFINE, 2, 1, (GENERIC, D3)),
+    ]
+    for mode in modes
+]
+SPACE_IDS = [f"{s.family.value}-{'generic' if s.mode.is_generic else f'd{s.mode.d}'}"
+             for s in SPACES]
+
+
+def basis_upto(space, t_max):
+    return [idx for t in _degree_range(space, t_max) for idx in basis_of_degree(space, t)]
+
+
+def valid_atoms(space):
+    """Every atom kind at every position, and a few twist labels; only the
+    atoms the space has."""
+    size = space.shape.size
+    labels = [MultiIndex.basis_vector(space.shape, p, v) for p in range(1, size + 1) for v in (1, -1)]
+    labels.append(MultiIndex(tuple(range(1, size + 1)), space.shape))
+    atoms = [ctor(p) for p in range(1, size + 1)
+             for ctor in (partial, mult_x, mult_x_divpow, sigma, lambda i: sigma(i, -1), tau)]
+    atoms += [theta_op(lab) for lab in labels] + [parity()]
+    out = []
+    for atom in atoms:
+        try:
+            apply_atom(space, atom, space.unit_index())
+        except InvalidAtomError:
+            continue
+        out.append(atom)
+    return out
+
+
+def step_by_step(word, idx):
+    """The word on one monomial, one apply_atom at a time (rightmost first)."""
+    coeff, cur = word.coeff(), idx
+    for atom in reversed(word.atoms):
+        hit = apply_atom(word.space, atom, cur)
+        if hit is None:
+            return None
+        c, cur = hit
+        coeff = coeff * c
+    return None if coeff.is_zero() else (coeff, cur)
+
+
+def words_of(space):
+    """All words of length <= 1, sampled words of length 2 and 3, and the
+    words that reach a restricted cap or a vanishing [ell]_q; each once
+    without and once with a scalar."""
+    atoms = valid_atoms(space)
+    rng = random.Random(f"{space.family.value} {space.mode.d}")
+    tuples = [()] + [(a,) for a in atoms]
+    tuples += [tuple(rng.choice(atoms) for _ in range(2)) for _ in range(60)]
+    tuples += [tuple(rng.choice(atoms) for _ in range(3)) for _ in range(60)]
+    edge = [a for a in atoms if a.kind.name in ("MULT_X", "MULT_X_DIV_POW", "PARTIAL")]
+    tuples += list(itertools.product(edge, repeat=2))
+    tuples += [(a, a, a) for a in edge]
+    mode = space.mode
+    scalar = mode.q() + mode.scalar(2)
+    return [OperatorWord(space, t, c) for t in tuples for c in (None, scalar)]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
+def test_compiled_words_match_atom_by_atom_application(space):
+    monos = basis_upto(space, 4)
+    for word in words_of(space):
+        for idx in monos:
+            assert word.apply_to_index(idx) == step_by_step(word, idx), (word.render(), str(idx))
+
+
+def test_the_edge_cases_are_reached():
+    # the vanishing [3]_q at d = 3 on unrestricted omega, and the cap on the
+    # restricted space, each after a first atom that keeps the monomial
+    omega = make_space(Family.OMEGA, 2, 1, D3)
+    idx = MultiIndex((1, 0, 0), omega.shape)
+    x1 = mult_x(1)
+    assert apply_atom(omega, x1, idx) is not None
+    assert OperatorWord(omega, (x1, x1)).apply_to_index(idx) is None
+    restricted = make_space(Family.OMEGA_RESTRICTED, 2, 1, D3)
+    for entries in ((1, 0, 0), (2, 0, 0)):
+        idx = MultiIndex(entries, restricted.shape)
+        assert OperatorWord(restricted, (x1, x1)).apply_to_index(idx) is None
+        assert step_by_step(OperatorWord(restricted, (x1, x1)), idx) is None
+
+
+def reference_product(space, a, b):
+    """Structure constant of a*b from the star pairing split by parities."""
+    target = a + b
+    if any(fer and e > 1 for e, fer in zip(target.entries, space.shape.fermionic_mask)):
+        return None
+    mode = space.mode
+    bb, ff, fb, bf = split_star(a, b)
+    if space.family in DUAL_SIDE:
+        exp, sign = -(bf + bb + ff), ff + bf
+    else:
+        exp, sign = fb + bb + ff, ff
+    coeff = mode.q_power(exp)
+    if sign % 2:
+        coeff = -coeff
+    if space.family is not Family.AFFINE:
+        cap = space.shape.restricted_ell
+        for ai, bi, fer in zip(a.entries, b.entries, space.shape.fermionic_mask):
+            if fer or not (ai and bi):
+                continue
+            binom = q_binom(ai + bi, ai, mode)
+            if cap is not None and ai + bi >= cap:
+                assert binom.is_zero()
+                return None
+            coeff = coeff * binom
+    return None if coeff.is_zero() else (coeff, target)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
+def test_monomial_product_is_the_star_pairing_formula(space):
+    monos = basis_upto(space, 4)
+    for a, b in itertools.product(monos, repeat=2):
+        assert monomial_product(space, a, b) == reference_product(space, a, b), (str(a), str(b))
+
+
+@pytest.mark.parametrize("space, t_max", [
+    (make_space(Family.OMEGA, 2, 1), 0),
+    (make_space(Family.OMEGA, 2, 1), 4),
+    (make_space(Family.DUAL, 1, 2), 3),
+    (make_space(Family.OMEGA_RESTRICTED, 1, 1, D3), 5),  # top degree 3 < t_max
+], ids=["omega21-t0", "omega21-t4", "dual12-t3", "omega11-d3-t5"])
+def test_budgeted_triples_are_the_filtered_product_in_order(space, t_max):
+    monos = basis_upto(space, t_max)
+    filtered = [abc for abc in itertools.product(monos, repeat=3)
+                if sum(i.degree() for i in abc) <= t_max]
+    assert list(_triples(space, t_max)) == filtered
+
+
+def test_triple_check_reports_the_first_failing_triple():
+    space = make_space(Family.OMEGA, 1, 1)
+    seen = []
+
+    def fn(u, v, w):
+        seen.append(tuple(next(iter(x.terms)) for x in (u, v, w)))
+        return u, (u if len(seen) < 7 else v)
+
+    result = TripleCheck("probe", space, fn).run(2)
+    assert not result.passed and len(seen) == 7
+    assert result.witness["triple"] == [str(i) for i in seen[-1]]

@@ -1,7 +1,6 @@
 """The suite memo that run_checks opens, and index-level operator equality.
 
-run_checks memoises atom images and monomial products for the length of one
-call; every report must be the one the checks give without either memo, and
+run_checks memoises monomial products for the length of one call; every report must be the one the checks give without either memo, and
 operators_equal must decide and witness exactly as evaluation on monomial
 vectors does.
 """
@@ -20,7 +19,7 @@ from qgrass.superspaces import (
     make_space,
     multiply,
     suite_memo,
-    suite_tables,
+    suite_products,
 )
 from qgrass.uqrep import verify_module_algebra, verify_uq_relations
 from qgrass.weyl import (
@@ -53,7 +52,7 @@ def word(space, *atoms, coeff=None):
 
 
 def memo_less(checks, t_max):
-    # one context variable carries both the atom and the product tables
+    # one context variable carries the product tables
     assert suite_memo.get() is None
     return [c.run(t_max).to_json() for c in checks]
 
@@ -175,19 +174,27 @@ def count_calls(monkeypatch, module, name):
 )
 def test_each_product_and_atom_image_is_derived_once(space, monkeypatch):
     checks = build_suite("leibniz", space)
-    # multiply reads superspaces' binding; apply_to_index reads weyl's
+    weyl._atom_rule.cache_clear()
+    # multiply reads superspaces' binding; word compilation reads weyl's
     products = count_calls(monkeypatch, superspaces, "monomial_product")
     atoms = count_calls(monkeypatch, weyl, "apply_atom")
+    lookups = count_calls(monkeypatch, weyl, "_atom_rule")
     report = run_checks("leibniz", space, checks, 3)
     product_keys = [(s, a.entries, b.entries) for s, a, b in products]
-    atom_keys = [(s, atom, idx.entries) for s, atom, idx in atoms]
     assert len(product_keys) == len(set(product_keys)) > 0
+    # each atom is checked through apply_atom once, on the unit monomial, when
+    # its rule is first built; every word compiles from those rules
+    assert {idx for _, _, idx in atoms} == {space.unit_index()}
+    atom_keys = [(s, atom) for s, atom, _ in atoms]
     assert len(atom_keys) == len(set(atom_keys)) > 0
-    # without the memo the same checks derive them again and again
-    n_products, n_atoms = len(products), len(atoms)
+    assert set(atom_keys) == set(lookups)
+    assert len(lookups) > 2 * len(atoms)
+    # without the memo the same checks derive the products again and again,
+    # while each word object, compiled once, compiles no more
+    n_products, n_lookups = len(products), len(lookups)
     assert report.to_json()["relations"] == memo_less(checks, 3)
     assert len(products) - n_products > 2 * n_products
-    assert len(atoms) - n_atoms > 2 * n_atoms
+    assert len(lookups) == n_lookups and len(atoms) == len(atom_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +283,7 @@ class Probe:
         self.memo_open = self.thread_memo_open = None
 
     def run(self, t_max):
-        self.memo_open = suite_tables(OMEGA11) is not None
+        self.memo_open = suite_products(OMEGA11) is not None
         seen = []
         thread = threading.Thread(target=lambda: seen.append(suite_memo.get()))
         thread.start()
@@ -316,4 +323,4 @@ def test_memo_is_dropped_when_a_check_raises():
     with pytest.raises(InvalidAtomError):
         run_checks("raises", OMEGA11, [Probe(), Products(OMEGA11, 2), bad], 2)
     assert suite_memo.get() is None
-    assert suite_tables(OMEGA11) is None
+    assert suite_products(OMEGA11) is None

@@ -240,6 +240,34 @@ def test_component_report_out_of_range():
         component_report(OMEGA21_R3, 6)
 
 
+def test_proper_reach_set_decides_a_component_without_weight_separation():
+    # omega (2|1) at d = 4, t = 4: (0,4 | 0) and (4,0 | 0) share a weight, yet
+    # the seed (0,3 | 1) reaches 3 of the 9 monomials
+    space = make_space(Family.OMEGA, 2, 1, root_of_unity(4))
+    rep = component_report(space, 4)
+    assert rep.simple == "not_simple" and rep.dim == 9
+    assert rep.witnesses[0]["weight_collision"] == ["(0,4 | 0)", "(4,0 | 0)"]
+    assert rep.witnesses[-1] == {"seed_with_proper_span": "(0,3 | 1)", "span_rank": 3}
+    assert rep.to_json()["simple"] is False
+    # the span of the reach set is a submodule: every generator keeps it
+    basis = basis_of_degree(space, 4)
+    images = _generator_images(space, basis)
+    reach, todo = set(), [MultiIndex((0, 3, 1), space.shape)]
+    while todo:
+        idx = todo.pop()
+        if idx not in reach:
+            reach.add(idx)
+            todo.extend(k for img in images[idx] for k in img)
+    assert len(reach) == 3
+    words = [generator_word(kind, j, space)
+             for kind in (Gen.E, Gen.F, Gen.SK, Gen.SKINV) for j in range(1, 3)]
+    words += [generator_word(kind, i, space) for kind in (Gen.K, Gen.KINV) for i in range(1, 4)]
+    words.append(generator_word(Gen.PARITY, 0, space))
+    for idx in reach:
+        for w in words:
+            assert set(apply_word(w, SuperVector.monomial(space, idx)).terms) <= reach
+
+
 # ---------------------------------------------------------------------------
 # the simplicity and highest-weight routes against independent ones
 # ---------------------------------------------------------------------------
