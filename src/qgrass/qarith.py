@@ -312,9 +312,8 @@ class QMode:
     def q(self) -> "ScalarQ":
         return _constant(self, 1, 1)
 
-    def q_power(self, k: int, sign: int = 1) -> "ScalarQ":
-        """sign * q^k, for sign in (1, -1)."""
-        return _constant(self, sign, k)
+    def q_power(self, k: int) -> "ScalarQ":
+        return _constant(self, 1, k)
 
     def minus_q_power(self, k: int) -> "ScalarQ":
         """(-q)^k for any integer k."""
@@ -684,8 +683,8 @@ def q_factorial(n: int, mode: QMode = GENERIC) -> ScalarQ:
 @functools.lru_cache(maxsize=None)
 def q_binom(s: int, r: int, mode: QMode = GENERIC) -> ScalarQ:
     """Balanced Gaussian binomial for any integers s, r (zero for r < 0); a
-    shared ScalarQ, built once per key."""
-    return mode.from_laurent(_q_binom_laurent(s, r))
+    shared ScalarQ, built once per key like the constants of _constant."""
+    return _from_laurent(mode, _q_binom_laurent(s, r))
 
 
 def q_binom_unbalanced(p: int, r: int, mode: QMode = GENERIC) -> ScalarQ:

@@ -27,10 +27,9 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from operator import add
-from typing import Sequence
 
-from .indices import MultiIndex, Shape, position_sums, split_star, theta
-from .qarith import GENERIC, QMode, ScalarQ, add_term, char_of, q_binom
+from .indices import MultiIndex, Shape, split_star, theta
+from .qarith import GENERIC, QMode, ScalarQ, _constant, add_term, char_of, q_binom
 
 __all__ = [
     "Family",
@@ -45,7 +44,7 @@ __all__ = [
     "basis_of_degree",
     "monomial_product",
     "MonomialRule",
-    "left_mult_rule",
+    "RuleBuilder",
     "commutation_factor",
     "top_degree",
 ]
@@ -141,25 +140,6 @@ def top_degree(space: SpaceSpec) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-class _Constants(dict):
-    """Shared scalars of one mode by key, each built once on first use."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(*key)
-        return value
-
-
-@functools.lru_cache(maxsize=None)
-def _mode_constants(mode: QMode) -> tuple[_Constants, _Constants]:
-    # (e, odd) -> (-1)^odd q^e and (s, r) -> [s choose r]_q, read on every rule
-    # evaluation: a dict lookup, where the lru_caches would hash the mode again
-    return (_Constants(lambda e, odd: mode.q_power(e, -1 if odd else 1)),
-            _Constants(lambda s, r: q_binom(s, r, mode)))
-
-
 class MonomialRule:
     """An operator that sends each basis monomial to one monomial or to 0:
 
@@ -171,59 +151,27 @@ class MonomialRule:
     whose binomial [a_i + off + k choose k]_q must vanish there; checks run in
     acting order, so a composed rule asserts that only where atom-by-atom
     application would.  Positions are 0-based; ``forms`` holds the nonzero
-    (i, mu_i, lam_i mod 2).  Immutable by convention.
+    (i, mu_i, lam_i mod 2).  Built by RuleBuilder; immutable by convention.
     """
 
-    __slots__ = ("shift", "checks", "forms", "lam0", "mu0", "binoms", "scale",
-                 "_moves", "_powers", "_binomials")
+    __slots__ = ("mode", "shift", "checks", "forms", "lam0", "mu0", "binoms", "scale", "_moves")
 
     def __init__(self, mode: QMode, shift: tuple[int, ...],
-                 checks: tuple[tuple[int, int, int, int, int], ...] = (),
-                 lam: Sequence[int] = (), lam0: int = 0, mu: Sequence[int] = (), mu0: int = 0,
-                 binoms: tuple[tuple[int, int, int], ...] = (), scale: ScalarQ | None = None):
-        self.shift, self.checks, self.binoms, self.scale = shift, checks, binoms, scale
-        self.lam0, self.mu0 = lam0, mu0
-        zero = (0,) * len(shift)
-        self.forms = tuple((i, m, l & 1) for i, (m, l) in enumerate(zip(mu or zero, lam or zero))
-                           if m or l & 1)
+                 checks: tuple[tuple[int, int, int, int, int], ...],
+                 forms: tuple[tuple[int, int, int], ...], lam0: int, mu0: int,
+                 binoms: tuple[tuple[int, int, int], ...], scale: ScalarQ | None):
+        self.mode, self.shift, self.checks, self.forms = mode, shift, checks, forms
+        self.lam0, self.mu0, self.binoms, self.scale = lam0, mu0, binoms, scale
         self._moves = tuple((i, s) for i, s in enumerate(shift) if s)
-        self._powers, self._binomials = _mode_constants(mode)
-
-    @classmethod
-    def compose(cls, mode: QMode, size: int, rules: Sequence["MonomialRule"],
-                scale: ScalarQ | None = None) -> "MonomialRule":
-        """The rules applied in turn, the first acting first, then times scale:
-        shifts add, and each later rule reads a + (the shift so far), which
-        moves its constants, binomial offsets and bounds."""
-        shift, lam, mu = [0] * size, [0] * size, [0] * size
-        lam0 = mu0 = 0
-        checks: list = []
-        binoms: list = []
-        for rule in rules:
-            if rule.checks:
-                checks += [(i, lo - shift[i], hi - shift[i], off + shift[i], k)
-                           for i, lo, hi, off, k in rule.checks]
-            if rule.binoms:
-                binoms += [(i, off + shift[i], k) for i, off, k in rule.binoms]
-            lam0 += rule.lam0
-            mu0 += rule.mu0
-            for i, m, l in rule.forms:
-                mu[i] += m
-                lam[i] += l
-                mu0 += m * shift[i]
-                lam0 += l * shift[i]
-            for i, s in rule._moves:
-                shift[i] += s
-        return cls(mode, tuple(shift), tuple(checks), lam, lam0, mu, mu0, tuple(binoms), scale)
 
     def image(self, idx: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
         """The rule on one basis monomial; None when the image is 0."""
-        entries = idx.entries
+        entries, mode = idx.entries, self.mode
         for i, lo, hi, off, k in self.checks:
             x = entries[i]
             if not lo <= x <= hi:
                 if k:
-                    binom = self._binomials[x + off + k, k]
+                    binom = q_binom(x + off + k, k, mode)
                     assert binom.is_zero(), "restricted overflow with nonzero binomial"
                 return None
         e, odd = self.mu0, self.lam0
@@ -231,12 +179,12 @@ class MonomialRule:
             x = entries[i]
             e += m * x
             odd += l * x
-        coeff = self._powers[e, odd & 1]
+        coeff = _constant(mode, -1 if odd & 1 else 1, e)
         if self.binoms or self.scale is not None:
             for i, off, k in self.binoms:
                 x = entries[i] + off
                 if x:
-                    coeff = coeff * self._binomials[x + k, k]
+                    coeff = coeff * q_binom(x + k, k, mode)
             if self.scale is not None:
                 coeff = coeff * self.scale
             if coeff.is_zero():
@@ -246,39 +194,86 @@ class MonomialRule:
         return coeff, idx
 
 
-@functools.lru_cache(maxsize=None)
-def left_mult_rule(space: SpaceSpec, a: MultiIndex) -> MonomialRule:
-    """Left multiplication by the basis monomial a, as a rule on b.  Its
-    exponents are the star pairings split_star(a, b), linear in b:
-    (-1)^(fer*fer) q^(fer_a*bos_b + bos*bos + fer*fer) on the affine and
-    Grassmann spaces, (-q)^(-bos_a*fer_b - fer*fer) q^(-bos*bos) on the dual
-    ones, times [a_i + b_i choose a_i]_q per divided-power direction."""
-    mask = space.shape.fermionic_mask
-    cap = space.shape.restricted_ell
-    dual = space.family in DUAL_SIDE
-    lam, mu, fer_checks, cap_checks, binoms = [], [], [], [], []
-    for j, (ai, fer, sums) in enumerate(zip(a.entries, mask, position_sums(a))):
-        _, _, after_bos, after_fer = sums
-        if fer:
-            lam.append(after_fer + after_bos if dual else after_fer)
-            mu.append(-(after_bos + after_fer) if dual else after_fer)
-            if ai:
-                fer_checks.append((j, -sys.maxsize, 1 - ai, 0, 0))
-        else:
-            lam.append(0)
-            mu.append(-after_bos if dual else after_bos + after_fer)
-            if ai and space.family is not Family.AFFINE:
-                if cap is not None:
-                    cap_checks.append((j, -sys.maxsize, cap - 1 - ai, 0, ai))
-                binoms.append((j, 0, ai))
-    return MonomialRule(space.mode, a.entries, tuple(fer_checks + cap_checks),
-                        tuple(lam), 0, tuple(mu), 0, tuple(binoms))
+class RuleBuilder:
+    """Composes one MonomialRule from operators of that form applied in turn,
+    the first acting first.  A later operator reads a + (the shift so far):
+    each call below moves its constant, binomial offset or bounds by the
+    running shift, and checks keep the order they are added in."""
+
+    __slots__ = ("mode", "shift", "mu", "lam", "mu0", "lam0", "checks", "binoms")
+
+    def __init__(self, mode: QMode, size: int):
+        self.mode = mode
+        self.shift, self.mu, self.lam = [0] * size, [0] * size, [0] * size
+        self.mu0 = self.lam0 = 0
+        self.checks: list[tuple[int, int, int, int, int]] = []
+        self.binoms: list[tuple[int, int, int]] = []
+
+    def form(self, i: int, m: int, l: int = 0) -> None:
+        """Times (-1)^(l a_i) q^(m a_i)."""
+        s = self.shift[i]
+        self.mu[i] += m
+        self.lam[i] += l
+        self.mu0 += m * s
+        self.lam0 += l * s
+
+    def check(self, i: int, lo: int, hi: int, cap: int = 0) -> None:
+        """Zero unless lo <= a_i <= hi; with cap > 0, [a_i + cap choose cap]_q
+        must vanish where the check fails."""
+        s = self.shift[i]
+        self.checks.append((i, lo - s, hi - s, s, cap))
+
+    def move(self, i: int, s: int) -> None:
+        """Then a_i -> a_i + s."""
+        self.shift[i] += s
+
+    def left_mult(self, space: SpaceSpec, a: MultiIndex) -> None:
+        """Then left multiplication by the basis monomial a.  Its exponents
+        are the star pairings split_star(a, b), linear in b with the sums of a
+        after each position as coefficients: (-1)^(fer*fer)
+        q^(fer_a*bos_b + bos*bos + fer*fer) on the affine and Grassmann spaces,
+        (-q)^(-bos_a*fer_b - fer*fer) q^(-bos*bos) on the dual ones, times
+        [a_i + b_i choose a_i]_q per divided-power direction."""
+        mask, entries, cap = space.shape.fermionic_mask, a.entries, space.shape.restricted_ell
+        dual = space.family in DUAL_SIDE
+        bos = fer = 0  # the sums of a after position j
+        for j in range(len(entries) - 1, -1, -1):
+            if mask[j]:
+                t = bos + fer if dual else fer
+                if t:
+                    self.form(j, -t if dual else t, t)
+                fer += entries[j]
+            else:
+                m = -bos if dual else bos + fer
+                if m:
+                    self.form(j, m)
+                bos += entries[j]
+        # acting order: the exterior checks, then the caps, each by position
+        for j, (ai, is_fer) in enumerate(zip(entries, mask)):
+            if ai and is_fer:
+                self.check(j, -sys.maxsize, 1 - ai)
+        divided = [] if space.family is Family.AFFINE else [
+            (j, ai) for j, (ai, is_fer) in enumerate(zip(entries, mask)) if ai and not is_fer]
+        if cap is not None:
+            for j, ai in divided:
+                self.check(j, -sys.maxsize, cap - 1 - ai, ai)
+        self.binoms += [(j, self.shift[j], ai) for j, ai in divided]
+        self.shift = [s + ai for s, ai in zip(self.shift, entries)]
+
+    def build(self, scale: ScalarQ | None = None) -> MonomialRule:
+        """The composed rule, times scale."""
+        forms = tuple((i, m, l & 1) for i, (m, l) in enumerate(zip(self.mu, self.lam))
+                      if m or l & 1)
+        return MonomialRule(self.mode, tuple(self.shift), tuple(self.checks), forms,
+                            self.lam0, self.mu0, tuple(self.binoms), scale)
 
 
 def monomial_product(space: SpaceSpec, a: MultiIndex, b: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
     """Structure constant of a*b, or None when the product vanishes: the
     left-multiplication rule of a on b."""
-    return left_mult_rule(space, a).image(b)
+    builder = RuleBuilder(space.mode, space.shape.size)
+    builder.left_mult(space, a)
+    return builder.build().image(b)
 
 
 def commutation_factor(space: SpaceSpec, a: MultiIndex, b: MultiIndex, mode: QMode | None = None) -> ScalarQ:

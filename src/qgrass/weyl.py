@@ -10,19 +10,18 @@ Atomic operators send basis monomials to scalar multiples of basis monomials:
   twist automorphisms.
 
 Each atom sends x^(a) to (-1)^(lam.a + lam0) q^(mu.a + mu0) times balanced
-binomials at x^(a + s), or to 0 outside a box of bounds: a
-superspaces.MonomialRule, built once per atom and space and checked against
-``apply_atom``, the direct one-atom definition, on the unit monomial.  An
-OperatorWord is a scalar times a composition of atoms (rightmost acts
-first); it compiles once into one rule of the same form, which it evaluates
-on each monomial.  Relation suites instantiate the defining relation systems
-of the derivative algebra, its pointed-Hopf cover, and the quantum Weyl
-algebra of (m|n)-type as operator identities, decided by exhaustive
-evaluation on graded bases up to a degree bound; the identities are
-degree-homogeneous, so this is sound for the degrees checked.  While
-``run_checks`` runs one suite, every monomial product it derives is memoised
-per space in the suite memo and dropped when the call returns; outside it
-each is computed afresh.
+binomials at x^(a + s), or to 0 outside a box of bounds.  An OperatorWord is
+a scalar times a composition of atoms (rightmost acts first); it compiles
+once into one superspaces.MonomialRule of that form, which it evaluates on
+each monomial.  As each atom joins the rule, ``apply_atom``, the direct
+one-atom definition, refuses on the unit monomial an atom the space does not
+have.  Relation suites instantiate the defining relation systems of the
+derivative algebra, its pointed-Hopf cover, and the quantum Weyl algebra of
+(m|n)-type as operator identities, decided by exhaustive evaluation on
+graded bases up to a degree bound; the identities are degree-homogeneous, so
+this is sound for the degrees checked.  While ``run_checks`` runs one suite,
+every monomial product it derives is memoised per space in the suite memo
+and dropped when the call returns; outside it each is computed afresh.
 """
 
 from __future__ import annotations
@@ -41,10 +40,10 @@ from .superspaces import (
     POLY_SIDE,
     Family,
     MonomialRule,
+    RuleBuilder,
     SpaceSpec,
     SuperVector,
     basis_of_degree,
-    left_mult_rule,
     make_space,
     monomial_product,
     multiply,
@@ -239,51 +238,46 @@ def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, 
     raise InvalidAtomError(f"unknown atom {atom}")
 
 
-@functools.lru_cache(maxsize=None)
-def _atom_rule(space: SpaceSpec, atom: Atom) -> MonomialRule:
-    """The rule of one atom on one space, built once from linear forms in
+def _compile_atom(builder: RuleBuilder, space: SpaceSpec, atom: Atom, unit: MultiIndex) -> None:
+    """Append one atom to the rule under construction, from linear forms in
     O(size).  apply_atom on the unit monomial first refuses an atom the space
-    does not have (an error is not cached: every word holding the atom raises
-    it), and its image there must be the rule's."""
-    unit = space.unit_index()
-    expected = apply_atom(space, atom, unit)
+    does not have."""
+    apply_atom(space, atom, unit)
     kind, p, mask = atom.kind, atom.pos - 1, space.shape.fermionic_mask
-    if kind in (AtomKind.MULT_X, AtomKind.MULT_X_DIV_POW):
+    if kind is AtomKind.MULT_X or kind is AtomKind.MULT_X_DIV_POW:
         power = 1 if kind is AtomKind.MULT_X else char_of(space.mode).ell
-        rule = left_mult_rule(space, MultiIndex.basis_vector(space.shape, atom.pos, power))
-    else:
-        poly = space.family in POLY_SIDE
-        lam, mu, shift = [0] * len(mask), [0] * len(mask), [0] * len(mask)
-        if kind is AtomKind.SIGMA:
-            # base -q on polynomial-side exterior directions; q^-1 on dual divided powers
-            lam[p] = int(poly and mask[p])
-            mu[p] = -atom.exp if space.family in DUAL_SIDE and not mask[p] else atom.exp
-        elif kind is AtomKind.TAU:
-            lam[p] = 1
-        elif kind is AtomKind.PARITY:
-            # exterior degree on the polynomial side, divided-power degree on the dual
-            lam = [int(fer == poly) for fer in mask]
-        elif kind is AtomKind.THETA:
-            # theta(label, b): the star pairings of label and b, both ways
-            for j, (bos_before, fer_before, bos_after, fer_after) in enumerate(position_sums(atom.label)):
-                if mask[j]:
-                    lam[j] = fer_after - fer_before
-                    mu[j] = fer_after - fer_before - bos_before
-                else:
-                    mu[j] = bos_after - bos_before + fer_after
-        else:  # PARTIAL: q^-prefix (polynomial side) or q^prefix (dual side)
-            shift[p] = -1
-            mu[:p] = [-1 if poly else 1] * p
-            if mask[p]:
-                # (-1)^(exterior prefix), or base -q on the dual side
-                lam[:p] = [int(fer) for fer in mask[:p]] if poly else [1] * p
-            elif not poly:
-                lam = [int(fer) for fer in mask]  # (-1)^(exterior degree)
-        checks = ((p, 1, sys.maxsize, 0, 0),) if kind is AtomKind.PARTIAL else ()
-        rule = MonomialRule(space.mode, tuple(shift), checks, lam, 0, mu)
-    if rule.image(unit) != expected:
-        raise AssertionError(f"{atom.render()}: rule and apply_atom differ on the unit monomial")
-    return rule
+        builder.left_mult(space, MultiIndex.basis_vector(space.shape, atom.pos, power))
+        return
+    poly = space.family in POLY_SIDE
+    if kind is AtomKind.SIGMA:
+        # base -q on polynomial-side exterior directions; q^-1 on dual divided powers
+        exp = -atom.exp if space.family in DUAL_SIDE and not mask[p] else atom.exp
+        builder.form(p, exp, int(poly and mask[p]))
+    elif kind is AtomKind.TAU:
+        builder.form(p, 0, 1)
+    elif kind is AtomKind.PARITY:
+        # exterior degree on the polynomial side, divided-power degree on the dual
+        for j, fer in enumerate(mask):
+            if fer == poly:
+                builder.form(j, 0, 1)
+    elif kind is AtomKind.THETA:
+        # theta(label, b): the star pairings of label and b, both ways
+        sums = position_sums(atom.label)
+        for j, (bos_before, fer_before, bos_after, fer_after) in enumerate(sums):
+            if mask[j]:
+                builder.form(j, fer_after - fer_before - bos_before, fer_after - fer_before)
+            else:
+                builder.form(j, bos_after - bos_before + fer_after)
+    else:  # PARTIAL: q^-prefix (polynomial side) or q^prefix (dual side)
+        builder.check(p, 1, sys.maxsize)
+        if not poly and not mask[p]:
+            for j, fer in enumerate(mask):
+                if fer:
+                    builder.form(j, 0, 1)  # (-1)^(exterior degree)
+        for j in range(p):
+            # (-1)^(exterior prefix), or base -q on the dual side
+            builder.form(j, -1 if poly else 1, int(mask[p] and (mask[j] or not poly)))
+        builder.move(p, -1)
 
 
 @dataclass(frozen=True)
@@ -318,12 +312,15 @@ class OperatorWord:
 
     @functools.cached_property
     def rule(self) -> MonomialRule:
-        """The word compiled once into one rule: its atoms' rules composed in
-        acting order, times the scalar.  Raises InvalidAtomError for an atom
-        the space does not have, whether or not a monomial reaches it."""
+        """The word compiled once into one rule: its atoms composed in acting
+        order, times the scalar.  Raises InvalidAtomError for an atom the
+        space does not have, whether or not a monomial reaches it."""
         space = self.space
-        rules = [_atom_rule(space, atom) for atom in reversed(self.atoms)]
-        return MonomialRule.compose(space.mode, space.shape.size, rules, self.scalar)
+        builder = RuleBuilder(space.mode, space.shape.size)
+        unit = space.unit_index()
+        for atom in reversed(self.atoms):
+            _compile_atom(builder, space, atom, unit)
+        return builder.build(self.scalar)
 
     def apply_to_index(self, idx: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
         """The word on one basis monomial; None when the image is 0."""

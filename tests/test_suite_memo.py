@@ -1,8 +1,8 @@
 """The suite memo that run_checks opens, and index-level operator equality.
 
-run_checks memoises monomial products for the length of one call; every report must be the one the checks give without either memo, and
-operators_equal must decide and witness exactly as evaluation on monomial
-vectors does.
+run_checks memoises monomial products for the length of one call; every
+report must be the one the checks give without the memo, and operators_equal
+must decide and witness exactly as evaluation on monomial vectors does.
 """
 
 import threading
@@ -174,27 +174,23 @@ def count_calls(monkeypatch, module, name):
 )
 def test_each_product_and_atom_image_is_derived_once(space, monkeypatch):
     checks = build_suite("leibniz", space)
-    weyl._atom_rule.cache_clear()
     # multiply reads superspaces' binding; word compilation reads weyl's
     products = count_calls(monkeypatch, superspaces, "monomial_product")
     atoms = count_calls(monkeypatch, weyl, "apply_atom")
-    lookups = count_calls(monkeypatch, weyl, "_atom_rule")
+    compiled = count_calls(monkeypatch, weyl, "_compile_atom")
     report = run_checks("leibniz", space, checks, 3)
     product_keys = [(s, a.entries, b.entries) for s, a, b in products]
     assert len(product_keys) == len(set(product_keys)) > 0
-    # each atom is checked through apply_atom once, on the unit monomial, when
-    # its rule is first built; every word compiles from those rules
+    # each word compiles once, calling apply_atom once per atom, on the unit
+    # monomial, as the atom joins the word's rule
+    assert compiled and [(s, atom) for s, atom, _ in atoms] == [(s, a) for _, s, a, _ in compiled]
     assert {idx for _, _, idx in atoms} == {space.unit_index()}
-    atom_keys = [(s, atom) for s, atom, _ in atoms]
-    assert len(atom_keys) == len(set(atom_keys)) > 0
-    assert set(atom_keys) == set(lookups)
-    assert len(lookups) > 2 * len(atoms)
     # without the memo the same checks derive the products again and again,
     # while each word object, compiled once, compiles no more
-    n_products, n_lookups = len(products), len(lookups)
+    n_products, n_atoms = len(products), len(atoms)
     assert report.to_json()["relations"] == memo_less(checks, 3)
     assert len(products) - n_products > 2 * n_products
-    assert len(lookups) == n_lookups and len(atoms) == len(atom_keys)
+    assert len(atoms) == n_atoms and len(compiled) == n_atoms
 
 
 # ---------------------------------------------------------------------------
