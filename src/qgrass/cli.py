@@ -120,6 +120,29 @@ def _space_from_args(args):
         raise UsageError(str(exc)) from exc
 
 
+# The most basis monomials a dims, simple or check-* run may enumerate, summed
+# over its degree range.  The runs of scripts/run_full_verification.py and of
+# the benchmark hold at most a few hundred (tests/test_cli.py checks each).
+MAX_MONOMIALS = 10_000
+
+
+def _degrees(space, t_min: int, t_max: int) -> dict[int, int]:
+    """dim_formula of each degree t_min..t_max, clipped to the top degree;
+    refused before any basis is built when the degrees hold more than
+    MAX_MONOMIALS monomials, or are more than that many."""
+    top = top_degree(space)
+    degrees = range(t_min, (t_max if top is None else min(t_max, top)) + 1)
+    if len(degrees) > MAX_MONOMIALS:  # too many to sum dim_formula over
+        size, unit = len(degrees), "degrees"
+    else:
+        dims = {t: dim_formula(space, t) for t in degrees}
+        size, unit = sum(dims.values()), "basis monomials"
+    if size > MAX_MONOMIALS:
+        raise UsageError(f"degrees {t_min}..{degrees[-1]} span {size:,} {unit}, "
+                         f"more than the limit of {MAX_MONOMIALS:,}; lower --t-max")
+    return dims
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -250,12 +273,9 @@ def _generator(kind: Gen, i: int, space) -> OperatorWord:
 
 def _cmd_dims(args) -> int:
     space = _space_from_args(args)
-    top = top_degree(space)
-    t_hi = args.t_max if top is None else min(args.t_max, top)
     rows = []
     ok = True
-    for t in range(t_hi + 1):
-        formula = dim_formula(space, t)
+    for t, formula in _degrees(space, 0, args.t_max).items():
         enum = len(basis_of_degree(space, t))
         rows.append(
             {"t": t, "dim_formula": formula, "dim_enum": enum, "equal": formula == enum}
@@ -287,6 +307,7 @@ def _cmd_act(args) -> int:
 
 def _cmd_check(args) -> int:
     space = _space_from_args(args)
+    _degrees(space, 0, args.t_max)
     report = args.check(space, args)
     payload = {"config": _config(args), **report.to_json()}
     _emit(payload, args)
@@ -343,12 +364,10 @@ def _cmd_simple(args) -> int:
     if args.t_min < 0:
         raise UsageError("--t-min must be nonnegative")
     space = _space_from_args(args)
-    top = top_degree(space)
-    t_hi = args.t_max if top is None else min(args.t_max, top)
     reports = []
     rows = []
     ok = True
-    for t in range(args.t_min, t_hi + 1):
+    for t in _degrees(space, args.t_min, args.t_max):
         rep = component_report(space, t)
         reports.append(rep.to_json())
         rows.append(

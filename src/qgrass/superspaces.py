@@ -21,7 +21,6 @@ structure constants are zero at the root of unity, which is asserted).
 from __future__ import annotations
 
 import functools
-import itertools
 import sys
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -454,21 +453,20 @@ def parity_map(u: SuperVector) -> SuperVector:
 
 @functools.lru_cache(maxsize=None)
 def basis_of_degree(space: SpaceSpec, t: int) -> tuple[MultiIndex, ...]:
-    """All valid basis keys of total degree t, in lexicographic order."""
-    if t < 0:
-        return ()
+    """All valid basis keys of total degree t, in lexicographic order: the
+    compositions of t with at most 1 in an exterior direction and at most
+    ell - 1 in a restricted divided-power one."""
     shape = space.shape
-    cap = shape.restricted_ell
-    ranges = []
-    for fer in shape.fermionic_mask:
-        if fer:
-            ranges.append(range(0, min(1, t) + 1))
-        else:
-            hi = t if cap is None else min(t, cap - 1)
-            ranges.append(range(0, hi + 1))
-    out = [
-        MultiIndex(entries, shape)
-        for entries in itertools.product(*ranges)
-        if sum(entries) == t
-    ]
-    return tuple(out)  # itertools.product over ascending ranges is lex order
+    cap = t if shape.restricted_ell is None else shape.restricted_ell - 1
+    caps = [1 if fer else cap for fer in shape.fermionic_mask]
+    total = sum(caps)
+    if not 0 <= t <= total:
+        return ()
+    # tails[s]: the compositions of s over the positions from the current one
+    # on, in lex order, for each s the positions before can complete to t
+    tails, after = {0: [()]}, 0
+    for c in reversed(caps):
+        after += c
+        tails = {s: [(v,) + rest for v in range(min(c, s) + 1) for rest in tails.get(s - v, ())]
+                 for s in range(max(0, t - total + after), min(t, after) + 1)}
+    return tuple(MultiIndex._wrap(entries, shape) for entries in tails[t])

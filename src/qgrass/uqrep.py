@@ -45,7 +45,9 @@ from .weyl import (
     PairCheck,
     Relation,
     RelationReport,
+    _acting,
     apply_word,
+    leibniz_check,
     mult_x,
     parity,
     partial,
@@ -310,50 +312,29 @@ def verify_module_algebra(space: SpaceSpec, t_max: int) -> RelationReport:
     checks: list = []
 
     par = generator_word(Gen.PARITY, 0, space)
-
-    def pair_check(name, fn):
-        checks.append(PairCheck(name, space, fn))
-
+    act_par = _acting(par)
     for j in range(1, size):
-        e_j = generator_word(Gen.E, j, space)
-        f_j = generator_word(Gen.F, j, space)
-        sk_j = generator_word(Gen.SK, j, space)
-        skinv_j = generator_word(Gen.SKINV, j, space)
+        e_j, f_j, sk_j, skinv_j = (_acting(generator_word(g, j, space))
+                                   for g in (Gen.E, Gen.F, Gen.SK, Gen.SKINV))
         odd = j == m
+        checks.append(leibniz_check(f"E{j} twisted Leibniz", space, e_j,
+                                    act_par if odd else None, sk_j))
+        f_left = (lambda u, skinv_j=skinv_j: act_par(skinv_j(u))) if odd else skinv_j
+        checks.append(leibniz_check(f"F{j} twisted Leibniz", space, f_j, f_left))
 
-        def e_fn(u, v, e_j=e_j, sk_j=sk_j, odd=odd):
-            lhs = apply_word(e_j, multiply(u, v))
-            left = u if not odd else apply_word(par, u)
-            rhs = multiply(apply_word(e_j, u), apply_word(sk_j, v)) + multiply(
-                left, apply_word(e_j, v)
-            )
-            return lhs, rhs
+    def automorphism(name: str, g: OperatorWord) -> PairCheck:
+        """g(uv) = g(u) g(v); g(u) is taken once per monomial."""
 
-        def f_fn(u, v, f_j=f_j, skinv_j=skinv_j, odd=odd):
-            lhs = apply_word(f_j, multiply(u, v))
-            left = apply_word(skinv_j, u)
-            if odd:
-                left = apply_word(par, left)
-            rhs = multiply(apply_word(f_j, u), v) + multiply(left, apply_word(f_j, v))
-            return lhs, rhs
+        def fn(a, b):
+            (u, g_u), (v, g_v) = a, b
+            return apply_word(g, multiply(u, v)), multiply(g_u, g_v)
 
-        pair_check(f"E{j} twisted Leibniz", e_fn)
-        pair_check(f"F{j} twisted Leibniz", f_fn)
+        return PairCheck(name, space, fn, lambda u: (u, apply_word(g, u)))
 
     for i in range(1, size + 1):
-        k_i = generator_word(Gen.K, i, space)
-
-        def k_fn(u, v, k_i=k_i):
-            return apply_word(k_i, multiply(u, v)), multiply(
-                apply_word(k_i, u), apply_word(k_i, v)
-            )
-
-        pair_check(f"K{i} is an algebra automorphism", k_fn)
-
-    def par_fn(u, v):
-        return apply_word(par, multiply(u, v)), multiply(apply_word(par, u), apply_word(par, v))
-
-    pair_check("parity is an algebra automorphism", par_fn)
+        checks.append(automorphism(f"K{i} is an algebra automorphism",
+                                   generator_word(Gen.K, i, space)))
+    checks.append(automorphism("parity is an algebra automorphism", par))
     return run_checks("module-algebra", space, checks, t_max)
 
 

@@ -19,7 +19,10 @@ have.  Relation suites instantiate the defining relation systems of the
 derivative algebra, its pointed-Hopf cover, and the quantum Weyl algebra of
 (m|n)-type as operator identities, decided by exhaustive evaluation on
 graded bases up to a degree bound; the identities are degree-homogeneous, so
-this is sound for the degrees checked.  While ``run_checks`` runs one suite,
+this is sound for the degrees checked.  ``operators_equal`` compares a
+one-word side by its rule image, a longer side by its summed image in that
+form; a PairCheck takes the one-factor images of its law once per monomial
+through its unary map.  While ``run_checks`` runs one suite,
 every monomial product it derives is memoised per space in the suite memo
 and dropped when the call returns; outside it each is computed afresh.
 """
@@ -70,6 +73,7 @@ __all__ = [
     "Relation",
     "PairCheck",
     "TripleCheck",
+    "leibniz_check",
     "CheckResult",
     "RelationReport",
     "SUITE_NAMES",
@@ -370,17 +374,26 @@ def _degree_range(space: SpaceSpec, t_max: int) -> range:
     return range(t_max + 1)
 
 
-def _index_image(images: list[Callable], idx: MultiIndex) -> dict[MultiIndex, ScalarQ]:
-    """Terms of apply_expr on monomial idx, summed straight from the rule
-    images of the expression's words."""
-    out: dict[MultiIndex, ScalarQ] = {}
-    for image in images:
-        hit = image(idx)
-        if hit is None:
-            continue
-        coeff, target = hit
-        add_term(out, target, coeff)
-    return out
+def _side_image(expr: tuple[OperatorWord, ...]) -> Callable:
+    """One side of operators_equal as a map from a monomial to its image: None
+    (zero), (coeff, target), or a dict of two or more terms.  A one-word side
+    is the word's rule image itself; a longer side sums its words' images."""
+    if len(expr) == 1:
+        return expr[0].rule.image
+    images = [w.rule.image for w in expr]
+
+    def summed(idx: MultiIndex):
+        out: dict[MultiIndex, ScalarQ] = {}
+        for image in images:
+            hit = image(idx)
+            if hit is not None:
+                add_term(out, hit[1], hit[0])
+        if len(out) != 1:
+            return out or None
+        ((target, coeff),) = out.items()
+        return coeff, target
+
+    return summed
 
 
 def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int) -> EqualityResult:
@@ -390,11 +403,10 @@ def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int
     space = (exprA or exprB)[0].space
     if any(w.space != space for w in exprA + exprB):
         raise InvalidAtomError("operator and vector live on different spaces")
-    resolvedA = [w.rule.image for w in exprA]
-    resolvedB = [w.rule.image for w in exprB]
+    sideA, sideB = _side_image(exprA), _side_image(exprB)
     for t in _degree_range(space, t_max):
         for idx in basis_of_degree(space, t):
-            if _index_image(resolvedA, idx) != _index_image(resolvedB, idx):
+            if sideA(idx) != sideB(idx):
                 u = SuperVector.monomial(space, idx)
                 return EqualityResult(
                     False,
@@ -438,23 +450,36 @@ class Relation:
         return CheckResult(self.name, res.equal, res.witness)
 
 
+def _monomial_vector(u: SuperVector) -> SuperVector:
+    return u
+
+
 @dataclass
 class PairCheck:
-    """Identity quantified over ordered pairs of basis monomials."""
+    """Identity quantified over ordered pairs of basis monomials.
+
+    ``unary`` maps one monomial vector to what ``fn`` needs of it alone (by
+    default the vector itself); ``run`` evaluates it once per basis monomial
+    of degree <= t_max and hands ``fn`` the two images of each pair, so an
+    image that depends on one argument, such as d_i(u) in a twisted-Leibniz
+    law, is not recomputed for every partner.  The images live for one run.
+    """
 
     name: str
     space: SpaceSpec
-    fn: Callable[[SuperVector, SuperVector], tuple[SuperVector, SuperVector]]
+    fn: Callable[[object, object], tuple[SuperVector, SuperVector]]
+    unary: Callable[[SuperVector], object] = _monomial_vector
 
     def run(self, t_max: int) -> CheckResult:
         space = self.space
-        for t1 in _degree_range(space, t_max):
+        degrees = _degree_range(space, t_max)
+        images = [[(idx, self.unary(SuperVector.monomial(space, idx)))
+                   for idx in basis_of_degree(space, t)] for t in degrees]
+        for t1 in degrees:
             for t2 in _degree_range(space, t_max - t1):
-                for ia in basis_of_degree(space, t1):
-                    u = SuperVector.monomial(space, ia)
-                    for ib in basis_of_degree(space, t2):
-                        v = SuperVector.monomial(space, ib)
-                        lhs, rhs = self.fn(u, v)
+                for ia, a in images[t1]:
+                    for ib, b in images[t2]:
+                        lhs, rhs = self.fn(a, b)
                         if lhs != rhs:
                             return CheckResult(
                                 self.name,
@@ -890,6 +915,28 @@ def _suite_weyl_root(space: SpaceSpec, want_parity: QParity) -> list:
     return checks
 
 
+def leibniz_check(name: str, space: SpaceSpec, op: Callable[[SuperVector], SuperVector],
+                  left: Callable[[SuperVector], SuperVector] | None = None,
+                  right: Callable[[SuperVector], SuperVector] | None = None) -> PairCheck:
+    """The twisted Leibniz law op(uv) = op(u) right(v) + left(u) op(v), a
+    missing map being the identity, as a PairCheck whose unary map takes
+    op(u), left(u) and right(u) once per monomial."""
+
+    def unary(u: SuperVector):
+        return u, op(u), u if left is None else left(u), u if right is None else right(u)
+
+    def fn(a, b):
+        u, op_u, left_u, _ = a
+        v, op_v, _, right_v = b
+        return op(multiply(u, v)), multiply(op_u, right_v) + multiply(left_u, op_v)
+
+    return PairCheck(name, space, fn, unary)
+
+
+def _acting(w: OperatorWord) -> Callable[[SuperVector], SuperVector]:
+    return functools.partial(apply_word, w)
+
+
 def _suite_leibniz(space: SpaceSpec) -> list:
     """Twisted Leibniz laws of the derivatives and the twist calculus:
     pairwise derivation laws (both grading-twist sign choices), the label
@@ -900,32 +947,17 @@ def _suite_leibniz(space: SpaceSpec) -> list:
     size = space.shape.size
     fermi = set(space.shape.fermionic_positions())
 
-    def leibniz_fn(i: int, sign: int):
-        e_i = _gen_label(space, i)
-        d_i = _w(space, partial(i))
-        if i in fermi:
-            tw, s_i = _w(space, theta_op(-e_i), tau(i)), None
-        else:
-            tw, s_i = _w(space, theta_op(-e_i), sigma(i, sign)), _w(space, sigma(i, -sign))
-
-        def fn(u: SuperVector, v: SuperVector):
-            lhs = apply_word(d_i, multiply(u, v))
-            right = v if s_i is None else apply_word(s_i, v)
-            rhs = multiply(apply_word(d_i, u), right) + multiply(
-                apply_word(tw, u), apply_word(d_i, v)
-            )
-            return lhs, rhs
-
-        return fn
-
     for i in range(1, size + 1):
+        e_i = _gen_label(space, i)
+        d_i = _acting(_w(space, partial(i)))
         if i in fermi:
-            checks.append(PairCheck(f"d{i} twisted Leibniz (exterior)", space, leibniz_fn(i, 1)))
-        else:
-            for sign in (1, -1):
-                checks.append(
-                    PairCheck(f"d{i} twisted Leibniz (sign {sign:+d})", space, leibniz_fn(i, sign))
-                )
+            tw = _w(space, theta_op(-e_i), tau(i))
+            checks.append(leibniz_check(f"d{i} twisted Leibniz (exterior)", space, d_i, _acting(tw)))
+            continue
+        for sign in (1, -1):
+            tw, s_i = _w(space, theta_op(-e_i), sigma(i, sign)), _w(space, sigma(i, -sign))
+            checks.append(leibniz_check(f"d{i} twisted Leibniz (sign {sign:+d})", space, d_i,
+                                        _acting(tw), _acting(s_i)))
 
     def comm_fn(u: SuperVector, v: SuperVector):
         (ia,) = u.terms
@@ -957,24 +989,15 @@ def _suite_leibniz(space: SpaceSpec) -> list:
     seeds = [idx for t in range(0, 3) for idx in basis_of_degree(space, t)][:6]
     for i in range(1, size + 1):
         e_i = _gen_label(space, i)
-        d_i = _w(space, partial(i))
+        d_i = _acting(_w(space, partial(i)))
+        twist = tau(i) if i in fermi else sigma(i, -1)
+        right = None if i in fermi else _acting(_w(space, sigma(i, 1)))
         for lab in seeds:
             u0 = SuperVector.monomial(space, lab)
-            if i in fermi:
-                tw, s_i = _w(space, theta_op(lab - e_i), tau(i)), None
-            else:
-                tw, s_i = _w(space, theta_op(lab - e_i), sigma(i, -1)), _w(space, sigma(i, 1))
-
-            def fn(v, w, u0=u0, d_i=d_i, tw=tw, s_i=s_i):
-                op = lambda z: multiply(u0, apply_word(d_i, z))
-                lhs = op(multiply(v, w))
-                right = w if s_i is None else apply_word(s_i, w)
-                rhs = multiply(op(v), right) + multiply(apply_word(tw, v), op(w))
-                return lhs, rhs
-
-            checks.append(
-                PairCheck(f"(x^{lab} d{i}) composite derivation", space, fn)
-            )
+            checks.append(leibniz_check(
+                f"(x^{lab} d{i}) composite derivation", space,
+                lambda z, u0=u0, d_i=d_i: multiply(u0, d_i(z)),
+                _acting(_w(space, theta_op(lab - e_i), twist)), right))
     return checks
 
 

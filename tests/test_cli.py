@@ -7,6 +7,7 @@ import pytest
 
 from qgrass import cli
 from qgrass.cli import main
+from qgrass.superspaces import basis_of_degree
 
 SWEEP_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_full_verification.py"
 
@@ -200,6 +201,8 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("usage: qgrass dims")
 
 
+OMEGA33 = ["--family", "omega", "--m", "3", "--n", "3"]
+
 ILL_POSED = {
     "atom at position 0": ["act", *OMEGA11, "--word", "d0", "--monomial", "(1|1)"],
     "twist at position 0": ["act", *OMEGA11, "--word", "s0", "--monomial", "(1|1)"],
@@ -265,6 +268,12 @@ ILL_POSED = {
     "check-dq on the restricted dual side": ["check-dq", "--family", "dual-restricted",
                                              "--m", "1", "--n", "1", "--d", "3"],
     "check-weyl on the affine space": ["check-weyl", "--family", "affine", "--m", "1", "--n", "1"],
+    "check-weyl over too many monomials": ["check-weyl", "--suite", "generic", *OMEGA33,
+                                           "--t-max", "40"],
+    "simple over too many monomials": ["simple", *OMEGA33, "--t-max", "40"],
+    "dims over too many monomials": ["dims", *OMEGA33, "--t-max", "40"],
+    "dims over too many degrees": ["dims", "--family", "omega", "--m", "0", "--n", "2",
+                                   "--t-max", "1000000000"],
 }
 
 
@@ -275,6 +284,41 @@ def test_ill_posed_input_exits_2(capsys, argv):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_oversized_run_names_its_size(capsys):
+    code, _, err = call(capsys, ILL_POSED["check-weyl over too many monomials"])
+    assert code == 2
+    assert f"88,641 basis monomials, more than the limit of {cli.MAX_MONOMIALS:,}" in err
+
+
+def load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_sweep_and_benchmark_run_passes_the_size_guard():
+    # parse each argv the sweep script and the benchmark send, and guard its
+    # degree range as the command would, without running it
+    root = SWEEP_SCRIPT.parents[1]
+    workloads = load(root / "perfbench" / "workloads.py", "perfbench_workloads")
+    argvs = [argv for _, argv in load(SWEEP_SCRIPT, "run_full_verification").RUNS]
+    argvs += [cmd.split() for _, cmd in workloads.SWEEP_JOBS + workloads.CERTIFY_JOBS]
+    argvs += [argv for argv in workloads.query_pool() if argv[0] == "dims"]
+    largest = 0
+    guarded = 0
+    for argv in argvs:
+        args = cli._parser(cli.build_parser).parse_args(argv)
+        if not hasattr(args, "t_max"):
+            continue
+        space = cli._space_from_args(args)
+        degrees = cli._degrees(space, getattr(args, "t_min", 0), args.t_max)
+        largest = max(largest, sum(len(basis_of_degree(space, t)) for t in degrees))
+        guarded += 1
+    assert guarded > 400
+    assert largest <= cli.MAX_MONOMIALS
 
 
 def test_empty_tables_stay_valid_json(capsys):

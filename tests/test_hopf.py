@@ -139,6 +139,19 @@ def test_taft_orders_validation():
         build("taft-orders-generalized", orders=(2,), group_orders=(3,), mode=D6)
 
 
+@pytest.mark.parametrize("d", range(3, 25))
+def test_taft_orders_diagonal_entry_has_exact_order(d):
+    # build puts q^(d/o) on the diagonal for an order o dividing d, and checks
+    # no more than the divisibility: the exact order holds by construction
+    mode = root_of_unity(d)
+    one = mode.one()
+    for o in (o for o in range(1, d + 1) if d % o == 0):
+        val = mode.q_power(d // o)
+        assert [k for k in range(1, o + 1) if val**k == one] == [o]
+        if o > 1:
+            assert build("taft-orders", orders=(o,), mode=mode).chi[0][0] == val
+
+
 def test_gq_restricted_dimension_equals_taft():
     g = build("gq-restricted", m=1, n=1, mode=D3)
     t = build("taft-mn", m=1, n=1, mode=D3)

@@ -201,6 +201,30 @@ def test_basis_is_lex_sorted_and_capped():
     assert basis_of_degree(OMEGA11_R3, top + 1) == ()
 
 
+def filtered_product(space, t):
+    """The basis as the product of the full per-coordinate ranges, filtered by
+    degree: the enumeration basis_of_degree must agree with."""
+    shape, cap = space.shape, space.shape.restricted_ell
+    ranges = [range(min(1, t) + 1) if fer else range((t if cap is None else min(t, cap - 1)) + 1)
+              for fer in shape.fermionic_mask]
+    return tuple(MultiIndex(e, shape) for e in itertools.product(*ranges) if sum(e) == t)
+
+
+@pytest.mark.parametrize("mode", [GENERIC, D3, root_of_unity(5)], ids=["generic", "d3", "d5"])
+def test_basis_is_the_filtered_product_of_coordinate_ranges(mode):
+    spaces = 0
+    for family, m, n in itertools.product(Family, range(4), range(3)):
+        try:
+            space = make_space(family, m, n, mode)
+        except ValueError:  # restricted families need a root of unity
+            continue
+        spaces += 1
+        for t in range(9):
+            assert basis_of_degree(space, t) == filtered_product(space, t), (family, m, n, t)
+        assert basis_of_degree(space, -1) == ()
+    assert spaces == (3 if mode is GENERIC else 5) * 12
+
+
 def test_dual_restricted_top_degree():
     space = make_space(Family.DUAL_RESTRICTED, 2, 1, D3)
     assert top_degree(space) == 2 + 2
