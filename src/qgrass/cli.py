@@ -25,6 +25,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -120,18 +121,23 @@ def _space_from_args(args):
         raise UsageError(str(exc)) from exc
 
 
-# The most basis monomials a dims, simple or check-* run may enumerate, summed
-# over its degree range.  The runs of scripts/run_full_verification.py and of
-# the benchmark hold at most a few hundred (tests/test_cli.py checks each).
+# The most basis monomials a dims, simple or check-* run may enumerate over its
+# degree range, and the most pairs (triples, for the leibniz suite) of them a
+# check-* run may quantify over.  The sweep script and the benchmark need at
+# most a few hundred monomials, 301 pairs and 1,372 triples (tests/test_cli.py).
 MAX_MONOMIALS = 10_000
+MAX_TUPLES = 20_000
 
 
 def _degrees(space, t_min: int, t_max: int) -> dict[int, int]:
     """dim_formula of each degree t_min..t_max, clipped to the top degree;
-    refused before any basis is built when the degrees hold more than
-    MAX_MONOMIALS monomials, or are more than that many."""
+    refused before any basis is built when the range is empty, or holds more
+    than MAX_MONOMIALS monomials, or is more than that many degrees."""
     top = top_degree(space)
     degrees = range(t_min, (t_max if top is None else min(t_max, top)) + 1)
+    if not degrees:  # empty, or above the top degree
+        raise UsageError(f"degrees {t_min}..{t_max} hold no basis monomial"
+                         + ("" if t_min > t_max else f" (the top degree is {top})"))
     if len(degrees) > MAX_MONOMIALS:  # too many to sum dim_formula over
         size, unit = len(degrees), "degrees"
     else:
@@ -141,6 +147,29 @@ def _degrees(space, t_min: int, t_max: int) -> dict[int, int]:
         raise UsageError(f"degrees {t_min}..{degrees[-1]} span {size:,} {unit}, "
                          f"more than the limit of {MAX_MONOMIALS:,}; lower --t-max")
     return dims
+
+
+def _tuples(dims: dict[int, int], k: int, t_max: int) -> int:
+    """How many pairs (k = 2) or triples (k = 3) of monomials of the degrees
+    0..top in dims have degree sum <= t_max."""
+    upto = list(itertools.accumulate(dims.values()))  # monomials of degree <= t
+    top = len(upto) - 1
+
+    def pairs(budget: int) -> int:
+        return sum(d * upto[min(top, budget - t)] for t, d in dims.items() if t <= budget)
+
+    return pairs(t_max) if k == 2 else sum(d * pairs(t_max - t) for t, d in dims.items())
+
+
+def _check_size(args, dims: dict[int, int]) -> None:
+    """Refuse a check-* run whose pair laws (check-leibniz, leibniz suite) or triple
+    laws (leibniz suite) span more than MAX_TUPLES; pairs first, bounding that work."""
+    laws = 2 if getattr(args, "suite", None) == "leibniz" else int(args.command == "check-leibniz")
+    for k, unit in ((2, "pairs"), (3, "triples"))[:laws]:
+        size = _tuples(dims, k, args.t_max)
+        if size > MAX_TUPLES:
+            raise UsageError(f"degrees 0..{args.t_max} give {size:,} {unit} of basis monomials, "
+                             f"more than the limit of {MAX_TUPLES:,}; lower --t-max")
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -165,8 +194,6 @@ def _emit(payload: dict, args, csv_rows: list[dict] | None = None) -> None:
     if args.format == "csv":
         if csv_rows is None:
             raise UsageError("this subcommand has no CSV table; use --format json")
-        if not csv_rows:
-            raise UsageError("the degree range is empty, so the CSV table has no rows")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()))
         writer.writeheader()
@@ -307,7 +334,7 @@ def _cmd_act(args) -> int:
 
 def _cmd_check(args) -> int:
     space = _space_from_args(args)
-    _degrees(space, 0, args.t_max)
+    _check_size(args, _degrees(space, 0, args.t_max))
     report = args.check(space, args)
     payload = {"config": _config(args), **report.to_json()}
     _emit(payload, args)

@@ -393,7 +393,7 @@ class SuperVector:
 
 
 # The memo of one weyl.run_checks call: per space, a product table
-# {(a.entries, b.entries): monomial_product result} read by multiply.  Set
+# {(a.entries, b.entries): monomial_product result} read by product_of.  Set
 # only while run_checks runs; a context variable, so a thread outside that
 # call never sees it.  A call that raises stores nothing.
 suite_memo: ContextVar[dict | None] = ContextVar("suite_memo", default=None)
@@ -411,6 +411,30 @@ def suite_products(space: SpaceSpec) -> dict | None:
     return products
 
 
+def product_of(space: SpaceSpec, products: dict | None, a: MultiIndex,
+               b: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
+    """monomial_product(space, a, b), computed once into products, a table of
+    suite_products, or afresh when products is None."""
+    if products is None:
+        return monomial_product(space, a, b)
+    key = (a.entries, b.entries)
+    hit = products.get(key, _MISS)
+    if hit is _MISS:
+        hit = products[key] = monomial_product(space, a, b)
+    return hit
+
+
+def add_products(space: SpaceSpec, products: dict | None, u: dict, v: dict, out: dict) -> dict:
+    """Add the product of two term maps ({MultiIndex: ScalarQ}) into the term
+    map out and return it; each monomial product goes through product_of."""
+    for ia, ca in u.items():
+        for ib, cb in v.items():
+            hit = product_of(space, products, ia, ib)
+            if hit is not None:
+                add_term(out, hit[1], hit[0] * ca * cb)
+    return out
+
+
 def multiply(u: SuperVector, v: SuperVector) -> SuperVector:
     """Bilinear extension of the monomial structure constants.
 
@@ -420,21 +444,7 @@ def multiply(u: SuperVector, v: SuperVector) -> SuperVector:
     """
     u._check(v)
     space = u.space
-    products = suite_products(space)
-    out: dict[MultiIndex, ScalarQ] = {}
-    for ia, ca in u.terms.items():
-        for ib, cb in v.terms.items():
-            if products is None:
-                hit = monomial_product(space, ia, ib)
-            else:
-                key = (ia.entries, ib.entries)
-                hit = products.get(key, _MISS)
-                if hit is _MISS:
-                    hit = products[key] = monomial_product(space, ia, ib)
-            if hit is None:
-                continue
-            coeff, idx = hit
-            add_term(out, idx, coeff * ca * cb)
+    out = add_products(space, suite_products(space), u.terms, v.terms, {})
     return SuperVector._wrap(space, out)
 
 

@@ -37,16 +37,15 @@ from .superspaces import (
     SpaceSpec,
     SuperVector,
     basis_of_degree,
-    multiply,
     top_degree,
 )
 from .weyl import (
     OperatorWord,
-    PairCheck,
     Relation,
     RelationReport,
     _acting,
     apply_word,
+    coproduct_check,
     leibniz_check,
     mult_x,
     parity,
@@ -322,19 +321,10 @@ def verify_module_algebra(space: SpaceSpec, t_max: int) -> RelationReport:
         f_left = (lambda u, skinv_j=skinv_j: act_par(skinv_j(u))) if odd else skinv_j
         checks.append(leibniz_check(f"F{j} twisted Leibniz", space, f_j, f_left))
 
-    def automorphism(name: str, g: OperatorWord) -> PairCheck:
-        """g(uv) = g(u) g(v); g(u) is taken once per monomial."""
-
-        def fn(a, b):
-            (u, g_u), (v, g_v) = a, b
-            return apply_word(g, multiply(u, v)), multiply(g_u, g_v)
-
-        return PairCheck(name, space, fn, lambda u: (u, apply_word(g, u)))
-
-    for i in range(1, size + 1):
-        checks.append(automorphism(f"K{i} is an algebra automorphism",
-                                   generator_word(Gen.K, i, space)))
-    checks.append(automorphism("parity is an algebra automorphism", par))
+    # K_i and the parity are algebra automorphisms: g(uv) = g(u) g(v)
+    automorphisms = {f"K{i}": _acting(generator_word(Gen.K, i, space)) for i in range(1, size + 1)}
+    for name, g in {**automorphisms, "parity": act_par}.items():
+        checks.append(coproduct_check(f"{name} is an algebra automorphism", space, g, ((g, g),)))
     return run_checks("module-algebra", space, checks, t_max)
 
 

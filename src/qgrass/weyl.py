@@ -21,10 +21,10 @@ derivative algebra, its pointed-Hopf cover, and the quantum Weyl algebra of
 graded bases up to a degree bound; the identities are degree-homogeneous, so
 this is sound for the degrees checked.  ``operators_equal`` compares a
 one-word side by its rule image, a longer side by its summed image in that
-form; a PairCheck takes the one-factor images of its law once per monomial
-through its unary map.  While ``run_checks`` runs one suite,
-every monomial product it derives is memoised per space in the suite memo
-and dropped when the call returns; outside it each is computed afresh.
+form.  Pair and triple laws run on term maps: a PairCheck takes one-factor
+images once per monomial, and a law g(uv) = sum g1(u) g2(v) reads g(uv) as
+c g(w) for uv = c x^w.  While ``run_checks`` runs one suite, every monomial
+product is computed once into a per-space table, dropped when it returns.
 """
 
 from __future__ import annotations
@@ -46,11 +46,14 @@ from .superspaces import (
     RuleBuilder,
     SpaceSpec,
     SuperVector,
+    add_products,
     basis_of_degree,
     make_space,
     monomial_product,
     multiply,
+    product_of,
     suite_memo,
+    suite_products,
     top_degree,
 )
 
@@ -73,6 +76,7 @@ __all__ = [
     "Relation",
     "PairCheck",
     "TripleCheck",
+    "coproduct_check",
     "leibniz_check",
     "CheckResult",
     "RelationReport",
@@ -326,10 +330,6 @@ class OperatorWord:
             _compile_atom(builder, space, atom, unit)
         return builder.build(self.scalar)
 
-    def apply_to_index(self, idx: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
-        """The word on one basis monomial; None when the image is 0."""
-        return self.rule.image(idx)
-
 
 def apply_word(w: OperatorWord, u: SuperVector) -> SuperVector:
     if w.space != u.space:
@@ -450,43 +450,44 @@ class Relation:
         return CheckResult(self.name, res.equal, res.witness)
 
 
-def _monomial_vector(u: SuperVector) -> SuperVector:
-    return u
+def _failure(check, key: str, factors: tuple[MultiIndex, ...], lhs: dict, rhs: dict) -> CheckResult:
+    """A failing pair or triple of a check, its two sides as vectors."""
+    space = check.space
+    return CheckResult(check.name, False, {key: [str(i) for i in factors],
+                                           "lhs": SuperVector._wrap(space, lhs).to_json(),
+                                           "rhs": SuperVector._wrap(space, rhs).to_json()})
 
 
 @dataclass
 class PairCheck:
-    """Identity quantified over ordered pairs of basis monomials.
+    """Identity quantified over ordered pairs of basis monomials, on term maps.
 
-    ``unary`` maps one monomial vector to what ``fn`` needs of it alone (by
-    default the vector itself); ``run`` evaluates it once per basis monomial
-    of degree <= t_max and hands ``fn`` the two images of each pair, so an
-    image that depends on one argument, such as d_i(u) in a twisted-Leibniz
-    law, is not recomputed for every partner.  The images live for one run.
+    ``run`` takes ``unary`` (the term maps a law needs of one factor alone,
+    such as d_i(u)) once per monomial of degree <= t_max, keyed by entries,
+    then calls ``fn(a, b, images, products)`` per pair of indices, products
+    being the table of superspaces.product_of.  ``fn`` returns both sides as
+    term maps; only a failing pair becomes vectors, for its witness.
     """
 
     name: str
     space: SpaceSpec
-    fn: Callable[[object, object], tuple[SuperVector, SuperVector]]
-    unary: Callable[[SuperVector], object] = _monomial_vector
+    fn: Callable[[MultiIndex, MultiIndex, dict, dict | None], tuple[dict, dict]]
+    unary: Callable[[SuperVector], tuple[dict, ...]] | None = None
 
     def run(self, t_max: int) -> CheckResult:
-        space = self.space
+        space, fn, unary = self.space, self.fn, self.unary
         degrees = _degree_range(space, t_max)
-        images = [[(idx, self.unary(SuperVector.monomial(space, idx)))
-                   for idx in basis_of_degree(space, t)] for t in degrees]
+        levels = [basis_of_degree(space, t) for t in degrees]
+        images = {} if unary is None else {idx.entries: unary(SuperVector.monomial(space, idx))
+                                           for level in levels for idx in level}
+        products = suite_products(space)
         for t1 in degrees:
             for t2 in _degree_range(space, t_max - t1):
-                for ia, a in images[t1]:
-                    for ib, b in images[t2]:
-                        lhs, rhs = self.fn(a, b)
+                for ia in levels[t1]:
+                    for ib in levels[t2]:
+                        lhs, rhs = fn(ia, ib, images, products)
                         if lhs != rhs:
-                            return CheckResult(
-                                self.name,
-                                False,
-                                {"pair": [str(ia), str(ib)],
-                                 "lhs": lhs.to_json(), "rhs": rhs.to_json()},
-                            )
+                            return _failure(self, "pair", (ia, ib), lhs, rhs)
         return CheckResult(self.name, True)
 
 
@@ -507,24 +508,19 @@ def _triples(space: SpaceSpec, t_max: int) -> Iterator[tuple[MultiIndex, MultiIn
 
 @dataclass
 class TripleCheck:
-    """Identity quantified over triples of basis monomials (degree sum bound)."""
+    """Identity quantified over triples of basis monomials (degree sum bound),
+    on term maps: ``fn(a, b, c, products)`` as in PairCheck."""
 
     name: str
     space: SpaceSpec
-    fn: Callable[[SuperVector, SuperVector, SuperVector], tuple[SuperVector, SuperVector]]
+    fn: Callable[[MultiIndex, MultiIndex, MultiIndex, dict | None], tuple[dict, dict]]
 
     def run(self, t_max: int) -> CheckResult:
-        space = self.space
-        for ia, ib, ic in _triples(space, t_max):
-            u, v, w = (SuperVector.monomial(space, i) for i in (ia, ib, ic))
-            lhs, rhs = self.fn(u, v, w)
+        products = suite_products(self.space)
+        for abc in _triples(self.space, t_max):
+            lhs, rhs = self.fn(*abc, products)
             if lhs != rhs:
-                return CheckResult(
-                    self.name,
-                    False,
-                    {"triple": [str(ia), str(ib), str(ic)],
-                     "lhs": lhs.to_json(), "rhs": rhs.to_json()},
-                )
+                return _failure(self, "triple", abc, lhs, rhs)
         return CheckResult(self.name, True)
 
 
@@ -915,22 +911,35 @@ def _suite_weyl_root(space: SpaceSpec, want_parity: QParity) -> list:
     return checks
 
 
-def leibniz_check(name: str, space: SpaceSpec, op: Callable[[SuperVector], SuperVector],
-                  left: Callable[[SuperVector], SuperVector] | None = None,
-                  right: Callable[[SuperVector], SuperVector] | None = None) -> PairCheck:
-    """The twisted Leibniz law op(uv) = op(u) right(v) + left(u) op(v), a
-    missing map being the identity, as a PairCheck whose unary map takes
-    op(u), left(u) and right(u) once per monomial."""
+def coproduct_check(name: str, space: SpaceSpec, op: Callable[[SuperVector], SuperVector],
+                    terms: Sequence[tuple[Callable | None, Callable | None]]) -> PairCheck:
+    """The law op(uv) = sum of f(u) g(v) over (f, g) in terms, None being the
+    identity: a PairCheck taking each distinct map once per monomial, and
+    op(uv) as c op(x^w), for uv = c x^w, from those images."""
+    maps = list(dict.fromkeys((op, *itertools.chain(*terms))))
+    where = [(maps.index(f), maps.index(g)) for f, g in terms]
 
     def unary(u: SuperVector):
-        return u, op(u), u if left is None else left(u), u if right is None else right(u)
+        return tuple(u.terms if g is None else g(u).terms for g in maps)
 
-    def fn(a, b):
-        u, op_u, left_u, _ = a
-        v, op_v, _, right_v = b
-        return op(multiply(u, v)), multiply(op_u, right_v) + multiply(left_u, op_v)
+    def fn(a, b, images, products):
+        image_a, image_b, rhs = images[a.entries], images[b.entries], {}
+        for i, j in where:
+            add_products(space, products, image_a[i], image_b[j], rhs)
+        hit = product_of(space, products, a, b)
+        if hit is None:
+            return {}, rhs
+        c, w = hit
+        return {idx: c * x for idx, x in images[w.entries][0].items()}, rhs
 
     return PairCheck(name, space, fn, unary)
+
+
+def leibniz_check(name: str, space: SpaceSpec, op: Callable, left: Callable | None = None,
+                  right: Callable | None = None) -> PairCheck:
+    """The twisted Leibniz law op(uv) = op(u) right(v) + left(u) op(v), a
+    missing map being the identity."""
+    return coproduct_check(name, space, op, ((op, right), (left, op)))
 
 
 def _acting(w: OperatorWord) -> Callable[[SuperVector], SuperVector]:
@@ -959,29 +968,31 @@ def _suite_leibniz(space: SpaceSpec) -> list:
             checks.append(leibniz_check(f"d{i} twisted Leibniz (sign {sign:+d})", space, d_i,
                                         _acting(tw), _acting(s_i)))
 
-    def comm_fn(u: SuperVector, v: SuperVector):
-        (ia,) = u.terms
-        (ib,) = v.terms
-        c = theta(ia, ib, mode)
-        return multiply(u, v), multiply(v, u).scaled(c)
+    one = mode.one()
+
+    def mul(products, u: dict, v: dict) -> dict:
+        return add_products(space, products, u, v, {})
+
+    def comm_fn(a, b, _images, products):
+        return mul(products, {a: one}, {b: one}), mul(products, {b: theta(a, b, mode)}, {a: one})
 
     checks.append(PairCheck("monomial twisted commutation", space, comm_fn))
 
-    def assoc_fn(u, v, w):
-        return multiply(multiply(u, v), w), multiply(u, multiply(v, w))
+    def assoc_fn(a, b, c, products):
+        u, v, w = {a: one}, {b: one}, {c: one}
+        return mul(products, mul(products, u, v), w), mul(products, u, mul(products, v, w))
 
     checks.append(TripleCheck("associativity", space, assoc_fn))
 
-    twists: dict[MultiIndex, OperatorWord] = {}  # the twist word of each left factor
+    @functools.lru_cache(maxsize=None)
+    def twist_image(a: MultiIndex) -> Callable:  # the twist word of a left factor
+        return _w(space, theta_op(a)).rule.image
 
-    def twist_move_fn(u, v, w):
-        (ia,) = u.terms
-        tw = twists.get(ia)
-        if tw is None:
-            tw = twists[ia] = _w(space, theta_op(ia))
-        lhs = multiply(multiply(u, v), w)
-        rhs = multiply(apply_word(tw, v), multiply(u, w))
-        return lhs, rhs
+    def twist_move_fn(a, b, c, products):
+        u, w = {a: one}, {c: one}
+        lhs = mul(products, mul(products, u, {b: one}), w)
+        coeff, _ = twist_image(a)(b)  # a twist keeps b and never vanishes
+        return lhs, mul(products, {b: coeff}, mul(products, u, w))
 
     checks.append(TripleCheck("left factor moves past via its twist", space, twist_move_fn))
 

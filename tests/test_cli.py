@@ -1,13 +1,15 @@
 import importlib.util
+import itertools
 import json
 import os
 import pathlib
 
 import pytest
 
-from qgrass import cli
+from qgrass import cli, weyl
 from qgrass.cli import main
-from qgrass.superspaces import basis_of_degree
+from qgrass.qarith import GENERIC, root_of_unity
+from qgrass.superspaces import basis_of_degree, make_space
 
 SWEEP_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_full_verification.py"
 
@@ -201,6 +203,7 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("usage: qgrass dims")
 
 
+OMEGA21 = ["--family", "omega", "--m", "2", "--n", "1"]
 OMEGA33 = ["--family", "omega", "--m", "3", "--n", "3"]
 
 ILL_POSED = {
@@ -274,6 +277,19 @@ ILL_POSED = {
     "dims over too many monomials": ["dims", *OMEGA33, "--t-max", "40"],
     "dims over too many degrees": ["dims", "--family", "omega", "--m", "0", "--n", "2",
                                    "--t-max", "1000000000"],
+    "check-weyl over no degree": ["check-weyl", "--suite", "generic", *OMEGA21, "--t-max", "-3"],
+    "check-leibniz over no degree": ["check-leibniz", *OMEGA21, "--t-max", "-1"],
+    "check-dq over no degree": ["check-dq", "--suite", "leibniz", *OMEGA21, "--t-max", "-1"],
+    "check-uq over no degree": ["check-uq", *OMEGA21, "--t-max", "-1"],
+    "simple over no degree": ["simple", *OMEGA11, "--t-max", "-1"],
+    "simple with --t-min above --t-max": ["simple", *OMEGA11, "--t-min", "5", "--t-max", "2"],
+    "simple above the top degree": ["simple", "--family", "omega-restricted", *OMEGA21[2:],
+                                    "--q", "root", "--d", "3", "--t-min", "7", "--t-max", "9"],
+    "dims over no degree": ["dims", *OMEGA11, "--t-max", "-1"],
+    "check-leibniz over too many pairs": ["check-leibniz", "--family", "omega", "--m", "3",
+                                          "--n", "2", "--t-max", "12"],
+    "leibniz suite over too many triples": ["check-dq", "--suite", "leibniz", "--family", "omega",
+                                            "--m", "3", "--n", "2", "--t-max", "6"],
 }
 
 
@@ -292,6 +308,35 @@ def test_oversized_run_names_its_size(capsys):
     assert f"88,641 basis monomials, more than the limit of {cli.MAX_MONOMIALS:,}" in err
 
 
+@pytest.mark.parametrize("case, message", [
+    ("check-leibniz over too many pairs",
+     f"139,139 pairs of basis monomials, more than the limit of {cli.MAX_TUPLES:,}"),
+    ("leibniz suite over too many triples",
+     f"33,028 triples of basis monomials, more than the limit of {cli.MAX_TUPLES:,}"),
+    ("check-weyl over no degree", "degrees 0..-3 hold no basis monomial\n"),
+    ("simple with --t-min above --t-max", "degrees 5..2 hold no basis monomial\n"),
+    ("simple above the top degree", "degrees 7..9 hold no basis monomial (the top degree is 5)"),
+])
+def test_refused_run_names_its_range_or_tuples(capsys, case, message):
+    code, _, err = call(capsys, ILL_POSED[case])
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("family, m, n, t_max", [
+    ("omega", 2, 1, 7), ("dual", 1, 2, 5), ("omega-restricted", 2, 1, 9), ("omega", 0, 2, 6)])
+def test_pair_and_triple_counts_are_those_of_the_enumeration(family, m, n, t_max):
+    mode = GENERIC if family == "omega" else root_of_unity(3)
+    space = make_space(family, m, n, mode)
+    dims = cli._degrees(space, 0, t_max)
+    monos = [i for t in dims for i in basis_of_degree(space, t)]
+    for k in (2, 3):
+        tuples = [abc for abc in itertools.product(monos, repeat=k)
+                  if sum(i.degree() for i in abc) <= t_max]
+        assert cli._tuples(dims, k, t_max) == len(tuples)
+    assert len(list(weyl._triples(space, t_max))) == cli._tuples(dims, 3, t_max)
+
+
 def load(path, name):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
@@ -301,13 +346,13 @@ def load(path, name):
 
 def test_every_sweep_and_benchmark_run_passes_the_size_guard():
     # parse each argv the sweep script and the benchmark send, and guard its
-    # degree range as the command would, without running it
+    # degree range, pairs and triples as the command would, without running it
     root = SWEEP_SCRIPT.parents[1]
     workloads = load(root / "perfbench" / "workloads.py", "perfbench_workloads")
     argvs = [argv for _, argv in load(SWEEP_SCRIPT, "run_full_verification").RUNS]
     argvs += [cmd.split() for _, cmd in workloads.SWEEP_JOBS + workloads.CERTIFY_JOBS]
     argvs += [argv for argv in workloads.query_pool() if argv[0] == "dims"]
-    largest = 0
+    largest = {"monomials": 0, 2: 0, 3: 0}
     guarded = 0
     for argv in argvs:
         args = cli._parser(cli.build_parser).parse_args(argv)
@@ -315,14 +360,16 @@ def test_every_sweep_and_benchmark_run_passes_the_size_guard():
             continue
         space = cli._space_from_args(args)
         degrees = cli._degrees(space, getattr(args, "t_min", 0), args.t_max)
-        largest = max(largest, sum(len(basis_of_degree(space, t)) for t in degrees))
+        if args.command.startswith("check-"):
+            cli._check_size(args, degrees)
+        arities = (2, 3) if getattr(args, "suite", None) == "leibniz" else (
+            (2,) if args.command == "check-leibniz" else ())
+        for k in arities:
+            largest[k] = max(largest[k], cli._tuples(degrees, k, args.t_max))
+        monomials = sum(len(basis_of_degree(space, t)) for t in degrees)
+        largest["monomials"] = max(largest["monomials"], monomials)
         guarded += 1
     assert guarded > 400
-    assert largest <= cli.MAX_MONOMIALS
-
-
-def test_empty_tables_stay_valid_json(capsys):
-    code, out, _ = call(capsys, ["dims", *OMEGA11, "--t-max", "-1"])
-    assert (code, json.loads(out)["rows"]) == (0, [])
-    code, out, _ = call(capsys, ["simple", *OMEGA11, "--t-min", "5", "--t-max", "2"])
-    assert (code, json.loads(out)["components"]) == (0, [])
+    assert largest["monomials"] <= cli.MAX_MONOMIALS
+    assert (largest[2], largest[3]) == (301, 1372)
+    assert max(largest[2], largest[3]) <= cli.MAX_TUPLES

@@ -16,6 +16,7 @@ from qgrass.qarith import GENERIC, q_binom, root_of_unity
 from qgrass.superspaces import (
     DUAL_SIDE,
     Family,
+    SuperVector,
     basis_of_degree,
     make_space,
     monomial_product,
@@ -110,7 +111,7 @@ def test_compiled_words_match_atom_by_atom_application(space):
     monos = basis_upto(space, 4)
     for word in words_of(space):
         for idx in monos:
-            assert word.apply_to_index(idx) == step_by_step(word, idx), (word.render(), str(idx))
+            assert word.rule.image(idx) == step_by_step(word, idx), (word.render(), str(idx))
 
 
 def test_the_edge_cases_are_reached():
@@ -120,11 +121,11 @@ def test_the_edge_cases_are_reached():
     idx = MultiIndex((1, 0, 0), omega.shape)
     x1 = mult_x(1)
     assert apply_atom(omega, x1, idx) is not None
-    assert OperatorWord(omega, (x1, x1)).apply_to_index(idx) is None
+    assert OperatorWord(omega, (x1, x1)).rule.image(idx) is None
     restricted = make_space(Family.OMEGA_RESTRICTED, 2, 1, D3)
     for entries in ((1, 0, 0), (2, 0, 0)):
         idx = MultiIndex(entries, restricted.shape)
-        assert OperatorWord(restricted, (x1, x1)).apply_to_index(idx) is None
+        assert OperatorWord(restricted, (x1, x1)).rule.image(idx) is None
         assert step_by_step(OperatorWord(restricted, (x1, x1)), idx) is None
 
 
@@ -177,12 +178,19 @@ def test_budgeted_triples_are_the_filtered_product_in_order(space, t_max):
 
 def test_triple_check_reports_the_first_failing_triple():
     space = make_space(Family.OMEGA, 1, 1)
+    one = space.mode.one()
     seen = []
 
-    def fn(u, v, w):
-        seen.append(tuple(next(iter(x.terms)) for x in (u, v, w)))
-        return u, (u if len(seen) < 7 else v)
+    def fn(a, b, c, products):
+        seen.append((a, b, c))
+        return {a: one}, {a if len(seen) < 7 else b: one}
 
     result = TripleCheck("probe", space, fn).run(2)
     assert not result.passed and len(seen) == 7
-    assert result.witness["triple"] == [str(i) for i in seen[-1]]
+    a, b, c = seen[-1]
+    assert result.witness == {
+        "triple": [str(a), str(b), str(c)],
+        "lhs": SuperVector.monomial(space, a).to_json(),
+        "rhs": SuperVector.monomial(space, b).to_json(),
+    }
+    assert seen == list(_triples(space, 2))[:7]

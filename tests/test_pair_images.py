@@ -1,17 +1,29 @@
-"""Per-monomial images of PairCheck laws, and one-word sides of operators_equal.
+"""Pair and triple laws on term maps, and one-word sides of operators_equal.
 
-A PairCheck's unary map takes the images of one factor once per monomial; the
-pairs, their order and the first witness must be those of the same law
-evaluated pair by pair.  operators_equal compares a one-word side through its
-rule image and brings a longer side to the same form.
+A PairCheck takes the images of one factor once per monomial, and its laws
+read g(uv) as c g(w) from those images (uv = c x^w) and multiply term maps
+through the suite product table; a TripleCheck chains the same lookups.  The
+pairs and triples, their order, the first witness and its lhs/rhs JSON must
+be those of the same law evaluated one tuple at a time on vectors.
+operators_equal compares a one-word side through its rule image and brings a
+longer side to the same form.
 """
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import itertools
+import json
+import pathlib
 
 import pytest
 
-from qgrass import weyl
+from qgrass import cli, superspaces, uqrep, weyl
 from qgrass.indices import MultiIndex
 from qgrass.qarith import GENERIC, root_of_unity
 from qgrass.superspaces import Family, SuperVector, basis_of_degree, make_space, multiply
+from qgrass.uqrep import Gen, generator_word, verify_module_algebra
 from qgrass.weyl import (
     OperatorWord,
     PairCheck,
@@ -22,13 +34,16 @@ from qgrass.weyl import (
     mult_x,
     operators_equal,
     partial,
+    run_checks,
     sigma,
     tau,
     theta_op,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 OMEGA11 = make_space(Family.OMEGA, 1, 1)
 OMEGA21 = make_space(Family.OMEGA, 2, 1)
+MODES = pytest.mark.parametrize("mode", [GENERIC, root_of_unity(3)], ids=["generic", "d3"])
 
 
 def word(space, *atoms, coeff=None):
@@ -52,28 +67,102 @@ def count_calls(monkeypatch, module, name):
 
 
 # ---------------------------------------------------------------------------
-# PairCheck: one-argument images once per monomial
+# the oracle: a law evaluated one tuple at a time on monomial vectors
+# ---------------------------------------------------------------------------
+
+
+def oracle(name, space, law, arity, t_max):
+    """The result the law gives on vectors: pairs by (degree of u, degree of
+    v), then lexicographically, as PairCheck visits them; triples as the
+    degree-bounded product of the degree-sorted basis."""
+    monos = [i for t in range(t_max + 1) for i in basis_of_degree(space, t)]
+    tuples = [abc for abc in itertools.product(monos, repeat=arity)
+              if sum(i.degree() for i in abc) <= t_max]
+    if arity == 2:
+        tuples.sort(key=lambda ab: (ab[0].degree(), ab[1].degree()))
+    for factors in tuples:
+        lhs, rhs = law(*(SuperVector.monomial(space, i) for i in factors))
+        if lhs != rhs:
+            key = "pair" if arity == 2 else "triple"
+            witness = {key: [str(i) for i in factors], "lhs": lhs.to_json(), "rhs": rhs.to_json()}
+            return {"name": name, "status": "fail", "witness": witness}
+    return {"name": name, "status": "pass"}
+
+
+def run_one(space, check, t_max):
+    """One check under a suite memo, so its products go through the table."""
+    (result,) = run_checks("probe", space, [check], t_max).results
+    return result.to_json()
+
+
+def the_check(checks, name):
+    (check,) = [c for c in checks if c.name == name]
+    return check
+
+
+def flip_product(monkeypatch, a, b):
+    """monomial_product with the sign of x^a x^b flipped: one mutated
+    structure constant, seen by the term-map kernel and by multiply alike."""
+    real = superspaces.monomial_product
+
+    def flipped(sp, left, right):
+        hit = real(sp, left, right)
+        if (left.entries, right.entries) == (a.entries, b.entries):
+            return -hit[0], hit[1]
+        return hit
+
+    monkeypatch.setattr(superspaces, "monomial_product", flipped)
+
+
+def assert_mutation_caught(expected, got):
+    assert expected["status"] == "fail"
+    assert got == expected
+    first = expected["witness"].get("pair") or expected["witness"]["triple"]
+    assert set(first) != {"(0,0 | 0)"}  # not the first tuple
+
+
+# ---------------------------------------------------------------------------
+# PairCheck: one-argument images once per monomial, no vector per pair
 # ---------------------------------------------------------------------------
 
 
 def test_leibniz_check_applies_words_once_per_monomial_and_once_per_pair(monkeypatch):
     t_max = 5
-    calls = count_calls(monkeypatch, weyl, "apply_word")
-    (check,) = [c for c in build_suite("leibniz", OMEGA21)
-                if c.name == "d1 twisted Leibniz (sign +1)"]
-    unary = count_calls(monkeypatch, check, "unary")
     dims = levels(OMEGA21, t_max)
     monomials = sum(dims)
     pairs = sum(a * b for i, a in enumerate(dims) for b in dims[: t_max - i + 1])
-    for _ in range(2):
-        calls.clear()
-        assert check.run(t_max).passed
-        # d1(u), tw(u) and s1(u) per monomial, d1(uv) per pair
-        assert len(calls) <= monomials * 3 + pairs
-        # every run takes its images afresh, once per monomial
-        assert len(unary) == monomials
-        unary.clear()
-    assert pairs > 4 * monomials
+    # counted before the laws are built: their maps bind apply_word then
+    words = count_calls(monkeypatch, weyl, "apply_word")
+    products = [count_calls(monkeypatch, module, "multiply") for module in (weyl, superspaces)]
+    checks = build_suite("leibniz", OMEGA21) + verify_module_algebra_checks(monkeypatch, OMEGA21)
+    checks = [c for c in checks if isinstance(c, PairCheck)]
+    assert len(checks) > 20
+    for check in checks:
+        unary = count_calls(monkeypatch, check, "unary") if check.unary else []
+        for _ in range(2):
+            for calls in (words, unary, *products):
+                calls.clear()
+            assert run_one(OMEGA21, check, t_max)["status"] == "pass"
+            # at most three images per monomial (op, left, right), none per pair
+            assert len(words) <= 3 * monomials
+            if check.name == "d1 twisted Leibniz (sign +1)":
+                assert len(words) == 3 * monomials  # d1, tw and s1
+            # the composite law's op multiplies once per monomial, no law per pair
+            assert sum(map(len, products)) <= monomials
+            if "composite" in check.name:
+                assert sum(map(len, products)) == monomials
+            # every run takes its images afresh, once per monomial
+            assert len(unary) == (monomials if check.unary else 0)
+    assert pairs > 8 * monomials
+
+
+def verify_module_algebra_checks(monkeypatch, space):
+    """The checks verify_module_algebra hands to run_checks, not run."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(uqrep, "run_checks", lambda suite, sp, checks, t_max: seen.extend(checks))
+        verify_module_algebra(space, 0)
+    return seen
 
 
 def leibniz_words(space):
@@ -85,9 +174,9 @@ def leibniz_words(space):
     return d1, tw, s1
 
 
-@pytest.mark.parametrize("mode", [GENERIC, root_of_unity(3)], ids=["generic", "d3"])
+@MODES
 def test_mutated_law_fails_at_the_pair_of_pairwise_evaluation(mode):
-    # the sign of the law's second term flipped, evaluated both ways
+    # the sign of the Leibniz law's second term flipped, evaluated both ways
     space = make_space(Family.OMEGA, 2, 1, mode)
     d1, tw, s1 = leibniz_words(space)
 
@@ -99,24 +188,110 @@ def test_mutated_law_fails_at_the_pair_of_pairwise_evaluation(mode):
 
     mapped = leibniz_check("mutated", space, lambda u: apply_word(d1, u),
                            lambda u: -apply_word(tw, u), lambda u: apply_word(s1, u))
-    expected = PairCheck("mutated", space, pairwise).run(4)
-    got = mapped.run(4)
-    assert not expected.passed
-    assert got.to_json() == expected.to_json()
-    assert got.witness["pair"] != ["(0,0 | 0)", "(0,0 | 0)"]  # not the first pair
+    expected = oracle("mutated", space, pairwise, 2, 4)
+    assert_mutation_caught(expected, run_one(space, mapped, 4))
+    assert mapped.run(4).to_json() == expected  # outside a suite memo too
 
 
-def test_default_unary_hands_the_monomial_vectors_to_the_law():
+@MODES
+def test_mutated_automorphism_fails_at_the_pair_of_pairwise_evaluation(monkeypatch, mode):
+    # K1 with its sign flipped on one monomial is no longer an automorphism
+    space = make_space(Family.OMEGA, 2, 1, mode)
+    k1 = generator_word(Gen.K, 1, space)
+    bad = MultiIndex((1, 0, 1), space.shape)
+    real = weyl.apply_word
+
+    def mutated(w, u):
+        image = real(w, u)
+        return -image if w == k1 and bad in u.terms else image
+
+    monkeypatch.setattr(weyl, "apply_word", mutated)
+
+    def pairwise(u, v):
+        return mutated(k1, multiply(u, v)), multiply(mutated(k1, u), mutated(k1, v))
+
+    name = "K1 is an algebra automorphism"
+    report = verify_module_algebra(space, 4).to_json()
+    (got,) = [r for r in report["relations"] if r["name"] == name]
+    assert_mutation_caught(oracle(name, space, pairwise, 2, 4), got)
+    assert [r["name"] for r in report["relations"] if r["status"] == "fail"] == [name]
+
+
+@MODES
+def test_mutated_commutation_fails_at_the_pair_of_pairwise_evaluation(monkeypatch, mode):
+    # theta with its sign flipped on one pair of monomials
+    space = make_space(Family.OMEGA, 2, 1, mode)
+    name = "monomial twisted commutation"
+    check = the_check(build_suite("leibniz", space), name)
+    a, b = (MultiIndex(e, space.shape) for e in ((1, 0, 0), (0, 1, 1)))
+    real = weyl.theta
+
+    def mutated(x, y, md):
+        c = real(x, y, md)
+        return -c if (x, y) == (a, b) else c
+
+    monkeypatch.setattr(weyl, "theta", mutated)
+
+    def pairwise(u, v):
+        ((x,), (y,)) = u.terms, v.terms
+        return multiply(u, v), multiply(v, u).scaled(mutated(x, y, space.mode))
+
+    assert_mutation_caught(oracle(name, space, pairwise, 2, 4), run_one(space, check, 4))
+
+
+@MODES
+@pytest.mark.parametrize("name", ["associativity", "left factor moves past via its twist"])
+def test_mutated_triple_law_fails_at_the_triple_of_vector_evaluation(monkeypatch, mode, name):
+    # one structure constant x1 * x3 with its sign flipped breaks both laws
+    space = make_space(Family.OMEGA, 2, 1, mode)
+    check = the_check(build_suite("leibniz", space), name)
+    x1, x3 = (MultiIndex.basis_vector(space.shape, p) for p in (1, 3))
+    flip_product(monkeypatch, x1, x3)
+
+    def assoc(u, v, w):
+        return multiply(multiply(u, v), w), multiply(u, multiply(v, w))
+
+    def twist_move(u, v, w):
+        (x,) = u.terms
+        return multiply(multiply(u, v), w), multiply(apply_word(word(space, theta_op(x)), v),
+                                                     multiply(u, w))
+
+    law = assoc if name == "associativity" else twist_move
+    assert_mutation_caught(oracle(name, space, law, 3, 3), run_one(space, check, 3))
+
+
+def test_default_pair_check_hands_the_law_each_pair_in_order():
     seen = []
+    one = OMEGA11.mode.one()
 
-    def fn(u, v):
-        seen.append((u, v))
-        return u, u
+    def fn(a, b, images, products):
+        seen.append((a, b))
+        assert images == {}
+        return {a: one}, {a: one}
 
     assert PairCheck("identity", OMEGA11, fn).run(1).passed
-    (unit,), gens = ([SuperVector.monomial(OMEGA11, i) for i in basis_of_degree(OMEGA11, t)]
-                     for t in (0, 1))
+    (unit,), gens = (basis_of_degree(OMEGA11, t) for t in (0, 1))
     assert seen == [(unit, unit)] + [(unit, g) for g in gens] + [(g, unit) for g in gens]
+
+
+def load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("job", ["check-leibniz-omega-2-1", "check-leibniz-dual-2-1",
+                                 "check-leibniz-suite-2-1"])
+def test_pair_and_triple_reports_match_the_benchmark_references(job):
+    workloads = load(ROOT / "perfbench" / "workloads.py", "perfbench_workloads")
+    argv = dict(workloads.SWEEP_JOBS)[job].split()
+    reference = json.loads((ROOT / "perfbench" / "references.json").read_text())["sweep"][job]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == reference["exit"]
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == reference["sha256"]
 
 
 # ---------------------------------------------------------------------------
