@@ -15,7 +15,8 @@ products are single monomials again (or zero), with structure constants:
 
 Restricted variants cap divided-power exponents at ell - 1 where
 ell = char(q) >= 3; products overflowing the cap vanish (their binomial
-structure constants are zero at the root of unity, which is asserted).
+structure constants are zero at the root of unity; a nonzero one raises
+ArithmeticError).
 """
 
 from __future__ import annotations
@@ -147,10 +148,11 @@ class MonomialRule:
     B(a) the product of [a_i + off + k choose k]_q over ``binoms`` (i, off, k).
     The image is 0 where the coefficient vanishes or a check (i, lo, hi, off,
     k) finds a_i outside [lo, hi].  A check with k > 0 is a restricted cap,
-    whose binomial [a_i + off + k choose k]_q must vanish there; checks run in
-    acting order, so a composed rule asserts that only where atom-by-atom
-    application would.  Positions are 0-based; ``forms`` holds the nonzero
-    (i, mu_i, lam_i mod 2).  Built by RuleBuilder; immutable by convention.
+    whose binomial [a_i + off + k choose k]_q must vanish there (else
+    ArithmeticError); checks run in acting order, so a composed rule checks
+    that only where atom-by-atom application would.  Positions are 0-based;
+    ``forms`` holds the nonzero (i, mu_i, lam_i mod 2).  Built by RuleBuilder;
+    immutable by convention.
     """
 
     __slots__ = ("mode", "shift", "checks", "forms", "lam0", "mu0", "binoms", "scale", "_moves")
@@ -169,9 +171,8 @@ class MonomialRule:
         for i, lo, hi, off, k in self.checks:
             x = entries[i]
             if not lo <= x <= hi:
-                if k:
-                    binom = q_binom(x + off + k, k, mode)
-                    assert binom.is_zero(), "restricted overflow with nonzero binomial"
+                if k and not q_binom(x + off + k, k, mode).is_zero():
+                    raise ArithmeticError("restricted overflow with nonzero binomial")
                 return None
         e, odd = self.mu0, self.lam0
         for i, m, l in self.forms:
@@ -191,6 +192,23 @@ class MonomialRule:
         if self._moves:
             idx = MultiIndex._wrap(tuple(map(add, entries, self.shift)), idx.shape)
         return coeff, idx
+
+    def same_map(self, other: "MonomialRule") -> bool:
+        """True only when image equals other.image on every monomial of every
+        degree: the same shift, checks, forms and binomials up to order, and
+        the same constant (-1)^lam0 q^mu0 scale.  A rule with a restricted
+        cap is never the same map, so its cap is still checked by image."""
+        if any(c[4] for c in self.checks + other.checks):
+            return False
+        if (self.shift != other.shift or self.forms != other.forms
+                or sorted(self.checks) != sorted(other.checks)
+                or sorted(self.binoms) != sorted(other.binoms)):
+            return False
+        return self._const() == other._const()
+
+    def _const(self) -> ScalarQ:
+        c = _constant(self.mode, -1 if self.lam0 & 1 else 1, self.mu0)
+        return c if self.scale is None else c * self.scale
 
 
 class RuleBuilder:

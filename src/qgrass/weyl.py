@@ -17,14 +17,16 @@ each monomial.  As each atom joins the rule, ``apply_atom``, the direct
 one-atom definition, refuses on the unit monomial an atom the space does not
 have.  Relation suites instantiate the defining relation systems of the
 derivative algebra, its pointed-Hopf cover, and the quantum Weyl algebra of
-(m|n)-type as operator identities, decided by exhaustive evaluation on
-graded bases up to a degree bound; the identities are degree-homogeneous, so
-this is sound for the degrees checked.  ``operators_equal`` compares a
-one-word side by its rule image, a longer side by its summed image in that
-form.  Pair and triple laws run on term maps: a PairCheck takes one-factor
-images once per monomial, and a law g(uv) = sum g1(u) g2(v) reads g(uv) as
-c g(w) for uv = c x^w.  While ``run_checks`` runs one suite, every monomial
-product is computed once into a per-space table, dropped when it returns.
+(m|n)-type as operator identities.  ``operators_equal`` decides a relation
+whose two sides are single words with rules of one normal form
+(``MonomialRule.same_map``) without enumeration, and it holds in every
+degree.  Any other relation is evaluated on graded bases up to a degree
+bound, a one-word side by its rule image and a longer side by its summed
+image, so a pass means no failure up to ``t_max``.  Pair and triple laws
+run on term maps: a PairCheck takes one-factor images once per monomial, and
+a law g(uv) = sum g1(u) g2(v) reads g(uv) as c g(w) for uv = c x^w.  While
+``run_checks`` runs one suite, every monomial product is computed once into
+a per-space table, dropped when it returns.
 """
 
 from __future__ import annotations
@@ -397,13 +399,17 @@ def _side_image(expr: tuple[OperatorWord, ...]) -> Callable:
 
 
 def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int) -> EqualityResult:
-    """Exhaustively compare two operator expressions on all basis monomials of
-    degree <= t_max; on failure reports the first witness monomial."""
+    """Compare two operator expressions: two one-word sides whose rules share
+    one normal form (MonomialRule.same_map) are equal in every degree; any
+    other pair is evaluated on all basis monomials of degree <= t_max, and a
+    failure reports the first witness monomial."""
     exprA, exprB = _as_expr(wA), _as_expr(wB)
     space = (exprA or exprB)[0].space
     if any(w.space != space for w in exprA + exprB):
         raise InvalidAtomError("operator and vector live on different spaces")
     sideA, sideB = _side_image(exprA), _side_image(exprB)
+    if len(exprA) == len(exprB) == 1 and exprA[0].rule.same_map(exprB[0].rule):
+        return EqualityResult(True)  # one normal form: equal in every degree
     for t in _degree_range(space, t_max):
         for idx in basis_of_degree(space, t):
             if sideA(idx) != sideB(idx):

@@ -4,23 +4,33 @@ A word compiles once into one MonomialRule; on every basis monomial its image
 must be the one the word's atoms give when applied one at a time through
 apply_atom.  monomial_product evaluates the left-multiplication rule of its
 first factor; it must give the structure constants of the star pairing.
+Two rules with one normal form (same_map) must be the same map, a restricted
+cap keeps a rule out of that shortcut, and a cap whose binomial does not
+vanish raises under any interpreter flags.
 """
 
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
-from qgrass.indices import MultiIndex, split_star
+from qgrass.indices import MultiIndex, split_star, theta
 from qgrass.qarith import GENERIC, q_binom, root_of_unity
 from qgrass.superspaces import (
     DUAL_SIDE,
     Family,
+    MonomialRule,
+    RuleBuilder,
     SuperVector,
     basis_of_degree,
     make_space,
     monomial_product,
 )
+from qgrass.uqrep import Gen, generator_word
 from qgrass.weyl import (
     InvalidAtomError,
     OperatorWord,
@@ -28,8 +38,10 @@ from qgrass.weyl import (
     _degree_range,
     _triples,
     apply_atom,
+    apply_expr,
     mult_x,
     mult_x_divpow,
+    operators_equal,
     parity,
     partial,
     sigma,
@@ -194,3 +206,129 @@ def test_triple_check_reports_the_first_failing_triple():
         "rhs": SuperVector.monomial(space, b).to_json(),
     }
     assert seen == list(_triples(space, 2))[:7]
+
+
+# ---------------------------------------------------------------------------
+# one normal form, one map
+# ---------------------------------------------------------------------------
+
+OMEGA21 = make_space(Family.OMEGA, 2, 1)
+RESTRICTED21 = make_space(Family.OMEGA_RESTRICTED, 2, 1, D3)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def first_difference(lhs, rhs, t_max):
+    """The first monomial where two words differ as vectors, as the witness
+    operators_equal reports, or None."""
+    space = lhs.space
+    for idx in basis_upto(space, t_max):
+        u = SuperVector.monomial(space, idx)
+        va, vb = apply_expr((lhs,), u), apply_expr((rhs,), u)
+        if va != vb:
+            return {"monomial": str(idx), "lhs_image": va.to_json(), "rhs_image": vb.to_json()}
+    return None
+
+
+def test_rules_of_one_normal_form_are_the_same_map():
+    s1s2 = OperatorWord(OMEGA21, (sigma(1), sigma(2)))
+    s2s1 = OperatorWord(OMEGA21, (sigma(2), sigma(1)))
+    assert s1s2.rule.same_map(s2s1.rule)
+    # x1 x2 = theta(e1, e2) x2 x1: the binomials come in the other order
+    e1, e2 = (MultiIndex.basis_vector(OMEGA21.shape, p, 1) for p in (1, 2))
+    x1x2 = OperatorWord(OMEGA21, (mult_x(1), mult_x(2)))
+    x2x1 = OperatorWord(OMEGA21, (mult_x(2), mult_x(1)), theta(e1, e2, GENERIC))
+    assert x1x2.rule.binoms != x2x1.rule.binoms
+    assert sorted(x1x2.rule.binoms) == sorted(x2x1.rule.binoms)
+    assert x1x2.rule.same_map(x2x1.rule)
+    for lhs, rhs in ((s1s2, s2s1), (x1x2, x2x1)):
+        assert operators_equal(lhs, rhs, 4).equal
+        assert first_difference(lhs, rhs, 4) is None
+
+
+def test_rules_apart_in_one_field_are_not_the_same_map():
+    fields = dict(mode=GENERIC, shift=(1, 0, 0), checks=((1, 0, 1, 0, 0),), forms=((0, 1, 0),),
+                  lam0=0, mu0=0, binoms=((0, 0, 1),), scale=None)
+    rule, monos = MonomialRule(**fields), basis_upto(OMEGA21, 3)
+    # (-1)^lam0 is all the constant sees of lam0
+    assert rule.same_map(MonomialRule(**{**fields, "lam0": 2}))
+    for field, value in [("shift", (0, 1, 0)), ("checks", ((1, 0, 0, 0, 0),)),
+                         ("forms", ((0, 2, 0),)), ("lam0", 1), ("mu0", 1),
+                         ("binoms", ((0, 0, 2),)), ("scale", GENERIC.q())]:
+        other = MonomialRule(**{**fields, field: value})
+        assert not rule.same_map(other) and not other.same_map(rule), field
+        assert any(rule.image(idx) != other.image(idx) for idx in monos), field
+
+
+def test_a_rule_with_a_cap_is_never_the_same_map():
+    words = [OperatorWord(RESTRICTED21, atoms) for atoms in
+             [(mult_x(1),), (mult_x(1), mult_x(2)), (partial(1), mult_x(1)), (mult_x(3),)]]
+    for w in words:
+        capped = any(k for *_, k in w.rule.checks)
+        assert w.rule.same_map(w.rule) is not capped
+    assert sum(any(k for *_, k in w.rule.checks) for w in words) == 3
+    # a cap on either side keeps the pair out
+    plain = OperatorWord(RESTRICTED21, (mult_x(3),))
+    assert not words[0].rule.same_map(plain.rule)
+    assert not plain.rule.same_map(words[0].rule)
+
+
+def test_maps_equal_only_at_the_root_are_enumerated():
+    # K1^ell = 1 holds on the restricted space, with q^(3 a_1) against 1
+    k1_cubed = generator_word(Gen.K, 1, RESTRICTED21).power(3)
+    one = OperatorWord(RESTRICTED21, ())
+    assert not k1_cubed.rule.same_map(one.rule)
+    assert operators_equal(k1_cubed, one, 6).equal
+    assert first_difference(k1_cubed, one, 6) is None
+
+
+def test_a_changed_q_exponent_is_not_the_same_map():
+    e1, e2 = (MultiIndex.basis_vector(OMEGA21.shape, p, 1) for p in (1, 2))
+    x1x2 = OperatorWord(OMEGA21, (mult_x(1), mult_x(2)))
+    for shift in (1, -1):
+        c = theta(e1, e2, GENERIC) * GENERIC.q_power(shift)
+        x2x1 = OperatorWord(OMEGA21, (mult_x(2), mult_x(1)), c)
+        assert not x1x2.rule.same_map(x2x1.rule)
+        res = operators_equal(x1x2, x2x1, 4)
+        assert not res.equal
+        assert res.witness == first_difference(x1x2, x2x1, 4)
+
+
+def test_a_cap_with_a_nonzero_binomial_raises():
+    # a_1 <= 0 with cap 1: [a_1 + 1]_q must vanish where the check fails;
+    # [3]_q does at d = 3, [2]_q does not
+    builder = RuleBuilder(D3, RESTRICTED21.shape.size)
+    builder.check(0, -sys.maxsize, 0, 1)
+    rule = builder.build()
+    assert rule.image(MultiIndex((2, 0, 0), RESTRICTED21.shape)) is None
+    with pytest.raises(ArithmeticError, match="restricted overflow"):
+        rule.image(MultiIndex((1, 0, 0), RESTRICTED21.shape))
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120, check=False)
+
+
+def test_caps_are_checked_under_optimisation():
+    # python -O strips asserts; the cap check must not be one
+    probe = run_python("-O", "-c", (
+        "import sys\n"
+        "from qgrass.indices import MultiIndex\n"
+        "from qgrass.qarith import root_of_unity\n"
+        "from qgrass.superspaces import Family, RuleBuilder, make_space\n"
+        "space = make_space(Family.OMEGA_RESTRICTED, 2, 1, root_of_unity(3))\n"
+        "builder = RuleBuilder(space.mode, 3)\n"
+        "builder.check(0, -sys.maxsize, 0, 1)\n"
+        "try:\n"
+        "    builder.build().image(MultiIndex((1, 0, 0), space.shape))\n"
+        "except ArithmeticError:\n"
+        "    print('raised')\n"))
+    assert probe.stdout == "raised\n", probe.stderr
+    main = "import sys; from qgrass.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["check-uq", "--family", "omega-restricted", "--m", "2", "--n", "1",
+            "--q", "root", "--d", "3", "--t-max", "6"]
+    default, optimised = run_python("-c", main, *argv), run_python("-O", "-c", main, *argv)
+    assert default.returncode == optimised.returncode == 0, default.stderr + optimised.stderr
+    assert default.stdout and optimised.stdout == default.stdout

@@ -5,11 +5,15 @@ report must be the one the checks give without the memo, and operators_equal
 must decide and witness exactly as evaluation on monomial vectors does.
 """
 
+import contextlib
+import importlib.util
+import io
+import pathlib
 import threading
 
 import pytest
 
-from qgrass import superspaces, uqrep, weyl
+from qgrass import cli, superspaces, uqrep, weyl
 from qgrass.indices import MultiIndex
 from qgrass.qarith import GENERIC, root_of_unity
 from qgrass.superspaces import (
@@ -234,14 +238,47 @@ def test_false_relation_witness_matches_vector_images(lhs, rhs):
     assert report.results[0].witness == res.witness
 
 
-@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
-def test_perturbed_relations_decide_as_on_vectors(mode):
-    # every relation of the generic Weyl suite, then with its right side
-    # scaled by q, or its first left word dropped: many fail, at many monomials
-    space = make_space(Family.OMEGA, 1, 1, mode)
-    q = mode.q()
-    failing = 0
-    for rel in build_suite("weyl-generic", space):
+def record_relations(monkeypatch):
+    """Make run_checks (as weyl and uqrep call it) record the Relations of
+    each suite it is handed, one list per suite, and run none of them."""
+    suites = []
+
+    def building(suite, space, checks, t_max):
+        suites.append([c for c in checks if isinstance(c, Relation)])
+        return weyl.RelationReport(suite, space, t_max, [])
+
+    monkeypatch.setattr(weyl, "run_checks", building)
+    monkeypatch.setattr(uqrep, "run_checks", building)
+    return suites
+
+
+@pytest.mark.parametrize(
+    "suite, space",
+    [("weyl-generic", make_space(Family.OMEGA, 1, 1, mode)) for mode in MODES] + [
+        ("dq", OMEGA21),
+        ("weyl-odd-root", make_space(Family.OMEGA, 2, 1, D3)),
+        ("weyl-even-root", make_space(Family.OMEGA, 2, 1, D8)),
+        ("uq", OMEGA11),
+        ("uq", make_space(Family.DUAL, 1, 1)),
+        ("uq", make_space(Family.OMEGA_RESTRICTED, 2, 1, D3)),
+    ],
+    ids=MODE_IDS + [
+        "dq-2-1", "weyl-odd-root-2-1-d3", "weyl-even-root-2-1-d8",
+        "uq-omega-1-1", "uq-dual-1-1", "uq-omega-restricted-2-1-d3"],
+)
+def test_perturbed_relations_decide_as_on_vectors(suite, space, monkeypatch):
+    # every relation of the suite, then with its right side scaled by q, or
+    # its first left word dropped: many fail, at many monomials, and many
+    # one-word pairs are decided by their rules' normal form
+    q = space.mode.q()
+    if suite == "uq":
+        suites = record_relations(monkeypatch)
+        verify_uq_relations(space, 3)
+        (relations,) = suites
+    else:
+        relations = build_suite(suite, space)
+    failing = same_map = 0
+    for rel in relations:
         variants = [
             (rel.lhs, rel.rhs),
             (rel.lhs, tuple(w.scaled(q) for w in rel.rhs)),
@@ -253,7 +290,28 @@ def test_perturbed_relations_decide_as_on_vectors(mode):
             res = operators_equal(lhs, rhs, 3)
             assert (res.equal, res.witness) == vector_level_equal(lhs, rhs, 3)
             failing += not res.equal
-    assert failing > 20
+            same_map += len(lhs) == len(rhs) == 1 and lhs[0].rule.same_map(rhs[0].rule)
+    assert failing > 20 and same_map > 5
+
+
+def test_the_sweep_decides_its_one_word_relations_by_normal_form(monkeypatch):
+    # build the suites of the benchmark's sweep jobs without running them: a
+    # change to the rule layout that turns the normal-form decision off fails here
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    suites = record_relations(monkeypatch)
+    for _, cmd in workloads.SWEEP_JOBS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(cmd.split()) == 0
+    assert len(suites) == len(workloads.SWEEP_JOBS) == 10
+    assert sum(bool(relations) for relations in suites) == 8
+    relations = [rel for relations in suites for rel in relations]
+    one_word = [rel for rel in relations if len(rel.lhs) == len(rel.rhs) == 1]
+    decided = [rel for rel in one_word if rel.lhs[0].rule.same_map(rel.rhs[0].rule)]
+    assert (len(relations), len(one_word), len(decided)) == (767, 694, 669)
 
 
 def test_mixed_space_expression_raises():
