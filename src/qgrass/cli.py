@@ -127,6 +127,12 @@ def _space_from_args(args):
 # most a few hundred monomials, 301 pairs and 1,372 triples (tests/test_cli.py).
 MAX_MONOMIALS = 10_000
 MAX_TUPLES = 20_000
+# The highest degree of an act monomial and the largest hopf --p-max.  Generic
+# q-binomials grow with both: x1 on (500|) takes 0.05 s and eight x1 on it
+# 2.2 s; --p-max 40 on aq (1|0) takes 0.2 s and 60 takes 0.8 s at 96 MB.  The
+# benchmark's queries reach degree 8; its hopf runs, --p-max 4.
+MAX_ACT_DEGREE = 500
+MAX_P_MAX = 40
 
 
 def _degrees(space, t_min: int, t_max: int) -> dict[int, int]:
@@ -318,6 +324,9 @@ def _cmd_act(args) -> int:
     idx = _parse_monomial(args.monomial, space.shape)
     if not idx.is_valid_basis_key():
         raise UsageError(f"{idx} is not a basis monomial of this space")
+    if idx.degree() > MAX_ACT_DEGREE:
+        raise UsageError(f"{idx} has degree {idx.degree()}, more than the limit of "
+                         f"{MAX_ACT_DEGREE}")
     word = _parse_word(args.word, space)
     try:
         image = apply_word(word, SuperVector.monomial(space, idx))
@@ -349,6 +358,8 @@ def _check_weyl(space, args):
 
 
 def _cmd_hopf(args) -> int:
+    if args.p_max > MAX_P_MAX:
+        raise UsageError(f"--p-max {args.p_max} is more than the limit of {MAX_P_MAX}")
     mode = _mode_from_args(args)
     kwargs: dict = {"mode": mode}
     if args.hopf_family in ("taft-mn", "aq", "dq", "dq-restricted", "gq", "gq-restricted"):

@@ -670,6 +670,16 @@ def _q_binom_unbalanced_poly(p: int, r: int) -> LaurentPoly:
     return _q_binom_unbalanced_poly(p - 1, r - 1) + _q_binom_unbalanced_poly(p - 1, r).shift(r)
 
 
+def _fill(table, s: int, r: int) -> None:
+    """Fill the cache of a Pascal recursion table(s, r) on (s-1, r-1) and
+    (s-1, r) bottom-up: the entries (k + i, k) for k <= r, i <= s - r, each
+    column before the next, so every call finds both its predecessors
+    cached and the recursion depth no longer grows with s."""
+    for k in range(1, r + 1):
+        for i in range(s - r + 1):
+            table(k + i, k)
+
+
 def q_int(n: int, mode: QMode = GENERIC) -> ScalarQ:
     """Balanced q-integer [n] evaluated in the given mode (any integer n)."""
     return mode.from_laurent(_q_int_laurent(n))
@@ -677,6 +687,8 @@ def q_int(n: int, mode: QMode = GENERIC) -> ScalarQ:
 
 def q_factorial(n: int, mode: QMode = GENERIC) -> ScalarQ:
     """[n]! = [n][n-1]...[1] for n >= 0."""
+    for k in range(n):  # fill the cache bottom-up, as _fill does
+        _q_factorial_laurent(k)
     return mode.from_laurent(_q_factorial_laurent(n))
 
 
@@ -684,6 +696,7 @@ def q_factorial(n: int, mode: QMode = GENERIC) -> ScalarQ:
 def q_binom(s: int, r: int, mode: QMode = GENERIC) -> ScalarQ:
     """Balanced Gaussian binomial for any integers s, r (zero for r < 0); a
     shared ScalarQ, built once per key like the constants of _constant."""
+    _fill(_q_binom_laurent, -s + r - 1 if s < 0 else s, r)  # s < 0 reflects
     return _from_laurent(mode, _q_binom_laurent(s, r))
 
 
@@ -695,6 +708,7 @@ def q_binom_unbalanced(p: int, r: int, mode: QMode = GENERIC) -> ScalarQ:
     """
     if not 0 <= r <= p:
         raise ValueError("unbalanced q-binomial requires 0 <= r <= p")
+    _fill(_q_binom_unbalanced_poly, p, r)
     return mode.from_laurent(_q_binom_unbalanced_poly(p, r))
 
 

@@ -206,6 +206,11 @@ class MonomialRule:
             return False
         return self._const() == other._const()
 
+    def times(self, c: ScalarQ) -> "MonomialRule":
+        """The same rule with its scale multiplied by c; compiles nothing."""
+        return MonomialRule(self.mode, self.shift, self.checks, self.forms, self.lam0, self.mu0,
+                            self.binoms, c if self.scale is None else self.scale * c)
+
     def _const(self) -> ScalarQ:
         c = _constant(self.mode, -1 if self.lam0 & 1 else 1, self.mu0)
         return c if self.scale is None else c * self.scale
@@ -411,9 +416,10 @@ class SuperVector:
 
 
 # The memo of one weyl.run_checks call: per space, a product table
-# {(a.entries, b.entries): monomial_product result} read by product_of.  Set
-# only while run_checks runs; a context variable, so a thread outside that
-# call never sees it.  A call that raises stores nothing.
+# {(a.entries, b.entries): monomial_product result} read by product_of, and
+# under the key (space, "atoms") the set of atoms weyl has validated on that
+# space.  Set only while run_checks runs; a context variable, so a thread
+# outside that call never sees it.  A call that raises stores nothing.
 suite_memo: ContextVar[dict | None] = ContextVar("suite_memo", default=None)
 _MISS = object()
 

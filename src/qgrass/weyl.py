@@ -26,20 +26,22 @@ image, so a pass means no failure up to ``t_max``.  Pair and triple laws
 run on term maps: a PairCheck takes one-factor images once per monomial, and
 a law g(uv) = sum g1(u) g2(v) reads g(uv) as c g(w) for uv = c x^w.  While
 ``run_checks`` runs one suite, every monomial product is computed once into
-a per-space table, dropped when it returns.
+a per-space table, and each atom is validated once per space, both dropped
+when it returns.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
 
 from .indices import MultiIndex, position_sums, theta
-from .qarith import QParity, ScalarQ, add_term, char_of, q_factorial
+from .qarith import LaurentPoly, QParity, ScalarQ, add_term, char_of, q_factorial
 from .superspaces import (
     DUAL_SIDE,
     POLY_SIDE,
@@ -251,8 +253,14 @@ def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, 
 def _compile_atom(builder: RuleBuilder, space: SpaceSpec, atom: Atom, unit: MultiIndex) -> None:
     """Append one atom to the rule under construction, from linear forms in
     O(size).  apply_atom on the unit monomial first refuses an atom the space
-    does not have."""
-    apply_atom(space, atom, unit)
+    does not have; under an open suite memo only the first time the atom
+    appears on the space, an atom that raised being never recorded."""
+    memo = suite_memo.get()
+    valid = None if memo is None else memo.setdefault((space, "atoms"), set())
+    if valid is None or atom not in valid:
+        apply_atom(space, atom, unit)
+        if valid is not None:
+            valid.add(atom)
     kind, p, mask = atom.kind, atom.pos - 1, space.shape.fermionic_mask
     if kind is AtomKind.MULT_X or kind is AtomKind.MULT_X_DIV_POW:
         power = 1 if kind is AtomKind.MULT_X else char_of(space.mode).ell
@@ -376,13 +384,13 @@ def _degree_range(space: SpaceSpec, t_max: int) -> range:
     return range(t_max + 1)
 
 
-def _side_image(expr: tuple[OperatorWord, ...]) -> Callable:
-    """One side of operators_equal as a map from a monomial to its image: None
-    (zero), (coeff, target), or a dict of two or more terms.  A one-word side
-    is the word's rule image itself; a longer side sums its words' images."""
-    if len(expr) == 1:
-        return expr[0].rule.image
-    images = [w.rule.image for w in expr]
+def _side_image(rules: list[MonomialRule]) -> Callable:
+    """One side of operators_equal, from its words' rules, as a map from a
+    monomial to its image: None (zero), (coeff, target), or a dict of two or
+    more terms.  A one-word side is the rule image itself; a longer one sums."""
+    if len(rules) == 1:
+        return rules[0].image
+    images = [r.image for r in rules]
 
     def summed(idx: MultiIndex):
         out: dict[MultiIndex, ScalarQ] = {}
@@ -402,14 +410,24 @@ def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int
     """Compare two operator expressions: two one-word sides whose rules share
     one normal form (MonomialRule.same_map) are equal in every degree; any
     other pair is evaluated on all basis monomials of degree <= t_max, and a
-    failure reports the first witness monomial."""
+    failure reports the first witness monomial.  In generic mode, where some
+    word scalar has a denominator, both sides are evaluated times the product
+    D of the distinct denominators: D != 0, so the sides are equal exactly
+    when D times them are, and every image stays in Z[v^+-1], clear of gcds."""
     exprA, exprB = _as_expr(wA), _as_expr(wB)
     space = (exprA or exprB)[0].space
     if any(w.space != space for w in exprA + exprB):
         raise InvalidAtomError("operator and vector live on different spaces")
-    sideA, sideB = _side_image(exprA), _side_image(exprB)
-    if len(exprA) == len(exprB) == 1 and exprA[0].rule.same_map(exprB[0].rule):
+    rulesA, rulesB = [w.rule for w in exprA], [w.rule for w in exprB]
+    if len(exprA) == len(exprB) == 1 and rulesA[0].same_map(rulesB[0]):
         return EqualityResult(True)  # one normal form: equal in every degree
+    if space.mode.is_generic:
+        one = LaurentPoly.one()
+        dens = {w.scalar.den for w in exprA + exprB if w.scalar is not None} - {one}
+        if dens:
+            clear = space.mode.from_laurent(math.prod(dens, start=one))
+            rulesA, rulesB = [r.times(clear) for r in rulesA], [r.times(clear) for r in rulesB]
+    sideA, sideB = _side_image(rulesA), _side_image(rulesB)
     for t in _degree_range(space, t_max):
         for idx in basis_of_degree(space, t):
             if sideA(idx) != sideB(idx):
@@ -556,8 +574,9 @@ def run_checks(suite: str, space: SpaceSpec, checks: list, t_max: int) -> Relati
     """Run the checks in order under one suite memo (superspaces.suite_memo).
 
     For the length of this call, per space, every monomial product that
-    superspaces.multiply derives is computed once and then looked up; the
-    table is dropped when the call returns or a check raises.
+    superspaces.multiply derives is computed once and then looked up, and
+    each atom a word compiles is validated once; the tables are dropped
+    when the call returns or a check raises.
     """
     token = suite_memo.set({})
     try:
@@ -984,9 +1003,18 @@ def _suite_leibniz(space: SpaceSpec) -> list:
 
     checks.append(PairCheck("monomial twisted commutation", space, comm_fn))
 
+    def chain(products, a, b, c, left: bool, scale: ScalarQ = one) -> dict:
+        """scale (x^a x^b) x^c (left) or scale x^a (x^b x^c) as a term map
+        of at most one entry, from two product_of lookups."""
+        hit = product_of(space, products, *((a, b) if left else (b, c)))
+        if hit is None:
+            return {}
+        coeff, w = hit
+        hit = product_of(space, products, *((w, c) if left else (a, w)))
+        return {} if hit is None else {hit[1]: hit[0] * coeff * scale}
+
     def assoc_fn(a, b, c, products):
-        u, v, w = {a: one}, {b: one}, {c: one}
-        return mul(products, mul(products, u, v), w), mul(products, u, mul(products, v, w))
+        return chain(products, a, b, c, True), chain(products, a, b, c, False)
 
     checks.append(TripleCheck("associativity", space, assoc_fn))
 
@@ -995,10 +1023,9 @@ def _suite_leibniz(space: SpaceSpec) -> list:
         return _w(space, theta_op(a)).rule.image
 
     def twist_move_fn(a, b, c, products):
-        u, w = {a: one}, {c: one}
-        lhs = mul(products, mul(products, u, {b: one}), w)
         coeff, _ = twist_image(a)(b)  # a twist keeps b and never vanishes
-        return lhs, mul(products, {b: coeff}, mul(products, u, w))
+        # x^b (x^a x^c) times the twist's coefficient
+        return chain(products, a, b, c, True), chain(products, b, a, c, False, coeff)
 
     checks.append(TripleCheck("left factor moves past via its twist", space, twist_move_fn))
 

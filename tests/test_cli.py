@@ -8,7 +8,7 @@ import pytest
 
 from qgrass import cli, weyl
 from qgrass.cli import main
-from qgrass.qarith import GENERIC, root_of_unity
+from qgrass.qarith import GENERIC, q_int, root_of_unity
 from qgrass.superspaces import basis_of_degree, make_space
 
 SWEEP_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_full_verification.py"
@@ -290,6 +290,11 @@ ILL_POSED = {
                                           "--n", "2", "--t-max", "12"],
     "leibniz suite over too many triples": ["check-dq", "--suite", "leibniz", "--family", "omega",
                                             "--m", "3", "--n", "2", "--t-max", "6"],
+    "act on a monomial above the degree limit": ["act", "--family", "omega", "--m", "1", "--n", "0",
+                                                 "--word", "x1",
+                                                 "--monomial", f"({cli.MAX_ACT_DEGREE + 1}|)"],
+    "hopf --p-max above the limit": ["hopf", "--family", "aq", "--m", "1", "--n", "0",
+                                     "--divided-power", "1", "--p-max", str(cli.MAX_P_MAX + 1)],
 }
 
 
@@ -316,11 +321,27 @@ def test_oversized_run_names_its_size(capsys):
     ("check-weyl over no degree", "degrees 0..-3 hold no basis monomial\n"),
     ("simple with --t-min above --t-max", "degrees 5..2 hold no basis monomial\n"),
     ("simple above the top degree", "degrees 7..9 hold no basis monomial (the top degree is 5)"),
+    ("act on a monomial above the degree limit",
+     f"has degree {cli.MAX_ACT_DEGREE + 1}, more than the limit of {cli.MAX_ACT_DEGREE}\n"),
+    ("hopf --p-max above the limit",
+     f"--p-max {cli.MAX_P_MAX + 1} is more than the limit of {cli.MAX_P_MAX}\n"),
 ])
 def test_refused_run_names_its_range_or_tuples(capsys, case, message):
     code, _, err = call(capsys, ILL_POSED[case])
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("family, m, n, text", [("omega", 1, 0, "({}|)"), ("dual", 0, 1, "(|{})")])
+def test_act_at_the_degree_limit(capsys, family, m, n, text):
+    # x1 on x1^(cap) is [cap + 1] x1^(cap + 1); the q-integer's recursion would
+    # run deeper than the interpreter allows
+    cap = cli.MAX_ACT_DEGREE
+    code, out = run(capsys, "act", "--family", family, "--m", str(m), "--n", str(n),
+                    "--word", "x1", "--monomial", text.format(cap))
+    assert code == 0
+    (term,) = json.loads(out)["image"]
+    assert term["coefficient"] == str(q_int(cap + 1))
 
 
 @pytest.mark.parametrize("family, m, n, t_max", [
@@ -346,16 +367,22 @@ def load(path, name):
 
 def test_every_sweep_and_benchmark_run_passes_the_size_guard():
     # parse each argv the sweep script and the benchmark send, and guard its
-    # degree range, pairs and triples as the command would, without running it
+    # degree range, pairs and triples as the command would, without running it;
+    # its act monomials and hopf --p-max stay under their limits
     root = SWEEP_SCRIPT.parents[1]
     workloads = load(root / "perfbench" / "workloads.py", "perfbench_workloads")
     argvs = [argv for _, argv in load(SWEEP_SCRIPT, "run_full_verification").RUNS]
     argvs += [cmd.split() for _, cmd in workloads.SWEEP_JOBS + workloads.CERTIFY_JOBS]
-    argvs += [argv for argv in workloads.query_pool() if argv[0] == "dims"]
-    largest = {"monomials": 0, 2: 0, 3: 0}
+    argvs += workloads.query_pool()
+    largest = {"monomials": 0, 2: 0, 3: 0, "act degree": 0, "p_max": 0}
     guarded = 0
     for argv in argvs:
         args = cli._parser(cli.build_parser).parse_args(argv)
+        if args.command == "hopf":
+            largest["p_max"] = max(largest["p_max"], args.p_max)
+        if args.command == "act":
+            degree = cli._parse_monomial(args.monomial, cli._space_from_args(args).shape).degree()
+            largest["act degree"] = max(largest["act degree"], degree)
         if not hasattr(args, "t_max"):
             continue
         space = cli._space_from_args(args)
@@ -373,3 +400,5 @@ def test_every_sweep_and_benchmark_run_passes_the_size_guard():
     assert largest["monomials"] <= cli.MAX_MONOMIALS
     assert (largest[2], largest[3]) == (301, 1372)
     assert max(largest[2], largest[3]) <= cli.MAX_TUPLES
+    assert (largest["act degree"], largest["p_max"]) == (8, 4)
+    assert largest["act degree"] <= cli.MAX_ACT_DEGREE and largest["p_max"] <= cli.MAX_P_MAX

@@ -19,7 +19,7 @@ import sys
 import pytest
 
 from qgrass.indices import MultiIndex, split_star, theta
-from qgrass.qarith import GENERIC, q_binom, root_of_unity
+from qgrass.qarith import GENERIC, q_binom, q_int, root_of_unity
 from qgrass.superspaces import (
     DUAL_SIDE,
     Family,
@@ -124,6 +124,20 @@ def test_compiled_words_match_atom_by_atom_application(space):
     for word in words_of(space):
         for idx in monos:
             assert word.rule.image(idx) == step_by_step(word, idx), (word.render(), str(idx))
+
+
+@pytest.mark.parametrize("space", [s for s in SPACES if s.mode in (GENERIC, D8)],
+                         ids=[i for s, i in zip(SPACES, SPACE_IDS) if s.mode in (GENERIC, D8)])
+def test_a_rule_times_c_scales_every_image_by_c(space):
+    mode = space.mode
+    c = (mode.q() + mode.scalar(2)) * q_int(3, mode).inverse()
+    monos = basis_upto(space, 4)
+    for word in words_of(space):
+        rule = word.rule
+        scaled = rule.times(c)
+        for idx in monos:
+            hit = rule.image(idx)
+            assert scaled.image(idx) == (None if hit is None else (c * hit[0], hit[1]))
 
 
 def test_the_edge_cases_are_reached():

@@ -281,11 +281,13 @@ def load(path, name):
     return module
 
 
-@pytest.mark.parametrize("job", ["check-leibniz-omega-2-1", "check-leibniz-dual-2-1",
-                                 "check-leibniz-suite-2-1"])
+WORKLOADS = load(ROOT / "perfbench" / "workloads.py", "perfbench_workloads")
+
+
+@pytest.mark.parametrize("job", [name for name, _ in WORKLOADS.SWEEP_JOBS])
 def test_pair_and_triple_reports_match_the_benchmark_references(job):
-    workloads = load(ROOT / "perfbench" / "workloads.py", "perfbench_workloads")
-    argv = dict(workloads.SWEEP_JOBS)[job].split()
+    # every report of the sweep, relation suites included, byte for byte
+    argv = dict(WORKLOADS.SWEEP_JOBS)[job].split()
     reference = json.loads((ROOT / "perfbench" / "references.json").read_text())["sweep"][job]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -4,12 +4,15 @@ The balanced binomial is checked against an independent oracle: the literal
 product formula evaluated by honest division in Q(v).
 """
 
+import functools
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qgrass import qarith
 from qgrass.qarith import (
     GENERIC,
     CharProfile,
@@ -381,6 +384,60 @@ def test_pascal_identity(mode):
                 r
             ) * q_binom(n - 1, r, mode)
             assert lhs == rhs, (n, r, mode)
+
+
+def test_bottom_up_tables_equal_the_recursive_definitions():
+    # the Pascal recursions and n! = (n-1)! [n], as plain recursions
+    @functools.lru_cache(maxsize=None)
+    def binom(s, r):
+        if r < 0:
+            return LaurentPoly.zero()
+        if r == 0:
+            return LaurentPoly.one()
+        if s < 0:
+            refl = binom(-s + r - 1, r)
+            return -refl if r % 2 else refl
+        if s < r:
+            return LaurentPoly.zero()
+        return binom(s - 1, r - 1).shift(r - s) + binom(s - 1, r).shift(r)
+
+    @functools.lru_cache(maxsize=None)
+    def unbalanced(p, r):
+        if r == 0 or r == p:
+            return LaurentPoly.one()
+        return unbalanced(p - 1, r - 1) + unbalanced(p - 1, r).shift(r)
+
+    @functools.lru_cache(maxsize=None)
+    def factorial(n):
+        return LaurentPoly.one() if n == 0 else factorial(n - 1) * LaurentPoly(
+            {n - 1 - 2 * k: 1 for k in range(n)})
+
+    for s in range(-12, 41):
+        for r in range(-2, max(s, 0) + 3):
+            assert q_binom(s, r) == GENERIC.from_laurent(binom(s, r)), (s, r)
+    for p in range(0, 41):
+        assert q_factorial(p) == GENERIC.from_laurent(factorial(p)), p
+        for r in range(0, p + 1):
+            assert q_binom_unbalanced(p, r) == GENERIC.from_laurent(unbalanced(p, r)), (p, r)
+
+
+@pytest.mark.parametrize("value", [lambda: q_binom(300, 2), lambda: q_binom(-300, 2),
+                                   lambda: q_binom_unbalanced(300, 2), lambda: q_factorial(40)],
+                         ids=["binom", "binom-reflected", "unbalanced", "factorial"])
+def test_q_combinatorics_run_a_few_frames_deep(value):
+    # recursing once per unit of the upper index needs hundreds of frames here
+    for table in (qarith._q_binom_laurent, qarith._q_factorial_laurent,
+                  qarith._q_binom_unbalanced_poly, q_binom):
+        table.cache_clear()
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        value()
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------

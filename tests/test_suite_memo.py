@@ -6,6 +6,7 @@ must decide and witness exactly as evaluation on monomial vectors does.
 """
 
 import contextlib
+from collections import Counter
 import importlib.util
 import io
 import pathlib
@@ -15,7 +16,7 @@ import pytest
 
 from qgrass import cli, superspaces, uqrep, weyl
 from qgrass.indices import MultiIndex
-from qgrass.qarith import GENERIC, root_of_unity
+from qgrass.qarith import GENERIC, q_int, root_of_unity
 from qgrass.superspaces import (
     Family,
     SuperVector,
@@ -185,16 +186,25 @@ def test_each_product_and_atom_image_is_derived_once(space, monkeypatch):
     report = run_checks("leibniz", space, checks, 3)
     product_keys = [(s, a.entries, b.entries) for s, a, b in products]
     assert len(product_keys) == len(set(product_keys)) > 0
-    # each word compiles once, calling apply_atom once per atom, on the unit
-    # monomial, as the atom joins the word's rule
-    assert compiled and [(s, atom) for s, atom, _ in atoms] == [(s, a) for _, s, a, _ in compiled]
+    # each word compiles once, every atom joining its rule in acting order;
+    # apply_atom validates each distinct (space, atom) once, on the unit monomial
+    by_builder = {}
+    for builder, _, atom, _ in compiled:
+        by_builder.setdefault(id(builder), []).append(atom)
+    words = {id(w): w for c in checks if isinstance(c, Relation) for w in c.lhs + c.rhs
+             if w.atoms}
+    assert words and Counter(tuple(reversed(w.atoms)) for w in words.values()) <= Counter(
+        tuple(atoms) for atoms in by_builder.values())
+    pairs = [(s, a) for _, s, a, _ in compiled]
+    assert [(s, atom) for s, atom, _ in atoms] == list(dict.fromkeys(pairs))
+    assert len(pairs) > 2 * len(atoms)
     assert {idx for _, _, idx in atoms} == {space.unit_index()}
     # without the memo the same checks derive the products again and again,
     # while each word object, compiled once, compiles no more
-    n_products, n_atoms = len(products), len(atoms)
+    n_products, n_atoms, n_compiled = len(products), len(atoms), len(compiled)
     assert report.to_json()["relations"] == memo_less(checks, 3)
     assert len(products) - n_products > 2 * n_products
-    assert len(atoms) == n_atoms and len(compiled) == n_atoms
+    assert len(atoms) == n_atoms and len(compiled) == n_compiled
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +278,10 @@ def record_relations(monkeypatch):
 )
 def test_perturbed_relations_decide_as_on_vectors(suite, space, monkeypatch):
     # every relation of the suite, then with its right side scaled by q, or
-    # its first left word dropped: many fail, at many monomials, and many
-    # one-word pairs are decided by their rules' normal form
+    # its first left word dropped, or (generic) each right word divided by its
+    # own q-integer, so the cleared denominator is a product of several: many
+    # fail, at many monomials, and many one-word pairs are decided by their
+    # rules' normal form
     q = space.mode.q()
     if suite == "uq":
         suites = record_relations(monkeypatch)
@@ -284,6 +296,9 @@ def test_perturbed_relations_decide_as_on_vectors(suite, space, monkeypatch):
             (rel.lhs, tuple(w.scaled(q) for w in rel.rhs)),
             (rel.lhs[1:], rel.rhs),
         ]
+        if space.mode.is_generic:
+            variants.append((rel.lhs, tuple(w.scaled(q_int(k + 2).inverse())
+                                            for k, w in enumerate(rel.rhs))))
         for lhs, rhs in variants:
             if not lhs and not rhs:
                 continue
@@ -359,6 +374,24 @@ class InvalidTwice:
             with pytest.raises(InvalidAtomError):
                 apply_word(w, u)
         return CheckResult(self.name, True)
+
+
+class InvalidInTwoWords:
+    """A check compiling two words that share an invalid atom, each after a
+    valid one; both must raise, and only the valid atoms are recorded."""
+
+    name = "invalid in two words"
+
+    def run(self, t_max):
+        for w in (word(OMEGA21, tau(1), partial(1)), word(OMEGA21, tau(1), mult_x(2))):
+            with pytest.raises(InvalidAtomError):
+                w.rule
+        assert suite_memo.get()[OMEGA21, "atoms"] == {partial(1), mult_x(2)}
+        return CheckResult(self.name, True)
+
+
+def test_words_sharing_an_invalid_atom_each_raise():
+    assert run_checks("invalid", OMEGA21, [InvalidInTwoWords()], 2).passed
 
 
 def test_memo_is_open_only_inside_run_checks():
