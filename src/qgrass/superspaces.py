@@ -206,6 +206,15 @@ class MonomialRule:
             return False
         return self._const() == other._const()
 
+    def is_character(self) -> bool:
+        """True only when the rule is x^(a) -> chi(a) x^(a) with chi(a) =
+        (-1)^(lam.a) q^(mu.a), additive in a: no shift, no checks, no
+        binomials, and the constant (-1)^lam0 q^mu0 scale equal to 1.  Every
+        product x^(a) x^(b) lies in k x^(a + b) (left_mult shifts by a), so
+        such a rule is an algebra map on every degree."""
+        return (not self._moves and not self.checks and not self.binoms
+                and self._const() == self.mode.one())
+
     def times(self, c: ScalarQ) -> "MonomialRule":
         """The same rule with its scale multiplied by c; compiles nothing."""
         return MonomialRule(self.mode, self.shift, self.checks, self.forms, self.lam0, self.mu0,
@@ -417,9 +426,11 @@ class SuperVector:
 
 # The memo of one weyl.run_checks call: per space, a product table
 # {(a.entries, b.entries): monomial_product result} read by product_of, and
-# under the key (space, "atoms") the set of atoms weyl has validated on that
-# space.  Set only while run_checks runs; a context variable, so a thread
-# outside that call never sees it.  A call that raises stores nothing.
+# under the keys (space, "atoms"), (space, "first") and (space, "associative")
+# the atoms weyl has validated on that space, its first factors per degree
+# and its associativity ledger.  Set only while run_checks runs; a context
+# variable, so a thread outside that call never sees it.  A call that raises
+# stores nothing.
 suite_memo: ContextVar[dict | None] = ContextVar("suite_memo", default=None)
 _MISS = object()
 

@@ -18,8 +18,7 @@ contains a basis monomial, so simplicity is equivalent to every basis
 monomial generating the full component.  When that weight-separation
 precondition fails and every seed reaches the whole basis, the verdict is
 reported as inconclusive, never as a definite answer.  The one exact
-elimination, ``RowSpace``, serves the highest-weight kernels and
-``exact_rank``.
+elimination, ``RowSpace``, serves the highest-weight kernels.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .weyl import (
     OperatorWord,
     Relation,
     RelationReport,
-    _acting,
     apply_word,
     coproduct_check,
     leibniz_check,
@@ -61,7 +59,6 @@ __all__ = [
     "verify_uq_relations",
     "verify_module_algebra",
     "dim_formula",
-    "exact_rank",
     "RowSpace",
     "weight_of",
     "expected_highest_weight",
@@ -311,19 +308,18 @@ def verify_module_algebra(space: SpaceSpec, t_max: int) -> RelationReport:
     checks: list = []
 
     par = generator_word(Gen.PARITY, 0, space)
-    act_par = _acting(par)
     for j in range(1, size):
-        e_j, f_j, sk_j, skinv_j = (_acting(generator_word(g, j, space))
+        e_j, f_j, sk_j, skinv_j = (generator_word(g, j, space)
                                    for g in (Gen.E, Gen.F, Gen.SK, Gen.SKINV))
         odd = j == m
         checks.append(leibniz_check(f"E{j} twisted Leibniz", space, e_j,
-                                    act_par if odd else None, sk_j))
-        f_left = (lambda u, skinv_j=skinv_j: act_par(skinv_j(u))) if odd else skinv_j
+                                    par if odd else None, sk_j))
+        f_left = par.then(skinv_j) if odd else skinv_j
         checks.append(leibniz_check(f"F{j} twisted Leibniz", space, f_j, f_left))
 
     # K_i and the parity are algebra automorphisms: g(uv) = g(u) g(v)
-    automorphisms = {f"K{i}": _acting(generator_word(Gen.K, i, space)) for i in range(1, size + 1)}
-    for name, g in {**automorphisms, "parity": act_par}.items():
+    automorphisms = {f"K{i}": generator_word(Gen.K, i, space) for i in range(1, size + 1)}
+    for name, g in {**automorphisms, "parity": par}.items():
         checks.append(coproduct_check(f"{name} is an algebra automorphism", space, g, ((g, g),)))
     return run_checks("module-algebra", space, checks, t_max)
 
@@ -436,24 +432,6 @@ class RowSpace:
                 _axpy(ptag, tag, -c)
         self.rows[lead] = (row, tag)
         return True
-
-
-def exact_rank(vectors: list[SuperVector]) -> tuple[int, list[SuperVector]]:
-    """Rank and the reduced echelon basis, in monomial order, of the span of
-    homogeneous vectors of one degree."""
-    if not vectors:
-        return 0, []
-    space = vectors[0].space
-    if any(v.space != space for v in vectors):
-        raise ValueError("vectors live in different spaces")
-    vectors = [v for v in vectors if not v.is_zero()]
-    degrees = {v.degree() for v in vectors}
-    if None in degrees or len(degrees) > 1:
-        raise ValueError("vectors must be homogeneous of one degree")
-    rs = RowSpace()
-    for v in vectors:
-        rs.add(v.terms)
-    return rs.rank, [SuperVector(space, rs.rows[k][0]) for k in sorted(rs.rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ run on term maps: a PairCheck takes one-factor images once per monomial, and
 a law g(uv) = sum g1(u) g2(v) reads g(uv) as c g(w) for uv = c x^w.  While
 ``run_checks`` runs one suite, every monomial product is computed once into
 a per-space table, and each atom is validated once per space, both dropped
-when it returns.
+when it returns.  There, Leibniz and grouplike laws with character twists,
+and associativity, are checked with the first factor in a generating set F
+only, which PairCheck and _associative_upto prove decides them.
 """
 
 from __future__ import annotations
@@ -375,6 +377,7 @@ def apply_expr(expr: OperatorWord | Expr, u: SuperVector) -> SuperVector:
 class EqualityResult:
     equal: bool
     witness: dict | None = None
+    route: str = "enumeration"
 
 
 def _degree_range(space: SpaceSpec, t_max: int) -> range:
@@ -420,7 +423,7 @@ def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int
         raise InvalidAtomError("operator and vector live on different spaces")
     rulesA, rulesB = [w.rule for w in exprA], [w.rule for w in exprB]
     if len(exprA) == len(exprB) == 1 and rulesA[0].same_map(rulesB[0]):
-        return EqualityResult(True)  # one normal form: equal in every degree
+        return EqualityResult(True, route="normal form")  # equal in every degree
     if space.mode.is_generic:
         one = LaurentPoly.one()
         dens = {w.scalar.den for w in exprA + exprB if w.scalar is not None} - {one}
@@ -450,9 +453,13 @@ def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int
 
 @dataclass
 class CheckResult:
+    """One check's verdict.  ``route`` says how it was reached ("normal
+    form", "induction" or "enumeration") and is not part of the report."""
+
     name: str
     passed: bool
     witness: dict | None = None
+    route: str = "enumeration"
 
     def to_json(self) -> dict:
         out = {"name": self.name, "status": "pass" if self.passed else "fail"}
@@ -471,7 +478,7 @@ class Relation:
 
     def run(self, t_max: int) -> CheckResult:
         res = operators_equal(self.lhs, self.rhs, t_max)
-        return CheckResult(self.name, res.equal, res.witness)
+        return CheckResult(self.name, res.equal, res.witness, res.route)
 
 
 def _failure(check, key: str, factors: tuple[MultiIndex, ...], lhs: dict, rhs: dict) -> CheckResult:
@@ -480,6 +487,67 @@ def _failure(check, key: str, factors: tuple[MultiIndex, ...], lhs: dict, rhs: d
     return CheckResult(check.name, False, {key: [str(i) for i in factors],
                                            "lhs": SuperVector._wrap(space, lhs).to_json(),
                                            "rhs": SuperVector._wrap(space, rhs).to_json()})
+
+
+def _chain(space: SpaceSpec, products: dict | None, a: MultiIndex, b: MultiIndex, c: MultiIndex,
+           left: bool, scale: ScalarQ | None = None) -> dict:
+    """scale (x^a x^b) x^c (left) or scale x^a (x^b x^c) as a term map of at
+    most one entry, from two product_of lookups; no scale means 1."""
+    hit = product_of(space, products, *((a, b) if left else (b, c)))
+    if hit is None:
+        return {}
+    coeff, w = hit
+    hit = product_of(space, products, *((w, c) if left else (a, w)))
+    if hit is None:
+        return {}
+    coeff = hit[0] * coeff
+    return {hit[1]: coeff if scale is None else coeff * scale}
+
+
+def _first_factors(space: SpaceSpec, products: dict, t: int) -> tuple[MultiIndex, ...]:
+    """F in degree t, under a suite memo: the unit, the generators, and in
+    degree >= 2 the monomials S that are no nonzero k s u' (s a generator,
+    deg u' = t - 1), read from the product table and kept in the memo.
+    Generically S is empty; at a root of unity it holds x_i^(ell) where that
+    is a basis element, for x_i x_i^(ell-1) = [ell] x_i^(ell) = 0."""
+    if t < 2:
+        return basis_of_degree(space, t)
+    cache = suite_memo.get().setdefault((space, "first"), {})
+    if t not in cache:
+        reached = set()
+        for s in basis_of_degree(space, 1):
+            for u in basis_of_degree(space, t - 1):
+                hit = product_of(space, products, s, u)
+                if hit is not None:
+                    reached.add(hit[1].entries)
+        cache[t] = tuple(u for u in basis_of_degree(space, t) if u.entries not in reached)
+    return cache[t]
+
+
+def _associative_upto(space: SpaceSpec, products: dict, top: int) -> bool:
+    """Whether (ab)c = a(bc) on every triple of monomials of degree sum
+    <= top, from the space's ledger in the suite memo: [T, failed], every
+    triple with its first factor in F (_first_factors) passing up to degree
+    sum T.  It grows one exact degree sum at a time and stops at a failure.
+
+    The F-first triples suffice, by induction on deg a.  A monomial a not in
+    F is k^-1 s a' with k != 0, s a generator and deg a' = deg a - 1; the
+    triples (s, a', b), (s, a'b, c) and (s, a', bc) have s first, so
+      (ab)c = k^-1 (s (a'b)) c = k^-1 s ((a'b) c) = k^-1 s (a' (bc)) = a (bc),
+    the third step by the hypothesis on a'.  The unit is in F.
+    """
+    ledger = suite_memo.get().setdefault((space, "associative"), [-1, False])
+    while ledger[0] < top and not ledger[1]:
+        s = ledger[0] + 1
+        levels = [basis_of_degree(space, t) for t in range(s + 1)]
+        triples = ((a, b, c) for ta in range(s + 1) for a in _first_factors(space, products, ta)
+                   for tb in range(s - ta + 1) for b in levels[tb] for c in levels[s - ta - tb])
+        if all(_chain(space, products, *abc, True) == _chain(space, products, *abc, False)
+               for abc in triples):
+            ledger[0] = s
+        else:
+            ledger[1] = True
+    return ledger[0] >= top
 
 
 @dataclass
@@ -491,28 +559,79 @@ class PairCheck:
     then calls ``fn(a, b, images, products)`` per pair of indices, products
     being the table of superspaces.product_of.  ``fn`` returns both sides as
     term maps; only a failing pair becomes vectors, for its witness.
+
+    ``twists`` marks a law of one of two shapes, op's images coming first in
+    ``unary``: (L, R) for op(uv) = op(u) R(v) + L(u) op(v), and (g,) for
+    g(uv) = g(u) g(v), op being g.  Under a suite memo, when each twist is
+    None (the identity) or an OperatorWord whose rule is a character, and
+    the space's associativity ledger reaches t_max + max(0, delta), delta
+    the largest degree op raises a monomial by in the images table, ``run``
+    checks only the pairs with u in F (_first_factors).  If they pass, the
+    law holds on every pair of degree sum <= t_max.  A character is an
+    algebra map, and by induction on deg u: u not in F is k^-1 s u' with
+    k != 0, s a generator and deg u' = deg u - 1, so by associativity, the
+    law at (s, w) for each monomial w of u'v, then at (u', v), then at (s, u'),
+      op(uv) = k^-1 op(s (u'v)) = k^-1 [op(s) R(u'v) + L(s) op(u'v)]
+             = k^-1 [op(s) R(u') R(v) + L(s) (op(u') R(v) + L(u') op(v))]
+             = k^-1 [(op(s) R(u') + L(s) op(u')) R(v) + L(s u') op(v)]
+             = op(u) R(v) + L(u) op(v),
+    every product regrouped having degree sum <= deg u + deg v + max(0,
+    delta).  The grouplike law is the one-term case: g(uv) = k^-1 g(s) g(u'v)
+    = k^-1 g(s) g(u') g(v) = g(u) g(v).  A premise that does not hold, or a
+    reduced pair that fails, runs ``enumerate``, so the verdict and the first
+    failing pair are those of every pair in order.
     """
 
     name: str
     space: SpaceSpec
     fn: Callable[[MultiIndex, MultiIndex, dict, dict | None], tuple[dict, dict]]
     unary: Callable[[SuperVector], tuple[dict, ...]] | None = None
+    twists: tuple | None = None
 
     def run(self, t_max: int) -> CheckResult:
-        space, fn, unary = self.space, self.fn, self.unary
-        degrees = _degree_range(space, t_max)
-        levels = [basis_of_degree(space, t) for t in degrees]
-        images = {} if unary is None else {idx.entries: unary(SuperVector.monomial(space, idx))
-                                           for level in levels for idx in level}
-        products = suite_products(space)
-        for t1 in degrees:
-            for t2 in _degree_range(space, t_max - t1):
-                for ia in levels[t1]:
+        levels, images, products = self._tables(t_max)
+        if self._reducible(t_max, images, products):
+            first = [_first_factors(self.space, products, t) for t in range(len(levels))]
+            if self._first_failure(t_max, first, levels, images, products) is None:
+                return CheckResult(self.name, True, route="induction")
+        return self._enumerated(t_max, levels, images, products)
+
+    def enumerate(self, t_max: int) -> CheckResult:
+        """The verdict from every pair, whatever the law's shape."""
+        return self._enumerated(t_max, *self._tables(t_max))
+
+    def _tables(self, t_max: int) -> tuple[list, dict, dict | None]:
+        levels = [basis_of_degree(self.space, t) for t in _degree_range(self.space, t_max)]
+        images = {} if self.unary is None else {
+            idx.entries: self.unary(SuperVector.monomial(self.space, idx))
+            for level in levels for idx in level}
+        return levels, images, suite_products(self.space)
+
+    def _reducible(self, t_max: int, images: dict, products: dict | None) -> bool:
+        if products is None or self.twists is None or not all(
+                w is None or isinstance(w, OperatorWord) and w.rule.is_character()
+                for w in self.twists):
+            return False
+        delta = max((w.degree() - sum(a) for a, maps in images.items() for w in maps[0]), default=0)
+        return _associative_upto(self.space, products, t_max + max(0, delta))
+
+    def _first_failure(self, t_max: int, first: list, levels: list, images: dict,
+                       products: dict | None):
+        """The first pair (a, b) in pair order, a in first[deg a], whose sides
+        differ, with those sides; None when every such pair passes."""
+        fn = self.fn
+        for t1, firsts in enumerate(first):
+            for t2 in _degree_range(self.space, t_max - t1):
+                for ia in firsts:
                     for ib in levels[t2]:
                         lhs, rhs = fn(ia, ib, images, products)
                         if lhs != rhs:
-                            return _failure(self, "pair", (ia, ib), lhs, rhs)
-        return CheckResult(self.name, True)
+                            return (ia, ib), lhs, rhs
+        return None
+
+    def _enumerated(self, t_max: int, levels: list, images: dict, products) -> CheckResult:
+        failure = self._first_failure(t_max, levels, levels, images, products)
+        return CheckResult(self.name, True) if failure is None else _failure(self, "pair", *failure)
 
 
 def _triples(space: SpaceSpec, t_max: int) -> Iterator[tuple[MultiIndex, MultiIndex, MultiIndex]]:
@@ -533,13 +652,24 @@ def _triples(space: SpaceSpec, t_max: int) -> Iterator[tuple[MultiIndex, MultiIn
 @dataclass
 class TripleCheck:
     """Identity quantified over triples of basis monomials (degree sum bound),
-    on term maps: ``fn(a, b, c, products)`` as in PairCheck."""
+    on term maps: ``fn(a, b, c, products)`` as in PairCheck.  A check marked
+    ``associativity`` (fn being (ab)c = a(bc)) passes under a suite memo when
+    the space's ledger (_associative_upto) reaches t_max, and else enumerates."""
 
     name: str
     space: SpaceSpec
     fn: Callable[[MultiIndex, MultiIndex, MultiIndex, dict | None], tuple[dict, dict]]
+    associativity: bool = False
 
     def run(self, t_max: int) -> CheckResult:
+        products = suite_products(self.space)
+        if self.associativity and products is not None and _associative_upto(
+                self.space, products, t_max):
+            return CheckResult(self.name, True, route="induction")
+        return self.enumerate(t_max)
+
+    def enumerate(self, t_max: int) -> CheckResult:
+        """The verdict from every triple."""
         products = suite_products(self.space)
         for abc in _triples(self.space, t_max):
             lhs, rhs = self.fn(*abc, products)
@@ -936,16 +1066,23 @@ def _suite_weyl_root(space: SpaceSpec, want_parity: QParity) -> list:
     return checks
 
 
-def coproduct_check(name: str, space: SpaceSpec, op: Callable[[SuperVector], SuperVector],
-                    terms: Sequence[tuple[Callable | None, Callable | None]]) -> PairCheck:
-    """The law op(uv) = sum of f(u) g(v) over (f, g) in terms, None being the
+Map = OperatorWord | Callable[[SuperVector], SuperVector] | None
+
+
+def coproduct_check(name: str, space: SpaceSpec, op: Map,
+                    terms: Sequence[tuple[Map, Map]]) -> PairCheck:
+    """The law op(uv) = sum of f(u) g(v) over (f, g) in terms, each map a
+    word (applied by apply_word), a function on vectors, or None for the
     identity: a PairCheck taking each distinct map once per monomial, and
-    op(uv) as c op(x^w), for uv = c x^w, from those images."""
+    op(uv) as c op(x^w), for uv = c x^w, from those images.  A grouplike law
+    ((op, op),) and a Leibniz law ((op, R), (L, op)) carry their twists, for
+    PairCheck to decide by induction from the generators."""
     maps = list(dict.fromkeys((op, *itertools.chain(*terms))))
     where = [(maps.index(f), maps.index(g)) for f, g in terms]
 
     def unary(u: SuperVector):
-        return tuple(u.terms if g is None else g(u).terms for g in maps)
+        return tuple(u.terms if g is None else (apply_word(g, u) if isinstance(g, OperatorWord)
+                                                else g(u)).terms for g in maps)
 
     def fn(a, b, images, products):
         image_a, image_b, rhs = images[a.entries], images[b.entries], {}
@@ -957,18 +1094,20 @@ def coproduct_check(name: str, space: SpaceSpec, op: Callable[[SuperVector], Sup
         c, w = hit
         return {idx: c * x for idx, x in images[w.entries][0].items()}, rhs
 
-    return PairCheck(name, space, fn, unary)
+    if len(terms) == 1 and terms[0][0] is op is terms[0][1]:
+        twists = (op,)
+    elif len(terms) == 2 and terms[0][0] is op is terms[1][1]:
+        twists = (terms[1][0], terms[0][1])
+    else:
+        twists = None
+    return PairCheck(name, space, fn, unary, twists)
 
 
-def leibniz_check(name: str, space: SpaceSpec, op: Callable, left: Callable | None = None,
-                  right: Callable | None = None) -> PairCheck:
+def leibniz_check(name: str, space: SpaceSpec, op: Map, left: Map = None,
+                  right: Map = None) -> PairCheck:
     """The twisted Leibniz law op(uv) = op(u) right(v) + left(u) op(v), a
     missing map being the identity."""
     return coproduct_check(name, space, op, ((op, right), (left, op)))
-
-
-def _acting(w: OperatorWord) -> Callable[[SuperVector], SuperVector]:
-    return functools.partial(apply_word, w)
 
 
 def _suite_leibniz(space: SpaceSpec) -> list:
@@ -983,15 +1122,15 @@ def _suite_leibniz(space: SpaceSpec) -> list:
 
     for i in range(1, size + 1):
         e_i = _gen_label(space, i)
-        d_i = _acting(_w(space, partial(i)))
+        d_i = _w(space, partial(i))
         if i in fermi:
             tw = _w(space, theta_op(-e_i), tau(i))
-            checks.append(leibniz_check(f"d{i} twisted Leibniz (exterior)", space, d_i, _acting(tw)))
+            checks.append(leibniz_check(f"d{i} twisted Leibniz (exterior)", space, d_i, tw))
             continue
         for sign in (1, -1):
             tw, s_i = _w(space, theta_op(-e_i), sigma(i, sign)), _w(space, sigma(i, -sign))
             checks.append(leibniz_check(f"d{i} twisted Leibniz (sign {sign:+d})", space, d_i,
-                                        _acting(tw), _acting(s_i)))
+                                        tw, s_i))
 
     one = mode.one()
 
@@ -1003,20 +1142,10 @@ def _suite_leibniz(space: SpaceSpec) -> list:
 
     checks.append(PairCheck("monomial twisted commutation", space, comm_fn))
 
-    def chain(products, a, b, c, left: bool, scale: ScalarQ = one) -> dict:
-        """scale (x^a x^b) x^c (left) or scale x^a (x^b x^c) as a term map
-        of at most one entry, from two product_of lookups."""
-        hit = product_of(space, products, *((a, b) if left else (b, c)))
-        if hit is None:
-            return {}
-        coeff, w = hit
-        hit = product_of(space, products, *((w, c) if left else (a, w)))
-        return {} if hit is None else {hit[1]: hit[0] * coeff * scale}
-
     def assoc_fn(a, b, c, products):
-        return chain(products, a, b, c, True), chain(products, a, b, c, False)
+        return _chain(space, products, a, b, c, True), _chain(space, products, a, b, c, False)
 
-    checks.append(TripleCheck("associativity", space, assoc_fn))
+    checks.append(TripleCheck("associativity", space, assoc_fn, associativity=True))
 
     @functools.lru_cache(maxsize=None)
     def twist_image(a: MultiIndex) -> Callable:  # the twist word of a left factor
@@ -1025,7 +1154,8 @@ def _suite_leibniz(space: SpaceSpec) -> list:
     def twist_move_fn(a, b, c, products):
         coeff, _ = twist_image(a)(b)  # a twist keeps b and never vanishes
         # x^b (x^a x^c) times the twist's coefficient
-        return chain(products, a, b, c, True), chain(products, b, a, c, False, coeff)
+        return (_chain(space, products, a, b, c, True),
+                _chain(space, products, b, a, c, False, coeff))
 
     checks.append(TripleCheck("left factor moves past via its twist", space, twist_move_fn))
 
@@ -1033,15 +1163,15 @@ def _suite_leibniz(space: SpaceSpec) -> list:
     seeds = [idx for t in range(0, 3) for idx in basis_of_degree(space, t)][:6]
     for i in range(1, size + 1):
         e_i = _gen_label(space, i)
-        d_i = _acting(_w(space, partial(i)))
+        d_i = _w(space, partial(i))
         twist = tau(i) if i in fermi else sigma(i, -1)
-        right = None if i in fermi else _acting(_w(space, sigma(i, 1)))
+        right = None if i in fermi else _w(space, sigma(i, 1))
         for lab in seeds:
             u0 = SuperVector.monomial(space, lab)
             checks.append(leibniz_check(
                 f"(x^{lab} d{i}) composite derivation", space,
-                lambda z, u0=u0, d_i=d_i: multiply(u0, d_i(z)),
-                _acting(_w(space, theta_op(lab - e_i), twist)), right))
+                lambda z, u0=u0, d_i=d_i: multiply(u0, apply_word(d_i, z)),
+                _w(space, theta_op(lab - e_i), twist), right))
     return checks
 
 

@@ -6,7 +6,9 @@ apply_atom.  monomial_product evaluates the left-multiplication rule of its
 first factor; it must give the structure constants of the star pairing.
 Two rules with one normal form (same_map) must be the same map, a restricted
 cap keeps a rule out of that shortcut, and a cap whose binomial does not
-vanish raises under any interpreter flags.
+vanish raises under any interpreter flags.  A rule that is_character accepts
+must be an algebra map, and a rule with a shift, a check, a binomial or a
+constant other than 1 must be refused.
 """
 
 import itertools
@@ -18,6 +20,7 @@ import sys
 
 import pytest
 
+from qgrass import uqrep
 from qgrass.indices import MultiIndex, split_star, theta
 from qgrass.qarith import GENERIC, q_binom, q_int, root_of_unity
 from qgrass.superspaces import (
@@ -29,16 +32,20 @@ from qgrass.superspaces import (
     basis_of_degree,
     make_space,
     monomial_product,
+    multiply,
 )
-from qgrass.uqrep import Gen, generator_word
+from qgrass.uqrep import Gen, generator_word, verify_module_algebra
 from qgrass.weyl import (
     InvalidAtomError,
     OperatorWord,
+    PairCheck,
     TripleCheck,
     _degree_range,
     _triples,
     apply_atom,
     apply_expr,
+    apply_word,
+    build_suite,
     mult_x,
     mult_x_divpow,
     operators_equal,
@@ -346,3 +353,61 @@ def test_caps_are_checked_under_optimisation():
     default, optimised = run_python("-c", main, *argv), run_python("-O", "-c", main, *argv)
     assert default.returncode == optimised.returncode == 0, default.stderr + optimised.stderr
     assert default.stdout and optimised.stdout == default.stdout
+
+
+# ---------------------------------------------------------------------------
+# characters: the twists a pair law may be reduced by
+# ---------------------------------------------------------------------------
+
+
+def twist_words(space, monkeypatch):
+    """The distinct maps the module-algebra laws, and on the polynomial side
+    the leibniz suite's laws, hand PairCheck as L, R or grouplike g."""
+    checks = []
+    with monkeypatch.context() as patch:
+        patch.setattr(uqrep, "run_checks", lambda suite, sp, cs, t_max: checks.extend(cs))
+        verify_module_algebra(space, 0)
+    if space.family is not Family.DUAL:
+        checks += build_suite("leibniz", space)
+    laws = [c for c in checks
+            if isinstance(c, PairCheck) and c.name != "monomial twisted commutation"]
+    assert laws and all(c.twists is not None for c in laws)
+    return list(dict.fromkeys(w for c in laws for w in c.twists if w is not None))
+
+
+@pytest.mark.parametrize("space", [
+    OMEGA21, make_space(Family.OMEGA, 2, 1, D8), make_space(Family.DUAL, 2, 1),
+    make_space(Family.DUAL, 2, 1, D8), RESTRICTED21,
+], ids=["omega-generic", "omega-d8", "dual-generic", "dual-d8", "omega-restricted-d3"])
+def test_every_twist_of_a_pair_law_is_a_character(space, monkeypatch):
+    words = twist_words(space, monkeypatch)
+    assert len(words) >= (8 if space.family is Family.DUAL else 30)
+    monos = basis_upto(space, 4)
+    pairs = [(SuperVector.monomial(space, a), SuperVector.monomial(space, b))
+             for a in monos for b in monos if a.degree() + b.degree() <= 4]
+    products = [multiply(u, v) for u, v in pairs]
+    assert sum(not p.is_zero() for p in products) > 50
+    for w in words:
+        assert isinstance(w, OperatorWord) and w.rule.is_character(), w.render()
+        image = {idx: apply_word(w, SuperVector.monomial(space, idx)) for idx in monos}
+        for (u, v), uv in zip(pairs, products):
+            (a,), (b,) = u.terms, v.terms
+            assert apply_word(w, uv) == multiply(image[a], image[b]), (w.render(), a, b)
+
+
+def test_a_rule_is_refused_as_a_character_for_each_field_alone():
+    q = GENERIC.q()
+    fields = dict(mode=GENERIC, shift=(0, 0, 0), checks=(), forms=((0, 1, 0), (2, 0, 1)),
+                  lam0=0, mu0=0, binoms=(), scale=None)
+    assert MonomialRule(**fields).is_character()
+    # a constant of 1 in two factors, and (-1)^2, still make a character
+    assert MonomialRule(**{**fields, "mu0": 1, "scale": q.inverse()}).is_character()
+    assert MonomialRule(**{**fields, "lam0": 2}).is_character()
+    for field, value in [("shift", (1, 0, 0)), ("checks", ((1, 0, 3, 0, 0),)),
+                         ("binoms", ((0, 0, 1),)), ("lam0", 1), ("mu0", 1), ("scale", q)]:
+        assert not MonomialRule(**{**fields, field: value}).is_character(), field
+    # the words behind those fields: x1, d1 (a check and a shift), X1 at the root
+    refused = [OperatorWord(OMEGA21, (mult_x(1),)), OperatorWord(OMEGA21, (partial(1),)),
+               OperatorWord(OMEGA21, (sigma(1),), q),
+               OperatorWord(make_space(Family.OMEGA, 2, 1, D3), (mult_x_divpow(1),))]
+    assert not any(w.rule.is_character() for w in refused)

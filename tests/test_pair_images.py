@@ -6,7 +6,10 @@ through the suite product table; a TripleCheck chains the same lookups.  The
 pairs and triples, their order, the first witness and its lhs/rhs JSON must
 be those of the same law evaluated one tuple at a time on vectors.
 operators_equal compares a one-word side through its rule image and brings a
-longer side to the same form.
+longer side to the same form.  A law reduced to the pairs whose first factor
+lies in F must still fail, with the oracle's witness, when it is wrong only
+past F, when a twist is not a character word, or when the product is not
+associative just past t_max.
 """
 
 import contextlib
@@ -16,6 +19,8 @@ import io
 import itertools
 import json
 import pathlib
+import re
+from collections import Counter
 
 import pytest
 
@@ -258,6 +263,174 @@ def test_mutated_triple_law_fails_at_the_triple_of_vector_evaluation(monkeypatch
 
     law = assoc if name == "associativity" else twist_move
     assert_mutation_caught(oracle(name, space, law, 3, 3), run_one(space, check, 3))
+
+
+# ---------------------------------------------------------------------------
+# pair laws reduced to first factors in F: mutations only past F must fail
+# ---------------------------------------------------------------------------
+
+
+def leibniz_law(op, left, right):
+    """op(uv) against op(u) right(v) + left(u) op(v) on vectors, None being
+    the identity."""
+    def law(u, v):
+        rv, lu = (v if right is None else right(v)), (u if left is None else left(u))
+        return op(multiply(u, v)), multiply(op(u), rv) + multiply(lu, op(v))
+
+    return law
+
+
+def split_at_degree_3(space, apply, u):
+    """apply on the terms of u below degree 3, minus apply on the rest."""
+    low = {i: c for i, c in u.terms.items() if i.degree() < 3}
+    high = {i: c for i, c in u.terms.items() if i.degree() >= 3}
+    return apply(SuperVector(space, low)) - apply(SuperVector(space, high))
+
+
+def run_result(space, check, t_max):
+    (result,) = run_checks("probe", space, [check], t_max).results
+    return result
+
+
+@MODES
+def test_a_leibniz_law_wrong_only_from_degree_3_fails_its_reduced_check(monkeypatch, mode):
+    # d1 negated on monomials of degree >= 3: the pairs with u in F see it
+    # through op(uv), the check falls back, and the witness is the oracle's
+    space = make_space(Family.OMEGA, 2, 1, mode)
+    d1, tw, s1 = leibniz_words(space)
+    real = weyl.apply_word
+
+    def mutated(w, u):
+        return split_at_degree_3(space, lambda z: real(w, z), u) if w is d1 else real(w, u)
+
+    monkeypatch.setattr(weyl, "apply_word", mutated)
+    name = "d1 twisted Leibniz (sign +1)"
+    check = leibniz_check(name, space, d1, tw, s1)
+    assert all(w.rule.is_character() for w in check.twists)
+    law = leibniz_law(lambda z: mutated(d1, z), lambda z: real(tw, z), lambda z: real(s1, z))
+    assert not all(first_factor_pairs_pass(space, law, 4))
+    result = run_result(space, check, 4)
+    assert_mutation_caught(oracle(name, space, law, 2, 4), result.to_json())
+    assert result.route == "enumeration"
+
+
+def first_factor_pairs_pass(space, law, t_max):
+    """Per pair (u, v) with u the unit or a generator (F, generically) and
+    deg u + deg v <= t_max, whether the law holds on it."""
+    first = [u for t in (0, 1) for u in basis_of_degree(space, t)]
+    monos = [v for t in range(t_max + 1) for v in basis_of_degree(space, t)]
+    for u in first:
+        for v in monos:
+            if u.degree() + v.degree() <= t_max:
+                lhs, rhs = law(SuperVector.monomial(space, u), SuperVector.monomial(space, v))
+                yield lhs == rhs
+
+
+@MODES
+def test_a_left_twist_given_as_a_function_is_not_reduced(mode):
+    # the twist changed only from degree 3 on: every pair with u of degree
+    # <= 1 passes (all of F generically), so only refusing the premise (no
+    # character word) catches the change
+    space = make_space(Family.OMEGA, 2, 1, mode)
+    d1, tw, s1 = leibniz_words(space)
+
+    def left(u):
+        return split_at_degree_3(space, lambda z: apply_word(tw, z), u)
+
+    name = "d1 twisted Leibniz (sign +1)"
+    check = leibniz_check(name, space, d1, left, s1)
+    law = leibniz_law(lambda z: apply_word(d1, z), left, lambda z: apply_word(s1, z))
+    expected = oracle(name, space, law, 2, 4)
+    assert expected["status"] == "fail"
+    assert all(first_factor_pairs_pass(space, law, 4))
+    result = run_result(space, check, 4)
+    assert result.to_json() == expected and result.route == "enumeration"
+
+
+class FirstFactorProbe:
+    """A check reading the first factors F of a space per degree."""
+
+    name = "first factors"
+
+    def __init__(self, space, t_max):
+        self.space, self.t_max, self.seen = space, t_max, []
+
+    def run(self, t_max):
+        products = superspaces.suite_products(self.space)
+        self.seen = [weyl._first_factors(self.space, products, t) for t in range(self.t_max + 1)]
+        return weyl.CheckResult(self.name, True)
+
+
+@pytest.mark.parametrize("mode, beyond", [
+    (GENERIC, []), (root_of_unity(3), ["(0,3 | 0)", "(3,0 | 0)"]),
+], ids=["generic", "d3"])
+def test_first_factors_are_the_generators_and_what_they_cannot_reach(mode, beyond):
+    # x_i x_i^(2) = [3] x_i^(3) vanishes at a cube root of 1, and nothing else
+    # reaches x_i^(3); x_i x_i^(3) = [4] x_i^(4) does not vanish
+    space = make_space(Family.OMEGA, 2, 1, mode)
+    probe = FirstFactorProbe(space, 4)
+    run_checks("probe", space, [probe], 4)
+    assert probe.seen[:2] == [basis_of_degree(space, 0), basis_of_degree(space, 1)]
+    assert [str(u) for level in probe.seen[2:] for u in level] == beyond
+
+
+class LedgerProbe:
+    """A check reading the space's associativity ledger at given degree sums."""
+
+    name = "ledger"
+
+    def __init__(self, space, degrees):
+        self.space, self.degrees, self.seen = space, degrees, []
+
+    def run(self, t_max):
+        products = superspaces.suite_products(self.space)
+        self.seen = [weyl._associative_upto(self.space, products, t) for t in self.degrees]
+        return weyl.CheckResult(self.name, True)
+
+
+@pytest.mark.parametrize("left, right", [((0, 0, 0), (1, 1, 1)), ((0, 1, 0), (1, 0, 1))],
+                         ids=["unit first", "generator first"])
+def test_the_ledger_fails_at_the_degree_sum_of_a_wrong_structure_constant(monkeypatch, left,
+                                                                          right):
+    # a law's expansion can put the unit first (d1 x1 = 1), so the ledger
+    # holds the unit among its first factors
+    space = OMEGA21
+    flip_product(monkeypatch, *(MultiIndex(e, space.shape) for e in (left, right)))
+    ledger = LedgerProbe(space, (2, 3, 2))
+    run_checks("probe", space, [ledger], 3)
+    assert ledger.seen == [True, False, True]
+
+
+@MODES
+def test_a_structure_constant_wrong_past_t_max_keeps_the_composite_laws_enumerated(
+        monkeypatch, mode):
+    # x2^(2) x1 x3 with its sign flipped, at degree sum t_max + 1: the ledger
+    # fails there, so the composite laws whose op raises the degree by 1 (the
+    # seeds of degree 2) fall back, while every other law needs only t_max
+    space, t_max = make_space(Family.OMEGA, 2, 1, mode), 3
+    a, b = (MultiIndex(e, space.shape) for e in ((0, 2, 0), (1, 0, 1)))
+    flip_product(monkeypatch, a, b)
+    checks = [c for c in build_suite("leibniz", space)
+              if isinstance(c, PairCheck) and c.twists is not None]
+    ledger = LedgerProbe(space, (t_max + 1, t_max))
+    results = run_checks("leibniz", space, checks + [ledger], t_max).results[:-1]
+    assert ledger.seen == [False, True]
+    seeds = {str(u): u for t in range(3) for u in basis_of_degree(space, t)}
+    failed = Counter()
+    for check, result in zip(checks, results):
+        # d{i} twisted Leibniz ..., or (x^{lab} d{i}) composite derivation
+        lab, i = re.match(r"(?:\(x\^(.*) )?d(\d)", check.name).groups()
+        u0 = SuperVector.monomial(space, seeds[lab] if lab else space.unit_index())
+        d_i = word(space, partial(int(i)))
+        left, right = check.twists
+        law = leibniz_law(lambda z: multiply(u0, apply_word(d_i, z)),
+                          lambda z: apply_word(left, z),
+                          None if right is None else lambda z: apply_word(right, z))
+        assert result.to_json() == oracle(check.name, space, law, 2, t_max), check.name
+        raised = u0.degree() == 2
+        assert result.route == ("enumeration" if raised else "induction"), check.name
+        failed[raised] += not result.passed
+    assert failed[True] > 0 and failed[False] == 0
 
 
 def test_default_pair_check_hands_the_law_each_pair_in_order():

@@ -2,7 +2,9 @@
 
 run_checks memoises monomial products for the length of one call; every
 report must be the one the checks give without the memo, and operators_equal
-must decide and witness exactly as evaluation on monomial vectors does.
+must decide and witness exactly as evaluation on monomial vectors does.  The
+sweep's pair and associativity laws, decided by induction where they can be,
+must agree with their full enumeration.
 """
 
 import contextlib
@@ -32,6 +34,7 @@ from qgrass.weyl import (
     CheckResult,
     InvalidAtomError,
     OperatorWord,
+    PairCheck,
     Relation,
     apply_expr,
     apply_word,
@@ -248,13 +251,13 @@ def test_false_relation_witness_matches_vector_images(lhs, rhs):
     assert report.results[0].witness == res.witness
 
 
-def record_relations(monkeypatch):
-    """Make run_checks (as weyl and uqrep call it) record the Relations of
-    each suite it is handed, one list per suite, and run none of them."""
+def record_suites(monkeypatch):
+    """Make run_checks (as weyl and uqrep call it) record each suite it is
+    handed, as (suite, space, checks, t_max), and run none of them."""
     suites = []
 
     def building(suite, space, checks, t_max):
-        suites.append([c for c in checks if isinstance(c, Relation)])
+        suites.append((suite, space, checks, t_max))
         return weyl.RelationReport(suite, space, t_max, [])
 
     monkeypatch.setattr(weyl, "run_checks", building)
@@ -284,9 +287,9 @@ def test_perturbed_relations_decide_as_on_vectors(suite, space, monkeypatch):
     # rules' normal form
     q = space.mode.q()
     if suite == "uq":
-        suites = record_relations(monkeypatch)
+        suites = record_suites(monkeypatch)
         verify_uq_relations(space, 3)
-        (relations,) = suites
+        ((_, _, relations, _),) = suites
     else:
         relations = build_suite(suite, space)
     failing = same_map = 0
@@ -309,24 +312,70 @@ def test_perturbed_relations_decide_as_on_vectors(suite, space, monkeypatch):
     assert failing > 20 and same_map > 5
 
 
-def test_the_sweep_decides_its_one_word_relations_by_normal_form(monkeypatch):
-    # build the suites of the benchmark's sweep jobs without running them: a
-    # change to the rule layout that turns the normal-form decision off fails here
+def sweep_suites(monkeypatch):
+    """The (suite, space, checks, t_max) that the benchmark's ten sweep jobs
+    hand run_checks, built and not run."""
     root = pathlib.Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   root / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    suites = record_relations(monkeypatch)
-    for _, cmd in workloads.SWEEP_JOBS:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(cmd.split()) == 0
+    with monkeypatch.context() as patch:
+        suites = record_suites(patch)
+        for _, cmd in workloads.SWEEP_JOBS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(cmd.split()) == 0
     assert len(suites) == len(workloads.SWEEP_JOBS) == 10
+    return suites
+
+
+def test_the_sweep_decides_its_one_word_relations_by_normal_form(monkeypatch):
+    # build the suites of the benchmark's sweep jobs without running them: a
+    # change to the rule layout that turns the normal-form decision off fails here
+    suites = [[c for c in checks if isinstance(c, Relation)]
+              for _, _, checks, _ in sweep_suites(monkeypatch)]
     assert sum(bool(relations) for relations in suites) == 8
     relations = [rel for relations in suites for rel in relations]
     one_word = [rel for rel in relations if len(rel.lhs) == len(rel.rhs) == 1]
     decided = [rel for rel in one_word if rel.lhs[0].rule.same_map(rel.rhs[0].rule)]
     assert (len(relations), len(one_word), len(decided)) == (767, 694, 669)
+
+
+class Enumerated:
+    """A check's full enumeration, run as a check of its own."""
+
+    def __init__(self, check):
+        self.check = check
+
+    def run(self, t_max):
+        return self.check.enumerate(t_max)
+
+
+def test_the_sweep_reduces_its_pair_laws_and_agrees_with_enumeration(monkeypatch):
+    # every pair law and the associativity law of the sweep, decided by
+    # induction from the generators where run_checks can, against the
+    # enumeration of every pair or triple under a memo of its own
+    routes, compared, suites = Counter(), 0, sweep_suites(monkeypatch)
+    for suite, space, checks, t_max in suites:
+        results = run_checks(suite, space, checks, t_max).results
+        routes.update((type(c).__name__, r.route) for c, r in zip(checks, results))
+        reducible = [i for i, c in enumerate(checks)
+                     if isinstance(c, PairCheck) or getattr(c, "associativity", False)]
+        enumerated = run_checks(suite, space, [Enumerated(checks[i]) for i in reducible], t_max)
+        assert [r.route for r in enumerated.results] == ["enumeration"] * len(reducible)
+        assert [r.to_json() for r in enumerated.results] == [
+            results[i].to_json() for i in reducible]
+        compared += len(reducible)
+    assert compared == 41
+    assert routes == {
+        ("Relation", "normal form"): 669, ("Relation", "enumeration"): 98,
+        ("PairCheck", "induction"): 39, ("PairCheck", "enumeration"): 1,
+        ("TripleCheck", "induction"): 1, ("TripleCheck", "enumeration"): 1,
+    }
+    # the one pair law left enumerated has no twists to reduce by
+    names = [c.name for _, _, checks, _ in suites for c in checks
+             if isinstance(c, PairCheck) and c.twists is None]
+    assert names == ["monomial twisted commutation"]
 
 
 def test_mixed_space_expression_raises():

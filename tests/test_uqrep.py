@@ -11,7 +11,6 @@ from qgrass.uqrep import (
     _span_ranks,
     component_report,
     dim_formula,
-    exact_rank,
     expected_highest_weight,
     generator_word,
     verify_module_algebra,
@@ -157,8 +156,26 @@ def test_dim_formula_range_errors():
 
 
 # ---------------------------------------------------------------------------
-# exact rank
+# exact rank, the test oracle for spans
 # ---------------------------------------------------------------------------
+
+
+def exact_rank(vectors):
+    """Rank and the reduced echelon basis, in monomial order, of the span of
+    homogeneous vectors of one degree."""
+    if not vectors:
+        return 0, []
+    space = vectors[0].space
+    if any(v.space != space for v in vectors):
+        raise ValueError("vectors live in different spaces")
+    vectors = [v for v in vectors if not v.is_zero()]
+    degrees = {v.degree() for v in vectors}
+    if None in degrees or len(degrees) > 1:
+        raise ValueError("vectors must be homogeneous of one degree")
+    rs = RowSpace()
+    for v in vectors:
+        rs.add(v.terms)
+    return rs.rank, [SuperVector(space, rs.rows[k][0]) for k in sorted(rs.rows)]
 
 
 def test_exact_rank_basics():
