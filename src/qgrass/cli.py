@@ -122,9 +122,10 @@ def _space_from_args(args):
 
 
 # The most basis monomials a dims, simple or check-* run may enumerate over its
-# degree range, and the most pairs (triples, for the leibniz suite) of them a
-# check-* run may quantify over.  The sweep script and the benchmark need at
-# most a few hundred monomials, 301 pairs and 1,372 triples (tests/test_cli.py).
+# degree range (or hopf --exhaustive over its basis), and the most pairs
+# (triples, for the leibniz suite) of them a check-* run may quantify over.  The
+# sweep script and the benchmark need at most a few hundred monomials, a hopf
+# basis of 144, 301 pairs and 1,372 triples (tests/test_cli.py).
 MAX_MONOMIALS = 10_000
 MAX_TUPLES = 20_000
 # The highest degree of an act monomial and the largest hopf --p-max.  Generic
@@ -357,11 +358,10 @@ def _check_weyl(space, args):
         raise UsageError(str(exc)) from exc
 
 
-def _cmd_hopf(args) -> int:
-    if args.p_max > MAX_P_MAX:
-        raise UsageError(f"--p-max {args.p_max} is more than the limit of {MAX_P_MAX}")
-    mode = _mode_from_args(args)
-    kwargs: dict = {"mode": mode}
+def _hopf_presentation(args):
+    """The presentation a hopf run checks; refused when --exhaustive asks for
+    an infinite basis or one of more than MAX_MONOMIALS elements."""
+    kwargs: dict = {"mode": _mode_from_args(args)}
     if args.hopf_family in ("taft-mn", "aq", "dq", "dq-restricted", "gq", "gq-restricted"):
         kwargs.update(m=args.m, n=args.n)
     if args.hopf_family in ("taft-orders", "taft-orders-generalized"):
@@ -376,8 +376,19 @@ def _cmd_hopf(args) -> int:
         pres = hopf_mod.build(args.hopf_family, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.exhaustive and hopf_mod.pbw_dim(pres) is math.inf:
+    dim = hopf_mod.pbw_dim(pres)
+    if args.exhaustive and dim is math.inf:
         raise UsageError("--exhaustive needs a finite presentation; this one is infinite")
+    if args.exhaustive and dim > MAX_MONOMIALS:
+        raise UsageError(f"--exhaustive would check {dim:,} basis elements, "
+                         f"more than the limit of {MAX_MONOMIALS:,}")
+    return pres
+
+
+def _cmd_hopf(args) -> int:
+    if args.p_max > MAX_P_MAX:
+        raise UsageError(f"--p-max {args.p_max} is more than the limit of {MAX_P_MAX}")
+    pres = _hopf_presentation(args)
     depth = "exhaustive" if args.exhaustive else "generators"
     report = hopf_mod.verify_hopf(pres, depth=depth)
     payload = {

@@ -8,6 +8,15 @@ that q-commute pairwise and are nilpotent (or free).  Normal forms are
 elements are sparse maps from normal-form keys to coefficients and all
 products are scalar-twisted exponent merges.
 
+Each family is the bosonization R # kG of a quantum linear space (a diagonal
+braiding, Andruskiewitsch-Schneider) and is built from one datum: the names
+of the group generators, the named rows of G's relation lattice, the skew
+generators with their coproduct legs and nilpotency caps, and the conjugation
+and commutation scalars.  A family's builder computes only that datum;
+``_from_datum`` derives every defining relation from it (a lattice row as the
+group word "positive part = negative part", then the conjugations, the
+commutations and the nilpotencies) and assembles the presentation.
+
 The group is an explicit quotient of Z^k by a relation lattice, canonicalized
 through a Hermite normal form; orders and dimensions come from the lattice,
 not from closed-form claims.  Coproduct, counit and antipode live on the
@@ -434,120 +443,83 @@ def _theta_gens(mode: QMode, shape: Shape, i: int, j: int) -> ScalarQ:
     )
 
 
-def _swap_terms(mode: QMode, a: tuple[str, int], b: tuple[str, int],
-                c: ScalarQ) -> list[tuple[ScalarQ, Word]]:
-    """Terms of the relation a b = c b a between two letters."""
-    return [(mode.one(), (a, b)), (-c, (b, a))]
+def _vec(rank: int, *entries: tuple[int, int]) -> tuple[int, ...]:
+    """The integer vector of length rank holding, per column, the sum of the
+    e of the (column, e) entries given."""
+    v = [0] * rank
+    for col, e in entries:
+        v[col] += e
+    return tuple(v)
 
 
-def _order_terms(mode: QMode, gi: int, o: int) -> list[tuple[ScalarQ, Word]]:
-    """Terms of g^o = 1."""
-    return [(mode.one(), (("g", gi),) * o), (-mode.one(), ())]
+def _order_row(group_names: list[str], col: int, o: int) -> tuple[str, tuple[int, ...]]:
+    """The named lattice row of g^o = 1, g the group generator in column col."""
+    return f"{group_names[col]}^{o} = 1", _vec(len(group_names), (col, o))
 
 
-def _nilpotent_terms(mode: QMode, xi: int, cap: int) -> list[tuple[ScalarQ, Word]]:
-    """Terms of x^cap = 0."""
-    return [(mode.one(), (("x", xi),) * cap)]
+@dataclass(frozen=True)
+class _Naming:
+    """How a family names its relations in the reports: g x = chi x g (fields
+    g, x), x_i x_j = c x_j x_i (fields a, b) and, when the family lists them,
+    g_i g_j = g_j g_i.  by_generator lists the conjugations by each g_i next
+    to x_i's own relations instead of all conjugations first."""
+
+    conjugation: str
+    commutation: str
+    group_commutation: str | None = None
+    by_generator: bool = False
 
 
-def _mixed_rank_presentation(
-    family: str,
-    m: int,
-    n: int,
-    mode: QMode,
-    *,
-    x_bos_cap: int | None,
-    k_bos_order: int | None,
-    diag_exp: int,
-    divided_power_tops: bool = False,
-) -> HopfPresentation:
-    """Common core of the coordinate-side bosonizations: group-likes K_i over
-    the (m|n) grading, coordinates x_i with the twist commutation, and the
-    one-sided coproduct Delta(x_i) = x_i (x) 1 + K_i (x) x_i."""
-    if m + n < 1:
-        raise ValueError("need at least one generator")
-    shape = Shape(m, n)
-    size = m + n
-    names_g = [f"K{i}" for i in range(1, size + 1)]
-    relations: list[tuple[int, ...]] = []
-    orders: list[int | None] = []
-    for i in range(1, size + 1):
-        if i <= m:
-            orders.append(k_bos_order)
-        else:
-            orders.append(2)
-    for i, o in enumerate(orders):
-        if o is not None:
-            rel = [0] * size
-            rel[i] = o
-            relations.append(tuple(rel))
+_MIXED = _Naming("{g} {x} = chi {x} {g}", "{a} {b} = c {b} {a}", "{a} {b} commute")
+_DIAGONAL = _Naming("{g} {x} = mu {x} {g}", "{a} {b} = mu {b} {a}", by_generator=True)
+_DQ = _Naming("{g} {x} conjugation", "{a} {b} twisted commutation")
 
-    xgens = []
-    n_x = size + (m if divided_power_tops else 0)
-    zero_g = (0,) * size
 
-    def kvec(i: int) -> tuple[int, ...]:
-        v = [0] * size
-        v[i - 1] = 1
-        return tuple(v)
+def _from_datum(family: str, mode: QMode, group_names: list[str],
+                rows: list[tuple[str, tuple[int, ...]]], xgens: list[SkewGen],
+                chi: list[list[ScalarQ]], comm: list[list[ScalarQ]], params: dict,
+                naming: _Naming, listed: list | None = None) -> HopfPresentation:
+    """The bosonization R # kG of one diagonal braiding datum.
 
-    for i in range(1, size + 1):
-        cap = x_bos_cap if i <= m else 2
-        xgens.append(SkewGen(f"x{i}", cap, kvec(i), zero_g))
-    if divided_power_tops:
-        for i in range(1, m + 1):
-            xgens.append(SkewGen(f"x{i}^(top)", None, zero_g, zero_g))
-
+    G is Z^k (k = len(group_names)) modulo the named lattice rows; the skew
+    generators carry their coproduct legs and nilpotency caps; chi[g][x] and
+    comm[i][j] are the conjugation and commutation scalars.  The defining
+    relations follow from the datum, in this order: each row r as the group
+    word r+ = r- (its positive part equal to its negative part), in the order
+    listed (default: the lattice order); g_i g_j = g_j g_i when the naming has
+    it; g x = chi x g; x_i x_j = comm x_j x_i for j < i; x^cap = 0."""
     one = mode.one()
-    chi = [[one for _ in range(n_x)] for _ in range(size)]
-    comm = [[one for _ in range(n_x)] for _ in range(n_x)]
-    for gi in range(1, size + 1):
-        for xj in range(1, size + 1):
-            c = _theta_gens(mode, shape, gi, xj)
-            if gi == xj:
-                c = c * (mode.q_power(diag_exp) if xj <= m else mode.scalar(-1))
-            chi[gi - 1][xj - 1] = c
-        # divided-power tops are declared central
-    for i in range(1, size + 1):
-        for j in range(1, size + 1):
-            if i != j:
-                comm[i - 1][j - 1] = _theta_gens(mode, shape, i, j)
 
-    pres_relations: list[tuple[str, list[tuple[ScalarQ, Word]]]] = []
-    for i, o in enumerate(orders):
-        if o is not None:
-            pres_relations.append((f"{names_g[i]}^{o} = 1", _order_terms(mode, i, o)))
-    for i in range(size):
-        for j in range(i + 1, size):
-            pres_relations.append((f"{names_g[i]} {names_g[j]} commute",
-                                   _swap_terms(mode, ("g", i), ("g", j), one)))
-    for gi in range(size):
-        for xj in range(n_x):
-            pres_relations.append(
-                (f"{names_g[gi]} {xgens[xj].name} = chi {xgens[xj].name} {names_g[gi]}",
-                 _swap_terms(mode, ("g", gi), ("x", xj), chi[gi][xj]))
-            )
-    for i in range(n_x):
-        for j in range(i):
-            pres_relations.append(
-                (f"{xgens[i].name} {xgens[j].name} = c {xgens[j].name} {xgens[i].name}",
-                 _swap_terms(mode, ("x", i), ("x", j), comm[i][j]))
-            )
-        cap = xgens[i].cap
-        if cap is not None:
-            pres_relations.append((f"{xgens[i].name}^{cap} = 0", _nilpotent_terms(mode, i, cap)))
+    def swap(a: tuple[str, int], b: tuple[str, int], c: ScalarQ) -> list:
+        return [(one, (a, b)), (-c, (b, a))]  # a b = c b a
 
-    pres = HopfPresentation(
-        family=family,
-        mode=mode,
-        group_names=names_g,
-        group=AbelianQuotient(size, relations),
-        xgens=xgens,
-        chi=chi,
-        comm=comm,
-        relations=pres_relations,
-        params={"m": m, "n": n},
-    )
+    def part(row: tuple[int, ...], sign: int) -> Word:
+        return tuple(("g", col) for col, e in enumerate(row) for _ in range(max(sign * e, 0)))
+
+    gs, xs = group_names, [g.name for g in xgens]
+    relations = [(name, [(one, part(row, 1)), (-one, part(row, -1))])
+                 for name, row in (rows if listed is None else listed)]
+    if naming.group_commutation:
+        relations += [(naming.group_commutation.format(a=gs[i], b=gs[j]),
+                       swap(("g", i), ("g", j), one))
+                      for i in range(len(gs)) for j in range(i + 1, len(gs))]
+    conjugations = [[(naming.conjugation.format(g=gs[gi], x=xs[xj]),
+                      swap(("g", gi), ("x", xj), chi[gi][xj])) for xj in range(len(xs))]
+                    for gi in range(len(gs))]
+    own = []  # x_i past each earlier x_j, then x_i's nilpotency
+    for i, xg in enumerate(xgens):
+        block = [(naming.commutation.format(a=xs[i], b=xs[j]),
+                  swap(("x", i), ("x", j), comm[i][j])) for j in range(i)]
+        if xg.cap is not None:
+            block.append((f"{xg.name}^{xg.cap} = 0", [(one, (("x", i),) * xg.cap)]))
+        own.append(block)
+    blocks = ([b for pair in zip(conjugations, own) for b in pair] if naming.by_generator
+              else conjugations + own)
+    for block in blocks:
+        relations += block
+    pres = HopfPresentation(family, mode, group_names,
+                            AbelianQuotient(len(gs), [row for _, row in rows]),
+                            xgens, chi, comm, relations, params)
     _character_warnings(pres)
     return pres
 
@@ -578,46 +550,68 @@ def build(family: str, *, mode: QMode = GENERIC, m: int | None = None, n: int | 
     """
     if family not in HOPF_FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {HOPF_FAMILIES}")
-
+    if family in ("dq", "dq-restricted"):
+        return _build_dq(family, m, n, mode, coproduct_variant, partial_caps)
+    if family in ("taft-orders", "taft-orders-generalized"):
+        return _build_diagonal(family, mode, orders, group_orders)
     if family == "taft-mn":
         if mode.is_generic:
             raise ValueError("the finite multi-rank family needs q of finite order")
         L = mode.d  # nilpotency bound is the order of q here
-        pres = _mixed_rank_presentation(
-            family, m, n, mode, x_bos_cap=L, k_bos_order=L, diag_exp=1
-        )
-        pres.params["order_of_q"] = L
-        return pres
-
+        return _build_mixed(family, m, n, mode, x_cap=L, k_order=L, diag_exp=1, order_of_q=L)
     if family == "aq":
-        pres = _mixed_rank_presentation(
-            family, m, n, mode, x_bos_cap=None, k_bos_order=mode.d, diag_exp=1
-        )
-        pres.params["group_order_cap"] = not mode.is_generic
-        return pres
+        return _build_mixed(family, m, n, mode, x_cap=None, k_order=mode.d, diag_exp=1,
+                            group_order_cap=not mode.is_generic)
+    if mode.is_generic:  # gq, gq-restricted
+        if family == "gq-restricted":
+            raise ValueError("the restricted bosonization needs char(q) = ell >= 3")
+        return _build_mixed(family, m, n, mode, x_cap=None, k_order=None, diag_exp=2)
+    profile = char_of(mode)
+    if profile.parity is not QParity.ODD_ROOT:
+        raise ValueError("the divided-power bosonization is stated for odd char(q)")
+    ell = profile.ell
+    return _build_mixed(family, m, n, mode, x_cap=ell if nilpotency_caps else None,
+                        k_order=ell, diag_exp=2, tops=family == "gq" and nilpotency_caps,
+                        ell=ell)
 
-    if family in ("gq", "gq-restricted"):
-        if mode.is_generic:
-            if family == "gq-restricted":
-                raise ValueError("the restricted bosonization needs char(q) = ell >= 3")
-            return _mixed_rank_presentation(family, m, n, mode, x_bos_cap=None,
-                                            k_bos_order=None, diag_exp=2)
-        profile = char_of(mode)
-        if profile.parity is not QParity.ODD_ROOT:
-            raise ValueError("the divided-power bosonization is stated for odd char(q)")
-        ell = profile.ell
-        pres = _mixed_rank_presentation(
-            family, m, n, mode,
-            x_bos_cap=ell if nilpotency_caps else None, k_bos_order=ell, diag_exp=2,
-            divided_power_tops=(family == "gq" and nilpotency_caps),
-        )
-        pres.params["ell"] = ell
-        return pres
 
-    if family in ("dq", "dq-restricted"):
-        return _build_dq(family, m, n, mode, coproduct_variant, partial_caps)
+def _build_mixed(family: str, m: int, n: int, mode: QMode, *, x_cap: int | None,
+                 k_order: int | None, diag_exp: int, tops: bool = False,
+                 **params) -> HopfPresentation:
+    """The coordinate-side bosonizations: group-likes K_i over the (m|n)
+    grading, coordinates x_i with the twist commutation, and the one-sided
+    coproduct Delta(x_i) = x_i (x) 1 + K_i (x) x_i; tops adds a free, central
+    x_i^(top) per bosonic coordinate.  params follow m and n in the report."""
+    if m + n < 1:
+        raise ValueError("need at least one generator")
+    shape, size = Shape(m, n), m + n
+    names_g = [f"K{i}" for i in range(1, size + 1)]
+    rows = [_order_row(names_g, i, k_order if i < m else 2)
+            for i in range(size) if i >= m or k_order is not None]
+    zero_g = (0,) * size
+    xgens = [SkewGen(f"x{i + 1}", x_cap if i < m else 2, _vec(size, (i, 1)), zero_g)
+             for i in range(size)]
+    if tops:
+        xgens += [SkewGen(f"x{i}^(top)", None, zero_g, zero_g) for i in range(1, m + 1)]
+    one = mode.one()
+    chi = [[one] * len(xgens) for _ in range(size)]  # the tops are central
+    comm = [[one] * len(xgens) for _ in xgens]
+    for i in range(size):
+        for j in range(size):
+            c = _theta_gens(mode, shape, i + 1, j + 1)
+            if i != j:
+                chi[i][j] = comm[i][j] = c
+            else:
+                chi[i][j] = c * (mode.q_power(diag_exp) if j < m else mode.scalar(-1))
+    return _from_datum(family, mode, names_g, rows, xgens, chi, comm,
+                       {"m": m, "n": n, **params}, _MIXED)
 
-    # multi-rank families over a diagonal matrix
+
+def _build_diagonal(family: str, mode: QMode, orders: tuple[int, ...],
+                    group_orders: tuple[int, ...] | None) -> HopfPresentation:
+    """Multi-rank Taft algebras over a diagonal matrix mu: x_i of nilpotency
+    orders[i], K_i of order group_orders[i] (orders[i] for taft-orders) and
+    Delta(x_i) = x_i (x) 1 + K_i (x) x_i; mu conjugates and commutes alike."""
     orders = tuple(orders)
     if any(o < 1 for o in orders):
         raise ValueError(f"orders must be positive, got {list(orders)}")
@@ -638,44 +632,12 @@ def build(family: str, *, mode: QMode = GENERIC, m: int | None = None, n: int | 
         if mode.d % o:
             raise ValueError(f"order {o} does not divide the order of q ({mode.d})")
         mu[i][i] = mode.q_power(mode.d // o)  # exact order o (tests/test_hopf.py)
-
     names_g = [f"K{i}" for i in range(1, n + 1)]
-    relations = []
-    for i, o in enumerate(group_orders):
-        rel = [0] * n
-        rel[i] = o
-        relations.append(tuple(rel))
-    zero_g = (0,) * n
-    xgens = [
-        SkewGen(f"x{i + 1}", orders[i],
-                tuple(1 if k == i else 0 for k in range(n)), zero_g)
-        for i in range(n)
-    ]
-    chi = [[mu[i][j] for j in range(n)] for i in range(n)]
-    comm = [[mu[i][j] for j in range(n)] for i in range(n)]
-    pres_relations = [(f"K{i + 1}^{o} = 1", _order_terms(mode, i, o))
-                      for i, o in enumerate(group_orders)]
-    for i in range(n):
-        for j in range(n):
-            pres_relations.append((f"K{i + 1} x{j + 1} = mu x{j + 1} K{i + 1}",
-                                   _swap_terms(mode, ("g", i), ("x", j), chi[i][j])))
-        for j in range(i):
-            pres_relations.append((f"x{i + 1} x{j + 1} = mu x{j + 1} x{i + 1}",
-                                   _swap_terms(mode, ("x", i), ("x", j), comm[i][j])))
-        pres_relations.append((f"x{i + 1}^{orders[i]} = 0", _nilpotent_terms(mode, i, orders[i])))
-    pres = HopfPresentation(
-        family=family,
-        mode=mode,
-        group_names=names_g,
-        group=AbelianQuotient(n, relations),
-        xgens=xgens,
-        chi=chi,
-        comm=comm,
-        relations=pres_relations,
-        params={"orders": list(orders), "group_orders": list(group_orders)},
-    )
-    _character_warnings(pres)
-    return pres
+    xgens = [SkewGen(f"x{i + 1}", o, _vec(n, (i, 1)), (0,) * n) for i, o in enumerate(orders)]
+    return _from_datum(family, mode, names_g,
+                       [_order_row(names_g, i, o) for i, o in enumerate(group_orders)],
+                       xgens, mu, mu,
+                       {"orders": list(orders), "group_orders": list(group_orders)}, _DIAGONAL)
 
 
 def _build_dq(family: str, m: int, n: int, mode: QMode,
@@ -685,8 +647,7 @@ def _build_dq(family: str, m: int, n: int, mode: QMode,
     Nichols algebra, with the label-dependency relations."""
     if m + n < 1:
         raise ValueError("need at least one generator")
-    shape = Shape(m, n)
-    size = m + n
+    shape, size = Shape(m, n), m + n
     restricted = family == "dq-restricted"
     if restricted and (mode.is_generic or char_of(mode).ell < 3):
         raise ValueError("the restricted cover needs char(q) = ell >= 3")
@@ -707,62 +668,33 @@ def _build_dq(family: str, m: int, n: int, mode: QMode,
     def th(i):
         return size + n + i - 1
 
-    relations: list[tuple[int, ...]] = []
-    for j in range(m + 1, size + 1):
-        rel = [0] * rank
-        rel[ta(j)] = 2
-        relations.append(tuple(rel))
-    # twist-label dependency on the simple roots
+    t_rows = [_order_row(names_g, ta(j), 2) for j in range(m + 1, size + 1)]
+    th_rows = []  # twist-label dependency on the simple roots
     for i in range(1, size):
-        rel = [0] * rank
-        rel[th(i + 1)] = 1
-        rel[th(i)] = -1
-        rel[sig(i)] -= 1
-        rel[sig(i + 1)] -= 1
-        if i == m:
-            for j in range(m + 1, size + 1):
-                rel[ta(j)] -= 1
-        relations.append(tuple(rel))
-    gen_orders: dict[int, int] = {}
+        taus = [(ta(j), -1) for j in range(m + 1, size + 1)] if i == m else []
+        th_rows.append((f"Th{i + 1} = Th{i} s{i} s{i + 1}" + (" tau" if i == m else ""),
+                        _vec(rank, (th(i + 1), 1), (th(i), -1), (sig(i), -1), (sig(i + 1), -1),
+                             *taus)))
+    order_rows = []
     if restricted:
         profile = char_of(mode)
-        ell = profile.ell
         for i in range(1, size + 1):
             # order of the eigenvalue system: the exterior directions carry
             # base -q, hence the doubled order at an odd root
-            if profile.parity is QParity.ODD_ROOT:
-                o = ell if i <= m else 2 * ell
-            else:
-                o = 2 * ell
-            for col in (sig(i), th(i)):
-                rel = [0] * rank
-                rel[col] = o
-                relations.append(tuple(rel))
-                gen_orders[col] = o
-
-    zero_g = (0,) * rank
-
-    def gvec(*cols_exps) -> tuple[int, ...]:
-        v = [0] * rank
-        for col, e in cols_exps:
-            v[col] += e
-        return tuple(v)
+            odd = profile.parity is QParity.ODD_ROOT and i <= m
+            o = profile.ell if odd else 2 * profile.ell
+            order_rows += [_order_row(names_g, col, o) for col in (sig(i), th(i))]
 
     minus_variant = coproduct_variant == "minus"
-    if partial_caps is None:
-        use_caps = restricted
-    else:
-        use_caps = partial_caps and not mode.is_generic
+    use_caps = restricted if partial_caps is None else partial_caps and not mode.is_generic
     xgens = []
     for i in range(1, size + 1):
         if i <= m:
             cap = char_of(mode).ell if use_caps else None
-            gR = gvec((sig(i), 1 if minus_variant else -1))
-            gL = gvec((th(i), -1), (sig(i), -1 if minus_variant else 1))
+            gR = _vec(rank, (sig(i), 1 if minus_variant else -1))
+            gL = _vec(rank, (th(i), -1), (sig(i), -1 if minus_variant else 1))
         else:
-            cap = 2
-            gR = zero_g
-            gL = gvec((th(i), -1), (ta(i), 1))
+            cap, gR, gL = 2, (0,) * rank, _vec(rank, (th(i), -1), (ta(i), 1))
         xgens.append(SkewGen(f"d{i}", cap, gL, gR))
 
     one = mode.one()
@@ -781,45 +713,10 @@ def _build_dq(family: str, m: int, n: int, mode: QMode,
             if i != j:
                 comm[i - 1][j - 1] = _theta_gens(mode, shape, i, j)
 
-    pres_relations: list[tuple[str, list[tuple[ScalarQ, Word]]]] = []
-    for i in range(1, size):
-        lhs: Word = (("g", th(i + 1)),)
-        rhs: list[tuple[str, int]] = [("g", th(i)), ("g", sig(i)), ("g", sig(i + 1))]
-        if i == m:
-            rhs += [("g", ta(j)) for j in range(m + 1, size + 1)]
-        pres_relations.append(
-            (f"Th{i + 1} = Th{i} s{i} s{i + 1}" + (" tau" if i == m else ""),
-             [(one, lhs), (-one, tuple(rhs))])
-        )
-    for col, o in gen_orders.items():
-        pres_relations.append((f"{names_g[col]}^{o} = 1", _order_terms(mode, col, o)))
-    for j in range(m + 1, size + 1):
-        pres_relations.append((f"t{j}^2 = 1", _order_terms(mode, ta(j), 2)))
-    for gi in range(rank):
-        for xj in range(size):
-            pres_relations.append((f"{names_g[gi]} d{xj + 1} conjugation",
-                                   _swap_terms(mode, ("g", gi), ("x", xj), chi[gi][xj])))
-    for i in range(size):
-        for j in range(i):
-            pres_relations.append((f"d{i + 1} d{j + 1} twisted commutation",
-                                   _swap_terms(mode, ("x", i), ("x", j), comm[i][j])))
-        cap = xgens[i].cap
-        if cap is not None:
-            pres_relations.append((f"d{i + 1}^{cap} = 0", _nilpotent_terms(mode, i, cap)))
-
-    pres = HopfPresentation(
-        family=family,
-        mode=mode,
-        group_names=names_g,
-        group=AbelianQuotient(rank, relations),
-        xgens=xgens,
-        chi=chi,
-        comm=comm,
-        relations=pres_relations,
-        params={"m": m, "n": n, "coproduct_variant": coproduct_variant},
-    )
-    _character_warnings(pres)
-    return pres
+    # the relation list puts the label dependencies first, the tau orders last
+    return _from_datum(family, mode, names_g, t_rows + th_rows + order_rows, xgens, chi, comm,
+                       {"m": m, "n": n, "coproduct_variant": coproduct_variant}, _DQ,
+                       listed=th_rows + order_rows + t_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from qgrass import cli, weyl
+from qgrass import cli, hopf, weyl
 from qgrass.cli import main
 from qgrass.qarith import GENERIC, q_int, root_of_unity
 from qgrass.superspaces import basis_of_degree, make_space
@@ -293,6 +293,9 @@ ILL_POSED = {
     "act on a monomial above the degree limit": ["act", "--family", "omega", "--m", "1", "--n", "0",
                                                  "--word", "x1",
                                                  "--monomial", f"({cli.MAX_ACT_DEGREE + 1}|)"],
+    "hopf --exhaustive over too many basis elements": ["hopf", "--family", "taft-mn", "--m", "5",
+                                                       "--n", "0", "--q", "root", "--d", "3",
+                                                       "--exhaustive"],
     "hopf --p-max above the limit": ["hopf", "--family", "aq", "--m", "1", "--n", "0",
                                      "--divided-power", "1", "--p-max", str(cli.MAX_P_MAX + 1)],
 }
@@ -323,6 +326,8 @@ def test_oversized_run_names_its_size(capsys):
     ("simple above the top degree", "degrees 7..9 hold no basis monomial (the top degree is 5)"),
     ("act on a monomial above the degree limit",
      f"has degree {cli.MAX_ACT_DEGREE + 1}, more than the limit of {cli.MAX_ACT_DEGREE}\n"),
+    ("hopf --exhaustive over too many basis elements",
+     f"59,049 basis elements, more than the limit of {cli.MAX_MONOMIALS:,}\n"),
     ("hopf --p-max above the limit",
      f"--p-max {cli.MAX_P_MAX + 1} is more than the limit of {cli.MAX_P_MAX}\n"),
 ])
@@ -368,18 +373,22 @@ def load(path, name):
 def test_every_sweep_and_benchmark_run_passes_the_size_guard():
     # parse each argv the sweep script and the benchmark send, and guard its
     # degree range, pairs and triples as the command would, without running it;
-    # its act monomials and hopf --p-max stay under their limits
+    # its act monomials, hopf --p-max and hopf --exhaustive bases stay under
+    # their limits
     root = SWEEP_SCRIPT.parents[1]
     workloads = load(root / "perfbench" / "workloads.py", "perfbench_workloads")
     argvs = [argv for _, argv in load(SWEEP_SCRIPT, "run_full_verification").RUNS]
     argvs += [cmd.split() for _, cmd in workloads.SWEEP_JOBS + workloads.CERTIFY_JOBS]
     argvs += workloads.query_pool()
-    largest = {"monomials": 0, 2: 0, 3: 0, "act degree": 0, "p_max": 0}
+    largest = {"monomials": 0, 2: 0, 3: 0, "act degree": 0, "p_max": 0, "hopf basis": 0}
     guarded = 0
     for argv in argvs:
         args = cli._parser(cli.build_parser).parse_args(argv)
         if args.command == "hopf":
             largest["p_max"] = max(largest["p_max"], args.p_max)
+            if args.exhaustive:  # built, not checked; refused past the limit
+                dim = hopf.pbw_dim(cli._hopf_presentation(args))
+                largest["hopf basis"] = max(largest["hopf basis"], dim)
         if args.command == "act":
             degree = cli._parse_monomial(args.monomial, cli._space_from_args(args).shape).degree()
             largest["act degree"] = max(largest["act degree"], degree)
@@ -402,3 +411,4 @@ def test_every_sweep_and_benchmark_run_passes_the_size_guard():
     assert max(largest[2], largest[3]) <= cli.MAX_TUPLES
     assert (largest["act degree"], largest["p_max"]) == (8, 4)
     assert largest["act degree"] <= cli.MAX_ACT_DEGREE and largest["p_max"] <= cli.MAX_P_MAX
+    assert largest["hopf basis"] == 144 <= cli.MAX_MONOMIALS

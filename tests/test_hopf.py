@@ -497,6 +497,39 @@ def test_hopf_json_shape():
     assert blob["skew_generators"][0]["coproduct"] == "x1 (x) 1 + K1 (x) x1"
 
 
+@pytest.mark.parametrize("presentation, names, lattice", [
+    (lambda: build("gq", m=1, n=1, mode=D3),
+     ["K1^3 = 1", "K2^2 = 1", "K1 K2 commute",
+      "K1 x1 = chi x1 K1", "K1 x2 = chi x2 K1", "K1 x1^(top) = chi x1^(top) K1",
+      "K2 x1 = chi x1 K2", "K2 x2 = chi x2 K2", "K2 x1^(top) = chi x1^(top) K2",
+      "x1^3 = 0", "x2 x1 = c x1 x2", "x2^2 = 0",
+      "x1^(top) x1 = c x1 x1^(top)", "x1^(top) x2 = c x2 x1^(top)"],
+     [[3, 0], [0, 2]]),
+    (lambda: build("taft-orders-generalized", orders=(2, 3), group_orders=(4, 6),
+                   mode=root_of_unity(12)),
+     ["K1^4 = 1", "K2^6 = 1",
+      "K1 x1 = mu x1 K1", "K1 x2 = mu x2 K1", "x1^2 = 0",
+      "K2 x1 = mu x1 K2", "K2 x2 = mu x2 K2", "x2 x1 = mu x1 x2", "x2^3 = 0"],
+     [[4, 0], [0, 6]]),
+], ids=["gq (1|1) d=3", "taft-orders-generalized (2,3)/(4,6) d=12"])
+def test_relation_names_and_lattice_of_builds_no_report_covers(presentation, names, lattice):
+    # the families' relation names and orders, for builds no CLI reference pins
+    p = presentation()
+    assert [name for name, _ in p.relations] == names
+    assert [list(r) for r in p.group.relations] == lattice
+
+
+def test_dq_lists_its_lattice_and_its_relations_in_two_orders():
+    # the lattice holds the tau order before the label dependency; the
+    # relation list the other way round, and each relation word is its row
+    p = build("dq", m=1, n=1, mode=GENERIC)
+    assert [list(r) for r in p.group.relations] == [[0, 0, 2, 0, 0], [-1, -1, -1, -1, 1]]
+    (th_name, th_terms), (t_name, t_terms) = p.relations[:2]
+    assert (th_name, t_name) == ("Th2 = Th1 s1 s2 tau", "t2^2 = 1")
+    assert [w for _, w in th_terms] == [(("g", 4),), tuple(("g", c) for c in range(4))]
+    assert [w for _, w in t_terms] == [(("g", 2), ("g", 2)), ()]
+
+
 def test_build_refuses_unknown_keywords():
     with pytest.raises(TypeError):
         build("taft-orders", orders=(3,), mode=D3, mu=[[D3.q()]])

@@ -457,11 +457,18 @@ def load(path, name):
 WORKLOADS = load(ROOT / "perfbench" / "workloads.py", "perfbench_workloads")
 
 
-@pytest.mark.parametrize("job", [name for name, _ in WORKLOADS.SWEEP_JOBS])
-def test_pair_and_triple_reports_match_the_benchmark_references(job):
-    # every report of the sweep, relation suites included, byte for byte
-    argv = dict(WORKLOADS.SWEEP_JOBS)[job].split()
-    reference = json.loads((ROOT / "perfbench" / "references.json").read_text())["sweep"][job]
+BENCHMARK_JOBS = {"sweep": WORKLOADS.SWEEP_JOBS, "certify": WORKLOADS.CERTIFY_JOBS}
+
+
+@pytest.mark.parametrize("workload, job", [pytest.param(workload, name, id=name)
+                                           for workload, jobs in BENCHMARK_JOBS.items()
+                                           for name, _ in jobs])
+def test_pair_and_triple_reports_match_the_benchmark_references(workload, job):
+    # every report of the sweep, relation suites included, and of the certify
+    # runs (simple and hopf), byte for byte
+    argv = dict(BENCHMARK_JOBS[workload])[job].split()
+    references = json.loads((ROOT / "perfbench" / "references.json").read_text())
+    reference = references[workload][job]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
