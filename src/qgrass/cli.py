@@ -13,8 +13,9 @@ Subcommands:
 * ``qtest``         q-combinatorics property sweep
 
 Exit status: 0 all checks passed, 1 a verification failed (the report is
-still written), 2 usage error.  Reports embed the run configuration and are
-byte-deterministic for fixed flags; files are written atomically.
+still written), 2 usage error, or a run whose work estimate is over
+``WORK_LIMIT``, refused before any work.  Reports embed the run configuration
+and are byte-deterministic for fixed flags; files are written atomically.
 ``main(argv)`` may be called repeatedly in one process; it builds its parser
 once and reuses it.
 """
@@ -25,10 +26,10 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -121,62 +122,75 @@ def _space_from_args(args):
         raise UsageError(str(exc)) from exc
 
 
-# The most basis monomials a dims, simple or check-* run may enumerate over its
-# degree range (or hopf --exhaustive over its basis), and the most pairs
-# (triples, for the leibniz suite) of them a check-* run may quantify over.  The
-# sweep script and the benchmark need at most a few hundred monomials, a hopf
-# basis of 144, 301 pairs and 1,372 triples (tests/test_cli.py).
-MAX_MONOMIALS = 10_000
-MAX_TUPLES = 20_000
-# The highest degree of an act monomial and the largest hopf --p-max.  Generic
-# q-binomials grow with both: x1 on (500|) takes 0.05 s and eight x1 on it
-# 2.2 s; --p-max 40 on aq (1|0) takes 0.2 s and 60 takes 0.8 s at 96 MB.  The
-# benchmark's queries reach degree 8; its hopf runs, --p-max 4.
-MAX_ACT_DEGREE = 500
-MAX_P_MAX = 40
+# The most work units a run may be estimated at (_estimate); a unit took 0.06 us
+# in the median run timed on a 2-vCPU x86-64 host and 1.1 us at most (CHANGES.md).
+WORK_LIMIT = 20_000_000
+
+
+def _weight(d: int, degree: int) -> int:
+    """One scalar operation: O(degree^2) Laurent terms, O(d^2) residue products."""
+    return (max(degree, 0) + 1) ** 2 + d * d
+
+
+def _monomials(b: int, f: int, t: int) -> int:
+    """Monomials of degree <= t in b unbounded and f exterior exponents."""
+    return sum(math.comb(f, s) * math.comb(t - s + b, b) for s in range(min(t, f) + 1))
+
+
+def _estimate(args) -> int:
+    """Work from the arguments alone: enumeration size times scalar weight, plus
+    d^3 for the char(q) scan.  Counts bound: no restricted caps, hopf caps d,
+    group orders 2d, and ranks to 64 (where the probe alone is over the limit)."""
+    d = abs(getattr(args, "d", None) or 0)
+    if args.command == "qtest":  # Pascal per mode, balanced symmetry, digits to 3 ell <= 3d
+        n, ds = max(args.max, 0), [abs(o) for o in _int_list(args.d_list, "--d-list")]
+        work = (n + 1) * (n + 2) // 2 * (2 * _weight(0, n) + sum(_weight(o, n) for o in ds))
+        return work + sum((3 * o + 1) * (3 * o + 2) // 2 * _weight(o, 3 * o) for o in ds)
+    if args.command == "act":  # k degree-raising atoms: q-binomials of k + 1 rows
+        names = [token.rstrip("0123456789") for token in args.word.split()]
+        raising = sum(name in ("E", "F", "x", "X") for name in names)
+        degree = sum(map(int, re.findall(r"-?\d+", args.monomial))) + raising
+        work = sum([_ATOMS.get(name, 1) for name in names]) * (raising + 1) * _weight(d, degree)
+    elif args.command == "hopf":  # g^3 generator triples of four O(g) products, and the
+        m, n, fam = min(max(args.m, 0), 64), min(max(args.n, 0), 64), args.hopf_family
+        if fam.startswith("taft-orders"):  # basis squared: a coproduct of up to dim terms
+            orders = _int_list(args.orders, "--orders") if args.orders else ()
+            group = _int_list(args.group_orders, "--group-orders") if args.group_orders else orders
+            gens, dim = 2 * len(orders), math.prod(orders) * math.prod(group)
+        else:  # an infinite basis is refused once built; generic q counts as order 1
+            dq, e = fam.startswith("dq"), d or 1
+            gens = 3 * m + 4 * n if dq else 2 * (m + n) + m * (fam == "gq")
+            dim = e ** (2 * m) * 4 ** n * (2 * e) ** ((n + 1) * dq)
+        p = max(args.p_max, 0)  # the p-steps of --divided-power, of q-binomial weight
+        work = (4 * gens ** 4 + args.exhaustive * dim ** 2) * (d + 1)  # characters: O(d)
+        work += (args.divided_power is not None) * (p + 1) * (p + 2) // 2 * _weight(d, p)
+    else:
+        b, f = (args.n, args.m) if args.family.startswith("dual") else (args.m, args.n)
+        b, f, t_max = max(b, 0), max(f, 0), args.t_max
+        if args.family.endswith("restricted") and d:
+            t_max = min(t_max, b * (d - 1) + f)
+        top = min(t_max, cap := math.isqrt(WORK_LIMIT))  # past cap the weight alone is over
+        if args.command == "dims":  # degrees and monomials
+            size = top + 1 + _monomials(b, f, top)
+        elif args.command == "simple":  # a breadth-first search per seed
+            size = sum(1 + (_monomials(b, f, t) - _monomials(b, f, t - 1)) ** 2
+                       for t in range(max(min(args.t_min, cap), 0), top + 1))
+        else:  # each monomial, and the k factors of each pair (k = 2) or triple (k = 3)
+            suite = getattr(args, "suite", "")  # of a law: the monomials of k copies
+            laws = 2 if args.command == "check-leibniz" else 3 if suite == "leibniz" else 1
+            size = sum(k * _monomials(k * b, k * f, top) for k in range(1, laws + 1))
+        work = size * max(b + f, 1) * _weight(d, t_max)
+    return work + d ** 3
 
 
 def _degrees(space, t_min: int, t_max: int) -> dict[int, int]:
-    """dim_formula of each degree t_min..t_max, clipped to the top degree;
-    refused before any basis is built when the range is empty, or holds more
-    than MAX_MONOMIALS monomials, or is more than that many degrees."""
+    """dim_formula of each degree t_min..t_max, clipped to the top degree."""
     top = top_degree(space)
     degrees = range(t_min, (t_max if top is None else min(t_max, top)) + 1)
     if not degrees:  # empty, or above the top degree
         raise UsageError(f"degrees {t_min}..{t_max} hold no basis monomial"
                          + ("" if t_min > t_max else f" (the top degree is {top})"))
-    if len(degrees) > MAX_MONOMIALS:  # too many to sum dim_formula over
-        size, unit = len(degrees), "degrees"
-    else:
-        dims = {t: dim_formula(space, t) for t in degrees}
-        size, unit = sum(dims.values()), "basis monomials"
-    if size > MAX_MONOMIALS:
-        raise UsageError(f"degrees {t_min}..{degrees[-1]} span {size:,} {unit}, "
-                         f"more than the limit of {MAX_MONOMIALS:,}; lower --t-max")
-    return dims
-
-
-def _tuples(dims: dict[int, int], k: int, t_max: int) -> int:
-    """How many pairs (k = 2) or triples (k = 3) of monomials of the degrees
-    0..top in dims have degree sum <= t_max."""
-    upto = list(itertools.accumulate(dims.values()))  # monomials of degree <= t
-    top = len(upto) - 1
-
-    def pairs(budget: int) -> int:
-        return sum(d * upto[min(top, budget - t)] for t, d in dims.items() if t <= budget)
-
-    return pairs(t_max) if k == 2 else sum(d * pairs(t_max - t) for t, d in dims.items())
-
-
-def _check_size(args, dims: dict[int, int]) -> None:
-    """Refuse a check-* run whose pair laws (check-leibniz, leibniz suite) or triple
-    laws (leibniz suite) span more than MAX_TUPLES; pairs first, bounding that work."""
-    laws = 2 if getattr(args, "suite", None) == "leibniz" else int(args.command == "check-leibniz")
-    for k, unit in ((2, "pairs"), (3, "triples"))[:laws]:
-        size = _tuples(dims, k, args.t_max)
-        if size > MAX_TUPLES:
-            raise UsageError(f"degrees 0..{args.t_max} give {size:,} {unit} of basis monomials, "
-                             f"more than the limit of {MAX_TUPLES:,}; lower --t-max")
+    return {t: dim_formula(space, t) for t in degrees}
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -260,22 +274,18 @@ def _parse_word(text: str, space) -> OperatorWord:
     return word
 
 
-# generator token prefixes, each before any prefix of itself (SKinv before SK)
-_GEN_TOKENS = (
-    ("SKinv", Gen.SKINV),
-    ("SK", Gen.SK),
-    ("Kinv", Gen.KINV),
-    ("K", Gen.K),
-    ("E", Gen.E),
-    ("F", Gen.F),
-)
+# generator token prefixes, each before any prefix of itself (SKinv before SK),
+# with the most atoms uqrep.generator_word makes of them; other tokens make one
+_GEN_TOKENS = (("SKinv", Gen.SKINV, 4), ("SK", Gen.SK, 4), ("Kinv", Gen.KINV, 2),
+               ("K", Gen.K, 2), ("E", Gen.E, 3), ("F", Gen.F, 3))
+_ATOMS = {name: atoms for name, _, atoms in _GEN_TOKENS}
 _ATOM_TOKENS = (("d", partial), ("x", mult_x), ("X", mult_x_divpow), ("t", tau))
 
 
 def _parse_token(token: str, space) -> OperatorWord:
     if token == "sigma":
         return _generator(Gen.PARITY, 0, space)
-    for name, gen in _GEN_TOKENS:
+    for name, gen, _ in _GEN_TOKENS:
         if token.startswith(name) and token[len(name):].isdigit():
             return _generator(gen, int(token[len(name):]), space)
     if token.startswith("Th(") and token.endswith(")"):
@@ -325,9 +335,6 @@ def _cmd_act(args) -> int:
     idx = _parse_monomial(args.monomial, space.shape)
     if not idx.is_valid_basis_key():
         raise UsageError(f"{idx} is not a basis monomial of this space")
-    if idx.degree() > MAX_ACT_DEGREE:
-        raise UsageError(f"{idx} has degree {idx.degree()}, more than the limit of "
-                         f"{MAX_ACT_DEGREE}")
     word = _parse_word(args.word, space)
     try:
         image = apply_word(word, SuperVector.monomial(space, idx))
@@ -344,7 +351,7 @@ def _cmd_act(args) -> int:
 
 def _cmd_check(args) -> int:
     space = _space_from_args(args)
-    _check_size(args, _degrees(space, 0, args.t_max))
+    _degrees(space, 0, args.t_max)  # refuses an empty range
     report = args.check(space, args)
     payload = {"config": _config(args), **report.to_json()}
     _emit(payload, args)
@@ -358,9 +365,7 @@ def _check_weyl(space, args):
         raise UsageError(str(exc)) from exc
 
 
-def _hopf_presentation(args):
-    """The presentation a hopf run checks; refused when --exhaustive asks for
-    an infinite basis or one of more than MAX_MONOMIALS elements."""
+def _cmd_hopf(args) -> int:
     kwargs: dict = {"mode": _mode_from_args(args)}
     if args.hopf_family in ("taft-mn", "aq", "dq", "dq-restricted", "gq", "gq-restricted"):
         kwargs.update(m=args.m, n=args.n)
@@ -376,19 +381,8 @@ def _hopf_presentation(args):
         pres = hopf_mod.build(args.hopf_family, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    dim = hopf_mod.pbw_dim(pres)
-    if args.exhaustive and dim is math.inf:
+    if args.exhaustive and hopf_mod.pbw_dim(pres) is math.inf:
         raise UsageError("--exhaustive needs a finite presentation; this one is infinite")
-    if args.exhaustive and dim > MAX_MONOMIALS:
-        raise UsageError(f"--exhaustive would check {dim:,} basis elements, "
-                         f"more than the limit of {MAX_MONOMIALS:,}")
-    return pres
-
-
-def _cmd_hopf(args) -> int:
-    if args.p_max > MAX_P_MAX:
-        raise UsageError(f"--p-max {args.p_max} is more than the limit of {MAX_P_MAX}")
-    pres = _hopf_presentation(args)
     depth = "exhaustive" if args.exhaustive else "generators"
     report = hopf_mod.verify_hopf(pres, depth=depth)
     payload = {
@@ -442,7 +436,7 @@ def _cmd_simple(args) -> int:
 def _cmd_qtest(args) -> int:
     if args.max < 1:
         raise UsageError("--max must be at least 1")
-    orders = _int_list(args.d_list, "--d-list") if args.d_list else (3, 5, 6, 8)
+    orders = _int_list(args.d_list, "--d-list")
     try:
         roots = [root_of_unity(d) for d in orders]
     except ValueError as exc:
@@ -583,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_simple)
 
     p = subs.add_parser("qtest", help="q-combinatorics property sweep")
-    p.add_argument("--d-list", dest="d_list", default=None, help="default 3,5,6,8")
+    p.add_argument("--d-list", dest="d_list", default="3,5,6,8", help="orders of q")
     p.add_argument("--max", type=int, default=12)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)
@@ -609,6 +603,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
+        if (estimate := _estimate(args)) > WORK_LIMIT:  # every refusal by size
+            raise UsageError(f"the run is estimated at {estimate:,} work units, more than "
+                             f"the limit of {WORK_LIMIT:,}")
         return args.fn(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

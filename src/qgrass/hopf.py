@@ -621,8 +621,8 @@ def _build_diagonal(family: str, mode: QMode, orders: tuple[int, ...],
     n = len(orders)
     if family == "taft-orders-generalized":
         group_orders = tuple(group_orders)
-        if len(group_orders) != n or any(g % l for g, l in zip(group_orders, orders)):
-            raise ValueError("group orders must be multiples of the nilpotency orders")
+        if len(group_orders) != n or any(g < 1 or g % l for g, l in zip(group_orders, orders)):
+            raise ValueError("group orders must be positive multiples of the nilpotency orders")
     else:
         group_orders = orders
     if mode.is_generic:

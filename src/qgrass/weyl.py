@@ -534,16 +534,19 @@ def _associative_upto(space: SpaceSpec, products: dict, top: int) -> bool:
     F is k^-1 s a' with k != 0, s a generator and deg a' = deg a - 1; the
     triples (s, a', b), (s, a'b, c) and (s, a', bc) have s first, so
       (ab)c = k^-1 (s (a'b)) c = k^-1 s ((a'b) c) = k^-1 s (a' (bc)) = a (bc),
-    the third step by the hypothesis on a'.  The unit is in F.
+    the third step by the hypothesis on a'.  The unit is in F, and (1, b, c)
+    holds once 1 w = w for each monomial w of degree <= T, one product each.
     """
     ledger = suite_memo.get().setdefault((space, "associative"), [-1, False])
+    one, unit = space.mode.one(), space.unit_index()
     while ledger[0] < top and not ledger[1]:
         s = ledger[0] + 1
         levels = [basis_of_degree(space, t) for t in range(s + 1)]
-        triples = ((a, b, c) for ta in range(s + 1) for a in _first_factors(space, products, ta)
+        triples = ((a, b, c) for ta in range(1, s + 1) for a in _first_factors(space, products, ta)
                    for tb in range(s - ta + 1) for b in levels[tb] for c in levels[s - ta - tb])
-        if all(_chain(space, products, *abc, True) == _chain(space, products, *abc, False)
-               for abc in triples):
+        if all(product_of(space, products, unit, w) == (one, w) for w in levels[s]) and all(
+                _chain(space, products, *abc, True) == _chain(space, products, *abc, False)
+                for abc in triples):
             ledger[0] = s
         else:
             ledger[1] = True

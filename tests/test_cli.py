@@ -271,12 +271,6 @@ ILL_POSED = {
     "check-dq on the restricted dual side": ["check-dq", "--family", "dual-restricted",
                                              "--m", "1", "--n", "1", "--d", "3"],
     "check-weyl on the affine space": ["check-weyl", "--family", "affine", "--m", "1", "--n", "1"],
-    "check-weyl over too many monomials": ["check-weyl", "--suite", "generic", *OMEGA33,
-                                           "--t-max", "40"],
-    "simple over too many monomials": ["simple", *OMEGA33, "--t-max", "40"],
-    "dims over too many monomials": ["dims", *OMEGA33, "--t-max", "40"],
-    "dims over too many degrees": ["dims", "--family", "omega", "--m", "0", "--n", "2",
-                                   "--t-max", "1000000000"],
     "check-weyl over no degree": ["check-weyl", "--suite", "generic", *OMEGA21, "--t-max", "-3"],
     "check-leibniz over no degree": ["check-leibniz", *OMEGA21, "--t-max", "-1"],
     "check-dq over no degree": ["check-dq", "--suite", "leibniz", *OMEGA21, "--t-max", "-1"],
@@ -286,23 +280,70 @@ ILL_POSED = {
     "simple above the top degree": ["simple", "--family", "omega-restricted", *OMEGA21[2:],
                                     "--q", "root", "--d", "3", "--t-min", "7", "--t-max", "9"],
     "dims over no degree": ["dims", *OMEGA11, "--t-max", "-1"],
+    "group order 0 in --group-orders": ["hopf", "--family", "taft-orders-generalized",
+                                        "--orders", "2", "--group-orders", "0",
+                                        "--q", "root", "--d", "4"],
+    "negative --group-orders": ["hopf", "--family", "taft-orders-generalized", "--orders", "2",
+                                "--group-orders", "-2", "--q", "root", "--d", "4"],
+}
+
+# Runs over the work limit, refused by cli._estimate before any basis, word or
+# cyclotomic polynomial is made; test_ill_posed_input_exits_2 checks that before
+# it calls main, so none of them is ever started.  Without the limit, each run
+# from "check-leibniz on omega (1|2)" on took 4 s to over a minute on a 2-vCPU
+# host (CHANGES.md), against 0.05 s for the slowest benchmark run.
+OVERSIZED = {
+    "check-weyl over too many monomials": ["check-weyl", "--suite", "generic", *OMEGA33,
+                                           "--t-max", "40"],
+    "simple over too many monomials": ["simple", *OMEGA33, "--t-max", "40"],
+    "dims over too many monomials": ["dims", *OMEGA33, "--t-max", "40"],
+    "dims over too many degrees": ["dims", "--family", "omega", "--m", "0", "--n", "2",
+                                   "--t-max", "1000000000"],
     "check-leibniz over too many pairs": ["check-leibniz", "--family", "omega", "--m", "3",
                                           "--n", "2", "--t-max", "12"],
     "leibniz suite over too many triples": ["check-dq", "--suite", "leibniz", "--family", "omega",
                                             "--m", "3", "--n", "2", "--t-max", "6"],
     "act on a monomial above the degree limit": ["act", "--family", "omega", "--m", "1", "--n", "0",
-                                                 "--word", "x1",
-                                                 "--monomial", f"({cli.MAX_ACT_DEGREE + 1}|)"],
+                                                 "--word", "x1", "--monomial", "(4000|)"],
     "hopf --exhaustive over too many basis elements": ["hopf", "--family", "taft-mn", "--m", "5",
                                                        "--n", "0", "--q", "root", "--d", "3",
                                                        "--exhaustive"],
     "hopf --p-max above the limit": ["hopf", "--family", "aq", "--m", "1", "--n", "0",
-                                     "--divided-power", "1", "--p-max", str(cli.MAX_P_MAX + 1)],
+                                     "--divided-power", "1", "--p-max", "100"],
+    "check-leibniz on omega (1|2) to degree 50": ["check-leibniz", "--family", "omega", "--m", "1",
+                                                  "--n", "2", "--t-max", "50"],
+    "check-leibniz on omega (1|1) to degree 59": ["check-leibniz", *OMEGA11, "--t-max", "59"],
+    "check-leibniz on dual (2|1) to degree 50": ["check-leibniz", "--family", "dual", "--m", "2",
+                                                 "--n", "1", "--t-max", "50"],
+    "leibniz suite on omega (1|1) to degree 24": ["check-dq", "--suite", "leibniz", *OMEGA11,
+                                                  "--t-max", "24"],
+    "24 x1 on x1^(500)": ["act", "--family", "omega", "--m", "1", "--n", "0",
+                          "--word", " ".join(["x1"] * 24), "--monomial", "(500|)"],
+    "400 x1 on the unit": ["act", "--family", "omega", "--m", "1", "--n", "0",
+                           "--word", " ".join(["x1"] * 400), "--monomial", "(0|)"],
+    "hopf generator probe on dq (8|8)": ["hopf", "--family", "dq", "--m", "8", "--n", "8"],
+    "hopf generator probe on dq (12|12)": ["hopf", "--family", "dq", "--m", "12", "--n", "12"],
+    "hopf --exhaustive on taft-mn (4|0)": ["hopf", "--family", "taft-mn", "--m", "4", "--n", "0",
+                                           "--q", "root", "--d", "3", "--exhaustive"],
+    "simple on omega (4|0) in degree 20": ["simple", "--family", "omega", "--m", "4", "--n", "0",
+                                           "--t-min", "20", "--t-max", "20"],
+    "simple on omega (4|0) in degree 30": ["simple", "--family", "omega", "--m", "4", "--n", "0",
+                                           "--t-min", "30", "--t-max", "30"],
+    "qtest at order 101": ["qtest", "--d-list", "101"],
+    "taft-orders at order 10^6": ["hopf", "--family", "taft-orders", "--orders", "2",
+                                  "--q", "root", "--d", "1000000"],
 }
+ILL_POSED.update(OVERSIZED)
+
+
+def estimate(argv):
+    return cli._estimate(cli._parser(cli.build_parser).parse_args(argv))
 
 
 @pytest.mark.parametrize("argv", ILL_POSED.values(), ids=ILL_POSED.keys())
 def test_ill_posed_input_exits_2(capsys, argv):
+    if argv in OVERSIZED.values():  # refused before it starts, or never called
+        assert estimate(argv) > cli.WORK_LIMIT
     code, out, err = call(capsys, argv)
     assert code == 2
     assert err.startswith("error: ")
@@ -313,23 +354,28 @@ def test_ill_posed_input_exits_2(capsys, argv):
 def test_oversized_run_names_its_size(capsys):
     code, _, err = call(capsys, ILL_POSED["check-weyl over too many monomials"])
     assert code == 2
-    assert f"88,641 basis monomials, more than the limit of {cli.MAX_MONOMIALS:,}" in err
+    assert err == ("error: the run is estimated at 894,033,126 work units, more than the limit "
+                   f"of {cli.WORK_LIMIT:,}\n")
+
+
+@pytest.mark.parametrize("case", OVERSIZED)
+def test_every_refusal_by_size_names_its_estimate_and_the_limit(capsys, case):
+    argv = OVERSIZED[case]
+    size = estimate(argv)
+    assert size > cli.WORK_LIMIT
+    assert call(capsys, argv) == (2, "", f"error: the run is estimated at {size:,} work units, "
+                                         f"more than the limit of {cli.WORK_LIMIT:,}\n")
 
 
 @pytest.mark.parametrize("case, message", [
-    ("check-leibniz over too many pairs",
-     f"139,139 pairs of basis monomials, more than the limit of {cli.MAX_TUPLES:,}"),
-    ("leibniz suite over too many triples",
-     f"33,028 triples of basis monomials, more than the limit of {cli.MAX_TUPLES:,}"),
+    ("check-leibniz over too many pairs", "estimated at 236,386,215 work units"),
+    ("leibniz suite over too many triples", "estimated at 26,486,215 work units"),
     ("check-weyl over no degree", "degrees 0..-3 hold no basis monomial\n"),
     ("simple with --t-min above --t-max", "degrees 5..2 hold no basis monomial\n"),
     ("simple above the top degree", "degrees 7..9 hold no basis monomial (the top degree is 5)"),
-    ("act on a monomial above the degree limit",
-     f"has degree {cli.MAX_ACT_DEGREE + 1}, more than the limit of {cli.MAX_ACT_DEGREE}\n"),
-    ("hopf --exhaustive over too many basis elements",
-     f"59,049 basis elements, more than the limit of {cli.MAX_MONOMIALS:,}\n"),
-    ("hopf --p-max above the limit",
-     f"--p-max {cli.MAX_P_MAX + 1} is more than the limit of {cli.MAX_P_MAX}\n"),
+    ("act on a monomial above the degree limit", "estimated at 32,032,008 work units"),
+    ("hopf --exhaustive over too many basis elements", "estimated at 13,947,297,631 work units"),
+    ("hopf --p-max above the limit", "estimated at 52,545,415 work units"),
 ])
 def test_refused_run_names_its_range_or_tuples(capsys, case, message):
     code, _, err = call(capsys, ILL_POSED[case])
@@ -339,28 +385,33 @@ def test_refused_run_names_its_range_or_tuples(capsys, case, message):
 
 @pytest.mark.parametrize("family, m, n, text", [("omega", 1, 0, "({}|)"), ("dual", 0, 1, "(|{})")])
 def test_act_at_the_degree_limit(capsys, family, m, n, text):
-    # x1 on x1^(cap) is [cap + 1] x1^(cap + 1); the q-integer's recursion would
-    # run deeper than the interpreter allows
-    cap = cli.MAX_ACT_DEGREE
-    code, out = run(capsys, "act", "--family", family, "--m", str(m), "--n", str(n),
-                    "--word", "x1", "--monomial", text.format(cap))
+    # x1 on x1^(500) is [501] x1^(501); the q-integer's recursion would run
+    # deeper than the interpreter allows.  The work limit admits it.
+    argv = ["act", "--family", family, "--m", str(m), "--n", str(n),
+            "--word", "x1", "--monomial", text.format(500)]
+    assert estimate(argv) <= cli.WORK_LIMIT
+    code, out = run(capsys, *argv)
     assert code == 0
     (term,) = json.loads(out)["image"]
-    assert term["coefficient"] == str(q_int(cap + 1))
+    assert term["coefficient"] == str(q_int(501))
 
 
 @pytest.mark.parametrize("family, m, n, t_max", [
     ("omega", 2, 1, 7), ("dual", 1, 2, 5), ("omega-restricted", 2, 1, 9), ("omega", 0, 2, 6)])
 def test_pair_and_triple_counts_are_those_of_the_enumeration(family, m, n, t_max):
+    # the k-tuples of degree sum <= t_max are the monomials of k copies of the
+    # space; the restricted caps are left out, which makes the count a bound
     mode = GENERIC if family == "omega" else root_of_unity(3)
     space = make_space(family, m, n, mode)
-    dims = cli._degrees(space, 0, t_max)
-    monos = [i for t in dims for i in basis_of_degree(space, t)]
-    for k in (2, 3):
+    monos = [i for t in range(t_max + 1) for i in basis_of_degree(space, t)]
+    b, f = (n, m) if family == "dual" else (m, n)
+    for k in (1, 2, 3):
         tuples = [abc for abc in itertools.product(monos, repeat=k)
                   if sum(i.degree() for i in abc) <= t_max]
-        assert cli._tuples(dims, k, t_max) == len(tuples)
-    assert len(list(weyl._triples(space, t_max))) == cli._tuples(dims, 3, t_max)
+        count = cli._monomials(k * b, k * f, t_max)
+        assert count >= len(tuples) if family.endswith("restricted") else count == len(tuples)
+        if k == 3:
+            assert len(list(weyl._triples(space, t_max))) == len(tuples)
 
 
 def load(path, name):
@@ -371,44 +422,55 @@ def load(path, name):
 
 
 def test_every_sweep_and_benchmark_run_passes_the_size_guard():
-    # parse each argv the sweep script and the benchmark send, and guard its
-    # degree range, pairs and triples as the command would, without running it;
-    # its act monomials, hopf --p-max and hopf --exhaustive bases stay under
-    # their limits
+    # the estimate of each argv the sweep script and the benchmark send, with
+    # nothing run: all are admitted, the largest with ten times the room
     root = SWEEP_SCRIPT.parents[1]
     workloads = load(root / "perfbench" / "workloads.py", "perfbench_workloads")
     argvs = [argv for _, argv in load(SWEEP_SCRIPT, "run_full_verification").RUNS]
     argvs += [cmd.split() for _, cmd in workloads.SWEEP_JOBS + workloads.CERTIFY_JOBS]
-    argvs += workloads.query_pool()
-    largest = {"monomials": 0, 2: 0, 3: 0, "act degree": 0, "p_max": 0, "hopf basis": 0}
-    guarded = 0
-    for argv in argvs:
-        args = cli._parser(cli.build_parser).parse_args(argv)
-        if args.command == "hopf":
-            largest["p_max"] = max(largest["p_max"], args.p_max)
-            if args.exhaustive:  # built, not checked; refused past the limit
-                dim = hopf.pbw_dim(cli._hopf_presentation(args))
-                largest["hopf basis"] = max(largest["hopf basis"], dim)
-        if args.command == "act":
-            degree = cli._parse_monomial(args.monomial, cli._space_from_args(args).shape).degree()
-            largest["act degree"] = max(largest["act degree"], degree)
-        if not hasattr(args, "t_max"):
-            continue
-        space = cli._space_from_args(args)
-        degrees = cli._degrees(space, getattr(args, "t_min", 0), args.t_max)
-        if args.command.startswith("check-"):
-            cli._check_size(args, degrees)
-        arities = (2, 3) if getattr(args, "suite", None) == "leibniz" else (
-            (2,) if args.command == "check-leibniz" else ())
-        for k in arities:
-            largest[k] = max(largest[k], cli._tuples(degrees, k, args.t_max))
-        monomials = sum(len(basis_of_degree(space, t)) for t in degrees)
-        largest["monomials"] = max(largest["monomials"], monomials)
-        guarded += 1
-    assert guarded > 400
-    assert largest["monomials"] <= cli.MAX_MONOMIALS
-    assert (largest[2], largest[3]) == (301, 1372)
-    assert max(largest[2], largest[3]) <= cli.MAX_TUPLES
-    assert (largest["act degree"], largest["p_max"]) == (8, 4)
-    assert largest["act degree"] <= cli.MAX_ACT_DEGREE and largest["p_max"] <= cli.MAX_P_MAX
-    assert largest["hopf basis"] == 144 <= cli.MAX_MONOMIALS
+    pool = workloads.query_pool()
+    assert (len(argvs), len(pool)) == (54, 4000)
+    sizes = {" ".join(argv): estimate(argv) for argv in argvs + pool}
+    largest = max(sizes, key=sizes.get)
+    assert (largest, sizes[largest]) == (
+        "simple --family omega-restricted --m 3 --n 1 --q root --d 3", 1_086_483)
+    assert sizes[largest] <= cli.WORK_LIMIT // 10
+
+
+def grow(argv, flag, step=1):
+    """argv with the integer after flag raised by step."""
+    i = argv.index(flag) + 1
+    return argv[:i] + [str(int(argv[i]) + step)] + argv[i + 1:]
+
+
+DEGREE_RUNS = [[cmd, *extra] for cmd, extra in (
+    ("dims", []), ("simple", []), ("simple", ["--t-min", "2"]), ("check-uq", []),
+    ("check-leibniz", []), ("check-dq", ["--suite", "leibniz"]), ("check-weyl", []))]
+
+
+@pytest.mark.parametrize("family, d", [("omega", None), ("dual", None), ("omega", "5"),
+                                       ("omega-restricted", "3"), ("dual-restricted", "4")])
+@pytest.mark.parametrize("m, n, t_max", itertools.product((0, 1, 2), (0, 1, 2), (-1, 0, 3, 6)))
+def test_the_estimate_never_shrinks_as_the_input_grows(family, d, m, n, t_max):
+    # raising any of --t-max, --m, --n, --d, the atoms of a word, --max or
+    # --p-max by one never lowers the estimate; nothing is run
+    root = ["--d", d] if d else []
+    shape = ["--family", family, "--m", str(m), "--n", str(n), *root]
+    for run_argv in DEGREE_RUNS:
+        argv = run_argv + shape + ["--t-max", str(t_max)]
+        for flag in ("--t-max", "--m", "--n") + (("--d",) if d else ()):
+            assert estimate(grow(argv, flag)) >= estimate(argv), (argv, flag)
+    word = ["E1", "x1", "Th(1|0)", "SK1", "d2", "sinv1", "K2"][:m + n]
+    for tokens in itertools.accumulate([[token] for token in word]):  # one more atom each
+        argv = ["act", *shape, "--word", " ".join(tokens), "--monomial", f"({m},{t_max}|0)"]
+        longer = argv[:-3] + [" ".join(tokens + ["x2"])] + argv[-2:]
+        assert estimate(longer) >= estimate(argv)
+        assert estimate(grow(argv, "--d") if d else argv) >= estimate(argv)
+    for family in ("taft-mn", "aq", "gq", "gq-restricted", "dq", "dq-restricted"):
+        argv = ["hopf", "--family", family, "--m", str(m), "--n", str(n), *root,
+                "--divided-power", "1", "--p-max", str(t_max + 2), "--exhaustive"]
+        for flag in ("--m", "--n", "--p-max") + (("--d",) if d else ()):
+            assert estimate(grow(argv, flag)) >= estimate(argv), (argv, flag)
+    argv = ["qtest", "--max", str(t_max + 2), "--d-list", str(m + n + 3)]
+    assert estimate(grow(argv, "--max")) >= estimate(argv)
+    assert estimate(argv[:-1] + [str(m + n + 4)]) >= estimate(argv)
