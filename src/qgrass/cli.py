@@ -161,9 +161,11 @@ def _estimate(args) -> int:
             dq, e = fam.startswith("dq"), d or 1
             gens = 3 * m + 4 * n if dq else 2 * (m + n) + m * (fam == "gq")
             dim = e ** (2 * m) * 4 ** n * (2 * e) ** ((n + 1) * dq)
-        p = max(args.p_max, 0)  # the p-steps of --divided-power, of q-binomial weight
+        # the probe forms two products per triple; four make the term a bound
         work = (4 * gens ** 4 + args.exhaustive * dim ** 2) * (d + 1)  # characters: O(d)
-        work += (args.divided_power is not None) * (p + 1) * (p + 2) // 2 * _weight(d, p)
+        if args.divided_power is not None:  # p-steps of q-binomial weight, and the
+            p = max(args.p_max, 0)  # threshold power, of an order dividing 2d
+            work += (p + 1) * (p + 2) // 2 * _weight(d, p) + (2 * d) ** 2 * _weight(d, 0)
     else:
         b, f = (args.n, args.m) if args.family.startswith("dual") else (args.m, args.n)
         b, f, t_max = max(b, 0), max(f, 0), args.t_max

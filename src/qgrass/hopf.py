@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .indices import MultiIndex, Shape, theta
@@ -86,7 +87,7 @@ class AbelianQuotient:
         return (0,) * self.rank
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return self.reduce(tuple(x + y for x, y in zip(a, b)))
+        return self.reduce(tuple(map(operator.add, a, b)))
 
     def inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
         return self.reduce(tuple(-x for x in a))
@@ -165,14 +166,20 @@ class SkewGen:
 
 Word = tuple[tuple[str, int], ...]  # letters ("x", i) / ("g", i)
 Key = tuple[tuple[int, ...], tuple[int, ...]]  # (x exponents, group element)
+_UNSET = object()  # a memo miss; None is a memoised product (a cap overflow)
 
 
 @dataclass
 class HopfPresentation:
     """A presentation with its structure maps.  It is immutable once ``build``
-    returns: ``_memo`` holds, filled on demand, the chi twists of
-    ``_key_product``, S(x_i) per generator, and Delta and S of each basis key.
-    Memoised dicts are shared; callers read them and never mutate them."""
+    returns, and ``_memo`` holds, filled on demand and keyed by a leading tag:
+    ("product", ka), the row {kb: (coeff, key) or None} of the normal forms of
+    the products ka kb that ``_key_product`` was asked for; ("key", key), the
+    one stored copy of each key those products give; ("chi", g, j, e), the
+    twist chi_g(x_j)^e of ``_normal_form``; ("Sx", i), S(x_i); and ("S", key)
+    and ("Delta", key), S and Delta of each basis key.
+    It lives as long as the presentation.  Memoised values are shared;
+    callers read them and never mutate them."""
 
     family: str
     mode: QMode
@@ -209,11 +216,27 @@ class HopfPresentation:
         return out
 
     def _key_product(self, ka: Key, kb: Key) -> tuple[ScalarQ, Key] | None:
+        """_normal_form(ka, kb), memoised: each key pair is reduced once, and
+        each result key is stored once however many pairs give it."""
+        row = self._memo.get(("product", ka))
+        if row is None:
+            row = self._memo[("product", ka)] = {}
+        hit = row.get(kb, _UNSET)
+        if hit is _UNSET:
+            hit = self._normal_form(ka, kb)
+            if hit is not None:
+                hit = hit[0], self._memo.setdefault(("key", hit[1]), hit[1])
+            row[kb] = hit
+        return hit
+
+    def _normal_form(self, ka: Key, kb: Key) -> tuple[ScalarQ, Key] | None:
         """Normal form of the product of two basis keys, or None when a capped
         x exponent overflows: kb's x part moves past ka's group part (chi
-        twist) and past ka's later x generators (comm twist)."""
+        twist) and past ka's later x generators (comm twist).  The algebra is
+        a quantum linear space over an abelian group, so the product is one
+        scalar times one key."""
         (xa, ga), (xb, gb) = ka, kb
-        xv = tuple(a + b for a, b in zip(xa, xb))
+        xv = tuple(map(operator.add, xa, xb))
         for g, e in zip(self.xgens, xv):
             if g.cap is not None and e >= g.cap:
                 return None
@@ -827,14 +850,23 @@ def verify_hopf(pres: HopfPresentation, depth: str = "generators") -> HopfReport
 
     # associativity probe over generator triples: a diagnostic beyond the
     # axiom checks above, surfacing presentation-level inconsistencies such as
-    # group orders smaller than the orders of their conjugation characters
-    gens = [pres.gen_x(i) for i in range(len(pres.xgens))]
-    gens += [pres.gen_g(i) for i in range(pres.group.rank)]
-    assoc_ok = True
-    for a, b, c in itertools.product(gens, repeat=3):
-        if pres.mul(pres.mul(a, b), c) != pres.mul(a, pres.mul(b, c)):
-            assoc_ok = False
-            break
+    # group orders smaller than the orders of their conjugation characters.
+    # Each generator is one key, so each side is one scalar times one key (or
+    # None): the g^2 pair products come from the memo, and the 2g^3 triple
+    # products, each used once, straight from the kernel so the memo stays O(g^2)
+    gens = [k for i in range(len(pres.xgens)) for k in pres.gen_x(i)]
+    gens += [k for i in range(pres.group.rank) for k in pres.gen_g(i)]
+    pair = {(a, b): pres._key_product(a, b) for a in gens for b in gens}
+
+    def times(hit, key, key_first: bool):  # a pair product times one more key
+        if hit is None:
+            return None
+        coeff, k = hit
+        out = pres._normal_form(key, k) if key_first else pres._normal_form(k, key)
+        return None if out is None else (coeff * out[0], out[1])
+
+    assoc_ok = all(times(pair[a, b], c, False) == times(pair[b, c], a, True)
+                   for a, b, c in itertools.product(gens, repeat=3))
     probes = [
         HopfCheck(
             "normal-form product associative on generator triples",
@@ -980,9 +1012,12 @@ def _binom_rows(base: ScalarQ, top: int) -> list[list[ScalarQ]]:
     return rows
 
 
-def _multiplicative_order(mode: QMode, val: ScalarQ, bound: int = 64) -> int | None:
+def _multiplicative_order(mode: QMode, val: ScalarQ) -> int | None:
+    """The least k >= 1 with val^k = 1, or None.  The swap characters are
+    +-q^k, whose orders divide 2d at a root of unity of order d; in Q(v) only
+    +-1 have finite order, so the generic search stops at 2."""
     acc = mode.one()
-    for k in range(1, bound + 1):
+    for k in range(1, (2 if mode.is_generic else 2 * mode.d) + 1):
         acc = acc * val
         if acc == mode.one():
             return k

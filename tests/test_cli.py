@@ -332,6 +332,11 @@ OVERSIZED = {
     "qtest at order 101": ["qtest", "--d-list", "101"],
     "taft-orders at order 10^6": ["hopf", "--family", "taft-orders", "--orders", "2",
                                   "--q", "root", "--d", "1000000"],
+    # its threshold power is of order 67; a search stopped at 64 refused it
+    # as having no finite order
+    "hopf --divided-power at order 67": ["hopf", "--family", "dq", "--m", "1", "--n", "0",
+                                         "--q", "root", "--d", "67", "--divided-power", "1",
+                                         "--p-max", "1"],
 }
 ILL_POSED.update(OVERSIZED)
 

@@ -1,12 +1,19 @@
+import contextlib
+import dataclasses
+import importlib.util
+import io
 import itertools
 import json
 import math
+import pathlib
 
 import pytest
 
+from qgrass import cli, hopf
 from qgrass.hopf import (
     AbelianQuotient,
     HopfPresentation,
+    _multiplicative_order,
     build,
     divided_power_coproduct_check,
     pbw_dim,
@@ -307,6 +314,35 @@ def test_a_second_verification_reports_the_same(name):
     assert json.dumps([verify_hopf(fresh, "exhaustive").to_json(), fresh.to_json()]) == first
 
 
+def products_memoised(p: HopfPresentation) -> int:
+    return sum(len(row) for key, row in p._memo.items() if key[0] == "product")
+
+
+@pytest.mark.parametrize("name", ["taft-mn (1|1) d=3", "taft-orders (2,3) d=6"])
+def test_key_product_memo_agrees_with_the_kernel(name):
+    # every key pair: the first call fills the memo, the second reads it
+    p = FINITE[name]()
+    keys = p.basis_keys()
+    assert len(keys) == 36
+    first = {}
+    for ka, kb in itertools.product(keys, repeat=2):
+        first[ka, kb] = p._key_product(ka, kb)
+        assert first[ka, kb] == p._normal_form(ka, kb)
+    for ka, kb in itertools.product(keys, repeat=2):
+        assert p._key_product(ka, kb) is first[ka, kb]
+        assert first[ka, kb] == p._normal_form(ka, kb)
+    assert products_memoised(p) == 36 ** 2
+
+
+def test_generator_probe_keeps_the_memo_below_the_triple_count():
+    # the probe memoises its g^2 pair products and none of its g^3 triples
+    p = build("dq", m=3, n=3, mode=GENERIC)
+    verify_hopf(p, "generators")
+    g = len(p.xgens) + p.group.rank
+    assert g == 21
+    assert products_memoised(p) < g ** 3
+
+
 def test_exhaustive_verification_builds_each_coproduct_once(monkeypatch):
     # 30 relation-word products plus one chain per basis key: 84 for this
     # presentation, where recomputing Delta per leg took 300
@@ -322,6 +358,85 @@ def test_exhaustive_verification_builds_each_coproduct_once(monkeypatch):
     report = verify_hopf(build("taft-orders", orders=(2, 3), mode=D6), "exhaustive")
     assert report.passed
     assert calls <= 100
+
+
+# ---------------------------------------------------------------------------
+# the generator-triple probe against its oracle
+# ---------------------------------------------------------------------------
+
+
+def probe_oracle(p: HopfPresentation) -> bool:
+    """The associativity probe by definition: (ab)c = a(bc) as dict products
+    on every triple of generators, four products per triple."""
+    gens = [p.gen_x(i) for i in range(len(p.xgens))]
+    gens += [p.gen_g(i) for i in range(p.group.rank)]
+    return all(p.mul(p.mul(a, b), c) == p.mul(a, p.mul(b, c))
+               for a, b, c in itertools.product(gens, repeat=3))
+
+
+def probe_verdict(p: HopfPresentation) -> bool:
+    (probe,) = verify_hopf(p, "generators").probes
+    return probe.passed
+
+
+def load(path: pathlib.Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def checked_presentations():
+    """Each distinct presentation that the full sweep and the certify workload
+    check, as the CLI builds it, with the probe verdict the run reported."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    argvs = [argv for _, argv in load(root / "scripts" / "run_full_verification.py",
+                                      "run_full_verification").RUNS]
+    argvs += [cmd.split() for _, cmd in load(root / "perfbench" / "workloads.py",
+                                             "perfbench_workloads").CERTIFY_JOBS]
+    seen = {}
+    verify = hopf.verify_hopf
+
+    def record(pres, depth="generators"):
+        report = verify(pres, depth)
+        (probe,) = report.probes
+        seen.setdefault(json.dumps(pres.to_json(), sort_keys=True), (pres, probe.passed))
+        return report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hopf, "verify_hopf", record)
+        for argv in argvs:
+            if argv[0] == "hopf":
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.main(argv)
+    return list(seen.values())
+
+
+def test_probe_equals_its_oracle_on_every_checked_presentation(checked_presentations):
+    assert len(checked_presentations) == 11
+    failing = []
+    for pres, verdict in checked_presentations:
+        fresh = dataclasses.replace(pres)  # same datum, empty memo
+        assert not fresh._memo
+        assert probe_oracle(fresh) == verdict, pres.to_json()
+        if not verdict:
+            failing.append((pres.family, pres.params["m"], pres.params["n"], pres.mode.d))
+    # the known-failing ones: K2^2 conjugates x1 by q^2 (v^2), not by 1
+    assert sorted(failing) == [("aq", 1, 1, None), ("aq", 2, 1, None),
+                               ("gq-restricted", 1, 1, 3), ("taft-mn", 1, 1, 3)]
+
+
+def test_probe_and_oracle_catch_a_changed_character():
+    # t2 has order 2 in dq (1|1); chi_t2(d1) = q makes (t2 t2) d1 = d1 but
+    # t2 (t2 d1) = q^2 d1
+    t2 = build("dq", m=1, n=1, mode=GENERIC).group_names.index("t2")
+    for mutate in (False, True):
+        pair = [build("dq", m=1, n=1, mode=GENERIC) for _ in range(2)]
+        if mutate:
+            for p in pair:
+                p.chi[t2][0] = GENERIC.q()
+        assert probe_verdict(pair[0]) is probe_oracle(pair[1]) is not mutate
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +562,27 @@ def test_nonpositive_orders_rejected(family):
         build(family, orders=(2, 0), group_orders=(2, 3), mode=D6)
     with pytest.raises(ValueError, match="positive"):
         build(family, orders=(-2,), group_orders=(2,), mode=D6)
+
+
+def test_multiplicative_order_searches_to_twice_the_order_of_q():
+    # +-q^k has an order dividing 2d at a root of unity of order d; in Q(v)
+    # only +-1 have one
+    d3, d67 = root_of_unity(3), root_of_unity(67)
+    assert [_multiplicative_order(d3, v) for v in (d3.one(), -d3.one(), d3.q(), -d3.q())] == [
+        1, 2, 3, 6]
+    assert _multiplicative_order(d67, d67.q_power(65)) == 67
+    assert _multiplicative_order(d67, -d67.q()) == 134
+    one = GENERIC.one()
+    assert [_multiplicative_order(GENERIC, v) for v in (one, -one, GENERIC.q(), -GENERIC.q())] == [
+        1, 2, None, None]
+
+
+def test_two_sided_threshold_above_order_64():
+    # the swap character of d1 at d = 67 is q^65, of order 67: the threshold
+    # is checked, where a search stopped at 64 refused the generator
+    p = build("dq", m=1, n=0, mode=root_of_unity(67))
+    (check,) = divided_power_coproduct_check(p, 0, 1).checks
+    assert check.name.endswith("at the threshold p = 67")
 
 
 def test_aq_expansion_spot_value_p2():
