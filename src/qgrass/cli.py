@@ -355,6 +355,9 @@ def _cmd_check(args) -> int:
     space = _space_from_args(args)
     _degrees(space, 0, args.t_max)  # refuses an empty range
     report = args.check(space, args)
+    if not report.results:
+        raise UsageError(f"{args.command} has no relation to check on {args.family} "
+                         f"({args.m}|{args.n})")
     payload = {"config": _config(args), **report.to_json()}
     _emit(payload, args)
     return 0 if report.passed else 1
@@ -369,6 +372,11 @@ def _check_weyl(space, args):
 
 def _cmd_hopf(args) -> int:
     kwargs: dict = {"mode": _mode_from_args(args)}
+    if args.orders and not args.hopf_family.startswith("taft-orders"):
+        raise UsageError(f"--orders applies to the taft-orders families, not {args.hopf_family}")
+    if args.group_orders and args.hopf_family != "taft-orders-generalized":
+        raise UsageError("--group-orders applies to taft-orders-generalized, "
+                         f"not {args.hopf_family}")
     if args.hopf_family in ("taft-mn", "aq", "dq", "dq-restricted", "gq", "gq-restricted"):
         kwargs.update(m=args.m, n=args.n)
     if args.hopf_family in ("taft-orders", "taft-orders-generalized"):

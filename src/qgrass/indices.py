@@ -7,8 +7,9 @@ spaces flip the pattern.  Basis keys are constrained; *labels* (the arguments
 of the diagonal twist automorphisms) may hold arbitrary integers, e.g. a
 label -e_i + e_{i+1}.
 
-The pairing a * b = sum_{i > j} a_i b_j drives every commutation factor.  The
-twist bicharacter on labels multiplies a q-power from the bosonic blocks, a
+The pairing a * b = sum_{i > j} a_i b_j, which split_star splits by the
+parities of the positions, drives every commutation factor.  The twist
+bicharacter on labels multiplies a q-power from the bosonic blocks, a
 (-q)-power from the fermionic blocks, and a mixed q-power, and satisfies
 theta(a, b) * theta(b, a) = 1.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from .qarith import QMode, ScalarQ
 
 __all__ = [
-    "Shape", "MultiIndex", "split_star", "position_sums", "star", "theta", "ShapeMismatchError",
+    "Shape", "MultiIndex", "split_star", "position_sums", "theta", "ShapeMismatchError",
 ]
 
 
@@ -213,18 +214,12 @@ def position_sums(a: MultiIndex) -> list[tuple[int, int, int, int]]:
     return [b + f for b, f in zip(before, reversed(after))]
 
 
-def star(a: MultiIndex, b: MultiIndex) -> int:
-    """The pairing sum_{i > j} a_i b_j over all positions; bilinear."""
-    a._check(b)
-    return sum(split_star(a, b))
-
-
 def theta(a: MultiIndex, b: MultiIndex, mode: QMode) -> ScalarQ:
     """Twist bicharacter on labels of a polynomial-side space.
 
     theta(a, b) = q^(ab - ba on bosonic parts) * (-q)^(ab - ba on fermionic
-    parts) * q^(fer(a)*bos(b) - fer(b)*bos(a)).  Dual-side spaces carry a
-    different commutation twist; see superspaces.commutation_factor.
+    parts) * q^(fer(a)*bos(b) - fer(b)*bos(a)): on the polynomial side, the
+    scalar c with x^a x^b = c x^b x^a.
     """
     if a.shape.fermionic_first:
         raise ShapeMismatchError("twist bicharacter is defined on polynomial-side labels")

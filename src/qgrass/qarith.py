@@ -8,8 +8,9 @@ Everything downstream works over one of two exact coefficient fields:
   primitive d-th root of unity.  Elements are residues of degree < deg Phi_d.
 
 On top of the field live the balanced q-integers [n] = (q^n - q^-n)/(q - q^-1),
-their factorials, the balanced Gaussian binomials, and the unbalanced
-q-binomials built from (r)_q = (q^r - 1)/(q - 1).  All are computed by
+their factorials, the one-sided q-binomials built from (r)_q = (q^r - 1)/(q - 1)
+in one Pascal table, and the balanced Gaussian binomials, read from that table
+at v -> v^2 since [n]_v = v^(1-n) (n)_{v^2}.  All are computed by
 division-free recursions in Z[v, v^-1] and then mapped into the requested
 field, so root-of-unity evaluation never divides by a vanishing q-bracket.
 
@@ -186,13 +187,6 @@ class LaurentPoly:
 
     def leading_coeff(self) -> int | Fraction:
         return self.coeffs[self.max_exp()] if self.coeffs else 0
-
-    def evaluate(self, x: int | Fraction) -> Fraction:
-        """Evaluate at a nonzero rational point."""
-        x = Fraction(_coef(x))
-        if not x:
-            raise ZeroDivisionError("Laurent polynomial at 0")
-        return sum((c * x**e for e, c in self.coeffs.items()), _ZERO)
 
     def invert_variable(self) -> "LaurentPoly":
         """Substitute v -> v^-1."""
@@ -575,12 +569,6 @@ class ScalarQ:
     def __repr__(self) -> str:
         return f"ScalarQ({self})"
 
-    def evaluate(self, q0: int | Fraction) -> Fraction:
-        """Generic mode only: evaluate at a rational point (probabilistic screens)."""
-        if not self.mode.is_generic:
-            raise ValueError("evaluate() applies to generic mode")
-        return self.num.evaluate(q0) / self.den.evaluate(q0)
-
 
 def add_term(out: dict, key, c: ScalarQ) -> None:
     """Add c at key in a sparse map of scalars, dropping the key if the sum vanishes."""
@@ -634,33 +622,6 @@ def _q_int_laurent(n: int) -> LaurentPoly:
 
 
 @functools.lru_cache(maxsize=None)
-def _q_factorial_laurent(n: int) -> LaurentPoly:
-    if n < 0:
-        raise ValueError("q-factorial of a negative integer")
-    if n == 0:
-        return LaurentPoly.one()
-    return _q_factorial_laurent(n - 1) * _q_int_laurent(n)
-
-
-@functools.lru_cache(maxsize=None)
-def _q_binom_laurent(s: int, r: int) -> LaurentPoly:
-    # balanced Gaussian binomial as an integral Laurent polynomial, via the
-    # symmetric Pascal recursion; negative upper index by the reflection rule
-    if r < 0:
-        return LaurentPoly.zero()
-    if r == 0:
-        return LaurentPoly.one()
-    if s < 0:
-        refl = _q_binom_laurent(-s + r - 1, r)
-        return -refl if r % 2 else refl
-    if s < r:
-        return LaurentPoly.zero()
-    left = _q_binom_laurent(s - 1, r - 1).shift(r - s)
-    right = _q_binom_laurent(s - 1, r).shift(r)
-    return left + right
-
-
-@functools.lru_cache(maxsize=None)
 def _q_binom_unbalanced_poly(p: int, r: int) -> LaurentPoly:
     # one-sided q-binomial from (r)_q = 1 + q + ... + q^(r-1); Pascal recursion
     if r < 0 or r > p:
@@ -670,14 +631,14 @@ def _q_binom_unbalanced_poly(p: int, r: int) -> LaurentPoly:
     return _q_binom_unbalanced_poly(p - 1, r - 1) + _q_binom_unbalanced_poly(p - 1, r).shift(r)
 
 
-def _fill(table, s: int, r: int) -> None:
-    """Fill the cache of a Pascal recursion table(s, r) on (s-1, r-1) and
-    (s-1, r) bottom-up: the entries (k + i, k) for k <= r, i <= s - r, each
-    column before the next, so every call finds both its predecessors
-    cached and the recursion depth no longer grows with s."""
+def _fill(s: int, r: int) -> None:
+    """Fill the cache of the Pascal table _q_binom_unbalanced_poly up to (s, r)
+    bottom-up: the entries (k + i, k) for k <= r, i <= s - r, each column
+    before the next, so every call finds both its predecessors (s-1, r-1) and
+    (s-1, r) cached and the recursion depth no longer grows with s."""
     for k in range(1, r + 1):
         for i in range(s - r + 1):
-            table(k + i, k)
+            _q_binom_unbalanced_poly(k + i, k)
 
 
 def q_int(n: int, mode: QMode = GENERIC) -> ScalarQ:
@@ -687,17 +648,25 @@ def q_int(n: int, mode: QMode = GENERIC) -> ScalarQ:
 
 def q_factorial(n: int, mode: QMode = GENERIC) -> ScalarQ:
     """[n]! = [n][n-1]...[1] for n >= 0."""
-    for k in range(n):  # fill the cache bottom-up, as _fill does
-        _q_factorial_laurent(k)
-    return mode.from_laurent(_q_factorial_laurent(n))
+    if n < 0:
+        raise ValueError("q-factorial of a negative integer")
+    return mode.from_laurent(math.prod(map(_q_int_laurent, range(1, n + 1)),
+                                       start=LaurentPoly.one()))
 
 
 @functools.lru_cache(maxsize=None)
 def q_binom(s: int, r: int, mode: QMode = GENERIC) -> ScalarQ:
     """Balanced Gaussian binomial for any integers s, r (zero for r < 0); a
-    shared ScalarQ, built once per key like the constants of _constant."""
-    _fill(_q_binom_laurent, -s + r - 1 if s < 0 else s, r)  # s < 0 reflects
-    return _from_laurent(mode, _q_binom_laurent(s, r))
+    shared ScalarQ, built once per key like the constants of _constant:
+    [s choose r]_v = v^(-r(s-r)) (s choose r)_{v^2} from the one-sided table,
+    and [s choose r] = (-1)^r [r - s - 1 choose r] for s < 0."""
+    sign = 1
+    if s < 0:
+        s, sign = r - s - 1, -1 if r % 2 else 1
+    _fill(s, r)
+    shift, coeffs = r * (s - r), _q_binom_unbalanced_poly(s, r).coeffs
+    return _from_laurent(mode, LaurentPoly._wrap(
+        {2 * e - shift: sign * c for e, c in coeffs.items()}))
 
 
 def q_binom_unbalanced(p: int, r: int, mode: QMode = GENERIC) -> ScalarQ:
@@ -708,7 +677,7 @@ def q_binom_unbalanced(p: int, r: int, mode: QMode = GENERIC) -> ScalarQ:
     """
     if not 0 <= r <= p:
         raise ValueError("unbalanced q-binomial requires 0 <= r <= p")
-    _fill(_q_binom_unbalanced_poly, p, r)
+    _fill(p, r)
     return mode.from_laurent(_q_binom_unbalanced_poly(p, r))
 
 
@@ -730,8 +699,9 @@ class CharProfile:
     parity: QParity
 
 
+@functools.lru_cache(maxsize=None)
 def char_of(mode: QMode) -> CharProfile:
-    """Characteristic of q, with the odd/even root dichotomy; scan-verified."""
+    """Characteristic of q, with the odd/even root dichotomy; scan-verified once."""
     if mode.is_generic:
         return CharProfile(0, QParity.GENERIC_Q)
     d = mode.d
@@ -740,7 +710,7 @@ def char_of(mode: QMode) -> CharProfile:
     else:
         profile = CharProfile(d // 2, QParity.EVEN_ROOT)
     for k in range(1, profile.ell + 1):
-        vanishes = q_int(k, mode).is_zero()
+        vanishes = _from_laurent(mode, _q_int_laurent(k)).is_zero()
         if vanishes != (k == profile.ell):
             raise AssertionError(f"char(q) scan disagrees at [{k}] for d={d}")
     return profile

@@ -24,11 +24,11 @@ from __future__ import annotations
 import functools
 import sys
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import add
 
-from .indices import MultiIndex, Shape, split_star, theta
+from .indices import MultiIndex, Shape
 from .qarith import GENERIC, QMode, ScalarQ, _constant, add_term, char_of, q_binom
 
 __all__ = [
@@ -40,12 +40,10 @@ __all__ = [
     "SpaceMismatchError",
     "make_space",
     "multiply",
-    "parity_map",
     "basis_of_degree",
     "monomial_product",
     "MonomialRule",
     "RuleBuilder",
-    "commutation_factor",
     "top_degree",
 ]
 
@@ -70,35 +68,29 @@ DUAL_SIDE = (Family.DUAL, Family.DUAL_RESTRICTED)
 
 @dataclass(frozen=True)
 class SpaceSpec:
+    """A family of rank (m|n) over a coefficient mode.  Its shape is derived
+    here: the dual-side layout, and on a restricted family the exponent cap
+    ell = char(q), which Shape refuses below 3."""
+
     family: Family
-    shape: Shape
+    shape: Shape = field(init=False)
+    m: int = field(repr=False)  # shown by the shape
+    n: int = field(repr=False)
     mode: QMode
 
     def __post_init__(self):
-        dual = self.family in DUAL_SIDE
-        if self.shape.fermionic_first != dual:
-            raise ValueError("shape layout does not match the family side")
+        cap = None
         if self.family in _RESTRICTED:
-            profile = char_of(self.mode)
-            if profile.ell < 3:
-                raise ValueError("restricted families need char(q) = ell >= 3")
-            if self.shape.restricted_ell != profile.ell:
-                raise ValueError("shape cap must equal char(q)")
-        elif self.shape.restricted_ell is not None:
-            raise ValueError("exponent cap is only for restricted families")
+            if self.mode.is_generic:
+                raise ValueError("restricted families need a root-of-unity mode")
+            cap = char_of(self.mode).ell
+        shape = Shape(self.m, self.n, fermionic_first=self.family in DUAL_SIDE, restricted_ell=cap)
+        object.__setattr__(self, "shape", shape)
         # every memo keyed on a space hashes it; hash it once
-        object.__setattr__(self, "_hash", hash((self.family, self.shape, self.mode)))
+        object.__setattr__(self, "_hash", hash((self.family, shape, self.mode)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def m(self) -> int:
-        return self.shape.m
-
-    @property
-    def n(self) -> int:
-        return self.shape.n
 
     def unit_index(self) -> MultiIndex:
         return MultiIndex.unit(self.shape)
@@ -106,23 +98,15 @@ class SpaceSpec:
     def describe(self) -> dict:
         return {
             "family": self.family.value,
-            "m": self.shape.m,
-            "n": self.shape.n,
+            "m": self.m,
+            "n": self.n,
             "q": "generic" if self.mode.is_generic else f"root-of-unity d={self.mode.d}",
         }
 
 
 def make_space(family: Family | str, m: int, n: int, mode: QMode = GENERIC) -> SpaceSpec:
-    """Build a SpaceSpec with the layout and caps implied by the family."""
-    family = Family(family) if not isinstance(family, Family) else family
-    dual = family in DUAL_SIDE
-    cap = None
-    if family in _RESTRICTED:
-        cap = char_of(mode).ell if not mode.is_generic else 0
-        if mode.is_generic:
-            raise ValueError("restricted families need a root-of-unity mode")
-    shape = Shape(m, n, fermionic_first=dual, restricted_ell=cap)
-    return SpaceSpec(family, shape, mode)
+    """The space of a family (or its name) of rank (m|n) over mode."""
+    return SpaceSpec(Family(family), m, n, mode)
 
 
 def top_degree(space: SpaceSpec) -> int | None:
@@ -307,25 +291,6 @@ def monomial_product(space: SpaceSpec, a: MultiIndex, b: MultiIndex) -> tuple[Sc
     return builder.build().image(b)
 
 
-def commutation_factor(space: SpaceSpec, a: MultiIndex, b: MultiIndex, mode: QMode | None = None) -> ScalarQ:
-    """Scalar c with (monomial a)(monomial b) = c (monomial b)(monomial a).
-
-    On the polynomial side this is the twist bicharacter; the dual side has
-    its own bicharacter with mirrored exponents.
-    """
-    mode = mode or space.mode
-    if space.family not in DUAL_SIDE:
-        return theta(a, b, mode)
-    bb_ab, ff_ab, _, bf_ab = split_star(a, b)
-    bb_ba, ff_ba, _, bf_ba = split_star(b, a)
-    fer_exp = ff_ba - ff_ab
-    cross_exp = bf_ba - bf_ab
-    value = mode.q_power((bb_ba - bb_ab) + fer_exp + cross_exp)
-    if (fer_exp + cross_exp) % 2:
-        value = -value
-    return value
-
-
 # ---------------------------------------------------------------------------
 # sparse vectors
 # ---------------------------------------------------------------------------
@@ -481,19 +446,6 @@ def multiply(u: SuperVector, v: SuperVector) -> SuperVector:
     space = u.space
     out = add_products(space, suite_products(space), u.terms, v.terms, {})
     return SuperVector._wrap(space, out)
-
-
-def parity_map(u: SuperVector) -> SuperVector:
-    """Order-2 grading automorphism: sign by exterior degree (polynomial side)
-    or by divided-power degree (dual side)."""
-    if u.space.family is Family.AFFINE:
-        raise ValueError("parity automorphism is defined on the Grassmann-type spaces")
-    dual = u.space.family in DUAL_SIDE
-    out = {}
-    for idx, c in u.terms.items():
-        weight = idx.bosonic_degree() if dual else idx.fermionic_degree()
-        out[idx] = -c if weight % 2 else c
-    return SuperVector._wrap(u.space, out)
 
 
 @functools.lru_cache(maxsize=None)

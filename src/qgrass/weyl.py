@@ -156,10 +156,6 @@ def parity() -> Atom:
 _UNPOSITIONED = (AtomKind.THETA, AtomKind.PARITY)
 
 
-def _is_fermionic(space: SpaceSpec, pos: int) -> bool:
-    return space.shape.is_fermionic_pos(pos)
-
-
 def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
     """One atomic operator on one basis monomial; None when the image is 0."""
     mode = space.mode
@@ -172,7 +168,7 @@ def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, 
 
     if kind is AtomKind.SIGMA:
         v = entries[pos - 1]
-        if _is_fermionic(space, pos):
+        if space.shape.is_fermionic_pos(pos):
             if space.family in POLY_SIDE:
                 coeff = mode.minus_q_power(atom.exp * v)
             else:
@@ -185,7 +181,7 @@ def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, 
         return coeff, idx
 
     if kind is AtomKind.TAU:
-        if space.family not in POLY_SIDE or not _is_fermionic(space, pos):
+        if space.family not in POLY_SIDE or not space.shape.is_fermionic_pos(pos):
             raise InvalidAtomError("tau acts on exterior directions of the polynomial side")
         v = entries[pos - 1]
         return (mode.scalar(-1 if v % 2 else 1)), idx
@@ -206,13 +202,13 @@ def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, 
         if space.family is not Family.OMEGA or mode.is_generic:
             raise InvalidAtomError("divided-power multiplication needs the unrestricted "
                                    "Grassmann space at a root of unity")
-        if _is_fermionic(space, pos):
+        if space.shape.is_fermionic_pos(pos):
             raise InvalidAtomError("divided-power multiplication is bosonic")
         ell = char_of(mode).ell
         gen_label = MultiIndex.basis_vector(space.shape, pos, ell)
         return monomial_product(space, gen_label, idx)
 
-    fermionic = _is_fermionic(space, pos)
+    fermionic = space.shape.is_fermionic_pos(pos)
     poly_side = space.family in POLY_SIDE or space.family is Family.AFFINE
 
     if kind is AtomKind.MULT_X:
@@ -231,7 +227,7 @@ def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, 
             if fermionic:
                 fer_prefix = sum(
                     e for p, e in enumerate(entries[: pos - 1], start=1)
-                    if _is_fermionic(space, p)
+                    if space.shape.is_fermionic_pos(p)
                 )
                 coeff = mode.q_power(-prefix)
                 if fer_prefix % 2:
@@ -751,7 +747,7 @@ def _sigma_x_factor(space: SpaceSpec, i: int, j: int) -> ScalarQ:
     # carry base -q (their twist eigenvalue), the bosonic ones base q
     if i != j:
         return space.mode.one()
-    if _is_fermionic(space, i):
+    if space.shape.is_fermionic_pos(i):
         return space.mode.minus_q_power(1)
     return space.mode.q()
 
@@ -879,7 +875,7 @@ def _suite_dq(space: SpaceSpec) -> list:
             )
             if i == j:
                 c2 = mode.q_power(-1)
-                if _is_fermionic(space, i):
+                if space.shape.is_fermionic_pos(i):
                     c2 = -c2
             else:
                 c2 = mode.one()
@@ -998,7 +994,7 @@ def _suite_weyl_root(space: SpaceSpec, want_parity: QParity) -> list:
     odd = want_parity is QParity.ODD_ROOT
     checks = _suite_weyl_generic(space)
     size = space.shape.size
-    bos = [p for p in range(1, size + 1) if not _is_fermionic(space, p)]
+    bos = [p for p in range(1, size + 1) if not space.shape.is_fermionic_pos(p)]
     fermi = space.shape.fermionic_positions()
     one = mode.one()
     for j in bos:

@@ -285,7 +285,35 @@ ILL_POSED = {
                                         "--q", "root", "--d", "4"],
     "negative --group-orders": ["hopf", "--family", "taft-orders-generalized", "--orders", "2",
                                 "--group-orders", "-2", "--q", "root", "--d", "4"],
+    "--group-orders on taft-orders": ["hopf", "--family", "taft-orders", "--orders", "2,3",
+                                      "--q", "root", "--d", "6", "--group-orders", "4,6"],
+    "--orders on taft-mn": ["hopf", "--family", "taft-mn", "--m", "1", "--n", "0",
+                            "--q", "root", "--d", "3", "--orders", "5"],
 }
+
+# Runs whose suite holds no relation on the given rank: a report with no
+# relation would pass without checking anything.
+NO_RELATION = {
+    "check-uq on omega (0|0)": ["check-uq", "--family", "omega", "--m", "0", "--n", "0"],
+    "check-uq sl on omega (1|0)": ["check-uq", "--variant", "sl", "--family", "omega",
+                                   "--m", "1", "--n", "0"],
+    "check-uq sl on dual (0|1)": ["check-uq", "--variant", "sl", "--family", "dual",
+                                  "--m", "0", "--n", "1"],
+    "check-uq sl on omega-restricted (1|0)": ["check-uq", "--variant", "sl",
+                                              "--family", "omega-restricted",
+                                              "--m", "1", "--n", "0", "--d", "3"],
+    "dq suite on omega (0|0)": ["check-dq", "--suite", "dq", "--family", "omega",
+                                "--m", "0", "--n", "0"],
+    "partials suite on omega (0|0)": ["check-dq", "--suite", "partials", "--family", "omega",
+                                      "--m", "0", "--n", "0"],
+    "partials suite on omega (1|0)": ["check-dq", "--suite", "partials", "--family", "omega",
+                                      "--m", "1", "--n", "0"],
+    "generic weyl suite on omega (0|0)": ["check-weyl", "--suite", "generic", "--family", "omega",
+                                          "--m", "0", "--n", "0"],
+    "odd-root weyl suite on omega (0|0)": ["check-weyl", "--suite", "odd-root", "--family",
+                                           "omega", "--m", "0", "--n", "0", "--d", "3"],
+}
+ILL_POSED.update(NO_RELATION)
 
 # Runs over the work limit, refused by cli._estimate before any basis, word or
 # cyclotomic polynomial is made; test_ill_posed_input_exits_2 checks that before
@@ -381,6 +409,10 @@ def test_every_refusal_by_size_names_its_estimate_and_the_limit(capsys, case):
     ("act on a monomial above the degree limit", "estimated at 32,032,008 work units"),
     ("hopf --exhaustive over too many basis elements", "estimated at 13,947,297,631 work units"),
     ("hopf --p-max above the limit", "estimated at 52,545,415 work units"),
+    ("check-uq sl on omega (1|0)", "check-uq has no relation to check on omega (1|0)\n"),
+    ("--orders on taft-mn", "--orders applies to the taft-orders families, not taft-mn\n"),
+    ("--group-orders on taft-orders",
+     "--group-orders applies to taft-orders-generalized, not taft-orders\n"),
 ])
 def test_refused_run_names_its_range_or_tuples(capsys, case, message):
     code, _, err = call(capsys, ILL_POSED[case])

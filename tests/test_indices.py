@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgrass.indices import MultiIndex, Shape, ShapeMismatchError, split_star, star, theta
+from qgrass.indices import MultiIndex, Shape, ShapeMismatchError, split_star, theta
 from qgrass.qarith import GENERIC, root_of_unity
 
 SH21 = Shape(2, 1)
@@ -17,6 +17,11 @@ def labels(shape, lo=-3, hi=3):
     return st.tuples(*[st.integers(lo, hi) for _ in range(shape.size)]).map(
         lambda t: MultiIndex(t, shape)
     )
+
+
+def star(a, b):
+    """The pairing sum_{i > j} a_i b_j, the sum of its parity classes."""
+    return sum(split_star(a, b))
 
 
 def test_star_example_only_inverted_pair():
@@ -60,14 +65,8 @@ def test_split_star_matches_the_double_sum_per_parity_class(shape):
                 parts[fer[i], fer[j]] += a.entries[i] * b.entries[j]
         expected = (parts[False, False], parts[True, True], parts[True, False], parts[False, True])
         assert split_star(a, b) == expected
-        assert star(a, b) == sum(split_star(a, b))
 
     inner()
-
-
-def test_star_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        star(mi(SH21, 1, 0, 0), mi(SH22, 1, 0, 0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgrass.indices import MultiIndex
+from qgrass.indices import MultiIndex, Shape, split_star, theta
 from qgrass.qarith import GENERIC, q_int, root_of_unity
 from qgrass.superspaces import (
+    DUAL_SIDE,
     Family,
     SpaceMismatchError,
+    SpaceSpec,
     SuperVector,
     basis_of_degree,
-    commutation_factor,
     make_space,
     multiply,
-    parity_map,
     top_degree,
 )
+from qgrass.weyl import InvalidAtomError, OperatorWord, apply_word, parity
 
 D3 = root_of_unity(3)
 
@@ -142,10 +143,21 @@ def test_unital_graded_associative(space):
     ids=lambda s: s.family.value,
 )
 def test_twisted_commutativity(space):
+    def commutation_factor(a, b):
+        """c with x^a x^b = c x^b x^a: theta on the polynomial-side layout, and
+        on the dual side its own bicharacter with mirrored exponents."""
+        if space.family not in DUAL_SIDE:
+            return theta(a, b, space.mode)
+        bb_ab, ff_ab, _, bf_ab = split_star(a, b)
+        bb_ba, ff_ba, _, bf_ba = split_star(b, a)
+        odd = (ff_ba - ff_ab) + (bf_ba - bf_ab)
+        value = space.mode.q_power((bb_ba - bb_ab) + odd)
+        return -value if odd % 2 else value
+
     monos = all_monomials_up_to(space, 3)
     for ia, ib in itertools.product(monos, repeat=2):
         u, v = SuperVector.monomial(space, ia), SuperVector.monomial(space, ib)
-        c = commutation_factor(space, ia, ib)
+        c = commutation_factor(ia, ib)
         assert multiply(u, v) == multiply(v, u).scaled(c), (ia, ib)
 
 
@@ -154,13 +166,18 @@ def test_twisted_commutativity(space):
 # ---------------------------------------------------------------------------
 
 
+def parity_map(u):
+    """The parity atom, the grading automorphism, applied to a vector."""
+    return apply_word(OperatorWord(u.space, (parity(),)), u)
+
+
 def test_parity_examples():
     assert parity_map(mono(OMEGA21, 3, 1, 0)) == mono(OMEGA21, 3, 1, 0)
     assert parity_map(mono(OMEGA21, 3, 1, 1)) == -mono(OMEGA21, 3, 1, 1)
     # dual side grades by the divided-power block
     assert parity_map(mono(DUAL21, 1, 0, 3)) == -mono(DUAL21, 1, 0, 3)
     assert parity_map(mono(DUAL21, 1, 1, 2)) == mono(DUAL21, 1, 1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidAtomError):
         parity_map(mono(AFFINE22, 1, 0, 0, 0))
 
 
@@ -261,3 +278,23 @@ def test_json_rendering():
     assert data[0] == {"index": "(0,0 | 0)", "coefficient": "1"}
     assert data[1]["index"] == "(1,0 | 1)"
     assert data[1]["coefficient"] == "v + v^-1"
+
+
+# ---------------------------------------------------------------------------
+# the space itself
+# ---------------------------------------------------------------------------
+
+
+def test_space_derives_its_shape():
+    with pytest.raises(TypeError):
+        SpaceSpec(Family.OMEGA, 1, 1, GENERIC, Shape(1, 1))
+    assert DUAL21.shape == Shape(2, 1, fermionic_first=True)
+    assert OMEGA11_R3.shape == Shape(1, 1, restricted_ell=3)
+    with pytest.raises(ValueError, match="restricted families need a root-of-unity mode"):
+        make_space(Family.DUAL_RESTRICTED, 1, 1)
+    with pytest.raises(ValueError, match="restricted exponent cap requires ell >= 3"):
+        make_space("omega-restricted", 1, 1, root_of_unity(4))
+    for family in Family:
+        a, b = make_space(family, 2, 1, D3), make_space(family.value, 2, 1, root_of_unity(3))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != make_space(family, 1, 2, D3)
