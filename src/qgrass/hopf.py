@@ -12,7 +12,10 @@ Each family is the bosonization R # kG of a quantum linear space (a diagonal
 braiding, Andruskiewitsch-Schneider) and is built from one datum: the names
 of the group generators, the named rows of G's relation lattice, the skew
 generators with their coproduct legs and nilpotency caps, and the conjugation
-and commutation scalars.  A family's builder computes only that datum;
+and commutation characters, whose values are signed powers (-1)^lam q^mu
+kept as integer pairs (lam, mu), the form of ``superspaces.MonomialRule``'s
+constant; a ScalarQ is built from a pair only where a relation, a product or
+a report needs one.  A family's builder computes only that datum;
 ``_from_datum`` derives every defining relation from it (a lattice row as the
 group word "positive part = negative part", then the conjugations, the
 commutations and the nilpotencies) and assembles the presentation.
@@ -36,12 +39,13 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .indices import MultiIndex, Shape, theta
+from .indices import MultiIndex, Shape, theta_exponents
 from .qarith import (
     GENERIC,
     QMode,
     QParity,
     ScalarQ,
+    _constant,
     add_term,
     char_of,
     q_binom,
@@ -165,6 +169,7 @@ class SkewGen:
 
 
 Word = tuple[tuple[str, int], ...]  # letters ("x", i) / ("g", i)
+Power = tuple[int, int]  # (lam, mu): the signed power (-1)^lam q^mu
 Key = tuple[tuple[int, ...], tuple[int, ...]]  # (x exponents, group element)
 _UNSET = object()  # a memo miss; None is a memoised product (a cap overflow)
 
@@ -175,9 +180,8 @@ class HopfPresentation:
     returns, and ``_memo`` holds, filled on demand and keyed by a leading tag:
     ("product", ka), the row {kb: (coeff, key) or None} of the normal forms of
     the products ka kb that ``_key_product`` was asked for; ("key", key), the
-    one stored copy of each key those products give; ("chi", g, j, e), the
-    twist chi_g(x_j)^e of ``_normal_form``; ("Sx", i), S(x_i); and ("S", key)
-    and ("Delta", key), S and Delta of each basis key.
+    one stored copy of each key those products give; ("Sx", i), S(x_i); and
+    ("S", key) and ("Delta", key), S and Delta of each basis key.
     It lives as long as the presentation.  Memoised values are shared;
     callers read them and never mutate them."""
 
@@ -186,8 +190,8 @@ class HopfPresentation:
     group_names: list[str]
     group: AbelianQuotient
     xgens: list[SkewGen]
-    chi: list[list[ScalarQ]]  # chi[g][x]: g x g^-1 = chi * x
-    comm: list[list[ScalarQ]]  # comm[i][j]: x_i x_j = comm[i][j] x_j x_i
+    chi: list[list[Power]]  # chi[g][x]: g x g^-1 = chi * x
+    comm: list[list[Power]]  # comm[i][j]: x_i x_j = comm[i][j] x_j x_i
     relations: list[tuple[str, list[tuple[ScalarQ, Word]]]]
     params: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
@@ -199,21 +203,22 @@ class HopfPresentation:
         return {((0,) * len(self.xgens), self.group.identity()): self.mode.one()}
 
     def gen_x(self, i: int) -> dict[Key, ScalarQ]:
-        xv = [0] * len(self.xgens)
-        xv[i] = 1
-        return {(tuple(xv), self.group.identity()): self.mode.one()}
+        return {(_vec(len(self.xgens), (i, 1)), self.group.identity()): self.mode.one()}
 
     def gen_g(self, i: int, e: int = 1) -> dict[Key, ScalarQ]:
         gv = [0] * self.group.rank
         gv[i] = e
         return {((0,) * len(self.xgens), self.group.reduce(tuple(gv))): self.mode.one()}
 
-    def chi_of(self, gvec: tuple[int, ...], j: int) -> ScalarQ:
-        out = self.mode.one()
+    def chi_of(self, gvec: tuple[int, ...], j: int) -> Power:
+        """chi_g(x_j) for g = prod g_i^gvec[i]: the signed powers add."""
+        lam = mu = 0
         for gi, e in enumerate(gvec):
             if e:
-                out = out * self.chi[gi][j] ** e
-        return out
+                cl, cm = self.chi[gi][j]
+                lam += e * cl
+                mu += e * cm
+        return lam, mu
 
     def _key_product(self, ka: Key, kb: Key) -> tuple[ScalarQ, Key] | None:
         """_normal_form(ka, kb), memoised: each key pair is reduced once, and
@@ -234,25 +239,26 @@ class HopfPresentation:
         x exponent overflows: kb's x part moves past ka's group part (chi
         twist) and past ka's later x generators (comm twist).  The algebra is
         a quantum linear space over an abelian group, so the product is one
-        scalar times one key."""
+        signed power of q, the sum of the twists, times one key."""
         (xa, ga), (xb, gb) = ka, kb
         xv = tuple(map(operator.add, xa, xb))
         for g, e in zip(self.xgens, xv):
             if g.cap is not None and e >= g.cap:
                 return None
-        coeff = self.mode.one()
+        lam = mu = 0
         for j, e in enumerate(xb):
             if e:
-                twist = self._memo.get(("chi", ga, j, e))
-                if twist is None:
-                    twist = self._memo[("chi", ga, j, e)] = self.chi_of(ga, j) ** e
-                coeff = coeff * twist
+                cl, cm = self.chi_of(ga, j)
+                lam += e * cl
+                mu += e * cm
         for i, ai in enumerate(xa):
             if ai:
                 for j in range(i):
                     if xb[j]:
-                        coeff = coeff * self.comm[i][j] ** (ai * xb[j])
-        return coeff, (xv, self.group.mul(ga, gb))
+                        cl, cm = self.comm[i][j]
+                        lam += ai * xb[j] * cl
+                        mu += ai * xb[j] * cm
+        return _signed_power(self.mode, lam, mu), (xv, self.group.mul(ga, gb))
 
     def mul(self, u: dict[Key, ScalarQ], v: dict[Key, ScalarQ]) -> dict[Key, ScalarQ]:
         out: dict[Key, ScalarQ] = {}
@@ -331,11 +337,7 @@ class HopfPresentation:
         return {(key, key): self.mode.one()}
 
     def delta_gen_x(self, i: int) -> dict:
-        zero_x = (0,) * len(self.xgens)
-        xv = list(zero_x)
-        xv[i] = 1
-        xv = tuple(xv)
-        g = self.xgens[i]
+        zero_x, xv, g = (0,) * len(self.xgens), _vec(len(self.xgens), (i, 1)), self.xgens[i]
         return {
             ((xv, self.group.identity()), (zero_x, self.group.reduce(g.gR))): self.mode.one(),
             ((zero_x, self.group.reduce(g.gL)), (xv, self.group.identity())): self.mode.one(),
@@ -434,6 +436,32 @@ def _dim_json(v: int | float):
     return "infinite" if v is math.inf else int(v)
 
 
+def _signed_power(mode: QMode, lam: int, mu: int) -> ScalarQ:
+    """(-1)^lam q^mu as a shared constant; mu is taken mod d at a root of
+    unity of order d (q^d = 1), so the constants' cache keys stay bounded."""
+    return _constant(mode, -1 if lam & 1 else 1, mu if mode.is_generic else mu % mode.d)
+
+
+def _fold(mode: QMode, lam: int, mu: int) -> Power:
+    """The one pair of (-1)^lam q^mu: equal scalars, equal pairs.  At even d,
+    -1 = q^(d/2), so the sign folds into the exponent."""
+    if mode.is_generic:
+        return lam & 1, mu
+    if mode.d % 2 == 0:
+        return 0, (mu + lam * (mode.d // 2)) % mode.d
+    return lam & 1, mu % mode.d
+
+
+def _power_order(mode: QMode, lam: int, mu: int) -> int | None:
+    """The least k >= 1 with ((-1)^lam q^mu)^k = 1, or None: of the folded
+    pair, d / gcd(mu, d) at a root of unity of order d, lcm with 2 for a kept
+    sign; in Q(v) only +-1 have finite order."""
+    lam, mu = _fold(mode, lam, mu)
+    if mode.is_generic:
+        return None if mu else 1 + lam
+    return math.lcm(mode.d // math.gcd(mu, mode.d), 1 + lam)
+
+
 def pbw_dim(p: HopfPresentation) -> int | float:
     """Exact count of normal-form monomials (nilpotent part times group)."""
     xd = p.x_dim()
@@ -460,10 +488,8 @@ HOPF_FAMILIES = (
 )
 
 
-def _theta_gens(mode: QMode, shape: Shape, i: int, j: int) -> ScalarQ:
-    return theta(
-        MultiIndex.basis_vector(shape, i), MultiIndex.basis_vector(shape, j), mode
-    )
+def _theta_gens(shape: Shape, i: int, j: int) -> Power:
+    return theta_exponents(MultiIndex.basis_vector(shape, i), MultiIndex.basis_vector(shape, j))
 
 
 def _vec(rank: int, *entries: tuple[int, int]) -> tuple[int, ...]:
@@ -500,21 +526,21 @@ _DQ = _Naming("{g} {x} conjugation", "{a} {b} twisted commutation")
 
 def _from_datum(family: str, mode: QMode, group_names: list[str],
                 rows: list[tuple[str, tuple[int, ...]]], xgens: list[SkewGen],
-                chi: list[list[ScalarQ]], comm: list[list[ScalarQ]], params: dict,
+                chi: list[list[Power]], comm: list[list[Power]], params: dict,
                 naming: _Naming, listed: list | None = None) -> HopfPresentation:
     """The bosonization R # kG of one diagonal braiding datum.
 
     G is Z^k (k = len(group_names)) modulo the named lattice rows; the skew
     generators carry their coproduct legs and nilpotency caps; chi[g][x] and
-    comm[i][j] are the conjugation and commutation scalars.  The defining
+    comm[i][j] are the conjugation and commutation signed powers.  The defining
     relations follow from the datum, in this order: each row r as the group
     word r+ = r- (its positive part equal to its negative part), in the order
     listed (default: the lattice order); g_i g_j = g_j g_i when the naming has
     it; g x = chi x g; x_i x_j = comm x_j x_i for j < i; x^cap = 0."""
     one = mode.one()
 
-    def swap(a: tuple[str, int], b: tuple[str, int], c: ScalarQ) -> list:
-        return [(one, (a, b)), (-c, (b, a))]  # a b = c b a
+    def swap(a: tuple[str, int], b: tuple[str, int], c: Power) -> list:
+        return [(one, (a, b)), (_signed_power(mode, c[0] + 1, c[1]), (b, a))]  # a b = c b a
 
     def part(row: tuple[int, ...], sign: int) -> Word:
         return tuple(("g", col) for col, e in enumerate(row) for _ in range(max(sign * e, 0)))
@@ -524,7 +550,7 @@ def _from_datum(family: str, mode: QMode, group_names: list[str],
                  for name, row in (rows if listed is None else listed)]
     if naming.group_commutation:
         relations += [(naming.group_commutation.format(a=gs[i], b=gs[j]),
-                       swap(("g", i), ("g", j), one))
+                       swap(("g", i), ("g", j), (0, 0)))
                       for i in range(len(gs)) for j in range(i + 1, len(gs))]
     conjugations = [[(naming.conjugation.format(g=gs[gi], x=xs[xj]),
                       swap(("g", gi), ("x", xj), chi[gi][xj])) for xj in range(len(xs))]
@@ -548,13 +574,14 @@ def _from_datum(family: str, mode: QMode, group_names: list[str],
 
 
 def _character_warnings(pres: HopfPresentation) -> None:
-    """Record group relations that the conjugation characters do not respect."""
+    """Record each lattice row r and generator x_j with chi_r(x_j) != 1."""
     for rel in pres.group.relations:
         for j, xg in enumerate(pres.xgens):
             val = pres.chi_of(rel, j)
-            if val != pres.mode.one():
+            if _fold(pres.mode, *val) != (0, 0):
                 pres.warnings.append(
-                    f"group relation {list(rel)} conjugates {xg.name} by {val}, not 1 "
+                    f"group relation {list(rel)} conjugates {xg.name} by "
+                    f"{_signed_power(pres.mode, *val)}, not 1 "
                     "(stated group order is smaller than the character order)"
                 )
 
@@ -616,16 +643,12 @@ def _build_mixed(family: str, m: int, n: int, mode: QMode, *, x_cap: int | None,
              for i in range(size)]
     if tops:
         xgens += [SkewGen(f"x{i}^(top)", None, zero_g, zero_g) for i in range(1, m + 1)]
-    one = mode.one()
-    chi = [[one] * len(xgens) for _ in range(size)]  # the tops are central
-    comm = [[one] * len(xgens) for _ in xgens]
+    chi = [[(0, 0)] * len(xgens) for _ in range(size)]  # the tops are central
+    comm = [[(0, 0)] * len(xgens) for _ in xgens]
     for i in range(size):
         for j in range(size):
-            c = _theta_gens(mode, shape, i + 1, j + 1)
-            if i != j:
-                chi[i][j] = comm[i][j] = c
-            else:
-                chi[i][j] = c * (mode.q_power(diag_exp) if j < m else mode.scalar(-1))
+            chi[i][j] = comm[i][j] = _theta_gens(shape, i + 1, j + 1)
+        chi[i][i] = (0, diag_exp) if i < m else (1, 0)  # K_i on x_i: q^diag_exp, or -1 if odd
     return _from_datum(family, mode, names_g, rows, xgens, chi, comm,
                        {"m": m, "n": n, **params}, _MIXED)
 
@@ -650,11 +673,11 @@ def _build_diagonal(family: str, mode: QMode, orders: tuple[int, ...],
         group_orders = orders
     if mode.is_generic:
         raise ValueError("need a root-of-unity mode to build the diagonal matrix")
-    mu = [[mode.one() for _ in range(n)] for _ in range(n)]
+    mu = [[(0, 0)] * n for _ in range(n)]
     for i, o in enumerate(orders):
         if mode.d % o:
             raise ValueError(f"order {o} does not divide the order of q ({mode.d})")
-        mu[i][i] = mode.q_power(mode.d // o)  # exact order o (tests/test_hopf.py)
+        mu[i][i] = (0, mode.d // o)  # exact order o (tests/test_hopf.py)
     names_g = [f"K{i}" for i in range(1, n + 1)]
     xgens = [SkewGen(f"x{i + 1}", o, _vec(n, (i, 1)), (0,) * n) for i, o in enumerate(orders)]
     return _from_datum(family, mode, names_g,
@@ -720,21 +743,14 @@ def _build_dq(family: str, m: int, n: int, mode: QMode,
             cap, gR, gL = 2, (0,) * rank, _vec(rank, (th(i), -1), (ta(i), 1))
         xgens.append(SkewGen(f"d{i}", cap, gL, gR))
 
-    one = mode.one()
-    chi = [[one for _ in range(size)] for _ in range(rank)]
-    comm = [[one for _ in range(size)] for _ in range(size)]
-    for i in range(1, size + 1):  # x-gen d_i
-        for g in range(1, size + 1):
-            c = mode.q_power(-1) if g == i else one
-            if g == i and i > m:
-                c = -c
-            chi[sig(g)][i - 1] = c
-            chi[th(g)][i - 1] = _theta_gens(mode, shape, i, g)
-        for j in range(m + 1, size + 1):
-            chi[ta(j)][i - 1] = mode.scalar(-1 if j == i else 1)
-        for j in range(1, size + 1):
-            if i != j:
-                comm[i - 1][j - 1] = _theta_gens(mode, shape, i, j)
+    chi = [[(0, 0)] * size for _ in range(rank)]
+    comm = [[(0, 0)] * size for _ in range(size)]
+    for i in range(1, size + 1):  # x-gen d_i: s_i conjugates it by q^-1 (-q^-1 if odd), t_i by -1
+        chi[sig(i)][i - 1] = (int(i > m), -1)
+        for g in range(1, size + 1):  # theta(e_i, e_i) = 1 leaves comm[i][i] at 1
+            chi[th(g)][i - 1] = comm[i - 1][g - 1] = _theta_gens(shape, i, g)
+        if i > m:
+            chi[ta(i)][i - 1] = (1, 0)
 
     # the relation list puts the label dependencies first, the tau orders last
     return _from_datum(family, mode, names_g, t_rows + th_rows + order_rows, xgens, chi, comm,
@@ -908,13 +924,14 @@ def divided_power_coproduct_check(pres: HopfPresentation, i: int, p_max: int) ->
     one_sided = pres.group.reduce(xg.gR) == identity
     chi_L = pres.chi_of(pres.group.reduce(xg.gL), i)
     chi_R = pres.chi_of(pres.group.reduce(xg.gR), i)
-    c_swap = chi_L * chi_R.inverse()
-    order = _multiplicative_order(mode, c_swap)
+    c_swap = chi_L[0] - chi_R[0], chi_L[1] - chi_R[1]
+    order = _power_order(mode, *c_swap)
     threshold = order is not None and order > 1 and (xg.cap is None or order < xg.cap)
     if not one_sided and not threshold:
         raise ValueError(
             f"no divided-power check for {xg.name}: its coproduct is two-sided and its "
-            f"swap character {c_swap} has no finite order above 1 and below its nilpotency cap"
+            f"swap character {_signed_power(mode, *c_swap)} has no finite order above 1 "
+            "and below its nilpotency cap"
         )
 
     dx = pres.delta_gen_x(i)
@@ -926,13 +943,11 @@ def divided_power_coproduct_check(pres: HopfPresentation, i: int, p_max: int) ->
         return powers[p]
 
     def x_power_leg(p: int) -> tuple[int, ...]:
-        xv = list(zero_x)
-        xv[i] = p
-        return tuple(xv)
+        return _vec(len(pres.xgens), (i, p))
 
     if one_sided:
         top = p_max if xg.cap is None else min(p_max, xg.cap)
-        rows = _binom_rows(chi_L, max(top, min(p_max, 8)))
+        rows = _binom_rows(mode, chi_L, max(top, min(p_max, 8)))
         for p in range(0, top + 1):
             lhs = delta_power(p)
             rhs: dict = {}
@@ -955,27 +970,16 @@ def divided_power_coproduct_check(pres: HopfPresentation, i: int, p_max: int) ->
                 )
             )
         # the displayed coefficient forms for the two diagonal bases
-        if chi_L == mode.q():
-            ok = all(
-                rows[p][r] == q_binom_unbalanced(p, r, mode)
-                for p in range(0, min(p_max, 8) + 1)
-                for r in range(p + 1)
-            )
+        base, shown = _fold(mode, *chi_L), [(p, r) for p in range(min(p_max, 8) + 1)
+                                            for r in range(p + 1)]
+        if base == _fold(mode, 0, 1):
+            ok = all(rows[p][r] == q_binom_unbalanced(p, r, mode) for p, r in shown)
             checks.append(HopfCheck("base-q coefficients are the one-sided q-binomials", ok))
-        if chi_L == mode.q_power(2):
-            ok = True
-            for p in range(0, min(p_max, 8) + 1):
-                for r in range(p + 1):
-                    swaps = math.comb(p, 2) - math.comb(r, 2) - math.comb(p - r, 2)
-                    want = q_binom(p, r, mode) * mode.q_power(swaps)
-                    if rows[p][r] != want:
-                        ok = False
-            checks.append(
-                HopfCheck(
-                    "base-q^2 coefficients equal balanced binomials times the swap q-power",
-                    ok,
-                )
-            )
+        if base == _fold(mode, 0, 2):
+            ok = all(rows[p][r] == q_binom(p, r, mode) * mode.q_power(
+                math.comb(p, 2) - math.comb(r, 2) - math.comb(p - r, 2)) for p, r in shown)
+            checks.append(HopfCheck(
+                "base-q^2 coefficients equal balanced binomials times the swap q-power", ok))
 
     if threshold:
         p = order
@@ -998,27 +1002,15 @@ def divided_power_coproduct_check(pres: HopfPresentation, i: int, p_max: int) ->
     return HopfReport(pres, f"divided-power {xg.name}", checks)
 
 
-def _binom_rows(base: ScalarQ, top: int) -> list[list[ScalarQ]]:
-    """Rows 0..top of the one-sided binomials at an invertible base:
+def _binom_rows(mode: QMode, base: Power, top: int) -> list[list[ScalarQ]]:
+    """Rows 0..top of the one-sided binomials at the signed power base:
     rows[p][r] = C(p, r), by the Pascal recursion
     C(p, r) = C(p-1, r-1) + base^r C(p-1, r)."""
-    one = base.mode.one()
-    pows = [one]
+    (lam, mu), one = base, mode.one()
     rows = [[one]]
     for _ in range(top):
         row = rows[-1]
-        pows.append(pows[-1] * base)
-        rows.append([one] + [row[r - 1] + pows[r] * row[r] for r in range(1, len(row))] + [one])
+        rows.append([one] + [row[r - 1] + _signed_power(mode, r * lam, r * mu) * row[r]
+                             for r in range(1, len(row))] + [one])
     return rows
 
-
-def _multiplicative_order(mode: QMode, val: ScalarQ) -> int | None:
-    """The least k >= 1 with val^k = 1, or None.  The swap characters are
-    +-q^k, whose orders divide 2d at a root of unity of order d; in Q(v) only
-    +-1 have finite order, so the generic search stops at 2."""
-    acc = mode.one()
-    for k in range(1, (2 if mode.is_generic else 2 * mode.d) + 1):
-        acc = acc * val
-        if acc == mode.one():
-            return k
-    return None

@@ -19,10 +19,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .qarith import QMode, ScalarQ
+from .qarith import QMode, ScalarQ, _constant
 
 __all__ = [
-    "Shape", "MultiIndex", "split_star", "position_sums", "theta", "ShapeMismatchError",
+    "Shape", "MultiIndex", "split_star", "position_sums", "theta", "theta_exponents",
+    "ShapeMismatchError",
 ]
 
 
@@ -214,18 +215,22 @@ def position_sums(a: MultiIndex) -> list[tuple[int, int, int, int]]:
     return [b + f for b, f in zip(before, reversed(after))]
 
 
-def theta(a: MultiIndex, b: MultiIndex, mode: QMode) -> ScalarQ:
-    """Twist bicharacter on labels of a polynomial-side space.
-
-    theta(a, b) = q^(ab - ba on bosonic parts) * (-q)^(ab - ba on fermionic
-    parts) * q^(fer(a)*bos(b) - fer(b)*bos(a)): on the polynomial side, the
-    scalar c with x^a x^b = c x^b x^a.
-    """
+def theta_exponents(a: MultiIndex, b: MultiIndex) -> tuple[int, int]:
+    """The twist bicharacter theta(a, b) = q^(ab - ba on bosonic parts) *
+    (-q)^(ab - ba on fermionic parts) * q^(fer(a)*bos(b) - fer(b)*bos(a)) as
+    the integer pair (lam, mu) of (-1)^lam q^mu, lam in {0, 1}: the form of
+    MonomialRule's constant, shared by the Hopf braiding data."""
     if a.shape.fermionic_first:
         raise ShapeMismatchError("twist bicharacter is defined on polynomial-side labels")
     a._check(b)
     bb_ab, ff_ab, fb_ab, _ = split_star(a, b)
     bb_ba, ff_ba, fb_ba, _ = split_star(b, a)
     fer_exp = ff_ab - ff_ba
-    value = mode.q_power((bb_ab - bb_ba) + fer_exp + (fb_ab - fb_ba))
-    return -value if fer_exp % 2 else value
+    return fer_exp % 2, (bb_ab - bb_ba) + fer_exp + (fb_ab - fb_ba)
+
+
+def theta(a: MultiIndex, b: MultiIndex, mode: QMode) -> ScalarQ:
+    """Twist bicharacter on labels of a polynomial-side space: the scalar c
+    with x^a x^b = c x^b x^a, built from theta_exponents."""
+    lam, mu = theta_exponents(a, b)
+    return _constant(mode, -1 if lam else 1, mu)

@@ -13,13 +13,15 @@ from qgrass import cli, hopf
 from qgrass.hopf import (
     AbelianQuotient,
     HopfPresentation,
-    _multiplicative_order,
+    _fold,
+    _power_order,
+    _signed_power,
     build,
     divided_power_coproduct_check,
     pbw_dim,
     verify_hopf,
 )
-from qgrass.qarith import GENERIC, add_term, q_binom_unbalanced, root_of_unity
+from qgrass.qarith import GENERIC, _constant, add_term, q_binom_unbalanced, root_of_unity
 
 D3 = root_of_unity(3)
 D6 = root_of_unity(6)
@@ -156,7 +158,8 @@ def test_taft_orders_diagonal_entry_has_exact_order(d):
         val = mode.q_power(d // o)
         assert [k for k in range(1, o + 1) if val**k == one] == [o]
         if o > 1:
-            assert build("taft-orders", orders=(o,), mode=mode).chi[0][0] == val
+            entry = build("taft-orders", orders=(o,), mode=mode).chi[0][0]
+            assert _signed_power(mode, *entry) == val
 
 
 def test_gq_restricted_dimension_equals_taft():
@@ -435,8 +438,55 @@ def test_probe_and_oracle_catch_a_changed_character():
         pair = [build("dq", m=1, n=1, mode=GENERIC) for _ in range(2)]
         if mutate:
             for p in pair:
-                p.chi[t2][0] = GENERIC.q()
+                p.chi[t2][0] = (0, 1)  # q
         assert probe_verdict(pair[0]) is probe_oracle(pair[1]) is not mutate
+
+
+def buildable(families, shapes, modes, orders=()):
+    """Every presentation that build accepts on the grid, in grid order."""
+    calls = [dict(family=f, m=m, n=n) for f in families for m, n in shapes]
+    calls += [dict(family="taft-orders", orders=o) for o in orders]
+    out = []
+    for mode, kw in itertools.product(modes, calls):
+        with contextlib.suppress(ValueError):
+            out.append(build(mode=mode, **kw))
+    return out
+
+
+def test_warnings_decide_the_probe_on_a_grid():
+    # chi_r(x_j) = 1 for every lattice row r and generator x_j holds exactly
+    # when the generator-triple probe passes
+    grid = buildable(("taft-mn", "aq", "gq", "gq-restricted", "dq", "dq-restricted"),
+                     [(1, 0), (0, 1), (1, 1), (2, 1)],
+                     [GENERIC, *map(root_of_unity, (3, 4, 6, 8))],
+                     [(2,), (2, 3), (3, 4), (2, 2, 3)])
+    verdicts = [(not p.warnings, probe_verdict(p)) for p in grid]
+    assert [clean for clean, _ in verdicts] == [passed for _, passed in verdicts]
+    assert (len(verdicts), sum(not passed for _, passed in verdicts)) == (85, 24)
+
+
+def test_root_datum_is_the_generic_datum_at_a_root_of_unity():
+    # the characters do not depend on the mode: each root-mode entry is the
+    # generic entry's signed power evaluated at q = zeta_d, on the generators
+    # both presentations have (gq at a root adds the central tops)
+    def value(mode, power):
+        return _constant(mode, -1 if power[0] % 2 else 1, power[1])
+
+    shapes = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)]
+    compared = 0
+    for family, (m, n) in itertools.product(("aq", "gq", "dq"), shapes):
+        generic = build(family, m=m, n=n, mode=GENERIC)
+        gs, xs = len(generic.group_names), len(generic.xgens)
+        for root in buildable((family,), [(m, n)], map(root_of_unity, (3, 4, 5, 6, 8, 9, 12))):
+            assert root.group_names[:gs] == generic.group_names
+            assert [g.name for g in root.xgens[:xs]] == [g.name for g in generic.xgens]
+            for table, rows in (("chi", gs), ("comm", xs)):
+                for r, j in itertools.product(range(rows), range(xs)):
+                    g_entry, r_entry = getattr(generic, table)[r][j], getattr(root, table)[r][j]
+                    assert value(root.mode, g_entry) == value(root.mode, r_entry), (
+                        family, m, n, root.mode.d, table, r, j)
+            compared += 1
+    assert compared == 102  # gq at even d is refused: 24 of 126
 
 
 # ---------------------------------------------------------------------------
@@ -564,17 +614,42 @@ def test_nonpositive_orders_rejected(family):
         build(family, orders=(-2,), group_orders=(2,), mode=D6)
 
 
-def test_multiplicative_order_searches_to_twice_the_order_of_q():
-    # +-q^k has an order dividing 2d at a root of unity of order d; in Q(v)
-    # only +-1 have one
+def power_order_oracle(val):
+    """The least k >= 1 with val^k = 1, or None, by search: +-q^k has an order
+    dividing 2d at a root of unity of order d, and in Q(v) only +-1 have one."""
+    mode, acc = val.mode, val.mode.one()
+    for k in range(1, (2 if mode.is_generic else 2 * mode.d) + 1):
+        acc = acc * val
+        if acc == mode.one():
+            return k
+    return None
+
+
+def test_power_order_reaches_twice_the_order_of_q():
     d3, d67 = root_of_unity(3), root_of_unity(67)
-    assert [_multiplicative_order(d3, v) for v in (d3.one(), -d3.one(), d3.q(), -d3.q())] == [
+    assert [_power_order(d3, lam, mu) for lam, mu in ((0, 0), (1, 0), (0, 1), (1, 1))] == [
         1, 2, 3, 6]
-    assert _multiplicative_order(d67, d67.q_power(65)) == 67
-    assert _multiplicative_order(d67, -d67.q()) == 134
-    one = GENERIC.one()
-    assert [_multiplicative_order(GENERIC, v) for v in (one, -one, GENERIC.q(), -GENERIC.q())] == [
+    assert _power_order(d67, 0, 65) == 67
+    assert _power_order(d67, 1, 1) == 134
+    assert [_power_order(GENERIC, lam, mu) for lam, mu in ((0, 0), (1, 0), (0, 1), (1, 1))] == [
         1, 2, None, None]
+
+
+@pytest.mark.parametrize("d", [None, *range(3, 25)])
+def test_signed_powers_fold_to_equality_and_order(d):
+    # at even d, -1 = q^(d/2): the pair (1, mu) names q^(mu + d/2), so a test
+    # that compared unfolded pairs would miss equalities
+    mode = GENERIC if d is None else root_of_unity(d)
+    span = 3 if d is None else 2 * d
+    pairs = [(lam, mu) for lam in (0, 1) for mu in range(-span, span + 1)]
+    for lam, mu in pairs:
+        val = _constant(mode, -1 if lam else 1, mu)
+        assert (_fold(mode, lam, mu) == (0, 0)) is (val == mode.one()), (lam, mu)
+        assert _power_order(mode, lam, mu) == power_order_oracle(val), (lam, mu)
+        assert _signed_power(mode, lam, mu) == val
+    for (la, ma), (lb, mb) in itertools.combinations(pairs[:: max(1, span // 6)], 2):
+        same = _constant(mode, -1 if la else 1, ma) == _constant(mode, -1 if lb else 1, mb)
+        assert (_fold(mode, la, ma) == _fold(mode, lb, mb)) is same, ((la, ma), (lb, mb))
 
 
 def test_two_sided_threshold_above_order_64():
