@@ -17,7 +17,9 @@ still written), 2 usage error, or a run whose work estimate is over
 ``WORK_LIMIT``, refused before any work.  Reports embed the run configuration
 and are byte-deterministic for fixed flags; files are written atomically.
 ``main(argv)`` may be called repeatedly in one process; it builds its parser
-once and reuses it.
+once and reuses it, and hands ``argv`` to the subcommand's own parser.  JSON
+reports are written by ``_json``: the text of ``json.dumps(indent=2,
+sort_keys=True)``, with floats refused.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import os
 import re
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .indices import MultiIndex
@@ -223,7 +225,56 @@ def _emit(payload: dict, args, csv_rows: list[dict] | None = None) -> None:
         writer.writerows(csv_rows)
         _write_output(buf.getvalue(), args.out)
     else:
-        _write_output(json.dumps(payload, indent=2, sort_keys=True), args.out)
+        _write_output(_json(payload), args.out)
+
+
+def _json(payload) -> str:
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)``, written in
+    one pass.  A report holds str, int, bool, None, lists, tuples and dicts
+    with str keys; anything else, floats included, raises TypeError."""
+    out: list[str] = []
+    write = out.append
+
+    def value(obj, indent: str) -> None:
+        if isinstance(obj, str):
+            write(encode_basestring_ascii(obj))
+        elif obj is None:
+            write("null")
+        elif obj is True:
+            write("true")
+        elif obj is False:
+            write("false")
+        elif isinstance(obj, int):
+            write(int.__repr__(obj))
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                write("[]")
+                return
+            inner = indent + "  "
+            sep = "[\n" + inner
+            for item in obj:
+                write(sep)
+                value(item, inner)
+                sep = ",\n" + inner
+            write("\n" + indent + "]")
+        elif isinstance(obj, dict):
+            if not obj:
+                write("{}")
+                return
+            inner = indent + "  "
+            sep = "{\n" + inner
+            for key in sorted(obj):
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys are str, not {type(key).__name__}")
+                write(sep + encode_basestring_ascii(key) + ": ")
+                value(obj[key], inner)
+                sep = ",\n" + inner
+            write("\n" + indent + "}")
+        else:
+            raise TypeError(f"a report holds no {type(obj).__name__}")
+
+    value(payload, "")
+    return "".join(out)
 
 
 def _config(args, **extra) -> dict:
@@ -270,10 +321,10 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _parse_word(text: str, space) -> OperatorWord:
-    word = OperatorWord(space, ())
+    atoms: list = []
     for token in text.split():
-        word = word.then(_parse_token(token, space))
-    return word
+        atoms += _parse_token(token, space)
+    return OperatorWord(space, tuple(atoms))
 
 
 # generator token prefixes, each before any prefix of itself (SKinv before SK),
@@ -284,7 +335,8 @@ _ATOMS = {name: atoms for name, _, atoms in _GEN_TOKENS}
 _ATOM_TOKENS = (("d", partial), ("x", mult_x), ("X", mult_x_divpow), ("t", tau))
 
 
-def _parse_token(token: str, space) -> OperatorWord:
+def _parse_token(token: str, space) -> tuple:
+    """The atoms of one word token, leftmost first."""
     if token == "sigma":
         return _generator(Gen.PARITY, 0, space)
     for name, gen, _ in _GEN_TOKENS:
@@ -292,22 +344,22 @@ def _parse_token(token: str, space) -> OperatorWord:
             return _generator(gen, int(token[len(name):]), space)
     if token.startswith("Th(") and token.endswith(")"):
         label = _parse_monomial(token[2:], space.shape)
-        return OperatorWord(space, (theta_op(label),))
+        return (theta_op(label),)
     if token == "par":
-        return OperatorWord(space, (parity(),))
+        return (parity(),)
     if token.startswith("sinv") and token[4:].isdigit():
-        return OperatorWord(space, (sigma(int(token[4:]), -1),))
+        return (sigma(int(token[4:]), -1),)
     if token.startswith("s") and token[1:].isdigit():
-        return OperatorWord(space, (sigma(int(token[1:]), 1),))
+        return (sigma(int(token[1:]), 1),)
     for prefix, ctor in _ATOM_TOKENS:
         if token.startswith(prefix) and token[len(prefix):].isdigit():
-            return OperatorWord(space, (ctor(int(token[len(prefix):])),))
+            return (ctor(int(token[len(prefix):])),)
     raise UsageError(f"cannot parse generator token {token!r}")
 
 
-def _generator(kind: Gen, i: int, space) -> OperatorWord:
+def _generator(kind: Gen, i: int, space) -> tuple:
     try:
-        return generator_word(kind, i, space)
+        return generator_word(kind, i, space).atoms
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -593,6 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_qtest)
 
+    for name, sub in subs.choices.items():  # main may parse with sub alone
+        sub.set_defaults(command=name)
     return parser
 
 
@@ -602,14 +656,29 @@ def _parser(builder) -> argparse.ArgumentParser:
 
     ``main`` passes the module's current ``build_parser``, so a replacement
     bound there (a test double, a tracing wrapper) builds on its next call.
-    Reuse is safe because ``parse_args`` leaves the parser unchanged.
+    Reuse is safe because parsing leaves the parser and its subparsers
+    unchanged.
     """
     return builder()
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's own parser, by name: the choices of the subparsers action."""
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
 def main(argv: list[str] | None = None) -> int:
+    parser = _parser(build_parser)
+    argv = sys.argv[1:] if argv is None else argv
+    sub = _subcommands(parser).get(argv[0]) if argv else None
     try:
-        args = _parser(build_parser).parse_args(argv)
+        if sub is None:  # no command, --version, -h or an unknown command
+            args = parser.parse_args(argv)
+        else:  # what the top-level parser would do, without scanning argv twice
+            args, extras = sub.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

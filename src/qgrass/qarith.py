@@ -526,22 +526,6 @@ class ScalarQ:
     def __truediv__(self, other: "ScalarQ") -> "ScalarQ":
         return self * other.inverse()
 
-    def __pow__(self, n: int) -> "ScalarQ":
-        if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
-            return self.mode._one
-        # square-and-multiply from the base: no one * base, no square past the top bit
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScalarQ) or self.mode != other.mode:
             return NotImplemented if not isinstance(other, ScalarQ) else False

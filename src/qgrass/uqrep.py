@@ -276,7 +276,7 @@ def verify_uq_relations(space: SpaceSpec, t_max: int, variant: str = "gl") -> Re
                 checks.append(
                     Relation(
                         f"{kind.value}{j}^ell = 0 (restricted)",
-                        (word(kind, j).power(ell),),
+                        (OperatorWord(space, word(kind, j).atoms * ell),),
                         (),
                     )
                 )
@@ -285,13 +285,13 @@ def verify_uq_relations(space: SpaceSpec, t_max: int, variant: str = "gl") -> Re
                 checks.append(
                     Relation(
                         f"K{i}^(2 ell) = 1 (restricted)",
-                        (word(Gen.K, i).power(2 * ell),),
+                        (OperatorWord(space, word(Gen.K, i).atoms * (2 * ell)),),
                         (_w(space),),
                     )
                 )
                 k_ell = Relation(
                     f"K{i}^ell = 1 (informative)",
-                    (word(Gen.K, i).power(ell),),
+                    (OperatorWord(space, word(Gen.K, i).atoms * ell),),
                     (_w(space),),
                 )
                 checks.append(k_ell)

@@ -316,12 +316,6 @@ class OperatorWord:
             raise InvalidAtomError("operator words on different spaces")
         return OperatorWord(self.space, self.atoms + other.atoms, self.coeff() * other.coeff())
 
-    def power(self, k: int) -> "OperatorWord":
-        out = OperatorWord(self.space, ())
-        for _ in range(k):
-            out = out.then(self)
-        return out
-
     def render(self) -> str:
         body = " ".join(a.render() for a in self.atoms) or "1"
         return body

@@ -3,8 +3,11 @@ import itertools
 import json
 import os
 import pathlib
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgrass import cli, hopf, weyl
 from qgrass.cli import main
@@ -511,3 +514,101 @@ def test_the_estimate_never_shrinks_as_the_input_grows(family, d, m, n, t_max):
     argv = ["qtest", "--max", str(t_max + 2), "--d-list", str(m + n + 3)]
     assert estimate(grow(argv, "--max")) >= estimate(argv)
     assert estimate(argv[:-1] + [str(m + n + 4)]) >= estimate(argv)
+
+
+# one small valid run of each subcommand
+SMALL_RUNS = {
+    "dims": ["dims", *OMEGA11, "--t-max", "3"],
+    "act": REUSE_SEQUENCE[4],
+    "check-uq": ["check-uq", *OMEGA11, "--t-max", "2"],
+    "check-leibniz": ["check-leibniz", "--family", "dual", "--m", "1", "--n", "0",
+                      "--t-max", "2"],
+    "check-weyl": ["check-weyl", *OMEGA11, "--t-max", "2"],
+    "check-dq": ["check-dq", *OMEGA11, "--t-max", "2"],
+    "hopf": ["hopf", "--family", "taft-orders", "--orders", "2", "--d", "4"],
+    "simple": ["simple", *OMEGA11, "--t-max", "2"],
+    "qtest": ["qtest", "--max", "3", "--d-list", "3"],
+}
+
+
+def old_main(argv):
+    """main as it was: the top-level parser parses all of argv, then the run."""
+    try:
+        args = cli._parser(cli.build_parser).parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if exc.code is not None else 2
+    try:
+        if (estimate := cli._estimate(args)) > cli.WORK_LIMIT:
+            raise cli.UsageError(f"the run is estimated at {estimate:,} work units, more "
+                                 f"than the limit of {cli.WORK_LIMIT:,}")
+        return args.fn(args)
+    except cli.UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+
+
+DISPATCH = {
+    **SMALL_RUNS,
+    "act -h": ["act", "-h"],
+    "hopf -h": ["hopf", "-h"],
+    "--version": ["--version"],
+    "--version dims": ["--version", "dims"],
+    "no arguments": [],
+    "unknown command": ["nope"],
+    "missing --n": ["dims", "--m", "1"],
+    "unknown flag": ["dims", *OMEGA11, "--bogus"],
+    "extra argument": ["dims", *OMEGA11, "extra"],
+    "two unrecognized": ["dims", *OMEGA11, "--bogus", "extra"],
+    "dims --version": ["dims", "--version"],
+    "abbreviated flag": ["dims", "--fam", "dual", "--m", "1", "--n", "1", "--t-max", "2"],
+    "flag=value": ["dims", "--m=1", "--n", "1", "--t-max", "2"],
+    "bad integer": ["dims", "--m", "x", "--n", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", DISPATCH.values(), ids=DISPATCH.keys())
+def test_subcommand_dispatch_matches_the_top_level_parser(capsys, argv):
+    # main hands argv[1:] to the subcommand's parser; exit code, stdout and
+    # stderr stay those of parsing everything with the top-level parser
+    code = old_main(list(argv))
+    captured = capsys.readouterr()
+    assert call(capsys, list(argv)) == (code, captured.out, captured.err)
+
+
+# strings with quotes, backslashes, control and non-ASCII characters
+TEXT = st.text(st.sampled_from('az"\\/\n\t\x00\x1f\x7f \xe9\u2202\u03be\U0001d50a'), max_size=5)
+LEAVES = (st.none() | st.booleans() | st.integers(-(2 ** 70), 2 ** 70)
+          | st.sampled_from([2 ** 64, 2 ** 64 + 1, -(2 ** 64) - 1, -1, 0]) | TEXT)
+
+
+def payloads(depth):
+    if depth == 0:
+        return LEAVES
+    inner = payloads(depth - 1)
+    return (LEAVES | st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+            | st.dictionaries(TEXT, inner, max_size=3))
+
+
+@given(payloads(4))
+@settings(max_examples=300, deadline=None)
+def test_emitter_writes_the_text_of_json_dumps(payload):
+    assert cli._json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_every_subcommand_report_is_the_text_of_json_dumps(monkeypatch, capsys):
+    emitted = []
+    original = cli._json
+    monkeypatch.setattr(cli, "_json", lambda payload: emitted.append(payload) or original(payload))
+    for argv in SMALL_RUNS.values():
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert [p["config"]["command"] for p in emitted] == list(SMALL_RUNS)
+    for payload in emitted:
+        assert original(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [1.0, {"a": [0.5]}, {1: "a"}, {"a": {None: 0}}, {2: 0, 1: 0},
+                                     {1, 2}, b"bytes"])
+def test_emitter_refuses_floats_and_non_str_keys(payload):
+    with pytest.raises(TypeError):
+        cli._json(payload)

@@ -295,7 +295,8 @@ def test_a_rule_with_a_cap_is_never_the_same_map():
 
 def test_maps_equal_only_at_the_root_are_enumerated():
     # K1^ell = 1 holds on the restricted space, with q^(3 a_1) against 1
-    k1_cubed = generator_word(Gen.K, 1, RESTRICTED21).power(3)
+    k1 = generator_word(Gen.K, 1, RESTRICTED21)
+    k1_cubed = k1.then(k1).then(k1)
     one = OperatorWord(RESTRICTED21, ())
     assert not k1_cubed.rule.same_map(one.rule)
     assert operators_equal(k1_cubed, one, 6).equal

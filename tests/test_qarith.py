@@ -202,14 +202,14 @@ def scalars(draw, mode):
 
 @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
 def test_coefficients_stay_canonical(mode):
-    @given(scalars(mode), scalars(mode), st.integers(-3, 3))
+    @given(scalars(mode), scalars(mode))
     @settings(max_examples=40, deadline=None)
-    def inner(a, b, k):
+    def inner(a, b):
         results = [a, b, a + b, a - b, a * b, -a]
         if b:
             results.append(a / b)
         if a:
-            results += [a.inverse(), a ** k]
+            results.append(a.inverse())
         for x in results:
             assert_canonical_scalar(x)
 
@@ -556,21 +556,3 @@ def test_a_product_by_one_still_refuses_mixed_modes():
     for a, b in pairs:
         with pytest.raises(ValueError, match="mixed coefficient modes"):
             a * b
-
-
-@pytest.mark.parametrize("mode", ONE_MODES, ids=ONE_MODE_IDS)
-def test_powers_match_repeated_multiplication(mode):
-    @given(scalars(mode))
-    @settings(max_examples=20, deadline=None)
-    def inner(a):
-        assert a ** 0 is mode.one()
-        bases = [(a, range(1, 17))]
-        if a:
-            bases.append((a.inverse(), range(-1, -9, -1)))
-        for base, exponents in bases:
-            acc = base
-            for n in exponents:
-                assert a ** n == acc, n
-                acc = acc * base
-
-    inner()
