@@ -17,9 +17,12 @@ still written), 2 usage error, or a run whose work estimate is over
 ``WORK_LIMIT``, refused before any work.  Reports embed the run configuration
 and are byte-deterministic for fixed flags; files are written atomically.
 ``main(argv)`` may be called repeatedly in one process; it builds its parser
-once and reuses it, and hands ``argv`` to the subcommand's own parser.  JSON
-reports are written by ``_json``: the text of ``json.dumps(indent=2,
-sort_keys=True)``, with floats refused.
+once and reuses it.  An argv of exact ``--option value`` pairs and
+store_true flags, each option once and every value valid, is read in one
+pass from the subcommand's own argparse tables (``_read_args``); any other
+argv goes to the subcommand's argparse parser, the one source of help,
+usage and error text.  JSON reports are written by ``_json``: the text of
+``json.dumps(indent=2, sort_keys=True)``, with floats refused.
 """
 
 from __future__ import annotations
@@ -668,6 +671,53 @@ def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.Argument
                 if isinstance(action, argparse._SubParsersAction))
 
 
+def _read_args(sub: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace of ``sub.parse_known_args(argv)``, read in one pass from
+    sub's own action tables, when argv holds only exact option strings, each
+    once: ``--option value`` with a value that does not start with '-', of
+    its type and among its choices, or a store_true flag; and every required
+    option is given.  Any other argv gives None and is left to argparse, the
+    one path that prints help, resolves abbreviations and reports errors."""
+    table, given = sub._option_string_actions, {}
+    i, end = 0, len(argv)
+    try:
+        while i < end:
+            action = table.get(argv[i])
+            if action is None or action in given:
+                return None
+            if isinstance(action, argparse._StoreConstAction):  # store_true and kin
+                given[action], i = action.const, i + 1
+            elif type(action) is argparse._StoreAction and action.nargs is None and i + 1 < end:
+                text = argv[i + 1]
+                if text.startswith("-"):
+                    return None
+                value = text if action.type is None else action.type(text)
+                if action.choices is not None and value not in action.choices:
+                    return None
+                given[action], i = value, i + 2
+            else:  # -h, a missing value, or an action kind read only by argparse
+                return None
+        args = argparse.Namespace()
+        for action in sub._actions:
+            if action in given:
+                value = given[action]
+            elif action.required:
+                return None
+            elif argparse.SUPPRESS in (action.dest, action.default) or hasattr(args, action.dest):
+                continue
+            else:  # argparse passes a str default through the type
+                value = action.default
+                if isinstance(value, str) and action.type is not None:
+                    value = action.type(value)
+            setattr(args, action.dest, value)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    for dest, value in sub._defaults.items():  # set_defaults: fn, check, command
+        if not hasattr(args, dest):
+            setattr(args, dest, value)
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _parser(build_parser)
     argv = sys.argv[1:] if argv is None else argv
@@ -675,7 +725,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if sub is None:  # no command, --version, -h or an unknown command
             args = parser.parse_args(argv)
-        else:  # what the top-level parser would do, without scanning argv twice
+        elif (args := _read_args(sub, argv[1:])) is None:
+            # what the top-level parser would do, without scanning argv twice
             args, extras = sub.parse_known_args(argv[1:])
             if extras:
                 parser.error(f"unrecognized arguments: {' '.join(extras)}")

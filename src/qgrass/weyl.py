@@ -311,9 +311,11 @@ class OperatorWord:
         return OperatorWord(self.space, self.atoms, self.coeff() * c)
 
     def then(self, other: "OperatorWord") -> "OperatorWord":
-        """self o other (other acts first)."""
+        """self o other (other acts first); no scalar when neither has one."""
         if self.space != other.space:
             raise InvalidAtomError("operator words on different spaces")
+        if self.scalar is None and other.scalar is None:
+            return OperatorWord(self.space, self.atoms + other.atoms)
         return OperatorWord(self.space, self.atoms + other.atoms, self.coeff() * other.coeff())
 
     def render(self) -> str:

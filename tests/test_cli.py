@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import itertools
 import json
 import os
@@ -6,7 +8,7 @@ import pathlib
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgrass import cli, hopf, weyl
@@ -461,20 +463,36 @@ def load(path, name):
     return module
 
 
-def test_every_sweep_and_benchmark_run_passes_the_size_guard():
-    # the estimate of each argv the sweep script and the benchmark send, with
-    # nothing run: all are admitted, the largest with ten times the room
+def benchmark_argvs():
+    """Every argv the sweep script and the benchmark send: the sweep's runs,
+    the benchmark's sweep and certify jobs, and its query pool."""
     root = SWEEP_SCRIPT.parents[1]
     workloads = load(root / "perfbench" / "workloads.py", "perfbench_workloads")
     argvs = [argv for _, argv in load(SWEEP_SCRIPT, "run_full_verification").RUNS]
     argvs += [cmd.split() for _, cmd in workloads.SWEEP_JOBS + workloads.CERTIFY_JOBS]
     pool = workloads.query_pool()
     assert (len(argvs), len(pool)) == (54, 4000)
-    sizes = {" ".join(argv): estimate(argv) for argv in argvs + pool}
+    return argvs + pool
+
+
+def test_every_sweep_and_benchmark_run_passes_the_size_guard():
+    # the estimate of each argv the sweep script and the benchmark send, with
+    # nothing run: all are admitted, the largest with ten times the room
+    sizes = {" ".join(argv): estimate(argv) for argv in benchmark_argvs()}
     largest = max(sizes, key=sizes.get)
     assert (largest, sizes[largest]) == (
         "simple --family omega-restricted --m 3 --n 1 --q root --d 3", 1_086_483)
     assert sizes[largest] <= cli.WORK_LIMIT // 10
+
+
+def test_every_sweep_and_benchmark_run_is_read_in_one_pass():
+    # a parser change that sends these argvs back to argparse (a new action
+    # kind, a renamed option) fails here rather than only running slower
+    subs = cli._subcommands(cli._parser(cli.build_parser))
+    for argv in benchmark_argvs():
+        args = cli._read_args(subs[argv[0]], argv[1:])
+        assert args is not None, argv
+        assert (args, []) == subs[argv[0]].parse_known_args(argv[1:]), argv
 
 
 def grow(argv, flag, step=1):
@@ -547,8 +565,20 @@ def old_main(argv):
         return 2
 
 
+# argvs _read_args reads in one pass, beyond SMALL_RUNS: a flag, every option
+# of a subcommand, options in any order, and a usage error raised after parsing
+READ = {
+    "hopf flag": ["hopf", "--family", "taft-mn", "--m", "1", "--n", "0", "--q", "root",
+                  "--d", "3", "--exhaustive", "--divided-power", "1"],
+    "every act option but --out": ["act", "--q", "generic", "--format", "json", *OMEGA21,
+                                   "--word", "E1 x2", "--monomial", "(1,0|1)"],
+    "options in any order": ["dims", "--t-max", "2", "--n", "1", "--format", "csv", "--m", "1"],
+    "act as CSV": ["act", *OMEGA11, "--word", "d1", "--monomial", "(1|1)", "--format", "csv"],
+}
+
 DISPATCH = {
     **SMALL_RUNS,
+    **READ,
     "act -h": ["act", "-h"],
     "hopf -h": ["hopf", "-h"],
     "--version": ["--version"],
@@ -563,16 +593,103 @@ DISPATCH = {
     "abbreviated flag": ["dims", "--fam", "dual", "--m", "1", "--n", "1", "--t-max", "2"],
     "flag=value": ["dims", "--m=1", "--n", "1", "--t-max", "2"],
     "bad integer": ["dims", "--m", "x", "--n", "1"],
+    "value outside the choices": ["dims", "--family", "bogus", "--m", "1", "--n", "1"],
+    "value starting with a dash": ["act", *OMEGA11, "--word", "-x", "--monomial", "(1|1)"],
+    "negative integer": ["dims", *OMEGA11, "--t-max", "-1"],
+    "repeated option": ["dims", *OMEGA11, "--m", "2", "--t-max", "2"],
+    "missing value": ["dims", *OMEGA11, "--t-max"],
+    "double dash": ["dims", "--", *OMEGA11],
+    "flag with a value": ["hopf", "--family", "dq", "--exhaustive=1"],
 }
 
 
 @pytest.mark.parametrize("argv", DISPATCH.values(), ids=DISPATCH.keys())
 def test_subcommand_dispatch_matches_the_top_level_parser(capsys, argv):
-    # main hands argv[1:] to the subcommand's parser; exit code, stdout and
-    # stderr stay those of parsing everything with the top-level parser
+    # main reads argv[1:] in one pass, or hands it to the subcommand's parser;
+    # exit code, stdout and stderr stay those of parsing everything with the
+    # top-level parser
+    sub = cli._subcommands(cli._parser(cli.build_parser)).get(argv[0]) if argv else None
+    read = sub is not None and cli._read_args(sub, argv[1:]) is not None
+    assert read == (argv in SMALL_RUNS.values() or argv in READ.values())
     code = old_main(list(argv))
     captured = capsys.readouterr()
     assert call(capsys, list(argv)) == (code, captured.out, captured.err)
+
+
+SUBS = cli._subcommands(cli.build_parser())
+# values a reader must refuse or convert as argparse does
+ODD_VALUES = st.sampled_from(["", "x", "1.5", " 3", "3_0", "-1", "-x", "--m", "-h", "bogus",
+                              "(1|1)", "E1 x2"])
+
+
+def value_of(action, clean):
+    """A value for an option: one of its choices, an int or a word, or unless
+    clean now and then an odd one."""
+    if action.choices is not None:
+        good = st.sampled_from(list(action.choices))
+    elif action.type is int:
+        good = st.integers(0, 12).map(str)
+    else:
+        good = st.sampled_from(["(1,0|1)", "E1 x2", "d1", "2,3", "3"])
+    return good if clean else st.one_of(good, good, ODD_VALUES)
+
+
+@st.composite
+def option_tokens(draw, action, clean):
+    """The tokens of one option: its exact string, or unless clean now and
+    then an abbreviation, the option=value form or a missing value."""
+    option = draw(st.sampled_from(action.option_strings))
+    takes_value = action.nargs != 0
+    value = draw(value_of(action, clean)) if takes_value else None
+    form = "exact" if clean else draw(st.sampled_from(["exact"] * 3 + [
+        "abbreviated", "joined", "bare"]))
+    if form == "abbreviated":
+        option = option[:draw(st.integers(3, max(3, len(option) - 1)))]
+    if form == "joined":
+        return [f"{option}={value if takes_value else 1}"]
+    return [option] if form == "bare" or not takes_value else [option, value]
+
+
+@st.composite
+def subcommand_argvs(draw):
+    """A subcommand and an argv for its parser.  A clean argv holds its
+    required options most times and distinct options of good values; any
+    other also odd values and forms, repeats and a stray token."""
+    name, clean = draw(st.sampled_from(sorted(SUBS))), draw(st.booleans())
+    actions = [a for a in SUBS[name]._actions
+               if a.option_strings and not (clean and a.dest == "help")]
+    chosen = [a for a in actions if a.required] if draw(st.integers(0, 3)) else []
+    chosen += draw(st.lists(st.sampled_from(actions), max_size=5, unique=clean))
+    chosen = draw(st.permutations(list(dict.fromkeys(chosen)) if clean else chosen))
+    argv = [token for action in chosen for token in draw(option_tokens(action, clean))]
+    strays = [] if clean else draw(st.lists(st.sampled_from(["-h", "--", "extra", "--bogus", "-1"]),
+                                            max_size=1))
+    for stray in strays:
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return name, argv
+
+
+def parse_known(sub, argv):
+    """sub.parse_known_args(argv), or the exit code argparse leaves with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return sub.parse_known_args(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@given(subcommand_argvs())
+@settings(max_examples=300, deadline=None)
+@example(("dims", [*OMEGA11]))  # the defaults and set_defaults
+@example(("hopf", ["--family", "dq", "--exhaustive"]))
+@example(("dims", ["--family", "bogus", *OMEGA11[2:]]))  # outside the choices
+@example(("act", [*OMEGA11, "--word", "-x", "--monomial", "(1|1)"]))  # a leading dash
+def test_the_reader_gives_the_namespace_of_argparse_or_none(case):
+    name, argv = case
+    sub = SUBS[name]
+    args = cli._read_args(sub, argv)
+    if args is not None:
+        assert parse_known(sub, argv) == (args, [])  # Namespaces compare by vars
 
 
 # strings with quotes, backslashes, control and non-ASCII characters

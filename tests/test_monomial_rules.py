@@ -2,8 +2,9 @@
 
 A word compiles once into one MonomialRule; on every basis monomial its image
 must be the one the word's atoms give when applied one at a time through
-apply_atom.  monomial_product evaluates the left-multiplication rule of its
-first factor; it must give the structure constants of the star pairing.
+apply_atom.  monomial_product evaluates the left-multiplication terms of its
+first factor directly; it must give the structure constants of the star
+pairing and the image of the compiled left_mult rule.
 Two rules with one normal form (same_map) must be the same map, a restricted
 cap keeps a rule out of that shortcut, and a cap whose binomial does not
 vanish raises under any interpreter flags.  A rule that is_character accepts
@@ -194,6 +195,54 @@ def test_monomial_product_is_the_star_pairing_formula(space):
     monos = basis_upto(space, 4)
     for a, b in itertools.product(monos, repeat=2):
         assert monomial_product(space, a, b) == reference_product(space, a, b), (str(a), str(b))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the ArithmeticError it raises."""
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return f"ArithmeticError: {exc}"
+
+
+def past_the_cap(space):
+    """First factors ell x_j and (ell + 1) x_j at each divided-power position
+    of a restricted space: each of their caps fails on every b, with a
+    binomial [a_j + b_j choose a_j]_q that need not vanish."""
+    ell, mask = space.shape.restricted_ell, space.shape.fermionic_mask
+    if ell is None:
+        return []
+    return [MultiIndex(tuple(v if p == j else 0 for p in range(len(mask))), space.shape)
+            for j, fer in enumerate(mask) if not fer for v in (ell, ell + 1)]
+
+
+@pytest.mark.parametrize("space", [s for s in SPACES if s.mode is not D4],
+                         ids=[i for s, i in zip(SPACES, SPACE_IDS) if s.mode is not D4])
+def test_monomial_product_is_the_image_of_the_left_mult_rule(space):
+    # monomial_product evaluates the terms the left_mult rule compiles; on
+    # every pair of degree <= 3, and past the cap, where both raise alike
+    monos = basis_upto(space, 3)
+    raised = capped = 0
+    for a in monos + past_the_cap(space):
+        builder = RuleBuilder(space.mode, space.shape.size)
+        builder.left_mult(space, a)
+        rule = builder.build()
+        for b in monos:
+            direct = outcome(monomial_product, space, a, b)
+            assert direct == outcome(rule.image, b), (str(a), str(b))
+            raised += isinstance(direct, str)
+            capped += direct is None and any(c[4] and not c[1] <= b.entries[c[0]] <= c[2]
+                                             for c in rule.checks)
+    restricted = space.shape.restricted_ell is not None
+    assert (raised > 0, capped > 0) == (restricted, restricted)
+
+
+def test_then_of_unscaled_words_has_no_scalar():
+    x1, d2 = OperatorWord(OMEGA21, (mult_x(1),)), OperatorWord(OMEGA21, (partial(2),))
+    assert x1.then(d2).scalar is None and x1.then(d2).rule.scale is None
+    q = GENERIC.q()
+    for lhs, rhs in ((x1.scaled(q), d2), (x1, d2.scaled(q))):
+        assert lhs.then(rhs).scalar == q and lhs.then(rhs).rule.scale == q
 
 
 @pytest.mark.parametrize("space, t_max", [
