@@ -13,14 +13,15 @@ Subcommands:
 * ``qtest``         q-combinatorics property sweep
 
 Exit status: 0 all checks passed, 1 a verification failed (the report is
-still written), 2 usage error, or a run whose work estimate is over
-``WORK_LIMIT``, refused before any work.  Reports embed the run configuration
-and are byte-deterministic for fixed flags; files are written atomically.
+still written), 2 usage error, an ``--out`` that cannot be written, or a run
+whose work estimate is over ``WORK_LIMIT``, refused before any work.  Reports
+embed the run configuration and are byte-deterministic for fixed flags; files
+are written atomically.
 ``main(argv)`` may be called repeatedly in one process; it builds its parser
-once and reuses it.  An argv of exact ``--option value`` pairs and
-store_true flags, each option once and every value valid, is read in one
-pass from the subcommand's own argparse tables (``_read_args``); any other
-argv goes to the subcommand's argparse parser, the one source of help,
+once and reuses it.  An argv of a subcommand and exact ``--option value``
+pairs and store_true flags, each option once and every value valid, is read
+in one pass from the subcommand's own argparse tables (``_read_args``); any
+other argv goes to the top-level argparse parser, the one source of help,
 usage and error text.  JSON reports are written by ``_json``: the text of
 ``json.dumps(indent=2, sort_keys=True)``, with floats refused.
 """
@@ -206,16 +207,17 @@ def _write_output(text: str, path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qgrass-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".qgrass-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise UsageError(f"cannot write --out {path!r}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(payload: dict, args, csv_rows: list[dict] | None = None) -> None:
@@ -506,6 +508,10 @@ def _cmd_qtest(args) -> int:
         roots = [root_of_unity(d) for d in orders]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    for d, mode in zip(orders, roots):  # d = 4: the digit split needs ell >= 3
+        if (ell := char_of(mode).ell) < 3:
+            raise UsageError(f"--d-list order {d} has char(q) = {ell}; the digit "
+                             "factorization needs char(q) >= 3")
     checks = []
 
     def record(name, passed):
@@ -648,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_qtest)
 
-    for name, sub in subs.choices.items():  # main may parse with sub alone
+    for name, sub in subs.choices.items():  # _read_args reads sub alone
         sub.set_defaults(command=name)
     return parser
 
@@ -722,17 +728,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _parser(build_parser)
     argv = sys.argv[1:] if argv is None else argv
     sub = _subcommands(parser).get(argv[0]) if argv else None
+    args = None if sub is None else _read_args(sub, argv[1:])
     try:
-        if sub is None:  # no command, --version, -h or an unknown command
+        if args is None:  # argparse parses, and reports on, every other argv
             args = parser.parse_args(argv)
-        elif (args := _read_args(sub, argv[1:])) is None:
-            # what the top-level parser would do, without scanning argv twice
-            args, extras = sub.parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
+        if args.out == "":
+            raise UsageError("--out needs a file path, not an empty one")
         if (estimate := _estimate(args)) > WORK_LIMIT:  # every refusal by size
             raise UsageError(f"the run is estimated at {estimate:,} work units, more than "
                              f"the limit of {WORK_LIMIT:,}")

@@ -17,6 +17,9 @@ Restricted variants cap divided-power exponents at ell - 1 where
 ell = char(q) >= 3; products overflowing the cap vanish (their binomial
 structure constants are zero at the root of unity; a nonzero one raises
 ArithmeticError).
+
+MonomialRule.image evaluates every monomial map, x^(a) x^(b) as the cached
+left-multiplication rule of a (monomial_product).
 """
 
 from __future__ import annotations
@@ -243,19 +246,39 @@ class RuleBuilder:
         self.shift[i] += s
 
     def left_mult(self, space: SpaceSpec, a: MultiIndex) -> None:
-        """Then left multiplication by the basis monomial a (_left_mult_terms)."""
-        forms, exterior, divided = _left_mult_terms(space, a.entries)
-        for j, m, l in forms:
-            self.form(j, m, l)
-        # acting order: the exterior checks, then the caps, each by position
-        for j, ai in exterior:
-            self.check(j, -sys.maxsize, 1 - ai)
-        cap = space.shape.restricted_ell
+        """Then left multiplication by the basis monomial a.  The structure
+        constants of x^(a) x^(b) have the star pairings split_star(a, b) as
+        exponents, linear in b with the sums of a after each position as
+        coefficients: (-1)^(fer*fer) q^(fer_a*bos_b + bos*bos + fer*fer) on
+        the affine and Grassmann spaces, (-q)^(-bos_a*fer_b - fer*fer)
+        q^(-bos*bos) on the dual ones.  The product is 0 unless b_j <= 1 - a_j
+        at each exterior position; each divided-power position gives a factor
+        [a_j + b_j choose a_j]_q, and on a restricted space a cap
+        b_j <= ell - 1 - a_j."""
+        entries, mask = a.entries, space.shape.fermionic_mask
+        dual = space.family in DUAL_SIDE
+        bos = fer = 0  # the sums of a after position j
+        for j in range(len(entries) - 1, -1, -1):
+            if mask[j]:
+                t = bos + fer if dual else fer
+                if t:
+                    self.form(j, -t if dual else t, t)
+                if entries[j]:  # first: the exterior checks, in any order
+                    self.check(j, -sys.maxsize, 1 - entries[j])
+                fer += entries[j]
+            else:
+                m = -bos if dual else bos + fer
+                if m:
+                    self.form(j, m)
+                bos += entries[j]
+        divided = [] if space.family is Family.AFFINE else [
+            (j, aj) for j, (aj, is_fer) in enumerate(zip(entries, mask)) if aj and not is_fer]
+        cap = space.shape.restricted_ell  # then the caps, by position: one may raise
         if cap is not None:
-            for j, ai in divided:
-                self.check(j, -sys.maxsize, cap - 1 - ai, ai)
-        self.binoms += [(j, self.shift[j], ai) for j, ai in divided]
-        self.shift = [s + ai for s, ai in zip(self.shift, a.entries)]
+            for j, aj in divided:
+                self.check(j, -sys.maxsize, cap - 1 - aj, aj)
+        self.binoms += [(j, self.shift[j], aj) for j, aj in divided]
+        self.shift = [s + aj for s, aj in zip(self.shift, entries)]
 
     def build(self, scale: ScalarQ | None = None) -> MonomialRule:
         """The composed rule, times scale."""
@@ -265,65 +288,18 @@ class RuleBuilder:
                             self.lam0, self.mu0, tuple(self.binoms), scale)
 
 
-def _left_mult_terms(space: SpaceSpec, entries: tuple[int, ...]):
-    """The structure constants of x^(a) x^(b), as data on b, for a of these
-    entries.  The exponents are the star pairings split_star(a, b), linear in
-    b with the sums of a after each position as coefficients: (-1)^(fer*fer)
-    q^(fer_a*bos_b + bos*bos + fer*fer) on the affine and Grassmann spaces,
-    (-q)^(-bos_a*fer_b - fer*fer) q^(-bos*bos) on the dual ones.  Returns the
-    forms (j, mu_j, lam_j) of (-1)^(lam.b) q^(mu.b); the exterior (j, a_j),
-    where the product is 0 unless b_j <= 1 - a_j; and the divided-power
-    (j, a_j), each a factor [a_j + b_j choose a_j]_q and on a restricted
-    space a cap b_j <= ell - 1 - a_j."""
-    mask, dual = space.shape.fermionic_mask, space.family in DUAL_SIDE
-    forms = []
-    bos = fer = 0  # the sums of a after position j
-    for j in range(len(entries) - 1, -1, -1):
-        if mask[j]:
-            t = bos + fer if dual else fer
-            if t:
-                forms.append((j, -t if dual else t, t))
-            fer += entries[j]
-        else:
-            m = -bos if dual else bos + fer
-            if m:
-                forms.append((j, m, 0))
-            bos += entries[j]
-    exterior = [(j, ai) for j, (ai, is_fer) in enumerate(zip(entries, mask)) if ai and is_fer]
-    divided = [] if space.family is Family.AFFINE else [
-        (j, ai) for j, (ai, is_fer) in enumerate(zip(entries, mask)) if ai and not is_fer]
-    return forms, exterior, divided
+@functools.lru_cache(maxsize=None)
+def _left_mult_rule(space: SpaceSpec, entries: tuple[int, ...]) -> MonomialRule:
+    """The left_mult rule of the basis monomial of these entries, built once."""
+    builder = RuleBuilder(space.mode, len(entries))
+    builder.left_mult(space, MultiIndex._wrap(entries, space.shape))
+    return builder.build()
 
 
 def monomial_product(space: SpaceSpec, a: MultiIndex, b: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
-    """Structure constant of a*b, or None when the product vanishes: the
-    terms of _left_mult_terms evaluated at b, in the order the left_mult
-    rule's image takes them (exterior checks, then restricted caps)."""
-    forms, exterior, divided = _left_mult_terms(space, a.entries)
-    mode, cap, y = space.mode, space.shape.restricted_ell, b.entries
-    for j, ai in exterior:
-        if y[j] > 1 - ai:
-            return None
-    if cap is not None:
-        for j, ai in divided:
-            if y[j] > cap - 1 - ai:
-                if not q_binom(y[j] + ai, ai, mode).is_zero():
-                    raise ArithmeticError("restricted overflow with nonzero binomial")
-                return None
-    e = odd = 0
-    for j, m, l in forms:
-        e += m * y[j]
-        odd += l * y[j]
-    coeff = _constant(mode, -1 if odd & 1 else 1, e)
-    if divided:
-        for j, ai in divided:
-            if y[j]:
-                coeff = coeff * q_binom(y[j] + ai, ai, mode)
-        if coeff.is_zero():
-            return None
-    if any(a.entries):
-        b = MultiIndex._wrap(tuple(map(add, a.entries, y)), b.shape)
-    return coeff, b
+    """Structure constant of a*b, or None when the product vanishes: the image
+    of b under the left_mult rule of a, compiled once per space and a."""
+    return _left_mult_rule(space, a.entries).image(b)
 
 
 # ---------------------------------------------------------------------------

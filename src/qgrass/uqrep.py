@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
 from .indices import MultiIndex
-from .qarith import ScalarQ, add_term, char_of
+from .qarith import QParity, ScalarQ, add_term, char_of
 from .superspaces import (
     DUAL_SIDE,
     POLY_SIDE,
@@ -268,7 +268,8 @@ def verify_uq_relations(space: SpaceSpec, t_max: int, variant: str = "gl") -> Re
                 )
 
     if space.family in (Family.OMEGA_RESTRICTED, Family.DUAL_RESTRICTED):
-        ell = char_of(mode).ell
+        profile = char_of(mode)
+        ell = profile.ell
         for j in J:
             if j == m:
                 continue
@@ -282,19 +283,12 @@ def verify_uq_relations(space: SpaceSpec, t_max: int, variant: str = "gl") -> Re
                 )
         if variant == "gl":
             for i in range(1, size + 1):
-                checks.append(
-                    Relation(
-                        f"K{i}^(2 ell) = 1 (restricted)",
-                        (OperatorWord(space, word(Gen.K, i).atoms * (2 * ell)),),
-                        (_w(space),),
-                    )
-                )
-                k_ell = Relation(
-                    f"K{i}^ell = 1 (informative)",
-                    (OperatorWord(space, word(Gen.K, i).atoms * ell),),
-                    (_w(space),),
-                )
-                checks.append(k_ell)
+                k = word(Gen.K, i).atoms
+                checks.append(Relation(f"K{i}^(2 ell) = 1 (restricted)",
+                                       (OperatorWord(space, k * (2 * ell)),), (_w(space),)))
+                if profile.parity is QParity.ODD_ROOT:  # at an even root q^ell = -1
+                    checks.append(Relation(f"K{i}^ell = 1 (informative)",
+                                           (OperatorWord(space, k * ell),), (_w(space),)))
 
     return run_checks(f"uq-relations-{variant}", space, checks, t_max)
 

@@ -119,6 +119,19 @@ def test_atomic_write(tmp_path, capsys):
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".qgrass-")]
 
 
+@pytest.mark.parametrize("target", ["", "missing/report.json", "directory"])
+def test_an_unwritable_out_exits_2(tmp_path, monkeypatch, capsys, target):
+    # refused or reported in one error line, with no temporary file left in
+    # the working directory, the target's directory or the parent of either
+    work = tmp_path / "work"
+    (work / "directory").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    code, out, err = call(capsys, ["dims", *OMEGA11, "--t-max", "1", "--out", target])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--out" in err
+    assert not [p for p in tmp_path.rglob(".qgrass-*")]
+
+
 def test_full_sweep_writes_summary(tmp_path, monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("run_full_verification", SWEEP_SCRIPT)
     sweep = importlib.util.module_from_spec(spec)
@@ -229,6 +242,8 @@ ILL_POSED = {
                                  "--q", "root", "--d", "6"],
     "letter in --d-list": ["qtest", "--d-list", "3,a"],
     "order 0 in --d-list": ["qtest", "--d-list", "0"],
+    "order 4 in --d-list": ["qtest", "--d-list", "4"],
+    "order 4 after order 3 in --d-list": ["qtest", "--d-list", "3,4"],
     "negative qtest --max": ["qtest", "--max", "-3"],
     "qtest --max 0": ["qtest", "--max", "0"],
     "generator index out of range": ["act", *OMEGA11, "--word", "E2", "--monomial", "(1|1)"],
@@ -418,6 +433,7 @@ def test_every_refusal_by_size_names_its_estimate_and_the_limit(capsys, case):
     ("--orders on taft-mn", "--orders applies to the taft-orders families, not taft-mn\n"),
     ("--group-orders on taft-orders",
      "--group-orders applies to taft-orders-generalized, not taft-orders\n"),
+    ("order 4 after order 3 in --d-list", "order 4 has char(q) = 2;"),
 ])
 def test_refused_run_names_its_range_or_tuples(capsys, case, message):
     code, _, err = call(capsys, ILL_POSED[case])
@@ -605,9 +621,9 @@ DISPATCH = {
 
 @pytest.mark.parametrize("argv", DISPATCH.values(), ids=DISPATCH.keys())
 def test_subcommand_dispatch_matches_the_top_level_parser(capsys, argv):
-    # main reads argv[1:] in one pass, or hands it to the subcommand's parser;
-    # exit code, stdout and stderr stay those of parsing everything with the
-    # top-level parser
+    # main reads argv[1:] in one pass, or hands all of argv to the top-level
+    # parser as old_main does; exit code, stdout and stderr stay those of
+    # old_main either way
     sub = cli._subcommands(cli._parser(cli.build_parser)).get(argv[0]) if argv else None
     read = sub is not None and cli._read_args(sub, argv[1:]) is not None
     assert read == (argv in SMALL_RUNS.values() or argv in READ.values())

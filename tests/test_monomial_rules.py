@@ -2,9 +2,10 @@
 
 A word compiles once into one MonomialRule; on every basis monomial its image
 must be the one the word's atoms give when applied one at a time through
-apply_atom.  monomial_product evaluates the left-multiplication terms of its
-first factor directly; it must give the structure constants of the star
-pairing and the image of the compiled left_mult rule.
+apply_atom.  monomial_product is the image under the left_mult rule of its
+first factor, compiled once per space and factor; it must give the
+structure constants of the star pairing and the image of a freshly built
+rule, and a rule cached on one space is never read for another of its rank.
 Two rules with one normal form (same_map) must be the same map, a restricted
 cap keeps a rule out of that shortcut, and a cap whose binomial does not
 vanish raises under any interpreter flags.  A rule that is_character accepts
@@ -21,7 +22,7 @@ import sys
 
 import pytest
 
-from qgrass import uqrep
+from qgrass import superspaces, uqrep
 from qgrass.indices import MultiIndex, split_star, theta
 from qgrass.qarith import GENERIC, q_binom, q_int, root_of_unity
 from qgrass.superspaces import (
@@ -219,7 +220,8 @@ def past_the_cap(space):
 @pytest.mark.parametrize("space", [s for s in SPACES if s.mode is not D4],
                          ids=[i for s, i in zip(SPACES, SPACE_IDS) if s.mode is not D4])
 def test_monomial_product_is_the_image_of_the_left_mult_rule(space):
-    # monomial_product evaluates the terms the left_mult rule compiles; on
+    # monomial_product reads the left_mult rule it compiled once per space
+    # and first factor; it must give the image of a freshly built rule on
     # every pair of degree <= 3, and past the cap, where both raise alike
     monos = basis_upto(space, 3)
     raised = capped = 0
@@ -235,6 +237,26 @@ def test_monomial_product_is_the_image_of_the_left_mult_rule(space):
                                              for c in rule.checks)
     restricted = space.shape.restricted_ell is not None
     assert (raised > 0, capped > 0) == (restricted, restricted)
+
+
+def test_the_product_rule_cache_tells_spaces_of_one_shape_apart():
+    # rules cached on omega (2|1) generic are never read for a space of the
+    # same rank in another mode or family, not even one of an equal Shape
+    # (affine generic)
+    spaces = [make_space(family, 2, 1, mode) for family, mode in (
+        (Family.OMEGA, GENERIC), (Family.OMEGA, D3), (Family.OMEGA, D8),
+        (Family.AFFINE, GENERIC), (Family.AFFINE, D8),
+        (Family.OMEGA_RESTRICTED, D3), (Family.OMEGA_RESTRICTED, D8))]
+    assert spaces[0].shape == spaces[3].shape
+    superspaces._left_mult_rule.cache_clear()
+    warm = basis_upto(spaces[0], 4)
+    for a, b in itertools.product(warm, repeat=2):
+        monomial_product(spaces[0], a, b)
+    for space in spaces:
+        monos = basis_upto(space, 4)
+        for a, b in itertools.product(monos, repeat=2):
+            assert monomial_product(space, a, b) == reference_product(space, a, b), (
+                space.family.value, space.mode.d, str(a), str(b))
 
 
 def test_then_of_unscaled_words_has_no_scalar():

@@ -476,6 +476,21 @@ def test_pair_and_triple_reports_match_the_benchmark_references(workload, job):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == reference["sha256"]
 
 
+def test_query_reports_match_the_benchmark_references():
+    # every act and dims report of the benchmark's query pool, by its exit
+    # code and the digest prefix the references keep; atom validation takes
+    # these words through monomial_product
+    reference = json.loads((ROOT / "perfbench" / "references.json").read_text())["queries"]
+    pool = WORKLOADS.query_pool()
+    assert len(pool) == len(reference["sha256"]) == 4000
+    for argv, prefix in zip(pool, reference["sha256"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        assert code == reference["exit"], argv
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest().startswith(prefix), argv
+
+
 # ---------------------------------------------------------------------------
 # operators_equal: one-word sides against summed sides
 # ---------------------------------------------------------------------------

@@ -110,6 +110,20 @@ def test_uq_relations_restricted_extras():
     assert info and all(r.passed for r in info)
 
 
+@pytest.mark.parametrize("family", [Family.OMEGA_RESTRICTED, Family.DUAL_RESTRICTED])
+@pytest.mark.parametrize("d", [3, 6, 8])
+def test_k_to_the_ell_is_checked_only_at_odd_roots(family, d):
+    # K_i^ell = 1 needs q^ell = 1, which fails at an even root (q^ell = -1);
+    # K_i^(2 ell) = 1 holds at every root
+    report = verify_uq_relations(make_space(family, 1, 1, root_of_unity(d)), 4)
+    assert report.passed, [r.to_json() for r in report.results if not r.passed][:3]
+    names = [r.name for r in report.results]
+    assert [n for n in names if "informative" in n] == (
+        ["K1^ell = 1 (informative)", "K2^ell = 1 (informative)"] if d % 2 else [])
+    assert [n for n in names if n.endswith("^(2 ell) = 1 (restricted)")] == [
+        "K1^(2 ell) = 1 (restricted)", "K2^(2 ell) = 1 (restricted)"]
+
+
 @pytest.mark.parametrize(
     "space",
     [OMEGA11, make_space(Family.DUAL, 1, 1), make_space(Family.DUAL_RESTRICTED, 1, 1, D3)],
