@@ -153,7 +153,7 @@ def _estimate(args) -> int:
         work = (n + 1) * (n + 2) // 2 * (2 * _weight(0, n) + sum(_weight(o, n) for o in ds))
         return work + sum((3 * o + 1) * (3 * o + 2) // 2 * _weight(o, 3 * o) for o in ds)
     if args.command == "act":  # k degree-raising atoms: q-binomials of k + 1 rows
-        names = [token.rstrip("0123456789") for token in args.word.split()]
+        names = [token.rstrip("0123456789") for token in _word_tokens(args.word)]
         raising = sum(name in ("E", "F", "x", "X") for name in names)
         degree = sum(map(int, re.findall(r"-?\d+", args.monomial))) + raising
         work = sum([_ATOMS.get(name, 1) for name in names]) * (raising + 1) * _weight(d, degree)
@@ -325,9 +325,19 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
         raise UsageError(f"{flag} takes a comma list of integers, got {text!r}") from None
 
 
+# a token that opens a parenthesis, as Th(0,1 | -1), runs on to its closing
+# one; any other run of non-blanks is a token, so a word without a
+# parenthesis splits as str.split() does
+_WORD_TOKEN = re.compile(r"[^\s(]*\([^)]*\)\S*|\S+")
+
+
+def _word_tokens(text: str) -> list[str]:
+    return _WORD_TOKEN.findall(text)
+
+
 def _parse_word(text: str, space) -> OperatorWord:
     atoms: list = []
-    for token in text.split():
+    for token in _word_tokens(text):
         atoms += _parse_token(token, space)
     return OperatorWord(space, tuple(atoms))
 

@@ -7,11 +7,14 @@ spaces flip the pattern.  Basis keys are constrained; *labels* (the arguments
 of the diagonal twist automorphisms) may hold arbitrary integers, e.g. a
 label -e_i + e_{i+1}.
 
-The pairing a * b = sum_{i > j} a_i b_j, which split_star splits by the
-parities of the positions, drives every commutation factor.  The twist
-bicharacter on labels multiplies a q-power from the bosonic blocks, a
-(-q)-power from the fermionic blocks, and a mixed q-power, and satisfies
-theta(a, b) * theta(b, a) = 1.
+The star pairing a * b = sum_{i > j} a_i b_j, split by the parities of the
+positions, gives every commutation factor and structure constant.  For fixed
+a it is linear in b, both ways round: position_sums(a) holds the sums of a
+before and after each position by parity, the coefficients of b_j, and is
+the one place that pairs exponents.  The left-multiplication rules of
+superspaces read it, and so does twist_forms, the twist bicharacter on
+labels as linear forms: a q-power from the bosonic blocks, a (-q)-power from
+the fermionic blocks and a mixed q-power, with theta(a, b) * theta(b, a) = 1.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 from .qarith import QMode, ScalarQ, _constant
 
 __all__ = [
-    "Shape", "MultiIndex", "split_star", "position_sums", "theta", "theta_exponents",
+    "Shape", "MultiIndex", "position_sums", "twist_forms", "theta", "theta_exponents",
     "ShapeMismatchError",
 ]
 
@@ -165,10 +168,6 @@ class MultiIndex:
         e[pos - 1] = value
         return cls(tuple(e), shape)
 
-    def prefix_sum(self, pos: int) -> int:
-        """Sum of entries strictly before 1-based position pos."""
-        return sum(self.entries[: pos - 1])
-
     def render(self) -> str:
         first = self.entries[: self.shape.m]
         second = self.entries[self.shape.m :]
@@ -178,55 +177,51 @@ class MultiIndex:
         return self.render()
 
 
-def split_star(a: MultiIndex, b: MultiIndex) -> tuple[int, int, int, int]:
-    """The pairing a * b split by the parities of positions i > j, as (bos_a*bos_b,
-    fer_a*fer_b, fer_a*bos_b, bos_a*fer_b); a and b share one shape."""
-    mask = a.shape.fermionic_mask
-    bb = ff = fb = bf = 0
-    run_b_bos = run_b_fer = 0  # sums of b_j over earlier bosonic / fermionic j
-    for ai, bi, fer in zip(a.entries, b.entries, mask):
-        if ai:
-            if fer:
-                ff += ai * run_b_fer
-                fb += ai * run_b_bos
-            else:
-                bb += ai * run_b_bos
-                bf += ai * run_b_fer
-        if fer:
-            run_b_fer += bi
-        else:
-            run_b_bos += bi
-    return bb, ff, fb, bf
-
-
 def position_sums(a: MultiIndex) -> list[tuple[int, int, int, int]]:
     """Per position j, the sums of a over the bosonic and the fermionic
     positions before j, then over those after j: (bos_before, fer_before,
-    bos_after, fer_after).  For fixed a, split_star(a, b) and split_star(b, a)
-    are linear in b, with these sums as the coefficients of b_j."""
+    bos_after, fer_after).  For fixed a, the star pairings a * b and b * a,
+    split by parity, are linear in b with these sums as the coefficients of
+    b_j; every pairing of exponents in the package reads them."""
     mask = a.shape.fermionic_mask
-    before, after = [], []
-    for pairs, out in ((zip(a.entries, mask), before),
-                       (zip(reversed(a.entries), reversed(mask)), after)):
-        sums = [0, 0]  # bosonic, fermionic
-        for e, fer in pairs:
-            out.append(tuple(sums))
-            sums[fer] += e
-    return [b + f for b, f in zip(before, reversed(after))]
+    sums = [0, 0, 0, 0]  # bos_before, fer_before, bos_after, fer_after
+    for e, fer in zip(a.entries, mask):
+        sums[2 + fer] += e
+    out = []
+    for e, fer in zip(a.entries, mask):
+        sums[2 + fer] -= e
+        out.append(tuple(sums))
+        sums[fer] += e
+    return out
+
+
+def twist_forms(a: MultiIndex) -> list[tuple[int, int]]:
+    """Per position j, the pair (mu_j, lam_j) with theta(a, b) =
+    (-1)^(lam . b) q^(mu . b): the twist bicharacter q^(ab - ba on bosonic
+    parts) * (-q)^(ab - ba on fermionic parts) * q^(fer(a)*bos(b) -
+    fer(b)*bos(a)) as linear forms in b, read from position_sums(a)."""
+    if a.shape.fermionic_first:
+        raise ShapeMismatchError("twist bicharacter is defined on polynomial-side labels")
+    forms = []
+    for fer, (bos_before, fer_before, bos_after, fer_after) in zip(
+            a.shape.fermionic_mask, position_sums(a)):
+        if fer:
+            forms.append((fer_after - fer_before - bos_before, fer_after - fer_before))
+        else:
+            forms.append((bos_after - bos_before + fer_after, 0))
+    return forms
 
 
 def theta_exponents(a: MultiIndex, b: MultiIndex) -> tuple[int, int]:
-    """The twist bicharacter theta(a, b) = q^(ab - ba on bosonic parts) *
-    (-q)^(ab - ba on fermionic parts) * q^(fer(a)*bos(b) - fer(b)*bos(a)) as
-    the integer pair (lam, mu) of (-1)^lam q^mu, lam in {0, 1}: the form of
-    MonomialRule's constant, shared by the Hopf braiding data."""
-    if a.shape.fermionic_first:
-        raise ShapeMismatchError("twist bicharacter is defined on polynomial-side labels")
+    """The twist bicharacter theta(a, b) as the integer pair (lam, mu) of
+    (-1)^lam q^mu, lam in {0, 1}: the form of MonomialRule's constant, shared
+    by the Hopf braiding data."""
     a._check(b)
-    bb_ab, ff_ab, fb_ab, _ = split_star(a, b)
-    bb_ba, ff_ba, fb_ba, _ = split_star(b, a)
-    fer_exp = ff_ab - ff_ba
-    return fer_exp % 2, (bb_ab - bb_ba) + fer_exp + (fb_ab - fb_ba)
+    lam = mu = 0
+    for (m, l), e in zip(twist_forms(a), b.entries):
+        mu += m * e
+        lam += l * e
+    return lam % 2, mu
 
 
 def theta(a: MultiIndex, b: MultiIndex, mode: QMode) -> ScalarQ:

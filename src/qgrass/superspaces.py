@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import add
 
-from .indices import MultiIndex, Shape
+from .indices import MultiIndex, Shape, position_sums
 from .qarith import GENERIC, QMode, ScalarQ, _constant, add_term, char_of, q_binom
 
 __all__ = [
@@ -247,30 +247,27 @@ class RuleBuilder:
 
     def left_mult(self, space: SpaceSpec, a: MultiIndex) -> None:
         """Then left multiplication by the basis monomial a.  The structure
-        constants of x^(a) x^(b) have the star pairings split_star(a, b) as
-        exponents, linear in b with the sums of a after each position as
-        coefficients: (-1)^(fer*fer) q^(fer_a*bos_b + bos*bos + fer*fer) on
-        the affine and Grassmann spaces, (-q)^(-bos_a*fer_b - fer*fer)
-        q^(-bos*bos) on the dual ones.  The product is 0 unless b_j <= 1 - a_j
-        at each exterior position; each divided-power position gives a factor
-        [a_j + b_j choose a_j]_q, and on a restricted space a cap
-        b_j <= ell - 1 - a_j."""
+        constants of x^(a) x^(b) have the star pairing a * b split by parity
+        as exponents, linear in b with the sums of a after each position
+        (position_sums) as coefficients: (-1)^(fer*fer) q^(fer_a*bos_b +
+        bos*bos + fer*fer) on the affine and Grassmann spaces,
+        (-q)^(-bos_a*fer_b - fer*fer) q^(-bos*bos) on the dual ones.  The
+        product is 0 unless b_j <= 1 - a_j at each exterior position; each
+        divided-power position gives a factor [a_j + b_j choose a_j]_q, and on
+        a restricted space a cap b_j <= ell - 1 - a_j."""
         entries, mask = a.entries, space.shape.fermionic_mask
         dual = space.family in DUAL_SIDE
-        bos = fer = 0  # the sums of a after position j
-        for j in range(len(entries) - 1, -1, -1):
+        for j, (_, _, bos, fer) in enumerate(position_sums(a)):
             if mask[j]:
                 t = bos + fer if dual else fer
                 if t:
                     self.form(j, -t if dual else t, t)
                 if entries[j]:  # first: the exterior checks, in any order
                     self.check(j, -sys.maxsize, 1 - entries[j])
-                fer += entries[j]
             else:
                 m = -bos if dual else bos + fer
                 if m:
                     self.form(j, m)
-                bos += entries[j]
         divided = [] if space.family is Family.AFFINE else [
             (j, aj) for j, (aj, is_fer) in enumerate(zip(entries, mask)) if aj and not is_fer]
         cap = space.shape.restricted_ell  # then the caps, by position: one may raise

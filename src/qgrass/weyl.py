@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
 
-from .indices import MultiIndex, position_sums, theta
+from .indices import MultiIndex, position_sums, theta, twist_forms
 from .qarith import LaurentPoly, QParity, ScalarQ, add_term, char_of, q_factorial
 from .superspaces import (
     DUAL_SIDE,
@@ -221,19 +221,13 @@ def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, 
         v = entries[pos - 1]
         if v == 0:
             return None
-        prefix = idx.prefix_sum(pos)
+        bos_before, fer_before, _, _ = position_sums(idx)[pos - 1]
+        prefix = bos_before + fer_before
         target = idx.shifted(pos, -1)
         if poly_side:
-            if fermionic:
-                fer_prefix = sum(
-                    e for p, e in enumerate(entries[: pos - 1], start=1)
-                    if space.shape.is_fermionic_pos(p)
-                )
-                coeff = mode.q_power(-prefix)
-                if fer_prefix % 2:
-                    coeff = -coeff
-            else:
-                coeff = mode.q_power(-prefix)
+            coeff = mode.q_power(-prefix)
+            if fermionic and fer_before % 2:  # (-1)^(exterior prefix)
+                coeff = -coeff
             return coeff, target
         # dual side
         if fermionic:
@@ -277,13 +271,8 @@ def _compile_atom(builder: RuleBuilder, space: SpaceSpec, atom: Atom, unit: Mult
             if fer == poly:
                 builder.form(j, 0, 1)
     elif kind is AtomKind.THETA:
-        # theta(label, b): the star pairings of label and b, both ways
-        sums = position_sums(atom.label)
-        for j, (bos_before, fer_before, bos_after, fer_after) in enumerate(sums):
-            if mask[j]:
-                builder.form(j, fer_after - fer_before - bos_before, fer_after - fer_before)
-            else:
-                builder.form(j, bos_after - bos_before + fer_after)
+        for j, (mu, lam) in enumerate(twist_forms(atom.label)):  # theta(label, b)
+            builder.form(j, mu, lam)
     else:  # PARTIAL: q^-prefix (polynomial side) or q^prefix (dual side)
         builder.check(p, 1, sys.maxsize)
         if not poly and not mask[p]:

@@ -56,6 +56,28 @@ def test_act_command(capsys):
     assert data["image"] == [{"index": "(3 | 0)", "coefficient": "v^2 + 1 + v^-2"}]
 
 
+def test_a_spaced_twist_label_is_one_token(capsys):
+    # a label with blanks, as --monomial accepts them, gives the image and
+    # the estimate of the same label without; an unclosed label is refused
+    base = ["act", "--family", "omega", "--m", "2", "--n", "1", "--monomial", "(1,0|1)"]
+    for spaced, plain in (("Th(0,1 | -1)", "Th(0,1|-1)"),
+                          (" x1  Th( 0 , 1 |-1 ) s2", "x1 Th(0,1|-1) s2")):
+        seen = []
+        for word in (spaced, plain):
+            code, out, err = call(capsys, base + ["--word", word])
+            assert code == 0, err
+            seen.append((json.loads(out)["image"], estimate(base + ["--word", word])))
+        assert seen[0] == seen[1] and seen[0][0], spaced
+    code, out, err = call(capsys, base + ["--word", "Th(0,1 | -1"])
+    assert (code, out, err) == (2, "", "error: cannot parse generator token 'Th(0,1'\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="xXdtsEFKTh0123456789-,|) \t\n", max_size=40))
+def test_a_word_without_a_parenthesis_splits_on_blanks(word):
+    assert cli._word_tokens(word) == word.split()
+
+
 def test_check_uq_vacuous(capsys):
     code, out = run(capsys, "check-uq", "--family", "omega", "--m", "0", "--n", "1")
     assert code == 0

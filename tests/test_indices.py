@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgrass.indices import MultiIndex, Shape, ShapeMismatchError, split_star, theta
+from oracles import split_star, star_theta_exponents
+from qgrass.indices import (
+    MultiIndex,
+    Shape,
+    ShapeMismatchError,
+    position_sums,
+    theta,
+    theta_exponents,
+)
 from qgrass.qarith import GENERIC, root_of_unity
 
 SH21 = Shape(2, 1)
@@ -34,7 +42,7 @@ def test_star_basis_vector_prefix_rule():
     beta = mi(sh, 5, 7, 11, 13)
     for i in range(1, 5):
         e_i = MultiIndex.basis_vector(sh, i)
-        assert star(e_i, beta) == beta.prefix_sum(i)
+        assert star(e_i, beta) == sum(beta.entries[: i - 1])
         assert star(beta, e_i) == sum(beta.entries[i:])
 
 
@@ -65,6 +73,31 @@ def test_split_star_matches_the_double_sum_per_parity_class(shape):
                 parts[fer[i], fer[j]] += a.entries[i] * b.entries[j]
         expected = (parts[False, False], parts[True, True], parts[True, False], parts[False, True])
         assert split_star(a, b) == expected
+
+    inner()
+
+
+@pytest.mark.parametrize("shape", [SH21, SH22, DUAL21], ids=["poly21", "poly22", "dual21"])
+def test_position_sums_are_the_coefficients_of_the_star_pairing(shape):
+    # for fixed a, a * b reads the sums of a after each position j, and
+    # b * a the sums before it, as the coefficients of b_j
+    @given(labels(shape), labels(shape))
+    @settings(max_examples=60, deadline=None)
+    def inner(a, b):
+        ab, ba = [0, 0, 0, 0], [0, 0, 0, 0]  # bb, ff, fb, bf as in split_star
+        for sums, bj, fer in zip(position_sums(a), b.entries, shape.fermionic_mask):
+            bos_before, fer_before, bos_after, fer_after = sums
+            if fer:
+                ab[1] += fer_after * bj
+                ab[3] += bos_after * bj
+                ba[1] += fer_before * bj
+                ba[2] += bos_before * bj
+            else:
+                ab[0] += bos_after * bj
+                ab[2] += fer_after * bj
+                ba[0] += bos_before * bj
+                ba[3] += fer_before * bj
+        assert (tuple(ab), tuple(ba)) == (split_star(a, b), split_star(b, a))
 
     inner()
 
@@ -107,6 +140,18 @@ def test_theta_bicharacter_laws(mode):
         assert theta(a + b, c, mode) == theta(a, c, mode) * theta(b, c, mode)
         assert theta(a, b + c, mode) == theta(a, b, mode) * theta(a, c, mode)
         assert theta(a, b, mode) * theta(b, a, mode) == mode.one()
+
+    inner()
+
+
+@pytest.mark.parametrize("shape", [SH21, SH22, Shape(0, 3), Shape(3, 0)],
+                         ids=["2|1", "2|2", "0|3", "3|0"])
+def test_theta_exponents_are_the_star_pairing_formula(shape):
+    # labels with negative entries, against the double sums of split_star
+    @given(labels(shape), labels(shape))
+    @settings(max_examples=80, deadline=None)
+    def inner(a, b):
+        assert theta_exponents(a, b) == star_theta_exponents(a, b)
 
     inner()
 

@@ -1,11 +1,14 @@
 """Compiled monomial rules against the definitions they are built from.
 
 A word compiles once into one MonomialRule; on every basis monomial its image
-must be the one the word's atoms give when applied one at a time through
-apply_atom.  monomial_product is the image under the left_mult rule of its
-first factor, compiled once per space and factor; it must give the
-structure constants of the star pairing and the image of a freshly built
+must be the one the word's atoms give when applied one at a time: x_i, X_i
+and Th(label) from the star pairing of the test-local oracles, every other
+atom through apply_atom.  monomial_product is the image under the left_mult
+rule of its first factor, compiled once per space and factor; it must give
+the structure constants of the star pairing and the image of a freshly built
 rule, and a rule cached on one space is never read for another of its rank.
+Specialising a generic structure constant or twist at a root of unity gives
+the root-mode one.
 Two rules with one normal form (same_map) must be the same map, a restricted
 cap keeps a rule out of that shortcut, and a cap whose binomial does not
 vanish raises under any interpreter flags.  A rule that is_character accepts
@@ -22,9 +25,10 @@ import sys
 
 import pytest
 
+from oracles import split_star, star_theta_exponents
 from qgrass import superspaces, uqrep
-from qgrass.indices import MultiIndex, split_star, theta
-from qgrass.qarith import GENERIC, q_binom, q_int, root_of_unity
+from qgrass.indices import MultiIndex, theta
+from qgrass.qarith import GENERIC, LaurentPoly, char_of, q_binom, q_int, root_of_unity
 from qgrass.superspaces import (
     DUAL_SIDE,
     Family,
@@ -98,11 +102,27 @@ def valid_atoms(space):
     return out
 
 
+def atom_image(space, atom, idx):
+    """One atom on one basis monomial; None when the image is 0.  x_i, X_i and
+    Th(label) come from the star pairing (reference_product and
+    star_theta_exponents), not from the left_mult rules and twist forms the
+    compiled words read; every other atom through apply_atom."""
+    kind = atom.kind.name
+    if kind == "THETA":
+        lam, mu = star_theta_exponents(atom.label, idx)
+        c = space.mode.q_power(mu)
+        return (-c if lam else c), idx
+    if kind in ("MULT_X", "MULT_X_DIV_POW"):
+        power = 1 if kind == "MULT_X" else char_of(space.mode).ell
+        return reference_product(space, MultiIndex.basis_vector(space.shape, atom.pos, power), idx)
+    return apply_atom(space, atom, idx)
+
+
 def step_by_step(word, idx):
-    """The word on one monomial, one apply_atom at a time (rightmost first)."""
+    """The word on one monomial, one atom_image at a time (rightmost first)."""
     coeff, cur = word.coeff(), idx
     for atom in reversed(word.atoms):
-        hit = apply_atom(word.space, atom, cur)
+        hit = atom_image(word.space, atom, cur)
         if hit is None:
             return None
         c, cur = hit
@@ -133,6 +153,21 @@ def test_compiled_words_match_atom_by_atom_application(space):
     for word in words_of(space):
         for idx in monos:
             assert word.rule.image(idx) == step_by_step(word, idx), (word.render(), str(idx))
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (1, 2), (0, 3)])
+def test_compiled_twists_match_the_star_pairing(m, n):
+    # labels with several exterior positions, which the (2|1) spaces above lack
+    space = make_space(Family.OMEGA, m, n, D8)
+    rng = random.Random(f"twists {m}|{n}")
+    labels = [MultiIndex(tuple(rng.randint(-3, 3) for _ in range(m + n)), space.shape)
+              for _ in range(12)]
+    monos = basis_upto(space, 4)
+    for label in labels:
+        word = OperatorWord(space, (theta_op(label),))
+        for idx in monos:
+            assert word.rule.image(idx) == atom_image(space, theta_op(label), idx), (
+                str(label), str(idx))
 
 
 @pytest.mark.parametrize("space", [s for s in SPACES if s.mode in (GENERIC, D8)],
@@ -257,6 +292,42 @@ def test_the_product_rule_cache_tells_spaces_of_one_shape_apart():
         for a, b in itertools.product(monos, repeat=2):
             assert monomial_product(space, a, b) == reference_product(space, a, b), (
                 space.family.value, space.mode.d, str(a), str(b))
+
+
+SPECIALISATIONS = [root_of_unity(d) for d in (3, 5, 8, 12)]
+
+
+def test_specialisation_commutes_with_the_structure_constants():
+    """At q a primitive d-th root of unity, d in {3, 5, 8, 12}, from_laurent
+    of each generic structure constant (a Laurent polynomial: denominator 1)
+    is the root-mode one on affine, omega and dual (2|1), (1|2) and (2|2), for
+    every pair of monomials of degree <= 4; where that image is 0 the
+    root-mode product is None.  The twist bicharacter of the polynomial side
+    is checked the same way.  Both modes take their constants through
+    qarith._from_laurent, so at that layer the check is not independent: it
+    checks the rule arithmetic and the residue reduction against the Laurent
+    path."""
+    agreed = vanished = 0
+    for family, (m, n) in itertools.product(
+            (Family.AFFINE, Family.OMEGA, Family.DUAL), ((2, 1), (1, 2), (2, 2))):
+        generic = make_space(family, m, n)
+        monos = basis_upto(generic, 4)
+        for mode in SPECIALISATIONS:
+            root = make_space(family, m, n, mode)
+            for a, b in itertools.product(monos, repeat=2):
+                hit, root_hit = monomial_product(generic, a, b), monomial_product(root, a, b)
+                if hit is not None:
+                    assert hit[0].den == LaurentPoly.one()
+                    image = mode.from_laurent(hit[0].num)
+                    vanished += image.is_zero()
+                    agreed += not image.is_zero()
+                    hit = None if image.is_zero() else (image, hit[1])
+                assert root_hit == hit, (family.value, mode.d, str(a), str(b))
+                if family is Family.OMEGA:
+                    c = theta(a, b, GENERIC)
+                    assert c.den == LaurentPoly.one()
+                    assert mode.from_laurent(c.num) == theta(a, b, mode)
+    assert (agreed, vanished) == (19334, 3430)
 
 
 def test_then_of_unscaled_words_has_no_scalar():

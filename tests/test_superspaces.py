@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgrass.indices import MultiIndex, Shape, split_star, theta
+from oracles import split_star
+from qgrass.indices import MultiIndex, Shape, theta
 from qgrass.qarith import GENERIC, q_int, root_of_unity
 from qgrass.superspaces import (
     DUAL_SIDE,
