@@ -397,34 +397,24 @@ class SuperVector:
     __repr__ = __str__
 
 
-# The memo of one weyl.run_checks call: per space, a product table
-# {(a.entries, b.entries): monomial_product result} read by product_of, and
-# under the keys (space, "atoms"), (space, "first") and (space, "associative")
-# the atoms weyl has validated on that space, its first factors per degree
-# and its associativity ledger.  Set only while run_checks runs; a context
-# variable, so a thread outside that call never sees it.  A call that raises
-# stores nothing.
+# The memo of one weyl.run_checks call.  Per space it holds the product
+# table {(a.entries, b.entries): monomial_product result} that product_of
+# reads and fills; weyl.run_checks describes the other keys it keeps there.
+# Set only while run_checks runs; a context variable, so a thread outside
+# that call never sees it.  A call that raises stores nothing.
 suite_memo: ContextVar[dict | None] = ContextVar("suite_memo", default=None)
 _MISS = object()
 
 
-def suite_products(space: SpaceSpec) -> dict | None:
-    """The product table of space under the open suite memo, or None."""
+def product_of(space: SpaceSpec, a: MultiIndex, b: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
+    """monomial_product(space, a, b), computed once into the space's product
+    table under an open suite memo, and afresh outside one."""
     memo = suite_memo.get()
     if memo is None:
-        return None
+        return monomial_product(space, a, b)
     products = memo.get(space)
     if products is None:
         products = memo[space] = {}
-    return products
-
-
-def product_of(space: SpaceSpec, products: dict | None, a: MultiIndex,
-               b: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
-    """monomial_product(space, a, b), computed once into products, a table of
-    suite_products, or afresh when products is None."""
-    if products is None:
-        return monomial_product(space, a, b)
     key = (a.entries, b.entries)
     hit = products.get(key, _MISS)
     if hit is _MISS:
@@ -432,12 +422,12 @@ def product_of(space: SpaceSpec, products: dict | None, a: MultiIndex,
     return hit
 
 
-def add_products(space: SpaceSpec, products: dict | None, u: dict, v: dict, out: dict) -> dict:
+def add_products(space: SpaceSpec, u: dict, v: dict, out: dict) -> dict:
     """Add the product of two term maps ({MultiIndex: ScalarQ}) into the term
     map out and return it; each monomial product goes through product_of."""
     for ia, ca in u.items():
         for ib, cb in v.items():
-            hit = product_of(space, products, ia, ib)
+            hit = product_of(space, ia, ib)
             if hit is not None:
                 add_term(out, hit[1], hit[0] * ca * cb)
     return out
@@ -452,7 +442,7 @@ def multiply(u: SuperVector, v: SuperVector) -> SuperVector:
     """
     u._check(v)
     space = u.space
-    out = add_products(space, suite_products(space), u.terms, v.terms, {})
+    out = add_products(space, u.terms, v.terms, {})
     return SuperVector._wrap(space, out)
 
 

@@ -59,7 +59,6 @@ from .superspaces import (
     multiply,
     product_of,
     suite_memo,
-    suite_products,
     top_degree,
 )
 
@@ -470,22 +469,22 @@ def _failure(check, key: str, factors: tuple[MultiIndex, ...], lhs: dict, rhs: d
                                            "rhs": SuperVector._wrap(space, rhs).to_json()})
 
 
-def _chain(space: SpaceSpec, products: dict | None, a: MultiIndex, b: MultiIndex, c: MultiIndex,
-           left: bool, scale: ScalarQ | None = None) -> dict:
+def _chain(space: SpaceSpec, a: MultiIndex, b: MultiIndex, c: MultiIndex, left: bool,
+           scale: ScalarQ | None = None) -> dict:
     """scale (x^a x^b) x^c (left) or scale x^a (x^b x^c) as a term map of at
     most one entry, from two product_of lookups; no scale means 1."""
-    hit = product_of(space, products, *((a, b) if left else (b, c)))
+    hit = product_of(space, *((a, b) if left else (b, c)))
     if hit is None:
         return {}
     coeff, w = hit
-    hit = product_of(space, products, *((w, c) if left else (a, w)))
+    hit = product_of(space, *((w, c) if left else (a, w)))
     if hit is None:
         return {}
     coeff = hit[0] * coeff
     return {hit[1]: coeff if scale is None else coeff * scale}
 
 
-def _first_factors(space: SpaceSpec, products: dict, t: int) -> tuple[MultiIndex, ...]:
+def _first_factors(space: SpaceSpec, t: int) -> tuple[MultiIndex, ...]:
     """F in degree t, under a suite memo: the unit, the generators, and in
     degree >= 2 the monomials S that are no nonzero k s u' (s a generator,
     deg u' = t - 1), read from the product table and kept in the memo.
@@ -498,14 +497,14 @@ def _first_factors(space: SpaceSpec, products: dict, t: int) -> tuple[MultiIndex
         reached = set()
         for s in basis_of_degree(space, 1):
             for u in basis_of_degree(space, t - 1):
-                hit = product_of(space, products, s, u)
+                hit = product_of(space, s, u)
                 if hit is not None:
                     reached.add(hit[1].entries)
         cache[t] = tuple(u for u in basis_of_degree(space, t) if u.entries not in reached)
     return cache[t]
 
 
-def _associative_upto(space: SpaceSpec, products: dict, top: int) -> bool:
+def _associative_upto(space: SpaceSpec, top: int) -> bool:
     """Whether (ab)c = a(bc) on every triple of monomials of degree sum
     <= top, from the space's ledger in the suite memo: [T, failed], every
     triple with its first factor in F (_first_factors) passing up to degree
@@ -523,10 +522,10 @@ def _associative_upto(space: SpaceSpec, products: dict, top: int) -> bool:
     while ledger[0] < top and not ledger[1]:
         s = ledger[0] + 1
         levels = [basis_of_degree(space, t) for t in range(s + 1)]
-        triples = ((a, b, c) for ta in range(1, s + 1) for a in _first_factors(space, products, ta)
+        triples = ((a, b, c) for ta in range(1, s + 1) for a in _first_factors(space, ta)
                    for tb in range(s - ta + 1) for b in levels[tb] for c in levels[s - ta - tb])
-        if all(product_of(space, products, unit, w) == (one, w) for w in levels[s]) and all(
-                _chain(space, products, *abc, True) == _chain(space, products, *abc, False)
+        if all(product_of(space, unit, w) == (one, w) for w in levels[s]) and all(
+                _chain(space, *abc, True) == _chain(space, *abc, False)
                 for abc in triples):
             ledger[0] = s
         else:
@@ -540,9 +539,8 @@ class PairCheck:
 
     ``run`` takes ``unary`` (the term maps a law needs of one factor alone,
     such as d_i(u)) once per monomial of degree <= t_max, keyed by entries,
-    then calls ``fn(a, b, images, products)`` per pair of indices, products
-    being the table of superspaces.product_of.  ``fn`` returns both sides as
-    term maps; only a failing pair becomes vectors, for its witness.
+    then calls ``fn(a, b, images)`` per pair of indices.  ``fn`` returns both
+    sides as term maps; only a failing pair becomes vectors, for its witness.
 
     ``twists`` marks a law of one of two shapes, op's images coming first in
     ``unary``: (L, R) for op(uv) = op(u) R(v) + L(u) op(v), and (g,) for
@@ -568,39 +566,38 @@ class PairCheck:
 
     name: str
     space: SpaceSpec
-    fn: Callable[[MultiIndex, MultiIndex, dict, dict | None], tuple[dict, dict]]
+    fn: Callable[[MultiIndex, MultiIndex, dict], tuple[dict, dict]]
     unary: Callable[[SuperVector], tuple[dict, ...]] | None = None
     twists: tuple | None = None
 
     def run(self, t_max: int) -> CheckResult:
-        levels, images, products = self._tables(t_max)
-        if self._reducible(t_max, images, products):
-            first = [_first_factors(self.space, products, t) for t in range(len(levels))]
-            if self._first_failure(t_max, first, levels, images, products) is None:
+        levels, images = self._tables(t_max)
+        if self._reducible(t_max, images):
+            first = [_first_factors(self.space, t) for t in range(len(levels))]
+            if self._first_failure(t_max, first, levels, images) is None:
                 return CheckResult(self.name, True, route="induction")
-        return self._enumerated(t_max, levels, images, products)
+        return self._enumerated(t_max, levels, images)
 
     def enumerate(self, t_max: int) -> CheckResult:
         """The verdict from every pair, whatever the law's shape."""
         return self._enumerated(t_max, *self._tables(t_max))
 
-    def _tables(self, t_max: int) -> tuple[list, dict, dict | None]:
+    def _tables(self, t_max: int) -> tuple[list, dict]:
         levels = [basis_of_degree(self.space, t) for t in _degree_range(self.space, t_max)]
         images = {} if self.unary is None else {
             idx.entries: self.unary(SuperVector.monomial(self.space, idx))
             for level in levels for idx in level}
-        return levels, images, suite_products(self.space)
+        return levels, images
 
-    def _reducible(self, t_max: int, images: dict, products: dict | None) -> bool:
-        if products is None or self.twists is None or not all(
+    def _reducible(self, t_max: int, images: dict) -> bool:
+        if suite_memo.get() is None or self.twists is None or not all(
                 w is None or isinstance(w, OperatorWord) and w.rule.is_character()
                 for w in self.twists):
             return False
         delta = max((w.degree() - sum(a) for a, maps in images.items() for w in maps[0]), default=0)
-        return _associative_upto(self.space, products, t_max + max(0, delta))
+        return _associative_upto(self.space, t_max + max(0, delta))
 
-    def _first_failure(self, t_max: int, first: list, levels: list, images: dict,
-                       products: dict | None):
+    def _first_failure(self, t_max: int, first: list, levels: list, images: dict):
         """The first pair (a, b) in pair order, a in first[deg a], whose sides
         differ, with those sides; None when every such pair passes."""
         fn = self.fn
@@ -608,13 +605,13 @@ class PairCheck:
             for t2 in _degree_range(self.space, t_max - t1):
                 for ia in firsts:
                     for ib in levels[t2]:
-                        lhs, rhs = fn(ia, ib, images, products)
+                        lhs, rhs = fn(ia, ib, images)
                         if lhs != rhs:
                             return (ia, ib), lhs, rhs
         return None
 
-    def _enumerated(self, t_max: int, levels: list, images: dict, products) -> CheckResult:
-        failure = self._first_failure(t_max, levels, levels, images, products)
+    def _enumerated(self, t_max: int, levels: list, images: dict) -> CheckResult:
+        failure = self._first_failure(t_max, levels, levels, images)
         return CheckResult(self.name, True) if failure is None else _failure(self, "pair", *failure)
 
 
@@ -636,27 +633,26 @@ def _triples(space: SpaceSpec, t_max: int) -> Iterator[tuple[MultiIndex, MultiIn
 @dataclass
 class TripleCheck:
     """Identity quantified over triples of basis monomials (degree sum bound),
-    on term maps: ``fn(a, b, c, products)`` as in PairCheck.  A check marked
-    ``associativity`` (fn being (ab)c = a(bc)) passes under a suite memo when
-    the space's ledger (_associative_upto) reaches t_max, and else enumerates."""
+    on term maps: ``fn(a, b, c)`` returns both sides, as in PairCheck.  A
+    check marked ``associativity`` (fn being (ab)c = a(bc)) passes under a
+    suite memo when the space's ledger (_associative_upto) reaches t_max, and
+    else enumerates."""
 
     name: str
     space: SpaceSpec
-    fn: Callable[[MultiIndex, MultiIndex, MultiIndex, dict | None], tuple[dict, dict]]
+    fn: Callable[[MultiIndex, MultiIndex, MultiIndex], tuple[dict, dict]]
     associativity: bool = False
 
     def run(self, t_max: int) -> CheckResult:
-        products = suite_products(self.space)
-        if self.associativity and products is not None and _associative_upto(
-                self.space, products, t_max):
+        if self.associativity and suite_memo.get() is not None and _associative_upto(
+                self.space, t_max):
             return CheckResult(self.name, True, route="induction")
         return self.enumerate(t_max)
 
     def enumerate(self, t_max: int) -> CheckResult:
         """The verdict from every triple."""
-        products = suite_products(self.space)
         for abc in _triples(self.space, t_max):
-            lhs, rhs = self.fn(*abc, products)
+            lhs, rhs = self.fn(*abc)
             if lhs != rhs:
                 return _failure(self, "triple", abc, lhs, rhs)
         return CheckResult(self.name, True)
@@ -687,10 +683,13 @@ class RelationReport:
 def run_checks(suite: str, space: SpaceSpec, checks: list, t_max: int) -> RelationReport:
     """Run the checks in order under one suite memo (superspaces.suite_memo).
 
-    For the length of this call, per space, every monomial product that
-    superspaces.multiply derives is computed once and then looked up, and
-    each atom a word compiles is validated once; the tables are dropped
-    when the call returns or a check raises.
+    For the length of this call the memo keeps, per space, the product
+    table of superspaces.product_of, so each monomial product is computed
+    once and then looked up, and under the keys (space, "atoms"), (space,
+    "first") and (space, "associative") the atoms _compile_atom has
+    validated, the first factors per degree (_first_factors) and the
+    associativity ledger (_associative_upto).  All of it is dropped when the
+    call returns or a check raises.
     """
     token = suite_memo.set({})
     try:
@@ -1068,11 +1067,11 @@ def coproduct_check(name: str, space: SpaceSpec, op: Map,
         return tuple(u.terms if g is None else (apply_word(g, u) if isinstance(g, OperatorWord)
                                                 else g(u)).terms for g in maps)
 
-    def fn(a, b, images, products):
+    def fn(a, b, images):
         image_a, image_b, rhs = images[a.entries], images[b.entries], {}
         for i, j in where:
-            add_products(space, products, image_a[i], image_b[j], rhs)
-        hit = product_of(space, products, a, b)
+            add_products(space, image_a[i], image_b[j], rhs)
+        hit = product_of(space, a, b)
         if hit is None:
             return {}, rhs
         c, w = hit
@@ -1118,16 +1117,16 @@ def _suite_leibniz(space: SpaceSpec) -> list:
 
     one = mode.one()
 
-    def mul(products, u: dict, v: dict) -> dict:
-        return add_products(space, products, u, v, {})
+    def mul(u: dict, v: dict) -> dict:
+        return add_products(space, u, v, {})
 
-    def comm_fn(a, b, _images, products):
-        return mul(products, {a: one}, {b: one}), mul(products, {b: theta(a, b, mode)}, {a: one})
+    def comm_fn(a, b, _images):
+        return mul({a: one}, {b: one}), mul({b: theta(a, b, mode)}, {a: one})
 
     checks.append(PairCheck("monomial twisted commutation", space, comm_fn))
 
-    def assoc_fn(a, b, c, products):
-        return _chain(space, products, a, b, c, True), _chain(space, products, a, b, c, False)
+    def assoc_fn(a, b, c):
+        return _chain(space, a, b, c, True), _chain(space, a, b, c, False)
 
     checks.append(TripleCheck("associativity", space, assoc_fn, associativity=True))
 
@@ -1135,11 +1134,10 @@ def _suite_leibniz(space: SpaceSpec) -> list:
     def twist_image(a: MultiIndex) -> Callable:  # the twist word of a left factor
         return _w(space, theta_op(a)).rule.image
 
-    def twist_move_fn(a, b, c, products):
+    def twist_move_fn(a, b, c):
         coeff, _ = twist_image(a)(b)  # a twist keeps b and never vanishes
         # x^b (x^a x^c) times the twist's coefficient
-        return (_chain(space, products, a, b, c, True),
-                _chain(space, products, b, a, c, False, coeff))
+        return _chain(space, a, b, c, True), _chain(space, b, a, c, False, coeff)
 
     checks.append(TripleCheck("left factor moves past via its twist", space, twist_move_fn))
 

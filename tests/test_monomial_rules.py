@@ -356,7 +356,7 @@ def test_triple_check_reports_the_first_failing_triple():
     one = space.mode.one()
     seen = []
 
-    def fn(a, b, c, products):
+    def fn(a, b, c):
         seen.append((a, b, c))
         return {a: one}, {a if len(seen) < 7 else b: one}
 

@@ -356,8 +356,7 @@ class FirstFactorProbe:
         self.space, self.t_max, self.seen = space, t_max, []
 
     def run(self, t_max):
-        products = superspaces.suite_products(self.space)
-        self.seen = [weyl._first_factors(self.space, products, t) for t in range(self.t_max + 1)]
+        self.seen = [weyl._first_factors(self.space, t) for t in range(self.t_max + 1)]
         return weyl.CheckResult(self.name, True)
 
 
@@ -383,8 +382,7 @@ class LedgerProbe:
         self.space, self.degrees, self.seen = space, degrees, []
 
     def run(self, t_max):
-        products = superspaces.suite_products(self.space)
-        self.seen = [weyl._associative_upto(self.space, products, t) for t in self.degrees]
+        self.seen = [weyl._associative_upto(self.space, t) for t in self.degrees]
         return weyl.CheckResult(self.name, True)
 
 
@@ -437,7 +435,7 @@ def test_default_pair_check_hands_the_law_each_pair_in_order():
     seen = []
     one = OMEGA11.mode.one()
 
-    def fn(a, b, images, products):
+    def fn(a, b, images):
         seen.append((a, b))
         assert images == {}
         return {a: one}, {a: one}

@@ -26,7 +26,6 @@ from qgrass.superspaces import (
     make_space,
     multiply,
     suite_memo,
-    suite_products,
 )
 from qgrass.uqrep import verify_module_algebra, verify_uq_relations
 from qgrass.weyl import (
@@ -403,7 +402,7 @@ class Probe:
         self.memo_open = self.thread_memo_open = None
 
     def run(self, t_max):
-        self.memo_open = suite_products(OMEGA11) is not None
+        self.memo_open = suite_memo.get() is not None
         seen = []
         thread = threading.Thread(target=lambda: seen.append(suite_memo.get()))
         thread.start()
@@ -461,4 +460,3 @@ def test_memo_is_dropped_when_a_check_raises():
     with pytest.raises(InvalidAtomError):
         run_checks("raises", OMEGA11, [Probe(), Products(OMEGA11, 2), bad], 2)
     assert suite_memo.get() is None
-    assert suite_products(OMEGA11) is None
