@@ -358,7 +358,10 @@ def _parse_token(token: str, space) -> tuple:
         if token.startswith(name) and token[len(name):].isdigit():
             return _generator(gen, int(token[len(name):]), space)
     if token.startswith("Th(") and token.endswith(")"):
-        label = _parse_monomial(token[2:], space.shape)
+        try:
+            label = _parse_monomial(token[2:], space.shape)
+        except UsageError as exc:  # the label is read as a monomial is
+            raise UsageError(str(exc).replace("monomial", "twist label", 1)) from None
         return (theta_op(label),)
     if token == "par":
         return (parity(),)

@@ -21,8 +21,8 @@ group word "positive part = negative part", then the conjugations, the
 commutations and the nilpotencies) and assembles the presentation.
 
 The group is an explicit quotient of Z^k by a relation lattice, canonicalized
-through a Hermite normal form; orders and dimensions come from the lattice,
-not from closed-form claims.  Coproduct, counit and antipode live on the
+through an echelon basis; orders and dimensions come from the lattice, not
+from closed-form claims.  Coproduct, counit and antipode live on the
 generators and extend (anti)multiplicatively; the axiom checker evaluates
 coassociativity, the counit laws, the antipode convolution identity, and
 compatibility of the coproduct with every defining relation inside the tensor
@@ -74,9 +74,7 @@ class AbelianQuotient:
     def __init__(self, rank: int, relations: list[tuple[int, ...]]):
         self.rank = rank
         self.relations = [tuple(r) for r in relations if any(r)]
-        self._hnf = _hermite_normal_form(self.relations, rank)
-        pivots = {next(i for i, v in enumerate(row) if v): row for row in self._hnf}
-        self._pivots = dict(sorted(pivots.items()))  # reduce walks the columns in order
+        self._pivots = _echelon(self.relations, rank)
 
     def reduce(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         v = list(vec)
@@ -116,9 +114,15 @@ class AbelianQuotient:
         return [tuple(v) for v in itertools.product(*ranges)]
 
 
-def _hermite_normal_form(rows: list[tuple[int, ...]], ncols: int) -> list[list[int]]:
+def _echelon(rows: list[tuple[int, ...]], ncols: int) -> dict[int, list[int]]:
+    """An echelon basis of the row lattice, by pivot column in column order:
+    each row is 0 before its pivot, which is positive, since Euclid's
+    algorithm on a column leaves one row nonzero there.  A vector whose
+    every pivot entry lies in [0, pivot), as reduce leaves it, is the one
+    such vector in its coset, so the entries above a pivot need no
+    reduction."""
     work = [list(r) for r in rows]
-    out: list[list[int]] = []
+    pivots: dict[int, list[int]] = {}
     for col in range(ncols):
         live = [r for r in work if r[col]]
         if not live:
@@ -135,22 +139,9 @@ def _hermite_normal_form(rows: list[tuple[int, ...]], ncols: int) -> list[list[i
         if piv[col] < 0:
             for i in range(ncols):
                 piv[i] = -piv[i]
-        for r in work:
-            if r is not piv and r[col]:
-                t = r[col] // piv[col]
-                for i in range(ncols):
-                    r[i] -= t * piv[i]
         work = [r for r in work if any(r) and r is not piv]
-        out.append(piv)
-    # reduce entries above each pivot (proper column-reduced form)
-    for i, row in enumerate(out):
-        col = next(c for c, v in enumerate(row) if v)
-        for other in out[:i]:
-            t = other[col] // row[col]
-            if t:
-                for c in range(ncols):
-                    other[c] -= t * row[c]
-    return out
+        pivots[col] = piv
+    return pivots
 
 
 # ---------------------------------------------------------------------------

@@ -95,26 +95,8 @@ class MultiIndex:
         obj.__dict__.update(entries=entries, shape=shape)
         return obj
 
-    # ---- views -------------------------------------------------------------
-
-    @property
-    def bos(self) -> tuple[int, ...]:
-        mask = self.shape.fermionic_mask
-        return tuple(e for e, f in zip(self.entries, mask) if not f)
-
-    @property
-    def fer(self) -> tuple[int, ...]:
-        mask = self.shape.fermionic_mask
-        return tuple(e for e, f in zip(self.entries, mask) if f)
-
     def degree(self) -> int:
         return sum(self.entries)
-
-    def fermionic_degree(self) -> int:
-        return sum(self.fer)
-
-    def bosonic_degree(self) -> int:
-        return sum(self.bos)
 
     # ---- label arithmetic (no validity constraints) -------------------------
 
@@ -128,12 +110,6 @@ class MultiIndex:
 
     def __neg__(self) -> "MultiIndex":
         return MultiIndex(tuple(-a for a in self.entries), self.shape)
-
-    def shifted(self, pos: int, delta: int) -> "MultiIndex":
-        """New index with entry at 1-based position pos changed by delta."""
-        e = list(self.entries)
-        e[pos - 1] += delta
-        return MultiIndex(tuple(e), self.shape)
 
     def _check(self, other: "MultiIndex") -> None:
         if self.shape != other.shape:

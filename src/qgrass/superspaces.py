@@ -107,8 +107,11 @@ class SpaceSpec:
         }
 
 
+@functools.lru_cache(maxsize=None)
 def make_space(family: Family | str, m: int, n: int, mode: QMode = GENERIC) -> SpaceSpec:
-    """The space of a family (or its name) of rank (m|n) over mode."""
+    """The space of a family (or its name) of rank (m|n) over mode, one
+    object per argument tuple, so a cache keyed by space finds it by
+    identity."""
     return SpaceSpec(Family(family), m, n, mode)
 
 
@@ -276,6 +279,19 @@ class RuleBuilder:
                 self.check(j, -sys.maxsize, cap - 1 - aj, aj)
         self.binoms += [(j, self.shift[j], aj) for j, aj in divided]
         self.shift = [s + aj for s, aj in zip(self.shift, entries)]
+
+    def then(self, rule: MonomialRule) -> None:
+        """Then the rule, its scale left out: its checks and binomials read
+        a_i + (the shift so far), and its shift adds to the running one."""
+        shift = self.shift
+        self.checks += [(i, lo - shift[i], hi - shift[i], off + shift[i], k)
+                        for i, lo, hi, off, k in rule.checks]
+        self.binoms += [(i, off + shift[i], k) for i, off, k in rule.binoms]
+        for i, m, l in rule.forms:
+            self.form(i, m, l)
+        self.mu0 += rule.mu0
+        self.lam0 += rule.lam0
+        self.shift = [s + t for s, t in zip(shift, rule.shift)]
 
     def build(self, scale: ScalarQ | None = None) -> MonomialRule:
         """The composed rule, times scale."""

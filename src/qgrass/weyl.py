@@ -10,26 +10,29 @@ Atomic operators send basis monomials to scalar multiples of basis monomials:
   twist automorphisms.
 
 Each atom sends x^(a) to (-1)^(lam.a + lam0) q^(mu.a + mu0) times balanced
-binomials at x^(a + s), or to 0 outside a box of bounds.  An OperatorWord is
-a scalar times a composition of atoms (rightmost acts first); it compiles
-once into one superspaces.MonomialRule of that form, which it evaluates on
-each monomial.  As each atom joins the rule, ``apply_atom``, the direct
-one-atom definition, refuses on the unit monomial an atom the space does not
-have.  Relation suites instantiate the defining relation systems of the
-derivative algebra, its pointed-Hopf cover, and the quantum Weyl algebra of
-(m|n)-type as operator identities.  ``operators_equal`` decides a relation
-whose two sides are single words with rules of one normal form
-(``MonomialRule.same_map``) without enumeration, and it holds in every
-degree.  Any other relation is evaluated on graded bases up to a degree
-bound, a one-word side by its rule image and a longer side by its summed
-image, so a pass means no failure up to ``t_max``.  Pair and triple laws
-run on term maps: a PairCheck takes one-factor images once per monomial, and
-a law g(uv) = sum g1(u) g2(v) reads g(uv) as c g(w) for uv = c x^w.  While
-``run_checks`` runs one suite, every monomial product is computed once into
-a per-space table, and each atom is validated once per space, both dropped
-when it returns.  There, Leibniz and grouplike laws with character twists,
-and associativity, are checked with the first factor in a generating set F
-only, which PairCheck and _associative_upto prove decides them.
+binomials at x^(a + s), or to 0 outside a box of bounds: one
+superspaces.MonomialRule, built once per space and atom by ``_atom_rule``,
+the atom's one definition (x_i and x_i^(ell) being the left-multiplication
+rules of monomial_product).  ``apply_atom`` refuses an atom the space does
+not have, then reads that rule.  An OperatorWord is a scalar times a
+composition of atoms (rightmost acts first); it compiles once into one rule
+of that form, its atoms' rules composed by RuleBuilder.then, each atom first
+passed through apply_atom on the unit monomial.  Relation suites instantiate
+the defining relation systems of the derivative algebra, its pointed-Hopf
+cover, and the quantum Weyl algebra of (m|n)-type as operator identities.
+``operators_equal`` decides a relation whose two sides are single words with
+rules of one normal form (``MonomialRule.same_map``) without enumeration,
+and it holds in every degree.  Any other relation is evaluated on graded
+bases up to a degree bound, a one-word side by its rule image and a longer
+side by its summed image, so a pass means no failure up to ``t_max``.  Pair
+and triple laws run on term maps: a PairCheck takes one-factor images once
+per monomial, and a law g(uv) = sum g1(u) g2(v) reads g(uv) as c g(w) for
+uv = c x^w.  While ``run_checks`` runs one suite, every monomial product is
+computed once into a per-space table, and each atom is validated once per
+space, both dropped when it returns.  There, Leibniz and grouplike laws with
+character twists, and associativity, are checked with the first factor in a
+generating set F only, which PairCheck and _associative_upto prove decides
+them.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
 
-from .indices import MultiIndex, position_sums, theta, twist_forms
+from .indices import MultiIndex, ShapeMismatchError, theta, twist_forms
 from .qarith import LaurentPoly, QParity, ScalarQ, add_term, char_of, q_factorial
 from .superspaces import (
     DUAL_SIDE,
@@ -52,10 +55,10 @@ from .superspaces import (
     RuleBuilder,
     SpaceSpec,
     SuperVector,
+    _left_mult_rule,
     add_products,
     basis_of_degree,
     make_space,
-    monomial_product,
     multiply,
     product_of,
     suite_memo,
@@ -156,107 +159,45 @@ _UNPOSITIONED = (AtomKind.THETA, AtomKind.PARITY)
 
 
 def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
-    """One atomic operator on one basis monomial; None when the image is 0."""
-    mode = space.mode
+    """One atomic operator on one basis monomial; None when the image is 0.
+    Refuses an atom the space does not have, then reads the atom's rule."""
     kind = atom.kind
-    pos = atom.pos
-    entries = idx.entries
     # theta and parity carry no position; every other kind needs 1..size
-    if not 0 < pos <= space.shape.size and kind not in _UNPOSITIONED:
+    if not 0 < atom.pos <= space.shape.size and kind not in _UNPOSITIONED:
         raise InvalidAtomError(f"{atom.render()}: position must lie in 1..{space.shape.size}")
-
-    if kind is AtomKind.SIGMA:
-        v = entries[pos - 1]
-        if space.shape.is_fermionic_pos(pos):
-            if space.family in POLY_SIDE:
-                coeff = mode.minus_q_power(atom.exp * v)
-            else:
-                coeff = mode.q_power(atom.exp * v)
-        else:
-            if space.family in POLY_SIDE or space.family is Family.AFFINE:
-                coeff = mode.q_power(atom.exp * v)
-            else:
-                coeff = mode.q_power(-atom.exp * v)
-        return coeff, idx
-
     if kind is AtomKind.TAU:
-        if space.family not in POLY_SIDE or not space.shape.is_fermionic_pos(pos):
+        if space.family not in POLY_SIDE or not space.shape.is_fermionic_pos(atom.pos):
             raise InvalidAtomError("tau acts on exterior directions of the polynomial side")
-        v = entries[pos - 1]
-        return (mode.scalar(-1 if v % 2 else 1)), idx
-
-    if kind is AtomKind.THETA:
+    elif kind is AtomKind.THETA:
         if space.family not in POLY_SIDE:
             raise InvalidAtomError("twist labels act on the polynomial side")
-        return theta(atom.label, idx, mode), idx
-
-    if kind is AtomKind.PARITY:
+        if atom.label.shape != idx.shape:
+            raise ShapeMismatchError("shapes disagree")
+    elif kind is AtomKind.PARITY:
         if space.family is Family.AFFINE:
             raise InvalidAtomError("parity operator undefined on the affine superspace")
-        dual = space.family in DUAL_SIDE
-        w = idx.bosonic_degree() if dual else idx.fermionic_degree()
-        return mode.scalar(-1 if w % 2 else 1), idx
-
-    if kind is AtomKind.MULT_X_DIV_POW:
-        if space.family is not Family.OMEGA or mode.is_generic:
+    elif kind is AtomKind.MULT_X_DIV_POW:
+        if space.family is not Family.OMEGA or space.mode.is_generic:
             raise InvalidAtomError("divided-power multiplication needs the unrestricted "
                                    "Grassmann space at a root of unity")
-        if space.shape.is_fermionic_pos(pos):
+        if space.shape.is_fermionic_pos(atom.pos):
             raise InvalidAtomError("divided-power multiplication is bosonic")
-        ell = char_of(mode).ell
-        gen_label = MultiIndex.basis_vector(space.shape, pos, ell)
-        return monomial_product(space, gen_label, idx)
-
-    fermionic = space.shape.is_fermionic_pos(pos)
-    poly_side = space.family in POLY_SIDE or space.family is Family.AFFINE
-
-    if kind is AtomKind.MULT_X:
-        gen_label = MultiIndex.basis_vector(space.shape, pos)
-        return monomial_product(space, gen_label, idx)
-
-    if kind is AtomKind.PARTIAL:
-        if space.family is Family.AFFINE:
-            raise InvalidAtomError("derivatives act on the Grassmann-type spaces")
-        v = entries[pos - 1]
-        if v == 0:
-            return None
-        bos_before, fer_before, _, _ = position_sums(idx)[pos - 1]
-        prefix = bos_before + fer_before
-        target = idx.shifted(pos, -1)
-        if poly_side:
-            coeff = mode.q_power(-prefix)
-            if fermionic and fer_before % 2:  # (-1)^(exterior prefix)
-                coeff = -coeff
-            return coeff, target
-        # dual side
-        if fermionic:
-            coeff = mode.minus_q_power(prefix)
-        else:
-            fer_deg = idx.fermionic_degree()
-            coeff = mode.q_power(prefix)
-            if fer_deg % 2:
-                coeff = -coeff
-        return coeff, target
-
-    raise InvalidAtomError(f"unknown atom {atom}")
+    elif kind is AtomKind.PARTIAL and space.family is Family.AFFINE:
+        raise InvalidAtomError("derivatives act on the Grassmann-type spaces")
+    return _atom_rule(space, atom).image(idx)
 
 
-def _compile_atom(builder: RuleBuilder, space: SpaceSpec, atom: Atom, unit: MultiIndex) -> None:
-    """Append one atom to the rule under construction, from linear forms in
-    O(size).  apply_atom on the unit monomial first refuses an atom the space
-    does not have; under an open suite memo only the first time the atom
-    appears on the space, an atom that raised being never recorded."""
-    memo = suite_memo.get()
-    valid = None if memo is None else memo.setdefault((space, "atoms"), set())
-    if valid is None or atom not in valid:
-        apply_atom(space, atom, unit)
-        if valid is not None:
-            valid.add(atom)
+@functools.lru_cache(maxsize=None)
+def _atom_rule(space: SpaceSpec, atom: Atom) -> MonomialRule:
+    """The one definition of an atom the space has: its rule, from linear
+    forms in O(size), built once.  x_i and x_i^(ell) are the left-multiplication
+    rules that monomial_product reads."""
     kind, p, mask = atom.kind, atom.pos - 1, space.shape.fermionic_mask
     if kind is AtomKind.MULT_X or kind is AtomKind.MULT_X_DIV_POW:
         power = 1 if kind is AtomKind.MULT_X else char_of(space.mode).ell
-        builder.left_mult(space, MultiIndex.basis_vector(space.shape, atom.pos, power))
-        return
+        generator = MultiIndex.basis_vector(space.shape, atom.pos, power)
+        return _left_mult_rule(space, generator.entries)
+    builder = RuleBuilder(space.mode, space.shape.size)
     poly = space.family in POLY_SIDE
     if kind is AtomKind.SIGMA:
         # base -q on polynomial-side exterior directions; q^-1 on dual divided powers
@@ -272,7 +213,7 @@ def _compile_atom(builder: RuleBuilder, space: SpaceSpec, atom: Atom, unit: Mult
     elif kind is AtomKind.THETA:
         for j, (mu, lam) in enumerate(twist_forms(atom.label)):  # theta(label, b)
             builder.form(j, mu, lam)
-    else:  # PARTIAL: q^-prefix (polynomial side) or q^prefix (dual side)
+    elif kind is AtomKind.PARTIAL:  # q^-prefix (polynomial side) or q^prefix (dual side)
         builder.check(p, 1, sys.maxsize)
         if not poly and not mask[p]:
             for j, fer in enumerate(mask):
@@ -282,6 +223,9 @@ def _compile_atom(builder: RuleBuilder, space: SpaceSpec, atom: Atom, unit: Mult
             # (-1)^(exterior prefix), or base -q on the dual side
             builder.form(j, -1 if poly else 1, int(mask[p] and (mask[j] or not poly)))
         builder.move(p, -1)
+    else:
+        raise InvalidAtomError(f"unknown atom {atom}")
+    return builder.build()
 
 
 @dataclass(frozen=True)
@@ -316,10 +260,18 @@ class OperatorWord:
         order, times the scalar.  Raises InvalidAtomError for an atom the
         space does not have, whether or not a monomial reaches it."""
         space = self.space
+        memo = suite_memo.get()
+        valid = None if memo is None else memo.setdefault((space, "atoms"), set())
         builder = RuleBuilder(space.mode, space.shape.size)
         unit = space.unit_index()
         for atom in reversed(self.atoms):
-            _compile_atom(builder, space, atom, unit)
+            # apply_atom refuses an atom the space lacks; under a suite memo
+            # only the first time the atom appears on the space
+            if valid is None or atom not in valid:
+                apply_atom(space, atom, unit)
+                if valid is not None:
+                    valid.add(atom)
+            builder.then(_atom_rule(space, atom))
         return builder.build(self.scalar)
 
 
@@ -686,8 +638,8 @@ def run_checks(suite: str, space: SpaceSpec, checks: list, t_max: int) -> Relati
     For the length of this call the memo keeps, per space, the product
     table of superspaces.product_of, so each monomial product is computed
     once and then looked up, and under the keys (space, "atoms"), (space,
-    "first") and (space, "associative") the atoms _compile_atom has
-    validated, the first factors per degree (_first_factors) and the
+    "first") and (space, "associative") the atoms OperatorWord.rule has
+    validated through apply_atom, the first factors per degree (_first_factors) and the
     associativity ledger (_associative_upto).  All of it is dropped when the
     call returns or a check raises.
     """
@@ -708,12 +660,6 @@ def _w(space: SpaceSpec, *atoms: Atom, coeff: ScalarQ | None = None) -> Operator
 
 def _gen_label(space: SpaceSpec, i: int, value: int = 1) -> MultiIndex:
     return MultiIndex.basis_vector(space.shape, i, value)
-
-
-def _parity_word(space: SpaceSpec) -> OperatorWord:
-    """The global parity as a product of the order-2 exterior twists."""
-    atoms = tuple(tau(j) for j in space.shape.fermionic_positions())
-    return _w(space, *atoms)
 
 
 def _divpow_mult_word(space: SpaceSpec, i: int, power: int) -> OperatorWord:
@@ -839,7 +785,7 @@ def _suite_dq(space: SpaceSpec) -> list:
     for i in range(1, size):
         lab = _gen_label(space, i + 1) - _gen_label(space, i)
         if i == m:
-            rhs = _parity_word(space).then(_w(space, sigma(m), sigma(m + 1)))
+            rhs = _w(space, parity(), sigma(m), sigma(m + 1))
             name = f"Th(-e{m}+e{m+1}) = parity s{m} s{m+1}"
         else:
             rhs = _w(space, sigma(i), sigma(i + 1))

@@ -18,6 +18,13 @@ from qgrass.weyl import apply_word
 D3 = root_of_unity(3)
 
 
+def shifted(idx, pos, delta):
+    """idx with its entry at 1-based position pos changed by delta."""
+    entries = list(idx.entries)
+    entries[pos - 1] += delta
+    return MultiIndex(tuple(entries), idx.shape)
+
+
 def closed_form_E(space, j, idx):
     """Image of the j-th raising operator, straight from the displayed rules."""
     m = space.shape.m
@@ -25,17 +32,17 @@ def closed_form_E(space, j, idx):
     e = idx.entries
     if j < m:  # divided-power block move
         coeff = q_int(e[j - 1] + 1, mode)
-        target = idx.shifted(j, +1).shifted(j + 1, -1)
+        target = shifted(shifted(idx, j, +1), j + 1, -1)
     elif j == m:  # boundary: eats the first exterior letter
         if e[m] != 1:
             return None
         coeff = q_int(e[m - 1] + 1, mode)
-        target = idx.shifted(m, +1).shifted(m + 1, -1)
+        target = shifted(shifted(idx, m, +1), m + 1, -1)
     else:  # exterior block move
         if not (e[j - 1] == 0 and e[j] == 1):
             return None
         coeff = mode.one()
-        target = idx.shifted(j, +1).shifted(j + 1, -1)
+        target = shifted(shifted(idx, j, +1), j + 1, -1)
     if not target.is_valid_basis_key():
         return None
     if coeff.is_zero():
@@ -49,17 +56,17 @@ def closed_form_F(space, j, idx):
     e = idx.entries
     if j < m:
         coeff = q_int(e[j] + 1, mode)
-        target = idx.shifted(j, -1).shifted(j + 1, +1)
+        target = shifted(shifted(idx, j, -1), j + 1, +1)
     elif j == m:
         if e[m] != 0:
             return None
         coeff = mode.one()
-        target = idx.shifted(m, -1).shifted(m + 1, +1)
+        target = shifted(shifted(idx, m, -1), m + 1, +1)
     else:
         if not (e[j - 1] == 1 and e[j] == 0):
             return None
         coeff = mode.one()
-        target = idx.shifted(j, -1).shifted(j + 1, +1)
+        target = shifted(shifted(idx, j, -1), j + 1, +1)
     if not target.is_valid_basis_key():
         return None
     if coeff.is_zero():

@@ -257,6 +257,8 @@ ILL_POSED = {
     "two bars in monomial": ["act", *OMEGA11, "--word", "d1", "--monomial", "(0|0|0)"],
     "letter in twist label": ["act", *OMEGA11, "--word", "Th(a|0)", "--monomial", "(1|1)"],
     "empty twist label entry": ["act", *OMEGA11, "--word", "Th(1|1,)", "--monomial", "(1|1)"],
+    "twist label of the wrong length": ["act", *OMEGA11, "--word", "Th(1,0|0)",
+                                        "--monomial", "(1|1)"],
     "letter in --orders": ["hopf", "--family", "taft-orders", "--orders", "2,a",
                            "--q", "root", "--d", "6"],
     "letter in --group-orders": ["hopf", "--family", "taft-orders-generalized",
@@ -456,6 +458,9 @@ def test_every_refusal_by_size_names_its_estimate_and_the_limit(capsys, case):
     ("--group-orders on taft-orders",
      "--group-orders applies to taft-orders-generalized, not taft-orders\n"),
     ("order 4 after order 3 in --d-list", "order 4 has char(q) = 2;"),
+    ("letter in twist label", "error: twist label entries must be integers, got '(a|0)'\n"),
+    ("empty twist label entry", "error: twist label entries must be integers, got '(1|1,)'\n"),
+    ("twist label of the wrong length", "error: twist label needs 2 entries\n"),
 ])
 def test_refused_run_names_its_range_or_tuples(capsys, case, message):
     code, _, err = call(capsys, ILL_POSED[case])

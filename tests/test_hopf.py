@@ -5,7 +5,9 @@ import io
 import itertools
 import json
 import math
+import operator
 import pathlib
+import random
 
 import pytest
 
@@ -74,6 +76,25 @@ def test_reduce_is_projection():
     for v in itertools.product(range(-4, 5), repeat=2):
         r = g.reduce(v)
         assert g.reduce(r) == r
+
+
+def test_reduce_is_a_canonical_form_on_random_lattices():
+    # reduce reads an echelon basis only: on every vector it must be
+    # idempotent, blind to adding a relation row, and put each pivot entry
+    # in [0, pivot)
+    rng = random.Random(20)
+    for _ in range(300):
+        rank = rng.randint(1, 4)
+        rows = [tuple(rng.randint(-6, 6) for _ in range(rank))
+                for _ in range(rng.randint(0, rank + 2))]
+        g = AbelianQuotient(rank, rows)
+        for _ in range(10):
+            v = tuple(rng.randint(-20, 20) for _ in range(rank))
+            r = g.reduce(v)
+            assert g.reduce(r) == r, (rows, v)
+            assert all(0 <= r[col] < row[col] for col, row in g._pivots.items()), (rows, v)
+            for row in rows:
+                assert g.reduce(tuple(map(operator.add, v, row))) == r, (rows, v, row)
 
 
 # ---------------------------------------------------------------------------

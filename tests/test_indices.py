@@ -194,7 +194,5 @@ def test_lex_order_and_render():
 def test_dual_side_parity_pattern():
     dual = Shape(2, 1, fermionic_first=True)
     idx = MultiIndex((1, 0, 4), dual)
-    assert idx.fer == (1, 0)
-    assert idx.bos == (4,)
     assert idx.is_valid_basis_key()
     assert not MultiIndex((2, 0, 1), dual).is_valid_basis_key()

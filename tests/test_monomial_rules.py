@@ -1,9 +1,11 @@
 """Compiled monomial rules against the definitions they are built from.
 
 A word compiles once into one MonomialRule; on every basis monomial its image
-must be the one the word's atoms give when applied one at a time: x_i, X_i
-and Th(label) from the star pairing of the test-local oracles, every other
-atom through apply_atom.  monomial_product is the image under the left_mult
+must be the one the word's atoms give when applied one at a time, each from
+the test-local oracles: x_i, X_i and Th(label) from the star pairing, every
+other atom from its coefficient formula.  apply_atom must give the same
+image, and x_i must be the very rule monomial_product reads for e_i.
+monomial_product is the image under the left_mult
 rule of its first factor, compiled once per space and factor; it must give
 the structure constants of the star pairing and the image of a freshly built
 rule, and a rule cached on one space is never read for another of its rank.
@@ -25,8 +27,8 @@ import sys
 
 import pytest
 
-from oracles import split_star, star_theta_exponents
-from qgrass import superspaces, uqrep
+from oracles import split_star, star_theta_exponents, twist_or_derivative
+from qgrass import superspaces, uqrep, weyl
 from qgrass.indices import MultiIndex, theta
 from qgrass.qarith import GENERIC, LaurentPoly, char_of, q_binom, q_int, root_of_unity
 from qgrass.superspaces import (
@@ -105,8 +107,8 @@ def valid_atoms(space):
 def atom_image(space, atom, idx):
     """One atom on one basis monomial; None when the image is 0.  x_i, X_i and
     Th(label) come from the star pairing (reference_product and
-    star_theta_exponents), not from the left_mult rules and twist forms the
-    compiled words read; every other atom through apply_atom."""
+    star_theta_exponents), every other atom from its coefficient formula
+    (twist_or_derivative), never from the rules the package compiles."""
     kind = atom.kind.name
     if kind == "THETA":
         lam, mu = star_theta_exponents(atom.label, idx)
@@ -115,7 +117,7 @@ def atom_image(space, atom, idx):
     if kind in ("MULT_X", "MULT_X_DIV_POW"):
         power = 1 if kind == "MULT_X" else char_of(space.mode).ell
         return reference_product(space, MultiIndex.basis_vector(space.shape, atom.pos, power), idx)
-    return apply_atom(space, atom, idx)
+    return twist_or_derivative(space, atom, idx)
 
 
 def step_by_step(word, idx):
@@ -153,6 +155,19 @@ def test_compiled_words_match_atom_by_atom_application(space):
     for word in words_of(space):
         for idx in monos:
             assert word.rule.image(idx) == step_by_step(word, idx), (word.render(), str(idx))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
+def test_apply_atom_reads_the_one_rule_of_the_atom(space):
+    monos = basis_upto(space, 4)
+    for atom in valid_atoms(space):
+        for idx in monos:
+            assert apply_atom(space, atom, idx) == atom_image(space, atom, idx), (
+                atom.render(), str(idx))
+    for i in range(1, space.shape.size + 1):
+        e_i = MultiIndex.basis_vector(space.shape, i)
+        assert weyl._atom_rule(space, mult_x(i)) is superspaces._left_mult_rule(
+            space, e_i.entries)
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (1, 2), (0, 3)])
@@ -284,6 +299,7 @@ def test_the_product_rule_cache_tells_spaces_of_one_shape_apart():
         (Family.OMEGA_RESTRICTED, D3), (Family.OMEGA_RESTRICTED, D8))]
     assert spaces[0].shape == spaces[3].shape
     superspaces._left_mult_rule.cache_clear()
+    weyl._atom_rule.cache_clear()  # its x_i rules are _left_mult_rule's
     warm = basis_upto(spaces[0], 4)
     for a, b in itertools.product(warm, repeat=2):
         monomial_product(spaces[0], a, b)

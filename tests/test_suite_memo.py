@@ -182,31 +182,34 @@ def count_calls(monkeypatch, module, name):
 def test_each_product_and_atom_image_is_derived_once(space, monkeypatch):
     checks = build_suite("leibniz", space)
     # multiply reads superspaces' binding; word compilation reads weyl's
+    atom_rule = weyl._atom_rule
     products = count_calls(monkeypatch, superspaces, "monomial_product")
     atoms = count_calls(monkeypatch, weyl, "apply_atom")
-    compiled = count_calls(monkeypatch, weyl, "_compile_atom")
+    rules = count_calls(monkeypatch, weyl, "_atom_rule")
+    composed = count_calls(monkeypatch, superspaces.RuleBuilder, "then")
     report = run_checks("leibniz", space, checks, 3)
     product_keys = [(s, a.entries, b.entries) for s, a, b in products]
     assert len(product_keys) == len(set(product_keys)) > 0
-    # each word compiles once, every atom joining its rule in acting order;
-    # apply_atom validates each distinct (space, atom) once, on the unit monomial
+    # each word compiles once, every atom's rule joining it in acting order;
+    # apply_atom validates each distinct (space, atom) once, on the unit
+    # monomial, before the first read of its rule
     by_builder = {}
-    for builder, _, atom, _ in compiled:
-        by_builder.setdefault(id(builder), []).append(atom)
+    for builder, rule in composed:
+        by_builder.setdefault(id(builder), []).append(rule)
     words = {id(w): w for c in checks if isinstance(c, Relation) for w in c.lhs + c.rhs
              if w.atoms}
-    assert words and Counter(tuple(reversed(w.atoms)) for w in words.values()) <= Counter(
-        tuple(atoms) for atoms in by_builder.values())
-    pairs = [(s, a) for _, s, a, _ in compiled]
-    assert [(s, atom) for s, atom, _ in atoms] == list(dict.fromkeys(pairs))
-    assert len(pairs) > 2 * len(atoms)
+    assert words and Counter(tuple(atom_rule(space, a) for a in reversed(w.atoms))
+                             for w in words.values()) <= Counter(
+        tuple(word_rules) for word_rules in by_builder.values())
+    assert [(s, atom) for s, atom, _ in atoms] == list(dict.fromkeys(rules))
+    assert len(composed) > 2 * len(atoms)
     assert {idx for _, _, idx in atoms} == {space.unit_index()}
     # without the memo the same checks derive the products again and again,
     # while each word object, compiled once, compiles no more
-    n_products, n_atoms, n_compiled = len(products), len(atoms), len(compiled)
+    n_products, n_atoms, n_rules, n_composed = len(products), len(atoms), len(rules), len(composed)
     assert report.to_json()["relations"] == memo_less(checks, 3)
     assert len(products) - n_products > 2 * n_products
-    assert len(atoms) == n_atoms and len(compiled) == n_compiled
+    assert (len(atoms), len(rules), len(composed)) == (n_atoms, n_rules, n_composed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from qgrass.indices import MultiIndex
+from qgrass.indices import MultiIndex, ShapeMismatchError
 from qgrass.qarith import GENERIC, q_int, root_of_unity
 from qgrass.superspaces import (
     Family,
@@ -86,9 +86,22 @@ def test_theta_label_twist_equals_sigma_sigma_tau():
 
 
 def test_parity_atom_matches_tau_product():
-    lhs = word(OMEGA21, parity())
-    rhs = word(OMEGA21, tau(3))
-    assert operators_equal(lhs, rhs, 4).equal
+    spaces = [OMEGA21, make_space(Family.OMEGA, 1, 2), make_space(Family.OMEGA, 2, 2),
+              make_space(Family.OMEGA, 0, 3), make_space(Family.OMEGA_RESTRICTED, 1, 2, D3)]
+    for space in spaces:
+        lhs = word(space, parity())
+        rhs = word(space, *(tau(j) for j in space.shape.fermionic_positions()))
+        assert operators_equal(lhs, rhs, 4).equal
+        for t in range(5):
+            for idx in basis_of_degree(space, t):
+                u = SuperVector.monomial(space, idx)
+                assert apply_word(lhs, u) == apply_word(rhs, u), (space, str(idx))
+
+
+def test_a_twist_label_of_another_shape_is_refused():
+    label = MultiIndex.basis_vector(OMEGA11.shape, 1)
+    with pytest.raises(ShapeMismatchError):
+        apply_atom(OMEGA21, theta_op(label), MultiIndex((0, 0, 0), OMEGA21.shape))
 
 
 def test_dual_e_m_closed_form():
