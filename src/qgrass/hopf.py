@@ -586,11 +586,17 @@ def build(family: str, *, mode: QMode = GENERIC, m: int | None = None, n: int | 
     Families and the keywords they read besides mode: taft-mn, aq (m, n);
     gq / gq-restricted (m, n, nilpotency_caps); dq / dq-restricted (m, n,
     coproduct_variant='plus'|'minus', partial_caps); taft-orders (orders);
-    taft-orders-generalized (orders, group_orders).  The diagonal families
+    taft-orders-generalized (orders, group_orders); a missing one of these
+    raises ValueError naming it.  The diagonal families
     take the matrix with q^(d / orders[i]) on the diagonal and 1 elsewhere.
     """
     if family not in HOPF_FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {HOPF_FAMILIES}")
+    given = {"m": m, "n": n, "orders": orders, "group_orders": group_orders}
+    needed = {"taft-orders": ("orders",), "taft-orders-generalized": ("orders", "group_orders")}
+    missing = [k for k in needed.get(family, ("m", "n")) if given[k] is None]
+    if missing:
+        raise ValueError(f"{family} needs the keyword(s) {', '.join(missing)}")
     if family in ("dq", "dq-restricted"):
         return _build_dq(family, m, n, mode, coproduct_variant, partial_caps)
     if family in ("taft-orders", "taft-orders-generalized"):

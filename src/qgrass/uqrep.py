@@ -109,9 +109,7 @@ def generator_word(kind: Gen, i: int, space: SpaceSpec) -> OperatorWord:
             atoms = (sigma(i, -e), tau(i))
     else:  # SK / SKINV
         e = 1 if kind is Gen.SK else -1
-        if dual:
-            atoms = (sigma(i, e), sigma(i + 1, -e))
-        elif i < m:
+        if dual or i < m:
             atoms = (sigma(i, e), sigma(i + 1, -e))
         elif i == m:
             atoms = (sigma(m, e), sigma(m + 1, e), tau(m + 1))
@@ -127,12 +125,8 @@ def _q_sub(space: SpaceSpec, i: int) -> int:
 
 def _cartan(space: SpaceSpec, i: int, j: int) -> int:
     """(alpha_i, alpha_j) for the super bilinear form with signature (m, n)."""
-    m = space.shape.m
-
     def form(a: int, b: int) -> int:
-        if a != b:
-            return 0
-        return 1 if a <= m else -1
+        return _q_sub(space, a) if a == b else 0
 
     return form(i, j) - form(i, j + 1) - form(i + 1, j) + form(i + 1, j + 1)
 
@@ -323,52 +317,34 @@ def verify_module_algebra(space: SpaceSpec, t_max: int) -> RelationReport:
 # ---------------------------------------------------------------------------
 
 
-def _compositions(k: int, total: int) -> int:
-    if total < 0:
-        return 0
-    if k == 0:
-        return 1 if total == 0 else 0
-    return math.comb(k + total - 1, k - 1)
-
-
-def _bounded_compositions(k: int, total: int, ell: int) -> int:
-    """Compositions of total into k parts each < ell, by inclusion-exclusion."""
-    if total < 0:
-        return 0
+def _bounded_compositions(k: int, total: int, ell: int | None) -> int:
+    """Compositions of total into k parts, each below ell (no cap when ell is
+    None), by inclusion-exclusion over the parts that reach ell."""
     out = 0
-    for i in range(total // ell + 1):
-        term = math.comb(k, i) * _compositions(k, total - i * ell)
-        out += -term if i % 2 else term
+    for i in range(k + 1 if ell else 1):
+        rest = total - i * (ell or 0)
+        if rest < 0:
+            break
+        free = math.comb(rest + k - 1, k - 1) if k else int(rest == 0)
+        out += (-1) ** i * math.comb(k, i) * free
     return out
 
 
 def dim_formula(space: SpaceSpec, t: int) -> int:
-    """Closed-form dimension of the degree-t component."""
+    """Closed-form dimension of the degree-t component, read off the shape:
+    s of its f fermionic exponents are 1 and its b bosonic exponents, each
+    below the cap ell on a restricted family, sum to t - s, so the dimension
+    is sum_s C(f, s) * #compositions(t - s into b parts below ell)."""
     if t < 0:
         raise ValueError("degree must be nonnegative")
     top = top_degree(space)
     if top is not None and t > top:
         raise ValueError(f"degree {t} exceeds the top degree {top}")
-    m, n = space.shape.m, space.shape.n
-    fam = space.family
-    if fam in (Family.OMEGA, Family.AFFINE):
-        return sum(
-            math.comb(n, s) * _compositions(m, t - s) for s in range(0, min(t, n) + 1)
-        )
-    if fam is Family.OMEGA_RESTRICTED:
-        ell = space.shape.restricted_ell
-        return sum(
-            math.comb(n, s) * _bounded_compositions(m, t - s, ell)
-            for s in range(0, min(t, n) + 1)
-        )
-    if fam is Family.DUAL:
-        return sum(
-            math.comb(m, s) * _compositions(n, t - s) for s in range(0, min(t, m) + 1)
-        )
-    ell = space.shape.restricted_ell
+    shape = space.shape
+    f = sum(shape.fermionic_mask)
     return sum(
-        math.comb(m, s) * _bounded_compositions(n, t - s, ell)
-        for s in range(0, min(t, m) + 1)
+        math.comb(f, s) * _bounded_compositions(shape.size - f, t - s, shape.restricted_ell)
+        for s in range(min(t, f) + 1)
     )
 
 
@@ -448,48 +424,42 @@ def weight_of(space: SpaceSpec, idx: MultiIndex) -> tuple[tuple[int, ...], int]:
     return tuple(exps), par
 
 
+def _fill(r: int, ell: int, k: int) -> tuple[tuple[int, ...], int, int]:
+    """The lexicographically largest k exponents below ell with sum r: slots
+    1..i-1 full at ell - 1, then t_i in slot i.  Returns them, i and t_i."""
+    i = max(1, -(-r // (ell - 1)))  # ceil
+    t_i = r - (i - 1) * (ell - 1)
+    return (ell - 1,) * (i - 1) + (t_i,) + (0,) * (k - i), i, t_i
+
+
 def expected_highest_weight(space: SpaceSpec, t: int) -> tuple[MultiIndex, tuple[int, ...], str] | None:
     """Predicted highest-weight monomial, weight (epsilon-coordinates) and a
     fundamental-weight label for the component of degree t, when covered."""
-    m, n = space.shape.m, space.shape.n
     shape = space.shape
-    if space.family in POLY_SIDE and m == 0:
-        return None
-    if space.family is Family.OMEGA:
-        idx = MultiIndex((t,) + (0,) * (m - 1) + (0,) * n, shape)
-        return idx, tuple(idx.entries), f"{t}*w1"
-    if space.family is Family.OMEGA_RESTRICTED:
-        ell = shape.restricted_ell
-        cap = m * (ell - 1)
-        if t <= cap:
-            i = max(1, -(-t // (ell - 1)))  # ceil
-            t_i = t - (i - 1) * (ell - 1)
-            bos = [ell - 1] * (i - 1) + [t_i] + [0] * (m - i)
-            idx = MultiIndex(tuple(bos) + (0,) * n, shape)
-            label = f"({ell - 1 - t_i})*w{i - 1} + {t_i}*w{i}"
-            return idx, tuple(idx.entries), label
-        p = t - cap
-        idx = MultiIndex((ell - 1,) * m + (1,) * p + (0,) * (n - p), shape)
-        return idx, tuple(idx.entries), f"({ell - 2})*w{m} + w{m + p}"
-    if space.family is Family.DUAL:
-        if t <= m:
-            idx = MultiIndex((1,) * t + (0,) * (m - t) + (0,) * n, shape)
-            return idx, tuple(idx.entries), f"w{t}"
+    m, n, ell = shape.m, shape.n, shape.restricted_ell
+    if space.family in POLY_SIDE:
+        if m == 0:
+            return None
+        if space.family is Family.OMEGA:
+            entries, label = (t,) + (0,) * (m - 1 + n), f"{t}*w1"
+        elif t <= m * (ell - 1):
+            bos, i, t_i = _fill(t, ell, m)
+            entries, label = bos + (0,) * n, f"({ell - 1 - t_i})*w{i - 1} + {t_i}*w{i}"
+        else:
+            p = t - m * (ell - 1)
+            entries = (ell - 1,) * m + (1,) * p + (0,) * (n - p)
+            label = f"({ell - 2})*w{m} + w{m + p}"
+    elif t <= m:
+        entries, label = (1,) * t + (0,) * (m - t + n), f"w{t}"
+    elif space.family is Family.DUAL:
         if n == 0:
             return None
-        idx = MultiIndex((1,) * m + (t - m,) + (0,) * (n - 1), shape)
-        return idx, tuple(idx.entries), f"w{m} + {t - m}*e{m + 1}"
-    # restricted dual
-    ell = shape.restricted_ell
-    if t <= m:
-        idx = MultiIndex((1,) * t + (0,) * (m - t) + (0,) * n, shape)
-        return idx, tuple(idx.entries), f"w{t}"
-    r = t - m
-    i = max(1, -(-r // (ell - 1)))
-    t_i = r - (i - 1) * (ell - 1)
-    bos = [ell - 1] * (i - 1) + [t_i] + [0] * (n - i)
-    idx = MultiIndex((1,) * m + tuple(bos), shape)
-    label = f"w{m} + ({ell - 1})*(e{m + 1}..e{m + i - 1}) + {t_i}*e{m + i}"
+        entries, label = (1,) * m + (t - m,) + (0,) * (n - 1), f"w{m} + {t - m}*e{m + 1}"
+    else:
+        bos, i, t_i = _fill(t - m, ell, n)
+        entries = (1,) * m + bos
+        label = f"w{m} + ({ell - 1})*(e{m + 1}..e{m + i - 1}) + {t_i}*e{m + i}"
+    idx = MultiIndex(entries, shape)
     return idx, tuple(idx.entries), label
 
 

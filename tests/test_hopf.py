@@ -8,6 +8,7 @@ import math
 import operator
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -763,6 +764,18 @@ def test_dq_lists_its_lattice_and_its_relations_in_two_orders():
     assert (th_name, t_name) == ("Th2 = Th1 s1 s2 tau", "t2^2 = 1")
     assert [w for _, w in th_terms] == [(("g", 4),), tuple(("g", c) for c in range(4))]
     assert [w for _, w in t_terms] == [(("g", 2), ("g", 2)), ()]
+
+
+@pytest.mark.parametrize("family, kwargs, missing", [
+    ("aq", {"mode": GENERIC}, "m, n"),
+    ("dq", {"mode": GENERIC}, "m, n"),
+    ("taft-mn", {"mode": D3, "m": 1}, "n"),
+    ("taft-orders", {"mode": D6}, "orders"),
+    ("taft-orders-generalized", {"mode": D6, "orders": (2, 3)}, "group_orders"),
+])
+def test_build_names_a_missing_keyword(family, kwargs, missing):
+    with pytest.raises(ValueError, match=re.escape(f"{family} needs the keyword(s) {missing}") + "$"):
+        build(family, **kwargs)
 
 
 def test_build_refuses_unknown_keywords():

@@ -145,6 +145,18 @@ def test_dim_formula_spot_values():
     assert dim_formula(DUAL21, 1) == 3
 
 
+UNRESTRICTED = (Family.OMEGA, Family.DUAL, Family.AFFINE)
+RESTRICTED = (Family.OMEGA_RESTRICTED, Family.DUAL_RESTRICTED)
+
+
+def shape_grid(family, ds=(None,)):
+    """(id, space) for the family over every (m|n) with 0 <= m, n <= 3 and
+    m + n >= 1, at each root order d in ds (None: generic)."""
+    return [(f"{family.value}({m}|{n})" + (f"-d{d}" if d else ""),
+             make_space(family, m, n, GENERIC if d is None else root_of_unity(d)))
+            for d in ds for m in range(4) for n in range(4) if m + n]
+
+
 @pytest.mark.parametrize(
     "space, t_hi",
     [
@@ -154,12 +166,21 @@ def test_dim_formula_spot_values():
         (OMEGA21_R3, 5),
         (make_space(Family.DUAL_RESTRICTED, 2, 2, D3), 6),
         (make_space(Family.AFFINE, 2, 1), 5),
+    ] + [
+        # even d gives ell = d / 2
+        pytest.param(space, 8 if top_degree(space) is None else top_degree(space), id=name)
+        for family, ds in [(f, (None,)) for f in UNRESTRICTED]
+        + [(f, (3, 5, 6, 8, 12)) for f in RESTRICTED]
+        for name, space in shape_grid(family, ds)
     ],
     ids=lambda x: str(x),
 )
 def test_dim_formula_matches_enumeration(space, t_hi):
     for t in range(t_hi + 1):
         assert dim_formula(space, t) == len(basis_of_degree(space, t))
+    top = top_degree(space)
+    if top is not None:
+        assert basis_of_degree(space, top) and not basis_of_degree(space, top + 1)
 
 
 def test_dim_formula_range_errors():
@@ -244,6 +265,24 @@ def test_expected_hw_generic_and_restricted():
     assert label == "(1)*w2 + w3"
     idx, weight, label = expected_highest_weight(DUAL21, 3)
     assert idx.entries == (1, 1, 1)
+
+
+@pytest.mark.parametrize("family", [Family.OMEGA, Family.DUAL, *RESTRICTED], ids=lambda f: f.value)
+def test_expected_highest_weight_is_the_largest_monomial(family):
+    """The closed-form prediction against the last monomial of the enumerated
+    basis, by a route that shares no code with it."""
+    ds = (3, 5, 6, 7, 8, 12) if family in RESTRICTED else (None,)
+    for _, space in shape_grid(family, ds):
+        m, n, top = space.shape.m, space.shape.n, top_degree(space)
+        for t in range((8 if top is None else top) + 1):
+            expected = expected_highest_weight(space, t)
+            if (family in (Family.OMEGA, Family.OMEGA_RESTRICTED) and m == 0
+                    or family is Family.DUAL and n == 0 and t > m):
+                assert expected is None, (space, t)
+                continue
+            assert expected is not None, (space, t)
+            largest = basis_of_degree(space, t)[-1]
+            assert expected[:2] == (largest, largest.entries), (space, t)
 
 
 def test_component_report_generic_omega():
