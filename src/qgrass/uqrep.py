@@ -435,6 +435,8 @@ def _fill(r: int, ell: int, k: int) -> tuple[tuple[int, ...], int, int]:
 def expected_highest_weight(space: SpaceSpec, t: int) -> tuple[MultiIndex, tuple[int, ...], str] | None:
     """Predicted highest-weight monomial, weight (epsilon-coordinates) and a
     fundamental-weight label for the component of degree t, when covered."""
+    if space.family is Family.AFFINE:
+        raise ValueError("module structure lives on the Grassmann-type spaces")
     shape = space.shape
     m, n, ell = shape.m, shape.n, shape.restricted_ell
     if space.family in POLY_SIDE:
@@ -499,24 +501,38 @@ def _highest_weight_space(space: SpaceSpec, basis: tuple[MultiIndex, ...],
     return [v.scaled(v.terms[min(v.terms)].inverse()) for v in kernel]
 
 
-def _span_ranks(basis: tuple[MultiIndex, ...], images: dict):
-    """Yield each basis monomial with the rank of the submodule it generates.
+def _reach(seed, edges: dict) -> set:
+    """The nodes reachable from seed along edges (node -> its targets)."""
+    reached, todo = {seed}, [seed]
+    while todo:
+        for nxt in edges[todo.pop()]:
+            if nxt not in reached:
+                reached.add(nxt)
+                todo.append(nxt)
+    return reached
 
-    Every E_j / F_j word sends a basis monomial to a scalar times one basis
-    monomial, so that rank is the number of monomials the seed reaches.
-    """
+
+def _first_proper_span(basis: tuple[MultiIndex, ...], images: dict):
+    """The first seed in basis whose submodule is proper, with its rank (the
+    monomials it reaches: each E_j / F_j word sends a monomial to a multiple of
+    one), or None.  Three searches: basis[0] is the seed if it misses a
+    monomial; else a seed reaches all exactly when it reaches basis[0], so a
+    search back from basis[0] finds the first one that does not."""
+    edges, back = {}, {idx: [] for idx in basis}
     for idx in basis:
         if any(len(img) > 1 for img in images[idx]):
             raise RuntimeError(f"a generator sends {idx} to a sum of monomials")
-    for seed in basis:
-        reached, todo = {seed}, [seed]
-        while todo and len(reached) < len(basis):
-            for img in images[todo.pop()]:
-                for nxt in img:
-                    if nxt not in reached:
-                        reached.add(nxt)
-                        todo.append(nxt)
-        yield seed, len(reached)
+        edges[idx] = [nxt for img in images[idx] for nxt in img]
+        for nxt in edges[idx]:
+            back[nxt].append(idx)
+    if not basis:
+        return None
+    rank = len(_reach(basis[0], edges))
+    if rank < len(basis):
+        return basis[0], rank
+    to_first = _reach(basis[0], back)
+    seed = next((idx for idx in basis if idx not in to_first), None)
+    return None if seed is None else (seed, len(_reach(seed, edges)))
 
 
 @dataclass
@@ -597,11 +613,10 @@ def component_report(space: SpaceSpec, t: int) -> ComponentReport:
     # a proper reach set spans a submodule with or without weight separation;
     # without it, every seed reaching the whole basis proves nothing
     verdict = "simple" if separated else "inconclusive"
-    for seed, rank in _span_ranks(basis, images):
-        if rank < dim:
-            verdict = "not_simple"
-            witnesses.append({"seed_with_proper_span": str(seed), "span_rank": rank})
-            break
+    proper = _first_proper_span(basis, images)
+    if proper is not None:
+        verdict = "not_simple"
+        witnesses.append({"seed_with_proper_span": str(proper[0]), "span_rank": proper[1]})
 
     return ComponentReport(
         space=space,

@@ -8,8 +8,10 @@ the definition a * b = sum_{i > j} a_i b_j in one pass over both labels
 structure constants and of the twist bicharacter never read the code they
 check.  The package defines every atom by one compiled rule (weyl._atom_rule);
 twist_or_derivative gives the sigma, tau, parity and derivative atoms from
-their per-monomial coefficient formulas instead.  Not a test module: pytest
-does not collect it.
+their per-monomial coefficient formulas instead.  first_proper_reach finds
+the first node of a graph that does not reach every node by one search per
+seed, where the package's simplicity certificate takes three searches.  Not
+a test module: pytest does not collect it.
 """
 
 
@@ -77,3 +79,19 @@ def twist_or_derivative(space, atom, idx):
     coeff = mode.q_power(prefix)
     fer_deg = sum(e for e, fer in zip(entries, mask) if fer)
     return (-coeff if fer_deg % 2 else coeff), target
+
+
+def first_proper_reach(nodes, targets):
+    """The first node, in the order of nodes, that reaches fewer than all of
+    them along targets (node -> iterable of nodes), with the number it
+    reaches (itself included); None when every node reaches every node."""
+    for seed in nodes:
+        reached, todo = {seed}, [seed]
+        while todo:
+            for nxt in targets[todo.pop()]:
+                if nxt not in reached:
+                    reached.add(nxt)
+                    todo.append(nxt)
+        if len(reached) < len(nodes):
+            return seed, len(reached)
+    return None

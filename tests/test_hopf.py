@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import itertools
@@ -372,20 +373,75 @@ def test_generator_probe_keeps_the_memo_below_the_triple_count():
 
 
 def test_exhaustive_verification_builds_each_coproduct_once(monkeypatch):
-    # 30 relation-word products plus one chain per basis key: 84 for this
-    # presentation, where recomputing Delta per leg took 300
-    calls = 0
-    tensor_mul = HopfPresentation.tensor_mul
+    # 30 relation-word products plus one per basis key with a nonzero x part
+    # (30 of the 36): Delta and S each grow by one generator from the memo.
+    # A chain per key took 84 tensor-square and 274 algebra products, and
+    # recomputing Delta per leg 300 tensor-square products.  The algebra
+    # products are those 30 steps of S and two per S(x_i)
+    calls = {"tensor_mul": 0, "mul": 0}
 
-    def counted(self, u, v):
-        nonlocal calls
-        calls += 1
-        return tensor_mul(self, u, v)
+    def counted(name):
+        method = getattr(HopfPresentation, name)
 
-    monkeypatch.setattr(HopfPresentation, "tensor_mul", counted)
+        def wrapper(self, u, v):
+            calls[name] += 1
+            return method(self, u, v)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(HopfPresentation, name, counted(name))
     report = verify_hopf(build("taft-orders", orders=(2, 3), mode=D6), "exhaustive")
     assert report.passed
-    assert calls <= 100
+    assert calls == {"tensor_mul": 60, "mul": 34}
+
+
+def test_the_failing_exhaustive_report_is_unchanged():
+    # taft-mn (1|1) at d = 3 is not associative as stated: 9 antipode
+    # convolutions fail, and the report is pinned byte for byte
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["hopf", "--family", "taft-mn", "--m", "1", "--n", "1",
+                         "--q", "root", "--d", "3", "--exhaustive"])
+    assert code == 1
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "f1bd162738df737ab3b849c40dea01b4f4b13cbd45439a126cd17300f6146ca1")
+    failed = [c["name"] for c in json.loads(out.getvalue())["checks"] if c["status"] == "fail"]
+    assert len(failed) == 9 and all(n.startswith("antipode convolution") for n in failed)
+
+
+def s_squared_order(p: HopfPresentation, bound: int = 100) -> int:
+    """The least k >= 1 with (S^2)^k the identity on every basis key, by
+    applying the antipode twice per step."""
+    one = p.mode.one()
+    images = {k: {k: one} for k in p.basis_keys()}
+    for k in range(1, bound + 1):
+        images = {key: p.antipode(p.antipode(v)) for key, v in images.items()}
+        if all(v == {key: one} for key, v in images.items()):
+            return k
+    raise AssertionError(f"S^2 has no order up to {bound}")
+
+
+@pytest.mark.parametrize("build_it, order", [
+    (lambda: build("taft-mn", m=1, n=0, mode=D3), 3),
+    (lambda: build("taft-mn", m=2, n=0, mode=D3), 3),
+    (lambda: build("taft-mn", m=1, n=1, mode=D3), 6),
+    (lambda: build("taft-mn", m=1, n=0, mode=root_of_unity(5)), 5),
+    (lambda: build("taft-orders", orders=(2, 3), mode=D6), 6),
+    (lambda: build("taft-orders", orders=(3, 4), mode=root_of_unity(12)), 12),
+    (lambda: build("dq-restricted", m=1, n=1, mode=D3), 6),
+    (lambda: build("gq-restricted", m=1, n=1, mode=D3), 6),
+], ids=["taft-mn(1|0)-d3", "taft-mn(2|0)-d3", "taft-mn(1|1)-d3", "taft-mn(1|0)-d5",
+        "taft-orders(2,3)-d6", "taft-orders(3,4)-d12", "dq-restricted(1|1)-d3",
+        "gq-restricted(1|1)-d3"])
+def test_antipode_order_is_the_character_closed_form(build_it, order):
+    # S^2(x_j) = chi_{gR_j gL_j^-1}(x_j) x_j and S^2(g) = g, so ord(S^2) is
+    # the lcm over j of the order of that signed power
+    p = build_it()
+    closed = math.lcm(*(
+        _power_order(p.mode, *p.chi_of(p.group.reduce(tuple(map(operator.sub, g.gR, g.gL))), j))
+        for j, g in enumerate(p.xgens)))
+    assert closed == order
+    assert s_squared_order(p) == order
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import first_proper_reach
 
 from qgrass.indices import MultiIndex
 from qgrass.qarith import GENERIC, q_int, root_of_unity
@@ -8,7 +11,7 @@ from qgrass.uqrep import (
     RowSpace,
     _generator_images,
     _highest_weight_space,
-    _span_ranks,
+    _first_proper_span,
     component_report,
     dim_formula,
     expected_highest_weight,
@@ -267,6 +270,13 @@ def test_expected_hw_generic_and_restricted():
     assert idx.entries == (1, 1, 1)
 
 
+@pytest.mark.parametrize("t", [1, 2], ids=["t<=m", "t>m"])
+def test_expected_highest_weight_refuses_the_affine_family(t):
+    # as component_report does; t = 2 once reached the restricted fill with no cap
+    with pytest.raises(ValueError, match="Grassmann-type spaces"):
+        expected_highest_weight(make_space(Family.AFFINE, 1, 1), t)
+
+
 @pytest.mark.parametrize("family", [Family.OMEGA, Family.DUAL, *RESTRICTED], ids=lambda f: f.value)
 def test_expected_highest_weight_is_the_largest_monomial(family):
     """The closed-form prediction against the last monomial of the enumerated
@@ -387,13 +397,40 @@ def dense_rank(rows, zero):
 
 @pytest.mark.parametrize("space, t_hi", CROSS_CHECK_SPACES, ids=CROSS_CHECK_IDS)
 def test_reachability_rank_matches_the_span_closure(space, t_hi):
+    # the first seed, in basis order, whose cyclic span is proper, with its rank
     ops = chevalley_words(space, (Gen.E, Gen.F))
     for t in range(t_hi + 1):
         basis = basis_of_degree(space, t)
-        ranks = dict(_span_ranks(basis, _generator_images(space, basis)))
-        assert list(ranks) == list(basis)
-        for seed, rank in ranks.items():
-            assert rank == closure_rank(space, seed, ops), (t, seed)
+        ranks = ((seed, closure_rank(space, seed, ops)) for seed in basis)
+        want = next(((seed, rank) for seed, rank in ranks if rank < len(basis)), None)
+        assert _first_proper_span(basis, _generator_images(space, basis)) == want, t
+
+
+def graph_images(targets):
+    """A graph as generator images: one one-term image per target."""
+    return {node: [{nxt: 1} for nxt in outs] for node, outs in targets.items()}
+
+
+@st.composite
+def graphs(draw):
+    size = draw(st.integers(0, 8))
+    return {node: draw(st.lists(st.integers(0, size - 1), max_size=3)) for node in range(size)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+@example({0: [1, 2], 1: [0], 2: []})  # basis[0] reaches all, node 2 only itself
+@example({0: [1, 2], 1: [3], 2: [0], 3: []})  # ... and node 1 reaches {1, 3}
+@example({0: [1], 1: [2], 2: [0, 3], 3: [2]})  # every node reaches all
+@example({0: [], 1: [0]})  # basis[0] reaches only itself
+def test_three_searches_find_the_first_proper_seed(targets):
+    basis = tuple(targets)
+    assert _first_proper_span(basis, graph_images(targets)) == first_proper_reach(basis, targets)
+
+
+def test_an_image_that_is_a_sum_is_refused():
+    with pytest.raises(RuntimeError, match="sum of monomials"):
+        _first_proper_span((0, 1), {0: [{1: 1}], 1: [{0: 1, 1: 1}]})
 
 
 @pytest.mark.parametrize("space, t_hi", CROSS_CHECK_SPACES, ids=CROSS_CHECK_IDS)
