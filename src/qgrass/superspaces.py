@@ -283,15 +283,22 @@ class RuleBuilder:
     def then(self, rule: MonomialRule) -> None:
         """Then the rule, its scale left out: its checks and binomials read
         a_i + (the shift so far), and its shift adds to the running one."""
-        shift = self.shift
-        self.checks += [(i, lo - shift[i], hi - shift[i], off + shift[i], k)
-                        for i, lo, hi, off, k in rule.checks]
-        self.binoms += [(i, off + shift[i], k) for i, off, k in rule.binoms]
-        for i, m, l in rule.forms:
-            self.form(i, m, l)
-        self.mu0 += rule.mu0
-        self.lam0 += rule.lam0
-        self.shift = [s + t for s, t in zip(shift, rule.shift)]
+        shift, mu, lam = self.shift, self.mu, self.lam
+        if rule.checks:
+            self.checks += [(i, lo - shift[i], hi - shift[i], off + shift[i], k)
+                            for i, lo, hi, off, k in rule.checks]
+        if rule.binoms:
+            self.binoms += [(i, off + shift[i], k) for i, off, k in rule.binoms]
+        mu0, lam0 = self.mu0 + rule.mu0, self.lam0 + rule.lam0
+        for i, m, l in rule.forms:  # form(i, m, l), inline
+            s = shift[i]
+            mu[i] += m
+            lam[i] += l
+            mu0 += m * s
+            lam0 += l * s
+        self.mu0, self.lam0 = mu0, lam0
+        for i, s in rule._moves:
+            shift[i] += s
 
     def build(self, scale: ScalarQ | None = None) -> MonomialRule:
         """The composed rule, times scale."""

@@ -9,6 +9,13 @@ Atomic operators send basis monomials to scalar multiples of basis monomials:
 * ``sigma(i, e)``, ``tau(i)``, ``theta_op(label)``, ``parity()`` -- diagonal
   twist automorphisms.
 
+Atoms are values hashed once, at construction.  Every constructor but
+``theta_op`` returns one shared atom per (kind, position, exponent), so the
+rule cache below finds it by identity; a twist label's shape is no part of
+MultiIndex equality, so theta atoms are built per call.  Neither cache calls
+anything perfbench traces, and atom validation is never memoised per process:
+a call repeated in one process makes the same apply_atom calls.
+
 Each atom sends x^(a) to (-1)^(lam.a + lam0) q^(mu.a + mu0) times balanced
 binomials at x^(a + s), or to 0 outside a box of bounds: one
 superspaces.MonomialRule, built once per space and atom by ``_atom_rule``,
@@ -115,36 +122,47 @@ class Atom:
     exp: int = 1
     label: MultiIndex | None = None
 
+    def __post_init__(self):
+        # every rule cache and word memo hashes its atoms; hash each once
+        object.__setattr__(self, "_hash", hash((self.kind, self.pos, self.exp, self.label)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def render(self) -> str:
         if self.kind is AtomKind.THETA:
             return f"Th{self.label}"
         if self.kind is AtomKind.PARITY:
             return "par"
         if self.kind is AtomKind.SIGMA and self.exp == -1:
-            return f"s{self.pos}^-1"
+            return f"sinv{self.pos}"
         return f"{self.kind.value}{self.pos}"
 
 
+# one shared atom per (kind, pos, exp); never per theta label (module docstring)
+_interned = functools.lru_cache(maxsize=None)(Atom)
+
+
 def partial(i: int) -> Atom:
-    return Atom(AtomKind.PARTIAL, i)
+    return _interned(AtomKind.PARTIAL, i, 1)
 
 
 def mult_x(i: int) -> Atom:
-    return Atom(AtomKind.MULT_X, i)
+    return _interned(AtomKind.MULT_X, i, 1)
 
 
 def mult_x_divpow(i: int) -> Atom:
-    return Atom(AtomKind.MULT_X_DIV_POW, i)
+    return _interned(AtomKind.MULT_X_DIV_POW, i, 1)
 
 
 def sigma(i: int, e: int = 1) -> Atom:
     if e not in (1, -1):
         raise ValueError("sigma exponent must be +-1")
-    return Atom(AtomKind.SIGMA, i, e)
+    return _interned(AtomKind.SIGMA, i, e)
 
 
 def tau(i: int) -> Atom:
-    return Atom(AtomKind.TAU, i)
+    return _interned(AtomKind.TAU, i, 1)
 
 
 def theta_op(label: MultiIndex) -> Atom:
@@ -152,7 +170,7 @@ def theta_op(label: MultiIndex) -> Atom:
 
 
 def parity() -> Atom:
-    return Atom(AtomKind.PARITY)
+    return _interned(AtomKind.PARITY, 0, 1)
 
 
 _UNPOSITIONED = (AtomKind.THETA, AtomKind.PARITY)
@@ -244,7 +262,7 @@ class OperatorWord:
 
     def then(self, other: "OperatorWord") -> "OperatorWord":
         """self o other (other acts first); no scalar when neither has one."""
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise InvalidAtomError("operator words on different spaces")
         if self.scalar is None and other.scalar is None:
             return OperatorWord(self.space, self.atoms + other.atoms)
@@ -276,7 +294,7 @@ class OperatorWord:
 
 
 def apply_word(w: OperatorWord, u: SuperVector) -> SuperVector:
-    if w.space != u.space:
+    if w.space is not u.space and w.space != u.space:
         raise InvalidAtomError("operator and vector live on different spaces")
     image = w.rule.image
     out: dict[MultiIndex, ScalarQ] = {}
@@ -351,7 +369,7 @@ def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int
     when D times them are, and every image stays in Z[v^+-1], clear of gcds."""
     exprA, exprB = _as_expr(wA), _as_expr(wB)
     space = (exprA or exprB)[0].space
-    if any(w.space != space for w in exprA + exprB):
+    if any(w.space is not space and w.space != space for w in exprA + exprB):
         raise InvalidAtomError("operator and vector live on different spaces")
     rulesA, rulesB = [w.rule for w in exprA], [w.rule for w in exprB]
     if len(exprA) == len(exprB) == 1 and rulesA[0].same_map(rulesB[0]):

@@ -428,6 +428,15 @@ def test_ill_posed_input_exits_2(capsys, argv):
     assert out == ""
 
 
+def test_every_atom_renders_as_the_token_that_reads_it():
+    space = make_space("omega", 2, 1, root_of_unity(8))
+    label = cli._parse_monomial("(1,-2|1)", space.shape)
+    atoms = [weyl.partial(1), weyl.mult_x(2), weyl.mult_x_divpow(1), weyl.sigma(3),
+             weyl.sigma(2, -1), weyl.tau(3), weyl.parity(), weyl.theta_op(label)]
+    for atom in atoms:
+        assert cli._parse_token(atom.render(), space) == (atom,), atom.render()
+
+
 def test_oversized_run_names_its_size(capsys):
     code, _, err = call(capsys, ILL_POSED["check-weyl over too many monomials"])
     assert code == 2
@@ -461,6 +470,8 @@ def test_every_refusal_by_size_names_its_estimate_and_the_limit(capsys, case):
     ("letter in twist label", "error: twist label entries must be integers, got '(a|0)'\n"),
     ("empty twist label entry", "error: twist label entries must be integers, got '(1|1,)'\n"),
     ("twist label of the wrong length", "error: twist label needs 2 entries\n"),
+    # the refused atom is named by the token that spells it
+    ("inverse twist past the end", "error: sinv3: position must lie in 1..2\n"),
 ])
 def test_refused_run_names_its_range_or_tuples(capsys, case, message):
     code, _, err = call(capsys, ILL_POSED[case])

@@ -10,7 +10,9 @@ Delta(d_i) = d_i (x) gR + gL (x) d_i is checked as a twisted Leibniz law.
 
 The Nichols parts R of the bosonizations R # kG are the paper's algebras:
 on group-identity keys `aq` multiplies as the affine superspace A_q^{m|n}
-and `gq` as Omega_q once its powers are divided by balanced q-factorials.
+and `gq` as Omega_q once its powers are divided by balanced q-factorials.  At
+q of order d = 3, 5 and 7, `gq-restricted` and `taft-mn` multiply as the
+restricted Omega_q(m|n, 1) so divided, and `aq` still as A_q^{m|n}.
 """
 
 import dataclasses
@@ -152,14 +154,14 @@ def test_a_dropped_coproduct_leg_fails_its_leibniz_law(case):
 NICHOLS_SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2)]
 
 
-def nichols_pairs(family, space_family, top):
+def nichols_pairs(family, space_family, top, mode=GENERIC):
     """Per pair of monomials (a, b) with deg a + deg b <= top, over every
     shape of NICHOLS_SHAPES: the product x^a x^b of the presentation's R on
     group-identity keys, as (coefficient, entries) or None, beside
-    monomial_product on the space."""
+    monomial_product on the space, both over mode."""
     for m, n in NICHOLS_SHAPES:
-        pres = hopf.build(family, mode=GENERIC, m=m, n=n)
-        space = make_space(space_family, m, n)
+        pres = hopf.build(family, mode=mode, m=m, n=n)
+        space = make_space(space_family, m, n, mode)
         e, one = pres.group.identity(), space.mode.one()
         monomials = [u for t in range(top + 1) for u in basis_of_degree(space, t)]
         for a, b in itertools.product(monomials, repeat=2):
@@ -200,9 +202,26 @@ def test_aq_nichols_part_is_the_affine_superspace():
     assert tally(rows, lambda space, a, b, w, c: c) == {"agree": 524, "vanish": 97, "differ": 0}
 
 
-def test_gq_nichols_part_is_omega_in_divided_powers():
+def balanced(space, a, b, w, c):
     # x^(a) x^(b) = c [a+b]! / ([a]! [b]!) x^(a+b) when x^a x^b = c x^(a+b)
-    rows = nichols_pairs("gq", Family.OMEGA, 5)
-    counts = tally(rows, lambda space, a, b, w, c:
-                   c * divided(space, w) * (divided(space, a) * divided(space, b)).inverse())
+    return c * divided(space, w) * (divided(space, a) * divided(space, b)).inverse()
+
+
+def test_gq_nichols_part_is_omega_in_divided_powers():
+    counts = tally(nichols_pairs("gq", Family.OMEGA, 5), balanced)
     assert counts == {"agree": 984, "vanish": 227, "differ": 0}
+
+
+@pytest.mark.parametrize("d, agree, vanish", [(3, 468, 401), (5, 948, 251), (7, 984, 227)])
+@pytest.mark.parametrize("family", ["gq-restricted", "taft-mn"])
+def test_root_nichols_part_is_restricted_omega_in_divided_powers(family, d, agree, vanish):
+    # below the cap ell = d the counts are the generic ones; at d = 3 the
+    # cap at 2 both shrinks the basis and makes more products vanish
+    counts = tally(nichols_pairs(family, Family.OMEGA_RESTRICTED, 5, root_of_unity(d)), balanced)
+    assert counts == {"agree": agree, "vanish": vanish, "differ": 0}
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_root_aq_nichols_part_is_the_affine_superspace(d):
+    rows = nichols_pairs("aq", Family.AFFINE, 4, root_of_unity(d))
+    assert tally(rows, lambda space, a, b, w, c: c) == {"agree": 524, "vanish": 97, "differ": 0}

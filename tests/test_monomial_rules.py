@@ -157,6 +157,46 @@ def test_compiled_words_match_atom_by_atom_application(space):
             assert word.rule.image(idx) == step_by_step(word, idx), (word.render(), str(idx))
 
 
+LONG_WORD_SPACES = [(s, i) for s, i in zip(SPACES, SPACE_IDS) if s.mode in (GENERIC, D3, D8)
+                    and s.family in (Family.OMEGA, Family.DUAL, Family.OMEGA_RESTRICTED)]
+
+
+def long_words(space, count=60):
+    """Words of 4-18 atoms, drawn as the benchmark's act queries draw theirs:
+    1-8 tokens, each a generator's word, one atom the space has (X_i at a
+    root of unity), or off the dual side a twist label with entries in 0..2;
+    every other word with a scalar."""
+    rng = random.Random(f"long {space.family.value} {space.mode.d}")
+    size = space.shape.size
+    gens = [(Gen.PARITY, 0)] + [(g, i) for g in (Gen.E, Gen.F, Gen.SK, Gen.SKINV)
+                                for i in range(1, size)]
+    gens += [(g, i) for g in (Gen.K, Gen.KINV) for i in range(1, size + 1)]
+    gen_atoms = [generator_word(g, i, space).atoms for g, i in gens]
+    raw = [(a,) for a in valid_atoms(space) if a.kind.name != "THETA"]
+    scalar = space.mode.q() + space.mode.scalar(2)
+    words = []
+    while len(words) < count:
+        atoms = ()
+        for _ in range(rng.randint(1, 8)):
+            if space.family not in DUAL_SIDE and rng.random() < 0.1:
+                label = tuple(rng.randint(0, 2) for _ in range(size))
+                atoms += (theta_op(MultiIndex(label, space.shape)),)
+            else:
+                atoms += rng.choice(gen_atoms if rng.random() < 0.5 else raw)
+        if 4 <= len(atoms) <= 18:
+            words.append(OperatorWord(space, atoms, scalar if len(words) % 2 else None))
+    return words
+
+
+@pytest.mark.parametrize("space", [s for s, _ in LONG_WORD_SPACES],
+                         ids=[i for _, i in LONG_WORD_SPACES])
+def test_long_compiled_words_match_atom_by_atom_application(space):
+    monos = basis_upto(space, 4)
+    for word in long_words(space):
+        for idx in monos:
+            assert word.rule.image(idx) == step_by_step(word, idx), (word.render(), str(idx))
+
+
 @pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
 def test_apply_atom_reads_the_one_rule_of_the_atom(space):
     monos = basis_upto(space, 4)

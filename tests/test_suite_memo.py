@@ -212,6 +212,44 @@ def test_each_product_and_atom_image_is_derived_once(space, monkeypatch):
     assert (len(atoms), len(rules), len(composed)) == (n_atoms, n_rules, n_composed)
 
 
+def count_at_every_binding(monkeypatch, name, original):
+    """Wrap every qgrass module binding of original (as perfbench's tracer
+    does), recording the arguments of every call."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (cli, superspaces, uqrep, weyl):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["act", "--family", "omega", "--m", "2", "--n", "1", "--q", "root", "--d", "8",
+     "--word", "E1 F2 Kinv3 sigma d1 x2 sinv3 t3 X1 Th(1,2|0)", "--monomial", "(2,1|1)"],
+    ["simple", "--family", "dual", "--m", "2", "--n", "1", "--t-max", "3"],
+], ids=["act", "simple"])
+def test_a_repeated_cli_call_repeats_every_traced_count(argv, monkeypatch, capsys):
+    # the benchmark's traced pass runs after an untraced one in the same
+    # process and must count the same calls: no process-wide cache may skip
+    # a call of these
+    counted = {name: count_at_every_binding(monkeypatch, name, original) for name, original in
+               [("apply_atom", weyl.apply_atom), ("apply_word", weyl.apply_word),
+                ("generator_word", uqrep.generator_word)]}
+    runs = []
+    for _ in range(2):
+        marks = {name: len(calls) for name, calls in counted.items()}
+        code = cli.main(argv)
+        runs.append((code, capsys.readouterr().out,
+                     {name: len(calls) - marks[name] for name, calls in counted.items()}))
+    assert runs[0] == runs[1]
+    code, _, counts = runs[0]
+    assert code == 0 and all(counts.values()), counts
+
+
 # ---------------------------------------------------------------------------
 # index-level equality against evaluation on monomial vectors
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from qgrass.superspaces import (
     make_space,
 )
 from qgrass.weyl import (
+    Atom,
     InvalidAtomError,
     OperatorWord,
     apply_atom,
@@ -234,3 +235,45 @@ def test_positional_atoms_refuse_positions_outside_the_space(space):
             for pos in (0, size + 1):
                 with pytest.raises(InvalidAtomError, match="position"):
                     apply_atom(space, ctor(pos), idx)
+
+
+INTERNED_ATOMS = (partial, mult_x, mult_x_divpow, sigma, lambda i: sigma(i, -1), tau,
+                  lambda i: parity())
+
+
+@pytest.mark.parametrize("ctor", INTERNED_ATOMS,
+                         ids=["d", "x", "X", "s", "sinv", "t", "par"])
+def test_a_positional_atom_is_one_shared_value(ctor):
+    for pos in (0, 1, 2, 7):
+        atom = ctor(pos)
+        assert ctor(pos) is atom
+        # a directly built atom is the same value, with the same hash
+        twin = Atom(atom.kind, atom.pos, atom.exp)
+        assert twin is not atom and twin == atom and hash(twin) == hash(atom)
+        assert {atom: 1}[twin] == 1
+
+
+def test_sigma_is_interned_by_value_not_by_spelling():
+    assert sigma(1) is sigma(1, 1) is sigma(1, e=1) is sigma(i=1)
+    assert sigma(1, -1) is sigma(1, e=-1) and sigma(1, -1) is not sigma(1)
+
+
+@pytest.mark.parametrize("e", [2, 0, -2])
+def test_sigma_refuses_an_exponent_on_every_call(e):
+    for _ in range(3):
+        with pytest.raises(ValueError, match="exponent"):
+            sigma(1, e)
+
+
+def test_a_twist_label_keeps_its_shape():
+    dual11 = make_space(Family.DUAL, 1, 1)
+    a = MultiIndex((1, 0), OMEGA11.shape)
+    b = MultiIndex((1, 0), dual11.shape)
+    assert a == b and a.shape != b.shape  # equality ignores the shape
+    ta, tb = theta_op(a), theta_op(b)
+    assert ta.label.shape is OMEGA11.shape and tb.label.shape is dual11.shape
+    assert ta == tb and hash(ta) == hash(tb)
+    unit = OMEGA11.unit_index()
+    assert apply_atom(OMEGA11, ta, unit) == (OMEGA11.mode.one(), unit)
+    with pytest.raises(ShapeMismatchError):
+        apply_atom(OMEGA11, tb, unit)
