@@ -36,10 +36,12 @@ and triple laws run on term maps: a PairCheck takes one-factor images once
 per monomial, and a law g(uv) = sum g1(u) g2(v) reads g(uv) as c g(w) for
 uv = c x^w.  While ``run_checks`` runs one suite, every monomial product is
 computed once into a per-space table, and each atom is validated once per
-space, both dropped when it returns.  There, Leibniz and grouplike laws with
-character twists, and associativity, are checked with the first factor in a
-generating set F only, which PairCheck and _associative_upto prove decides
-them.
+space (a theta atom once per label shape), both dropped when it returns.
+There, Leibniz and grouplike laws with character twists, and associativity,
+are checked with the first factor in a generating set F only (the unit by
+the pair (1, 1) alone), which PairCheck and _associative_upto prove decides
+them; the move of a left factor past via its twist is checked on its pairs,
+which TripleCheck proves decides it.
 """
 
 from __future__ import annotations
@@ -284,11 +286,13 @@ class OperatorWord:
         unit = space.unit_index()
         for atom in reversed(self.atoms):
             # apply_atom refuses an atom the space lacks; under a suite memo
-            # only the first time the atom appears on the space
-            if valid is None or atom not in valid:
+            # only the first time the atom appears on the space, a theta atom
+            # keyed with its label's shape, which atom equality ignores
+            key = atom if atom.label is None else (atom, atom.label.shape)
+            if valid is None or key not in valid:
                 apply_atom(space, atom, unit)
                 if valid is not None:
-                    valid.add(atom)
+                    valid.add(key)
             builder.then(_atom_rule(space, atom))
         return builder.build(self.scalar)
 
@@ -439,19 +443,22 @@ def _failure(check, key: str, factors: tuple[MultiIndex, ...], lhs: dict, rhs: d
                                            "rhs": SuperVector._wrap(space, rhs).to_json()})
 
 
-def _chain(space: SpaceSpec, a: MultiIndex, b: MultiIndex, c: MultiIndex, left: bool,
-           scale: ScalarQ | None = None) -> dict:
-    """scale (x^a x^b) x^c (left) or scale x^a (x^b x^c) as a term map of at
-    most one entry, from two product_of lookups; no scale means 1."""
-    hit = product_of(space, *((a, b) if left else (b, c)))
+def _chain(space: SpaceSpec, hit: tuple[ScalarQ, MultiIndex] | None, c: MultiIndex,
+           left: bool) -> tuple[ScalarQ, MultiIndex] | None:
+    """k x^w x^c (left) or k x^c x^w, for hit = (k, w) a product_of result,
+    as (coefficient, key) from one more product_of lookup; None for 0."""
     if hit is None:
-        return {}
+        return None
     coeff, w = hit
-    hit = product_of(space, *((w, c) if left else (a, w)))
+    hit = product_of(space, *((w, c) if left else (c, w)))
+    return None if hit is None else (hit[0] * coeff, hit[1])
+
+
+def _terms(hit: tuple[ScalarQ, MultiIndex] | None, scale: ScalarQ | None = None) -> dict:
+    """A (coefficient, key) pair as a term map, times scale (none means 1)."""
     if hit is None:
         return {}
-    coeff = hit[0] * coeff
-    return {hit[1]: coeff if scale is None else coeff * scale}
+    return {hit[1]: hit[0] if scale is None else hit[0] * scale}
 
 
 def _first_factors(space: SpaceSpec, t: int) -> tuple[MultiIndex, ...]:
@@ -488,19 +495,33 @@ def _associative_upto(space: SpaceSpec, top: int) -> bool:
     holds once 1 w = w for each monomial w of degree <= T, one product each.
     """
     ledger = suite_memo.get().setdefault((space, "associative"), [-1, False])
-    one, unit = space.mode.one(), space.unit_index()
     while ledger[0] < top and not ledger[1]:
-        s = ledger[0] + 1
-        levels = [basis_of_degree(space, t) for t in range(s + 1)]
-        triples = ((a, b, c) for ta in range(1, s + 1) for a in _first_factors(space, ta)
-                   for tb in range(s - ta + 1) for b in levels[tb] for c in levels[s - ta - tb])
-        if all(product_of(space, unit, w) == (one, w) for w in levels[s]) and all(
-                _chain(space, *abc, True) == _chain(space, *abc, False)
-                for abc in triples):
-            ledger[0] = s
+        if _associative_at(space, ledger[0] + 1):
+            ledger[0] += 1
         else:
             ledger[1] = True
     return ledger[0] >= top
+
+
+def _associative_at(space: SpaceSpec, s: int) -> bool:
+    """Whether 1 w = w for each monomial w of degree s, and (ab)c = a(bc)
+    on each triple of degree sum s with a in F of degree >= 1: x^a x^b is
+    formed once per (a, b), and the sides compared per c as (coefficient,
+    key) pairs."""
+    levels = [basis_of_degree(space, t) for t in range(s + 1)]
+    one, unit = space.mode.one(), space.unit_index()
+    if any(product_of(space, unit, w) != (one, w) for w in levels[s]):
+        return False
+    for ta in range(1, s + 1):
+        for a in _first_factors(space, ta):
+            for tb in range(s - ta + 1):
+                for b in levels[tb]:
+                    ab = product_of(space, a, b)
+                    for c in levels[s - ta - tb]:
+                        if _chain(space, ab, c, True) != _chain(
+                                space, product_of(space, b, c), a, False):
+                            return False
+    return True
 
 
 @dataclass
@@ -518,9 +539,17 @@ class PairCheck:
     None (the identity) or an OperatorWord whose rule is a character, and
     the space's associativity ledger reaches t_max + max(0, delta), delta
     the largest degree op raises a monomial by in the images table, ``run``
-    checks only the pairs with u in F (_first_factors).  If they pass, the
-    law holds on every pair of degree sum <= t_max.  A character is an
-    algebra map, and by induction on deg u: u not in F is k^-1 s u' with
+    checks only the pair (1, 1) and the pairs with u in F (_first_factors)
+    of degree >= 1.  If they pass, the law holds on every pair of degree sum
+    <= t_max.  The unit row first.  A character sends 1 to 1, and the
+    ledger gives 1 w = w for deg w <= T = t_max + max(0, delta).  So the
+    grouplike law at (1, v) reads g(v) = 1 g(v) and always holds; the
+    Leibniz law at (1, v) reads op(v) = op(1) R(v) + op(v), and at (1, 1)
+    it holds exactly when op(1) 1 = 0.  Then, R(v) being r x^v and each
+    monomial of op(1) having degree <= max(0, delta), associativity on the
+    triples (w, 1, v) gives op(1) R(v) = r (op(1) 1) x^v = 0: the pair
+    (1, 1) decides the unit row.  The rows of degree >= 1 by induction on
+    deg u, a character being an algebra map: u not in F is k^-1 s u' with
     k != 0, s a generator and deg u' = deg u - 1, so by associativity, the
     law at (s, w) for each monomial w of u'v, then at (u', v), then at (s, u'),
       op(uv) = k^-1 op(s (u'v)) = k^-1 [op(s) R(u'v) + L(s) op(u'v)]
@@ -543,8 +572,10 @@ class PairCheck:
     def run(self, t_max: int) -> CheckResult:
         levels, images = self._tables(t_max)
         if self._reducible(t_max, images):
-            first = [_first_factors(self.space, t) for t in range(len(levels))]
-            if self._first_failure(t_max, first, levels, images) is None:
+            (unit,) = levels[0]
+            lhs, rhs = self.fn(unit, unit, images)  # the unit row (class docstring)
+            first = [()] + [_first_factors(self.space, t) for t in range(1, len(levels))]
+            if lhs == rhs and self._first_failure(t_max, first, levels, images) is None:
                 return CheckResult(self.name, True, route="induction")
         return self._enumerated(t_max, levels, images)
 
@@ -603,21 +634,53 @@ def _triples(space: SpaceSpec, t_max: int) -> Iterator[tuple[MultiIndex, MultiIn
 @dataclass
 class TripleCheck:
     """Identity quantified over triples of basis monomials (degree sum bound),
-    on term maps: ``fn(a, b, c)`` returns both sides, as in PairCheck.  A
-    check marked ``associativity`` (fn being (ab)c = a(bc)) passes under a
-    suite memo when the space's ledger (_associative_upto) reaches t_max, and
-    else enumerates."""
+    on term maps: ``fn(a, b, c)`` returns both sides, as in PairCheck.
+
+    Two laws pass under a suite memo without their triples when the space's
+    ledger (_associative_upto) reaches t_max.  One is a check marked
+    ``associativity``, fn being (ab)c = a(bc).  The other is a check with a
+    ``twist`` (built by _twist_move_check), fn being the move of the left
+    factor past via its twist, (x^a x^b) x^c = th x^b (x^a x^c) with
+    th = twist(a, b).  It passes when, besides, its pair law
+    x^a x^b = th x^b x^a holds on every pair of degree sum <= t_max, th read
+    from the same ``twist``: then, by associativity on the triple (b, a, c),
+      (x^a x^b) x^c = th (x^b x^a) x^c = th x^b (x^a x^c),
+    both sides 0 when x^a x^b is.  A premise that does not hold, or a pair
+    that fails, runs ``enumerate``, so the verdict and the first failing
+    triple are those of every triple in order."""
 
     name: str
     space: SpaceSpec
     fn: Callable[[MultiIndex, MultiIndex, MultiIndex], tuple[dict, dict]]
     associativity: bool = False
+    twist: Callable[[MultiIndex, MultiIndex], ScalarQ] | None = None
 
     def run(self, t_max: int) -> CheckResult:
-        if self.associativity and suite_memo.get() is not None and _associative_upto(
-                self.space, t_max):
+        if self._proved(t_max):
             return CheckResult(self.name, True, route="induction")
         return self.enumerate(t_max)
+
+    def _proved(self, t_max: int) -> bool:
+        """Whether the ledger, and for a twist its pair law, decide the law."""
+        if suite_memo.get() is None or not (self.associativity or self.twist is not None):
+            return False
+        return _associative_upto(self.space, t_max) and (
+            self.twist is None or self._twist_commutes(t_max))
+
+    def _twist_commutes(self, t_max: int) -> bool:
+        """Whether x^a x^b = twist(a, b) x^b x^a on every pair of degree sum
+        <= t_max, as (coefficient, key) pairs."""
+        space, twist = self.space, self.twist
+        levels = [basis_of_degree(space, t) for t in _degree_range(space, t_max)]
+        for ta, level in enumerate(levels):
+            for a in level:
+                for b in itertools.chain.from_iterable(levels[: t_max - ta + 1]):
+                    ab, ba = product_of(space, a, b), product_of(space, b, a)
+                    if ab is None and ba is None:
+                        continue
+                    if ab is None or ba is None or ab != (twist(a, b) * ba[0], ba[1]):
+                        return False
+        return True
 
     def enumerate(self, t_max: int) -> CheckResult:
         """The verdict from every triple."""
@@ -657,9 +720,10 @@ def run_checks(suite: str, space: SpaceSpec, checks: list, t_max: int) -> Relati
     table of superspaces.product_of, so each monomial product is computed
     once and then looked up, and under the keys (space, "atoms"), (space,
     "first") and (space, "associative") the atoms OperatorWord.rule has
-    validated through apply_atom, the first factors per degree (_first_factors) and the
-    associativity ledger (_associative_upto).  All of it is dropped when the
-    call returns or a check raises.
+    validated through apply_atom (a theta atom with its label's shape), the
+    first factors per degree (_first_factors) and the associativity ledger
+    (_associative_upto).  All of it is dropped when the call returns or a
+    check raises.
     """
     token = suite_memo.set({})
     try:
@@ -1057,6 +1121,18 @@ def leibniz_check(name: str, space: SpaceSpec, op: Map, left: Map = None,
     return coproduct_check(name, space, op, ((op, right), (left, op)))
 
 
+def _twist_move_check(name: str, space: SpaceSpec,
+                      twist: Callable[[MultiIndex, MultiIndex], ScalarQ]) -> TripleCheck:
+    """The law (x^a x^b) x^c = twist(a, b) x^b (x^a x^c), its triples and its
+    pair law (TripleCheck) reading one twist coefficient."""
+
+    def fn(a, b, c):
+        return (_terms(_chain(space, product_of(space, a, b), c, True)),
+                _terms(_chain(space, product_of(space, a, c), b, False), twist(a, b)))
+
+    return TripleCheck(name, space, fn, twist=twist)
+
+
 def _suite_leibniz(space: SpaceSpec) -> list:
     """Twisted Leibniz laws of the derivatives and the twist calculus:
     pairwise derivation laws (both grading-twist sign choices), the label
@@ -1090,7 +1166,8 @@ def _suite_leibniz(space: SpaceSpec) -> list:
     checks.append(PairCheck("monomial twisted commutation", space, comm_fn))
 
     def assoc_fn(a, b, c):
-        return _chain(space, a, b, c, True), _chain(space, a, b, c, False)
+        return (_terms(_chain(space, product_of(space, a, b), c, True)),
+                _terms(_chain(space, product_of(space, b, c), a, False)))
 
     checks.append(TripleCheck("associativity", space, assoc_fn, associativity=True))
 
@@ -1098,12 +1175,10 @@ def _suite_leibniz(space: SpaceSpec) -> list:
     def twist_image(a: MultiIndex) -> Callable:  # the twist word of a left factor
         return _w(space, theta_op(a)).rule.image
 
-    def twist_move_fn(a, b, c):
-        coeff, _ = twist_image(a)(b)  # a twist keeps b and never vanishes
-        # x^b (x^a x^c) times the twist's coefficient
-        return _chain(space, a, b, c, True), _chain(space, b, a, c, False, coeff)
+    def twist(a, b):
+        return twist_image(a)(b)[0]  # a twist keeps b and never vanishes
 
-    checks.append(TripleCheck("left factor moves past via its twist", space, twist_move_fn))
+    checks.append(_twist_move_check("left factor moves past via its twist", space, twist))
 
     # composite derivation law: (mult by a monomial) o d_i
     seeds = [idx for t in range(0, 3) for idx in basis_of_degree(space, t)][:6]

@@ -8,8 +8,10 @@ be those of the same law evaluated one tuple at a time on vectors.
 operators_equal compares a one-word side through its rule image and brings a
 longer side to the same form.  A law reduced to the pairs whose first factor
 lies in F must still fail, with the oracle's witness, when it is wrong only
-past F, when a twist is not a character word, or when the product is not
-associative just past t_max.
+past F or on the unit, when a twist is not a character word, or when the
+product is not associative just past t_max; the twist-move law decided from
+its pairs must fail through its triples when one twist coefficient is wrong.
+Every reduced pair and triple law must agree with its full enumeration.
 """
 
 import contextlib
@@ -32,6 +34,7 @@ from qgrass.uqrep import Gen, generator_word, verify_module_algebra
 from qgrass.weyl import (
     OperatorWord,
     PairCheck,
+    TripleCheck,
     apply_expr,
     apply_word,
     build_suite,
@@ -429,6 +432,90 @@ def test_a_structure_constant_wrong_past_t_max_keeps_the_composite_laws_enumerat
         assert result.route == ("enumeration" if raised else "induction"), check.name
         failed[raised] += not result.passed
     assert failed[True] > 0 and failed[False] == 0
+
+
+@MODES
+def test_a_leibniz_op_not_zero_on_the_unit_fails_at_the_unit_pair(mode):
+    # d1 plus the unit's coefficient, so op(1) = 1: the reduced route reads
+    # the unit row from the pair (1, 1) alone, which fails, and falls back
+    space = make_space(Family.OMEGA, 2, 1, mode)
+    d1, tw, s1 = leibniz_words(space)
+    unit = space.unit_index()
+
+    def op(u):
+        constant = {unit: u.terms[unit]} if unit in u.terms else {}
+        return apply_word(d1, u) + SuperVector(space, constant)
+
+    name = "d1 plus a constant"
+    check = leibniz_check(name, space, op, tw, s1)
+    law = leibniz_law(op, lambda z: apply_word(tw, z), lambda z: apply_word(s1, z))
+    expected = oracle(name, space, law, 2, 4)
+    assert expected["witness"]["pair"] == [str(unit)] * 2
+    result = run_result(space, check, 4)
+    assert result.to_json() == expected and result.route == "enumeration"
+
+
+@MODES
+def test_a_twist_move_coefficient_wrong_at_one_pair_fails_through_its_triples(mode):
+    # the twist coefficient of the pair (x1 x2, x3) with its sign flipped:
+    # the law's pair premise fails there, and the enumerated triples report
+    # the oracle's first failing triple
+    space = make_space(Family.OMEGA, 2, 1, mode)
+    name = "left factor moves past via its twist"
+    real = the_check(build_suite("leibniz", space), name).twist
+    a, b = (MultiIndex(e, space.shape) for e in ((1, 1, 0), (0, 0, 1)))
+    assert a.degree() == 2
+
+    def twist(x, y):
+        c = real(x, y)
+        return -c if (x, y) == (a, b) else c
+
+    def law(u, v, w):
+        (x,), (y,) = u.terms, v.terms
+        return multiply(multiply(u, v), w), multiply(v, multiply(u, w)).scaled(twist(x, y))
+
+    expected = oracle(name, space, law, 3, 4)
+    result = run_result(space, weyl._twist_move_check(name, space, twist), 4)
+    assert_mutation_caught(expected, result.to_json())
+    assert expected["witness"]["triple"][:2] == [str(a), str(b)]
+    assert result.route == "enumeration"
+
+
+class Enumerated:
+    """A check's full enumeration, run as a check of its own."""
+
+    def __init__(self, check):
+        self.check = check
+
+    def run(self, t_max):
+        return self.check.enumerate(t_max)
+
+
+CROSS_SPACES = [make_space(family, m, n, mode)
+                for family in (Family.OMEGA, Family.DUAL) for m, n in ((1, 1), (2, 1), (1, 2))
+                for mode in (GENERIC, root_of_unity(3), root_of_unity(8))] + [
+    make_space(Family.OMEGA_RESTRICTED, 2, 1, root_of_unity(3))]
+
+
+@pytest.mark.parametrize("space", CROSS_SPACES, ids=lambda space: "-".join(
+    str(v) for v in space.describe().values()))
+def test_every_reduced_law_agrees_with_its_enumeration(space, monkeypatch):
+    # the module-algebra laws, and on the polynomial side the leibniz suite's
+    # pair and triple laws, run as run_checks runs them and by enumerating
+    # every pair or triple under a memo of their own
+    t_max = 4
+    checks = verify_module_algebra_checks(monkeypatch, space)
+    if space.family is not Family.DUAL:
+        checks += build_suite("leibniz", space)
+    laws = [c for c in checks if isinstance(c, (PairCheck, TripleCheck))]
+    results = run_checks("laws", space, laws, t_max).results
+    enumerated = run_checks("laws", space, [Enumerated(c) for c in laws], t_max).results
+    assert [r.route for r in enumerated] == ["enumeration"] * len(laws)
+    assert [r.to_json() for r in results] == [r.to_json() for r in enumerated]
+    assert sum(r.route == "induction" for r in results) > len(laws) // 2
+    twist_moves = [r for c, r in zip(laws, results) if c.name == "left factor moves past via its twist"]
+    assert len(twist_moves) == (space.family is not Family.DUAL)
+    assert all(r.route == "induction" for r in twist_moves if r.passed)
 
 
 def test_default_pair_check_hands_the_law_each_pair_in_order():

@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from qgrass import cli, superspaces, uqrep, weyl
-from qgrass.indices import MultiIndex
+from qgrass.indices import MultiIndex, ShapeMismatchError
 from qgrass.qarith import GENERIC, q_int, root_of_unity
 from qgrass.superspaces import (
     Family,
@@ -35,6 +35,7 @@ from qgrass.weyl import (
     OperatorWord,
     PairCheck,
     Relation,
+    TripleCheck,
     apply_expr,
     apply_word,
     build_suite,
@@ -43,6 +44,7 @@ from qgrass.weyl import (
     partial,
     run_checks,
     tau,
+    theta_op,
 )
 
 D3 = root_of_unity(3)
@@ -394,25 +396,24 @@ class Enumerated:
 
 
 def test_the_sweep_reduces_its_pair_laws_and_agrees_with_enumeration(monkeypatch):
-    # every pair law and the associativity law of the sweep, decided by
-    # induction from the generators where run_checks can, against the
+    # every pair law and both triple laws of the sweep (associativity and the
+    # twist move), decided by induction where run_checks can, against the
     # enumeration of every pair or triple under a memo of its own
     routes, compared, suites = Counter(), 0, sweep_suites(monkeypatch)
     for suite, space, checks, t_max in suites:
         results = run_checks(suite, space, checks, t_max).results
         routes.update((type(c).__name__, r.route) for c, r in zip(checks, results))
-        reducible = [i for i, c in enumerate(checks)
-                     if isinstance(c, PairCheck) or getattr(c, "associativity", False)]
+        reducible = [i for i, c in enumerate(checks) if isinstance(c, (PairCheck, TripleCheck))]
         enumerated = run_checks(suite, space, [Enumerated(checks[i]) for i in reducible], t_max)
         assert [r.route for r in enumerated.results] == ["enumeration"] * len(reducible)
         assert [r.to_json() for r in enumerated.results] == [
             results[i].to_json() for i in reducible]
         compared += len(reducible)
-    assert compared == 41
+    assert compared == 42
     assert routes == {
         ("Relation", "normal form"): 669, ("Relation", "enumeration"): 98,
         ("PairCheck", "induction"): 39, ("PairCheck", "enumeration"): 1,
-        ("TripleCheck", "induction"): 1, ("TripleCheck", "enumeration"): 1,
+        ("TripleCheck", "induction"): 2,
     }
     # the one pair law left enumerated has no twists to reduce by
     names = [c.name for _, _, checks, _ in suites for c in checks
@@ -483,6 +484,28 @@ class InvalidInTwoWords:
 
 def test_words_sharing_an_invalid_atom_each_raise():
     assert run_checks("invalid", OMEGA21, [InvalidInTwoWords()], 2).passed
+
+
+def theta_relation(shape):
+    """Th(1,0) = Th(1,0) on omega (1|1), the label laid out in shape, in
+    words of its own."""
+    lab = MultiIndex((1, 0), shape)
+    return Relation(f"Th{lab}", (word(OMEGA11, theta_op(lab)),), (word(OMEGA11, theta_op(lab)),))
+
+
+@pytest.mark.parametrize("other_first", [False, True], ids=["own shape first", "other first"])
+def test_a_theta_label_of_another_shape_raises_after_an_equal_label_passed(other_first):
+    # theta atoms compare equal across label shapes, as MultiIndex does; the
+    # memo of validated atoms must not let the second label through
+    own, other = OMEGA11.shape, make_space(Family.DUAL, 1, 1).shape
+    assert own != other
+    assert theta_op(MultiIndex((1, 0), own)) == theta_op(MultiIndex((1, 0), other))
+    assert run_checks("own", OMEGA11, [theta_relation(own)], 2).passed
+    with pytest.raises(ShapeMismatchError):
+        run_checks("other", OMEGA11, [theta_relation(other)], 2)
+    shapes = (other, own) if other_first else (own, other)
+    with pytest.raises(ShapeMismatchError):
+        run_checks("both", OMEGA11, [theta_relation(shape) for shape in shapes], 2)
 
 
 def test_memo_is_open_only_inside_run_checks():
