@@ -76,22 +76,15 @@ class Gen(Enum):
     PARITY = "sigma"
 
 
-def _check_index(space: SpaceSpec, kind: Gen, i: int) -> None:
-    size = space.shape.size
-    if kind in (Gen.E, Gen.F, Gen.SK, Gen.SKINV):
-        if not 1 <= i <= size - 1:
-            raise ValueError(f"{kind.value}_{i}: index must lie in 1..{size - 1}")
-    elif kind in (Gen.K, Gen.KINV):
-        if not 1 <= i <= size:
-            raise ValueError(f"{kind.value}_{i}: index must lie in 1..{size}")
-
-
 def generator_word(kind: Gen, i: int, space: SpaceSpec) -> OperatorWord:
-    """Operator word realizing one Chevalley/toral generator on the space."""
+    """Operator word realizing one Chevalley/toral generator on the space:
+    K_i, K_i^-1 for i in 1..size, the parity for any i, the others for i in
+    1..size-1."""
     if space.family is Family.AFFINE:
         raise ValueError("generator actions are defined on the Grassmann-type spaces")
-    if kind is not Gen.PARITY:
-        _check_index(space, kind, i)
+    top = space.shape.size if kind in (Gen.K, Gen.KINV) else space.shape.size - 1
+    if kind is not Gen.PARITY and not 1 <= i <= top:
+        raise ValueError(f"{kind.value}_{i}: index must lie in 1..{top}")
     m = space.shape.m
     dual = space.family in DUAL_SIDE
 

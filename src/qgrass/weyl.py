@@ -9,24 +9,27 @@ Atomic operators send basis monomials to scalar multiples of basis monomials:
 * ``sigma(i, e)``, ``tau(i)``, ``theta_op(label)``, ``parity()`` -- diagonal
   twist automorphisms.
 
-Atoms are values hashed once, at construction.  Every constructor but
-``theta_op`` returns one shared atom per (kind, position, exponent), so the
-rule cache below finds it by identity; a twist label's shape is no part of
-MultiIndex equality, so theta atoms are built per call.  Neither cache calls
-anything perfbench traces, and atom validation is never memoised per process:
-a call repeated in one process makes the same apply_atom calls.
+Atoms are values hashed once, at construction; a theta atom's equality and
+hash see its label's shape, which MultiIndex equality ignores.  Every
+constructor but ``theta_op`` returns one shared atom per (kind, position,
+exponent), so the rule cache below finds it by identity; the interning cache
+would key on a label alone, so theta atoms are built per call.  Neither cache
+calls anything perfbench traces, so a call repeated in one process makes the
+same apply_atom calls.
 
 Each atom sends x^(a) to (-1)^(lam.a + lam0) q^(mu.a + mu0) times balanced
 binomials at x^(a + s), or to 0 outside a box of bounds: one
 superspaces.MonomialRule, built once per space and atom by ``_atom_rule``,
 the atom's one definition (x_i and x_i^(ell) being the left-multiplication
-rules of monomial_product).  ``apply_atom`` refuses an atom the space does
-not have, then reads that rule.  An OperatorWord is a scalar times a
-composition of atoms (rightmost acts first); it compiles once into one rule
-of that form, its atoms' rules composed by RuleBuilder.then, each atom first
-passed through apply_atom on the unit monomial.  Relation suites instantiate
-the defining relation systems of the derivative algebra, its pointed-Hopf
-cover, and the quantum Weyl algebra of (m|n)-type as operator identities.
+rules of monomial_product).  ``_atom_rule`` first refuses an atom the space
+does not have, and caches its checks with the rule; ``apply_atom`` reads
+that rule and refuses a monomial of another shape.  An OperatorWord is a
+scalar times a composition of atoms (rightmost acts first); it compiles
+once into one rule of that form, its atoms' rules composed by
+RuleBuilder.then, each atom first passed through apply_atom on the unit
+monomial.  Relation suites instantiate the defining relation systems of the
+derivative algebra, its pointed-Hopf cover, and the quantum Weyl algebra of
+(m|n)-type as operator identities.
 ``operators_equal`` decides a relation whose two sides are single words with
 rules of one normal form (``MonomialRule.same_map``) without enumeration,
 and it holds in every degree.  Any other relation is evaluated on graded
@@ -35,13 +38,13 @@ side by its summed image, so a pass means no failure up to ``t_max``.  Pair
 and triple laws run on term maps: a PairCheck takes one-factor images once
 per monomial, and a law g(uv) = sum g1(u) g2(v) reads g(uv) as c g(w) for
 uv = c x^w.  While ``run_checks`` runs one suite, every monomial product is
-computed once into a per-space table, and each atom is validated once per
-space (a theta atom once per label shape), both dropped when it returns.
-There, Leibniz and grouplike laws with character twists, and associativity,
-are checked with the first factor in a generating set F only (the unit by
-the pair (1, 1) alone), which PairCheck and _associative_upto prove decides
-them; the move of a left factor past via its twist is checked on its pairs,
-which TripleCheck proves decides it.
+computed once into a per-space table, and each atom passes apply_atom once
+per space, both dropped when it returns.  There, Leibniz and grouplike laws
+with character twists, and associativity, are checked with the first factor
+in a generating set F only (the unit by the pair (1, 1) alone), which
+PairCheck and _associative_upto prove decides them; the move of a left
+factor past via its twist is checked on its pairs, which TripleCheck proves
+decides it.
 """
 
 from __future__ import annotations
@@ -50,11 +53,11 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Sequence
 
-from .indices import MultiIndex, ShapeMismatchError, theta, twist_forms
+from .indices import MultiIndex, Shape, ShapeMismatchError, theta, twist_forms
 from .qarith import LaurentPoly, QParity, ScalarQ, add_term, char_of, q_factorial
 from .superspaces import (
     DUAL_SIDE,
@@ -123,10 +126,14 @@ class Atom:
     pos: int = 0
     exp: int = 1
     label: MultiIndex | None = None
+    # MultiIndex equality ignores a label's shape; atom equality does not
+    label_shape: Shape | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        object.__setattr__(self, "label_shape", None if self.label is None else self.label.shape)
         # every rule cache and word memo hashes its atoms; hash each once
-        object.__setattr__(self, "_hash", hash((self.kind, self.pos, self.exp, self.label)))
+        object.__setattr__(self, "_hash", hash((self.kind, self.pos, self.exp, self.label,
+                                                self.label_shape)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -175,53 +182,55 @@ def parity() -> Atom:
     return _interned(AtomKind.PARITY, 0, 1)
 
 
-_UNPOSITIONED = (AtomKind.THETA, AtomKind.PARITY)
-
-
 def apply_atom(space: SpaceSpec, atom: Atom, idx: MultiIndex) -> tuple[ScalarQ, MultiIndex] | None:
-    """One atomic operator on one basis monomial; None when the image is 0.
-    Refuses an atom the space does not have, then reads the atom's rule."""
-    kind = atom.kind
-    # theta and parity carry no position; every other kind needs 1..size
-    if not 0 < atom.pos <= space.shape.size and kind not in _UNPOSITIONED:
-        raise InvalidAtomError(f"{atom.render()}: position must lie in 1..{space.shape.size}")
-    if kind is AtomKind.TAU:
-        if space.family not in POLY_SIDE or not space.shape.is_fermionic_pos(atom.pos):
-            raise InvalidAtomError("tau acts on exterior directions of the polynomial side")
-    elif kind is AtomKind.THETA:
-        if space.family not in POLY_SIDE:
-            raise InvalidAtomError("twist labels act on the polynomial side")
-        if atom.label.shape != idx.shape:
-            raise ShapeMismatchError("shapes disagree")
-    elif kind is AtomKind.PARITY:
-        if space.family is Family.AFFINE:
-            raise InvalidAtomError("parity operator undefined on the affine superspace")
-    elif kind is AtomKind.MULT_X_DIV_POW:
-        if space.family is not Family.OMEGA or space.mode.is_generic:
-            raise InvalidAtomError("divided-power multiplication needs the unrestricted "
-                                   "Grassmann space at a root of unity")
-        if space.shape.is_fermionic_pos(atom.pos):
-            raise InvalidAtomError("divided-power multiplication is bosonic")
-    elif kind is AtomKind.PARTIAL and space.family is Family.AFFINE:
-        raise InvalidAtomError("derivatives act on the Grassmann-type spaces")
-    return _atom_rule(space, atom).image(idx)
+    """One atomic operator on one basis monomial of the space; None when the
+    image is 0.  Reads the atom's rule, which refuses an atom the space does
+    not have, then refuses a monomial of another shape."""
+    rule = _atom_rule(space, atom)
+    if idx.shape is not space.shape and idx.shape != space.shape:
+        raise ShapeMismatchError("shapes disagree")
+    return rule.image(idx)
 
 
 @functools.lru_cache(maxsize=None)
 def _atom_rule(space: SpaceSpec, atom: Atom) -> MonomialRule:
-    """The one definition of an atom the space has: its rule, from linear
-    forms in O(size), built once.  x_i and x_i^(ell) are the left-multiplication
-    rules that monomial_product reads."""
-    kind, p, mask = atom.kind, atom.pos - 1, space.shape.fermionic_mask
+    """The one definition of an atom: where the space has it and, if it does,
+    its rule, from linear forms in O(size).  A refusal comes first, position
+    before kind; an atom the space has passes those checks once, its rule
+    cached with them.  x_i and x_i^(ell) are the left-multiplication rules
+    that monomial_product reads."""
+    kind, family = atom.kind, space.family
+    # theta and parity carry no position; every other kind needs 1..size
+    if not 0 < atom.pos <= space.shape.size and kind not in (AtomKind.THETA, AtomKind.PARITY):
+        raise InvalidAtomError(f"{atom.render()}: position must lie in 1..{space.shape.size}")
+    if kind is AtomKind.TAU:
+        if family not in POLY_SIDE or not space.shape.is_fermionic_pos(atom.pos):
+            raise InvalidAtomError("tau acts on exterior directions of the polynomial side")
+    elif kind is AtomKind.THETA:
+        if family not in POLY_SIDE:
+            raise InvalidAtomError("twist labels act on the polynomial side")
+        if atom.label_shape != space.shape:
+            raise ShapeMismatchError("shapes disagree")
+    elif kind is AtomKind.PARITY:
+        if family is Family.AFFINE:
+            raise InvalidAtomError("parity operator undefined on the affine superspace")
+    elif kind is AtomKind.MULT_X_DIV_POW:
+        if family is not Family.OMEGA or space.mode.is_generic:
+            raise InvalidAtomError("divided-power multiplication needs the unrestricted "
+                                   "Grassmann space at a root of unity")
+        if space.shape.is_fermionic_pos(atom.pos):
+            raise InvalidAtomError("divided-power multiplication is bosonic")
+    elif kind is AtomKind.PARTIAL and family is Family.AFFINE:
+        raise InvalidAtomError("derivatives act on the Grassmann-type spaces")
     if kind is AtomKind.MULT_X or kind is AtomKind.MULT_X_DIV_POW:
         power = 1 if kind is AtomKind.MULT_X else char_of(space.mode).ell
         generator = MultiIndex.basis_vector(space.shape, atom.pos, power)
         return _left_mult_rule(space, generator.entries)
+    p, mask, poly = atom.pos - 1, space.shape.fermionic_mask, family in POLY_SIDE
     builder = RuleBuilder(space.mode, space.shape.size)
-    poly = space.family in POLY_SIDE
     if kind is AtomKind.SIGMA:
         # base -q on polynomial-side exterior directions; q^-1 on dual divided powers
-        exp = -atom.exp if space.family in DUAL_SIDE and not mask[p] else atom.exp
+        exp = -atom.exp if family in DUAL_SIDE and not mask[p] else atom.exp
         builder.form(p, exp, int(poly and mask[p]))
     elif kind is AtomKind.TAU:
         builder.form(p, 0, 1)
@@ -285,14 +294,13 @@ class OperatorWord:
         builder = RuleBuilder(space.mode, space.shape.size)
         unit = space.unit_index()
         for atom in reversed(self.atoms):
-            # apply_atom refuses an atom the space lacks; under a suite memo
-            # only the first time the atom appears on the space, a theta atom
-            # keyed with its label's shape, which atom equality ignores
-            key = atom if atom.label is None else (atom, atom.label.shape)
-            if valid is None or key not in valid:
+            # each atom passes through apply_atom on the unit monomial, which
+            # perfbench counts; under a suite memo only the first time the
+            # atom appears on the space
+            if valid is None or atom not in valid:
                 apply_atom(space, atom, unit)
                 if valid is not None:
-                    valid.add(key)
+                    valid.add(atom)
             builder.then(_atom_rule(space, atom))
         return builder.build(self.scalar)
 
@@ -720,10 +728,9 @@ def run_checks(suite: str, space: SpaceSpec, checks: list, t_max: int) -> Relati
     table of superspaces.product_of, so each monomial product is computed
     once and then looked up, and under the keys (space, "atoms"), (space,
     "first") and (space, "associative") the atoms OperatorWord.rule has
-    validated through apply_atom (a theta atom with its label's shape), the
-    first factors per degree (_first_factors) and the associativity ledger
-    (_associative_upto).  All of it is dropped when the call returns or a
-    check raises.
+    passed through apply_atom, the first factors per degree
+    (_first_factors) and the associativity ledger (_associative_upto).  All
+    of it is dropped when the call returns or a check raises.
     """
     token = suite_memo.set({})
     try:
@@ -765,16 +772,6 @@ def _sigma_x_factor(space: SpaceSpec, i: int, j: int) -> ScalarQ:
 
 
 # ---- the suites ------------------------------------------------------------
-
-
-SUITE_NAMES = (
-    "partials",
-    "dq",
-    "weyl-generic",
-    "weyl-odd-root",
-    "weyl-even-root",
-    "leibniz",
-)
 
 
 def _suite_partials(space: SpaceSpec) -> list:
@@ -1196,20 +1193,21 @@ def _suite_leibniz(space: SpaceSpec) -> list:
     return checks
 
 
+_SUITES: dict[str, Callable[[SpaceSpec], list]] = {
+    "partials": _suite_partials,
+    "dq": _suite_dq,
+    "weyl-generic": _suite_weyl_generic,
+    "weyl-odd-root": lambda space: _suite_weyl_root(space, QParity.ODD_ROOT),
+    "weyl-even-root": lambda space: _suite_weyl_root(space, QParity.EVEN_ROOT),
+    "leibniz": _suite_leibniz,
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def build_suite(suite: str, space: SpaceSpec) -> list:
-    if suite == "partials":
-        return _suite_partials(space)
-    if suite == "dq":
-        return _suite_dq(space)
-    if suite == "weyl-generic":
-        return _suite_weyl_generic(space)
-    if suite == "weyl-odd-root":
-        return _suite_weyl_root(space, QParity.ODD_ROOT)
-    if suite == "weyl-even-root":
-        return _suite_weyl_root(space, QParity.EVEN_ROOT)
-    if suite == "leibniz":
-        return _suite_leibniz(space)
-    raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    if suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    return _SUITES[suite](space)
 
 
 def verify_relation_suite(suite: str, space: SpaceSpec, t_max: int) -> RelationReport:

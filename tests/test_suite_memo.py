@@ -495,11 +495,10 @@ def theta_relation(shape):
 
 @pytest.mark.parametrize("other_first", [False, True], ids=["own shape first", "other first"])
 def test_a_theta_label_of_another_shape_raises_after_an_equal_label_passed(other_first):
-    # theta atoms compare equal across label shapes, as MultiIndex does; the
-    # memo of validated atoms must not let the second label through
+    # the labels are equal MultiIndex values of two shapes; the memo of
+    # validated atoms must not let the second label through
     own, other = OMEGA11.shape, make_space(Family.DUAL, 1, 1).shape
     assert own != other
-    assert theta_op(MultiIndex((1, 0), own)) == theta_op(MultiIndex((1, 0), other))
     assert run_checks("own", OMEGA11, [theta_relation(own)], 2).passed
     with pytest.raises(ShapeMismatchError):
         run_checks("other", OMEGA11, [theta_relation(other)], 2)

@@ -1,6 +1,6 @@
 import pytest
 
-from qgrass.indices import MultiIndex, ShapeMismatchError
+from qgrass.indices import MultiIndex, Shape, ShapeMismatchError
 from qgrass.qarith import GENERIC, q_int, root_of_unity
 from qgrass.superspaces import (
     Family,
@@ -8,8 +8,10 @@ from qgrass.superspaces import (
     basis_of_degree,
     make_space,
 )
+from qgrass.uqrep import Gen, generator_word
 from qgrass.weyl import (
     Atom,
+    AtomKind,
     InvalidAtomError,
     OperatorWord,
     apply_atom,
@@ -272,8 +274,145 @@ def test_a_twist_label_keeps_its_shape():
     assert a == b and a.shape != b.shape  # equality ignores the shape
     ta, tb = theta_op(a), theta_op(b)
     assert ta.label.shape is OMEGA11.shape and tb.label.shape is dual11.shape
-    assert ta == tb and hash(ta) == hash(tb)
+    assert ta != tb  # atom equality sees the label's shape
     unit = OMEGA11.unit_index()
     assert apply_atom(OMEGA11, ta, unit) == (OMEGA11.mode.one(), unit)
     with pytest.raises(ShapeMismatchError):
         apply_atom(OMEGA11, tb, unit)
+
+
+def test_twin_theta_atoms_of_two_shapes_are_two_keys_outside_a_suite():
+    # the process-wide rule cache keys on atoms: a label's twin of another
+    # shape must not find the first label's rule
+    own, other = OMEGA21.shape, make_space(Family.OMEGA, 1, 2).shape
+    ta, tb = theta_op(MultiIndex((1, 0, 0), own)), theta_op(MultiIndex((1, 0, 0), other))
+    assert word(OMEGA21, ta).rule.image(OMEGA21.unit_index()) is not None
+    with pytest.raises(ShapeMismatchError, match="shapes disagree"):
+        word(OMEGA21, tb).rule
+    assert len({ta, tb}) == 2
+
+
+# ---------------------------------------------------------------------------
+# where each atom and generator word exists: one refusal table
+# ---------------------------------------------------------------------------
+
+
+TABLE_SPACES = [make_space(family, m, n, mode)
+                for m, n in ((1, 1), (2, 1))
+                for family in Family
+                for mode in (GENERIC, D3, D8)
+                if mode is not GENERIC or family not in (Family.OMEGA_RESTRICTED,
+                                                         Family.DUAL_RESTRICTED)]
+TABLE_IDS = [f"{s.family.value}({s.shape.m}|{s.shape.n})-"
+             f"{'generic' if s.mode.is_generic else f'd{s.mode.d}'}" for s in TABLE_SPACES]
+POLY = (Family.OMEGA, Family.OMEGA_RESTRICTED)
+POSITIONED = [(AtomKind.PARTIAL, 1, "d"), (AtomKind.MULT_X, 1, "x"),
+              (AtomKind.MULT_X_DIV_POW, 1, "X"), (AtomKind.SIGMA, 1, "s"),
+              (AtomKind.SIGMA, -1, "sinv"), (AtomKind.TAU, 1, "t")]
+
+
+def other_shapes(space):
+    """The shapes of the space's size but its own: the polynomial layout, the
+    other polynomial split ((1|2) against (2|1), (2|0) against (1|1)) and the
+    dual layout, all without an exponent cap."""
+    m, n = space.shape.m, space.shape.n
+    flipped = Shape(n, m) if m != n else Shape(m + 1, n - 1)
+    return [s for s in (Shape(m, n), flipped, Shape(m, n, fermionic_first=True))
+            if s != space.shape]
+
+
+def atom_rows(space):
+    """(atom, expected refusal) for every atom kind at positions 0..size + 1,
+    theta labels laid out in every shape of the space's size; the refusal is
+    (error type, message), or None where the space has the atom."""
+    family, m, size = space.family, space.shape.m, space.shape.size
+    for pos in range(size + 2):
+        exterior = pos > m  # on the polynomial side
+        for kind, exp, name in POSITIONED:
+            atom = Atom(kind, pos, exp)
+            if not 1 <= pos <= size:
+                yield atom, (InvalidAtomError, f"{name}{pos}: position must lie in 1..{size}")
+            elif kind is AtomKind.TAU and (family not in POLY or not exterior):
+                yield atom, (InvalidAtomError,
+                             "tau acts on exterior directions of the polynomial side")
+            elif kind is AtomKind.MULT_X_DIV_POW and (family is not Family.OMEGA
+                                                      or space.mode.is_generic):
+                yield atom, (InvalidAtomError, "divided-power multiplication needs the "
+                             "unrestricted Grassmann space at a root of unity")
+            elif kind is AtomKind.MULT_X_DIV_POW and exterior:
+                yield atom, (InvalidAtomError, "divided-power multiplication is bosonic")
+            elif kind is AtomKind.PARTIAL and family is Family.AFFINE:
+                yield atom, (InvalidAtomError, "derivatives act on the Grassmann-type spaces")
+            else:
+                yield atom, None
+        # theta and parity carry no position: every position reads the same
+        yield Atom(AtomKind.PARITY, pos), (
+            (InvalidAtomError, "parity operator undefined on the affine superspace")
+            if family is Family.AFFINE else None)
+        for shape in [space.shape] + other_shapes(space):
+            atom = Atom(AtomKind.THETA, pos, 1, MultiIndex.basis_vector(shape, 1))
+            if family not in POLY:
+                yield atom, (InvalidAtomError, "twist labels act on the polynomial side")
+            elif shape != space.shape:
+                yield atom, (ShapeMismatchError, "shapes disagree")
+            else:
+                yield atom, None
+
+
+def outcome(fn, *args):
+    """fn(*args), or the (type, message) of the ValueError it raises."""
+    try:
+        fn(*args)
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
+@pytest.mark.parametrize("space", TABLE_SPACES, ids=TABLE_IDS)
+def test_each_atom_is_refused_where_the_space_lacks_it(space):
+    unit = space.unit_index()
+    rows = list(atom_rows(space))
+    assert any(want is None for _, want in rows) and any(want for _, want in rows)
+    for atom, want in rows:
+        for _ in range(2):  # a refusal holds on every call, not only the first
+            assert outcome(apply_atom, space, atom, unit) == want, (atom, want)
+            assert outcome(lambda: word(space, atom).rule) == want, (atom, want)
+
+
+@pytest.mark.parametrize("space", TABLE_SPACES, ids=TABLE_IDS)
+def test_each_atom_refuses_a_monomial_of_another_shape(space):
+    atoms = [atom for atom, want in atom_rows(space) if want is None]
+    for shape in other_shapes(space):
+        for entries in ((0,) * shape.size, (1,) * shape.size):
+            idx = MultiIndex(entries, shape)
+            for atom in atoms:
+                assert outcome(apply_atom, space, atom, idx) == (
+                    ShapeMismatchError, "shapes disagree"), (atom, shape, entries)
+
+
+def test_sigma_is_not_read_with_another_shapes_parity():
+    # sigma_3 is exterior on (2|1) and bosonic on (1|2)
+    idx = MultiIndex((1, 0, 1), make_space(Family.OMEGA, 1, 2).shape)
+    with pytest.raises(ShapeMismatchError, match="shapes disagree"):
+        apply_atom(OMEGA21, sigma(3), idx)
+
+
+GEN_NAMES = {Gen.E: "E", Gen.F: "F", Gen.K: "K", Gen.KINV: "Kinv", Gen.SK: "SK",
+             Gen.SKINV: "SKinv", Gen.PARITY: "sigma"}
+
+
+@pytest.mark.parametrize("space", TABLE_SPACES, ids=TABLE_IDS)
+def test_each_generator_word_is_refused_outside_its_index_range(space):
+    size = space.shape.size
+    assert set(GEN_NAMES) == set(Gen)
+    for kind, name in GEN_NAMES.items():
+        top = size if kind in (Gen.K, Gen.KINV) else size - 1
+        for i in range(size + 2):
+            if space.family is Family.AFFINE:
+                want = ValueError, "generator actions are defined on the Grassmann-type spaces"
+            elif kind is not Gen.PARITY and not 1 <= i <= top:
+                want = ValueError, f"{name}_{i}: index must lie in 1..{top}"
+            else:
+                want = None
+            # an accepted word's atoms all exist on the space
+            assert outcome(lambda: generator_word(kind, i, space).rule) == want, (kind, i)
