@@ -30,11 +30,13 @@ RuleBuilder.then, each atom first passed through apply_atom on the unit
 monomial.  Relation suites instantiate the defining relation systems of the
 derivative algebra, its pointed-Hopf cover, and the quantum Weyl algebra of
 (m|n)-type as operator identities.
-``operators_equal`` decides a relation whose two sides are single words with
-rules of one normal form (``MonomialRule.same_map``) without enumeration,
-and it holds in every degree.  Any other relation is evaluated on graded
-bases up to a degree bound, a one-word side by its rule image and a longer
-side by its summed image, so a pass means no failure up to ``t_max``.  Pair
+``operators_equal`` decides without enumeration, and in every degree, a
+relation whose sides are single words with rules of one normal form
+(``MonomialRule.same_map``), or sums of rules with one exponential
+polynomial per shift and cell (``_sums_agree``, by Dedekind-Artin).  Any
+other relation is evaluated on graded bases up to a degree bound, a one-word
+side by its rule image and a longer side by its summed image, so a pass
+means no failure up to ``t_max``.  Pair
 and triple laws run on term maps: a PairCheck takes one-factor images once
 per monomial, and a law g(uv) = sum g1(u) g2(v) reads g(uv) as c g(w) for
 uv = c x^w.  While ``run_checks`` runs one suite, every monomial product is
@@ -373,12 +375,29 @@ def _side_image(rules: list[MonomialRule]) -> Callable:
 
 def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int) -> EqualityResult:
     """Compare two operator expressions: two one-word sides whose rules share
-    one normal form (MonomialRule.same_map) are equal in every degree; any
-    other pair is evaluated on all basis monomials of degree <= t_max, and a
-    failure reports the first witness monomial.  In generic mode, where some
-    word scalar has a denominator, both sides are evaluated times the product
-    D of the distinct denominators: D != 0, so the sides are equal exactly
-    when D times them are, and every image stays in Z[v^+-1], clear of gcds."""
+    one normal form (MonomialRule.same_map) are equal in every degree, and
+    so are two sums of rules that _sums_agree proves equal; any other pair
+    is evaluated on all basis monomials of degree <= t_max, and a failure
+    reports the first witness monomial.  In generic mode both sides are
+    taken times the product D != 0 of the distinct denominators of word
+    scalars, so every image stays in Z[v^+-1], clear of gcds.
+
+    _sums_agree's proof.  Rules of different shifts reach different
+    monomials, so each shift's rules must sum to 0 alone.  Cut each
+    unbounded position at the bounds of the group's checks: a point per
+    value below the last cut L_i, then the cell a_i >= L_i; an exterior
+    position takes 0 and 1.  On a cell each check is constant, and a rule
+    times (v - v^-1)^b, b the group's most binomials, is a sum of terms
+    c v^e prod_i chi_i(a_i) over its symbolic positions, c in Q[v^+-1] and
+    chi_i(a) = (-1)^(lam_i a) v^(mu_i a), the forms giving lam_i, mu_i and
+    each [a + off + 1] (v - v^-1) = v^(a+off+1) - v^-(a+off+1) two terms.
+    Distinct characters of N^k are linearly independent over the field on
+    any translate of N^k (Dedekind-Artin), so the cell's sum vanishes iff
+    the coefficient of each character does.  At a root of unity of order d
+    the key (lam mod 2, mu mod d) only merges equal characters, so a
+    vanishing sum still proves the identity; (-1)^a and q^((d/2) a) keep two
+    keys, and their sum is left to enumeration.  So are restricted spaces,
+    caps and binomials [x choose k] with k != 1."""
     exprA, exprB = _as_expr(wA), _as_expr(wB)
     space = (exprA or exprB)[0].space
     if any(w.space is not space and w.space != space for w in exprA + exprB):
@@ -392,6 +411,8 @@ def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int
         if dens:
             clear = space.mode.from_laurent(math.prod(dens, start=one))
             rulesA, rulesB = [r.times(clear) for r in rulesA], [r.times(clear) for r in rulesB]
+    if _sums_agree(space, rulesA, rulesB):
+        return EqualityResult(True, route="normal form")  # equal in every degree
     sideA, sideB = _side_image(rulesA), _side_image(rulesB)
     for t in _degree_range(space, t_max):
         for idx in basis_of_degree(space, t):
@@ -406,6 +427,65 @@ def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int
                     },
                 )
     return EqualityResult(True)
+
+
+def _sums_agree(space: SpaceSpec, rulesA: list[MonomialRule], rulesB: list[MonomialRule]) -> bool:
+    """True only when the rules of rulesA sum to those of rulesB on every
+    basis monomial of every degree (the proof: operators_equal); False when
+    the sums differ somewhere or the route cannot tell."""
+    rules = [(1, r) for r in rulesA] + [(-1, r) for r in rulesB]
+    mode, mask, dv = space.mode, space.shape.fermionic_mask, LaurentPoly({1: 1, -1: -1})
+    if space.shape.restricted_ell is not None or any(
+            any(c[4] for c in r.checks) or any(k != 1 for _, _, k in r.binoms)
+            or r.scale is not None and r.scale.den not in (None, LaurentPoly.one())
+            for _, r in rules):
+        return False
+    groups: dict[tuple[int, ...], list] = {}
+    for sign, r in rules:
+        groups.setdefault(r.shift, []).append((sign, r))
+    for group in groups.values():
+        top, terms, cut = max(len(r.binoms) for _, r in group), [], [0] * len(mask)
+        for sign, r in group:
+            scale = (LaurentPoly.one() if r.scale is None else r.scale.num if mode.is_generic
+                     else LaurentPoly(dict(enumerate(r.scale.res))))
+            terms.append((sign, r, math.prod([dv] * (top - len(r.binoms)), start=scale).coeffs))
+            for i, lo, hi, _, _ in r.checks:  # sys.maxsize - s is no bound
+                cut[i] = max(cut[i], lo, hi + 1 if hi < sys.maxsize // 2 else 0)
+        # per position: the points (a, False) below its last cut L, then (L, True) for a_i >= L
+        for cell in itertools.product(*(((0, False), (1, False)) if fer else
+                                        [(a, False) for a in range(L)] + [(L, True)]
+                                        for fer, L in zip(mask, cut))):
+            sums: dict[tuple, dict[int, int]] = {}
+            for sign, r, base in terms:
+                if all(lo <= cell[i][0] <= hi for i, lo, hi, _, _ in r.checks):
+                    _add_terms(sums, sign, r, base, cell, mode.d)
+            if any(not mode.from_laurent(LaurentPoly(acc)).is_zero() for acc in sums.values()):
+                return False
+    return True
+
+
+def _add_terms(sums: dict, sign: int, r: MonomialRule, base: dict, cell: tuple, d: int | None):
+    """sign times r, its scale and missing binomials' (v - v^-1) as base, on
+    a cell, into sums: a Laurent polynomial per character (lam mod 2, mu mod d)."""
+    e, odd, mu, lam = r.mu0, r.lam0, [0] * len(cell), [0] * len(cell)
+    for i, m, l in r.forms:
+        a, symbolic = cell[i]
+        if symbolic:
+            mu[i], lam[i] = m, l
+        else:
+            e, odd = e + m * a, odd + l * a
+    lam = tuple(lam)
+    # [x] (v - v^-1) = v^x - v^-x, x = a_i + off + 1: one term per choice of signs
+    for signs in itertools.product((1, -1), repeat=len(r.binoms)):
+        e_t, odd_t, mu_t = e, odd, list(mu)
+        for s, (i, off, _) in zip(signs, r.binoms):
+            a, symbolic = cell[i]
+            e_t, odd_t = e_t + s * (off + 1 + (0 if symbolic else a)), odd_t + (s < 0)
+            mu_t[i] += s if symbolic else 0
+        acc = sums.setdefault((lam, tuple(m % d for m in mu_t) if d else tuple(mu_t)), {})
+        c0 = -sign if odd_t & 1 else sign
+        for k, c in base.items():
+            acc[k + e_t] = acc.get(k + e_t, 0) + c0 * c
 
 
 # ---------------------------------------------------------------------------

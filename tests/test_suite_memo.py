@@ -2,8 +2,9 @@
 
 run_checks memoises monomial products for the length of one call; every
 report must be the one the checks give without the memo, and operators_equal
-must decide and witness exactly as evaluation on monomial vectors does.  The
-sweep's pair and associativity laws, decided by induction where they can be,
+must decide and witness exactly as evaluation on monomial vectors does; a
+relation it proves in every degree must hold past t_max too.  The sweep's
+pair and associativity laws, decided by induction where they can be,
 must agree with their full enumeration.
 """
 
@@ -21,6 +22,7 @@ from qgrass.indices import MultiIndex, ShapeMismatchError
 from qgrass.qarith import GENERIC, q_int, root_of_unity
 from qgrass.superspaces import (
     Family,
+    RuleBuilder,
     SuperVector,
     basis_of_degree,
     make_space,
@@ -411,7 +413,7 @@ def test_the_sweep_reduces_its_pair_laws_and_agrees_with_enumeration(monkeypatch
         compared += len(reducible)
     assert compared == 42
     assert routes == {
-        ("Relation", "normal form"): 669, ("Relation", "enumeration"): 98,
+        ("Relation", "normal form"): 724, ("Relation", "enumeration"): 43,
         ("PairCheck", "induction"): 39, ("PairCheck", "enumeration"): 1,
         ("TripleCheck", "induction"): 2,
     }
@@ -419,6 +421,92 @@ def test_the_sweep_reduces_its_pair_laws_and_agrees_with_enumeration(monkeypatch
     names = [c.name for _, _, checks, _ in suites for c in checks
              if isinstance(c, PairCheck) and c.twists is None]
     assert names == ["monomial twisted commutation"]
+
+
+def mutations(rel):
+    """The relation with one word scaled by q, or dropped, one at a time."""
+    for side in (0, 1):
+        words = (rel.lhs, rel.rhs)[side]
+        for k, w in enumerate(words):
+            for new in ((w.scaled(w.space.mode.q()),), ()):
+                changed = words[:k] + new + words[k + 1:]
+                yield (changed, rel.rhs) if side == 0 else (rel.lhs, changed)
+
+
+def test_the_sums_route_is_sound_on_the_sweep_and_its_mutations(monkeypatch):
+    # every Relation of the sweep decided in every degree holds by vector
+    # enumeration two degrees past its t_max, and so does every mutation that
+    # is decided so; a mutation the route refuses falls to enumeration
+    decided, counts = 0, Counter()
+    for _, _, checks, t_max in sweep_suites(monkeypatch):
+        for rel in (c for c in checks if isinstance(c, Relation)):
+            if operators_equal(rel.lhs, rel.rhs, t_max).route == "normal form":
+                assert vector_level_equal(rel.lhs, rel.rhs, t_max + 2) == (True, None)
+                decided += 1
+            for lhs, rhs in mutations(rel):
+                if not lhs and not rhs:
+                    continue
+                if operators_equal(lhs, rhs, t_max).route != "normal form":
+                    counts["refused"] += 1
+                    continue
+                assert vector_level_equal(lhs, rhs, t_max + 2) == (True, None)
+                counts["equal"] += 1
+    assert decided == 724
+    assert counts == {"refused": 3032, "equal": 71}
+
+
+def test_the_sums_route_refuses_what_holds_only_up_to_t_max():
+    # d1^(t+1) kills every monomial of degree <= t, but not x1^(t+1): the
+    # route refuses it, so the verdict and report are the enumeration's
+    t = 5
+    lhs = (word(OMEGA21, *[partial(1)] * (t + 1)),)
+    assert not weyl._sums_agree(OMEGA21, [lhs[0].rule], [])
+    res = operators_equal(lhs, (), t)
+    assert (res.equal, res.route) == (True, "enumeration")
+    report = run_checks("beyond", OMEGA21, [Relation("d1^6 = 0", lhs, ())], t)
+    assert report.to_json()["relations"] == [{"name": "d1^6 = 0", "status": "pass"}]
+    res = operators_equal(lhs, (), t + 1)
+    assert (res.equal, res.witness) == vector_level_equal(lhs, (), t + 1)
+    assert res.witness["monomial"] == str(MultiIndex((t + 1, 0, 0), OMEGA21.shape))
+    # a Weyl relation with a wrong coefficient fails in low degree, with the
+    # first witness of vector enumeration
+    q = OMEGA21.mode.q()
+    lhs = (word(OMEGA21, partial(1), mult_x(1)), word(OMEGA21, mult_x(1), partial(1), coeff=-q * q))
+    rhs = (word(OMEGA21, weyl.sigma(1, -1)),)
+    assert operators_equal(lhs[:1] + (lhs[1].scaled(q.inverse()),), rhs, t).route == "normal form"
+    res = operators_equal(lhs, rhs, t)
+    assert (res.equal, res.witness) == vector_level_equal(lhs, rhs, t)
+    assert res.witness is not None
+
+
+@pytest.mark.parametrize("d", [5, 8])
+def test_the_sums_route_keys_characters_mod_d(d):
+    # hand-built rules x^(a) -> (-1)^(lam.a) q^(mu.a) scale x^(a) on two
+    # divided-power positions at a primitive d-th root of unity
+    space = make_space(Family.OMEGA, 2, 0, root_of_unity(d))
+
+    def rule(*forms, scale=None):
+        builder = RuleBuilder(space.mode, 2)
+        for i, m, l in forms:
+            builder.form(i, m, l)
+        return builder.build(scale)
+
+    agree = weyl._sums_agree
+    assert agree(space, [rule((0, 2, 0))], [rule((0, 2 + d, 0))])
+    assert agree(space, [rule((0, 1, 0), (1, -1, 1))] * 2,
+                 [rule((0, 1 + d, 0), (1, d - 1, 1), scale=space.mode.scalar(2))])
+    assert not agree(space, [rule((0, 1, 0))], [rule((0, 2, 0))])
+    assert not agree(space, [rule((0, 1, 0))], [rule((1, 1, 0))])
+    assert not agree(space, [rule((0, 1, 1))], [rule((0, 1, 0))])
+    assert not agree(space, [rule((0, 1, 0))] * 2, [rule((0, 1, 0))])
+    # (-1)^a is q^((d/2) a) at even d; the keys do not fold signs, so the
+    # route refuses that sum and leaves it to enumeration
+    if d % 2 == 0:
+        assert not agree(space, [rule((0, 0, 1))], [rule((0, d // 2, 0))])
+        assert all(rule((0, 0, 1)).image(idx) == rule((0, d // 2, 0)).image(idx)
+                   for t in range(12) for idx in basis_of_degree(space, t))
+    else:
+        assert not any(agree(space, [rule((0, 0, 1))], [rule((0, m, 0))]) for m in range(d))
 
 
 def test_mixed_space_expression_raises():
