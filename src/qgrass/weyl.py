@@ -33,20 +33,20 @@ derivative algebra, its pointed-Hopf cover, and the quantum Weyl algebra of
 ``operators_equal`` decides without enumeration, and in every degree, a
 relation whose sides are single words with rules of one normal form
 (``MonomialRule.same_map``), or sums of rules with one exponential
-polynomial per shift and cell (``_sums_agree``, by Dedekind-Artin).  Any
-other relation is evaluated on graded bases up to a degree bound, a one-word
-side by its rule image and a longer side by its summed image, so a pass
-means no failure up to ``t_max``.  Pair
-and triple laws run on term maps: a PairCheck takes one-factor images once
-per monomial, and a law g(uv) = sum g1(u) g2(v) reads g(uv) as c g(w) for
-uv = c x^w.  While ``run_checks`` runs one suite, every monomial product is
-computed once into a per-space table, and each atom passes apply_atom once
-per space, both dropped when it returns.  There, Leibniz and grouplike laws
-with character twists, and associativity, are checked with the first factor
-in a generating set F only (the unit by the pair (1, 1) alone), which
-PairCheck and _associative_upto prove decides them; the move of a left
-factor past via its twist is checked on its pairs, which TripleCheck proves
-decides it.
+polynomial per shift and cell (``_sums_agree``, by Dedekind-Artin, on no
+more cells than there are monomials up to ``t_max``).  Any other relation is
+evaluated on graded bases up to a degree bound, a one-word side by its rule
+image and a longer side by its summed image, so a pass means no failure up
+to ``t_max``.  Pair and triple laws run on term maps: a PairCheck takes
+one-factor images once per monomial, and a law g(uv) = sum g1(u) g2(v) reads
+g(uv) as c g(w) for uv = c x^w.  While ``run_checks`` runs one suite, every
+monomial product is computed once into a per-space table, and each atom
+passes apply_atom once per space, both dropped when it returns.  There,
+Leibniz and grouplike laws with character twists, and associativity, are
+checked with the first factor in a generating set F only (the unit by the
+pair (1, 1) alone), which PairCheck and _associative_upto prove decides
+them; the move of a left factor past via its twist is checked on its pairs,
+which TripleCheck proves decides it.
 """
 
 from __future__ import annotations
@@ -386,9 +386,10 @@ def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int
     monomials, so each shift's rules must sum to 0 alone.  Cut each
     unbounded position at the bounds of the group's checks: a point per
     value below the last cut L_i, then the cell a_i >= L_i; an exterior
-    position takes 0 and 1.  On a cell each check is constant, and a rule
-    times (v - v^-1)^b, b the group's most binomials, is a sum of terms
-    c v^e prod_i chi_i(a_i) over its symbolic positions, c in Q[v^+-1] and
+    position takes 0 and 1, or 0 alone when no check, form or binomial of
+    the group reads it.  On a cell each check is constant, and a rule times
+    (v - v^-1)^b, b the group's most binomials, is a sum of terms c v^e
+    prod_i chi_i(a_i) over its symbolic positions, c in Q[v^+-1] and
     chi_i(a) = (-1)^(lam_i a) v^(mu_i a), the forms giving lam_i, mu_i and
     each [a + off + 1] (v - v^-1) = v^(a+off+1) - v^-(a+off+1) two terms.
     Distinct characters of N^k are linearly independent over the field on
@@ -397,7 +398,9 @@ def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int
     the key (lam mod 2, mu mod d) only merges equal characters, so a
     vanishing sum still proves the identity; (-1)^a and q^((d/2) a) keep two
     keys, and their sum is left to enumeration.  So are restricted spaces,
-    caps and binomials [x choose k] with k != 1."""
+    caps, binomials [x choose k] with k != 1, and a shift with more cells
+    than there are monomials of degree <= t_max: the route never visits more
+    cells than enumeration visits monomials."""
     exprA, exprB = _as_expr(wA), _as_expr(wB)
     space = (exprA or exprB)[0].space
     if any(w.space is not space and w.space != space for w in exprA + exprB):
@@ -411,30 +414,28 @@ def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int
         if dens:
             clear = space.mode.from_laurent(math.prod(dens, start=one))
             rulesA, rulesB = [r.times(clear) for r in rulesA], [r.times(clear) for r in rulesB]
-    if _sums_agree(space, rulesA, rulesB):
+    if _sums_agree(space, rulesA, rulesB, t_max):
         return EqualityResult(True, route="normal form")  # equal in every degree
     sideA, sideB = _side_image(rulesA), _side_image(rulesB)
     for t in _degree_range(space, t_max):
         for idx in basis_of_degree(space, t):
             if sideA(idx) != sideB(idx):
                 u = SuperVector.monomial(space, idx)
-                return EqualityResult(
-                    False,
-                    {
-                        "monomial": str(idx),
-                        "lhs_image": apply_expr(exprA, u).to_json(),
-                        "rhs_image": apply_expr(exprB, u).to_json(),
-                    },
-                )
+                return EqualityResult(False, {"monomial": str(idx),
+                                              "lhs_image": apply_expr(exprA, u).to_json(),
+                                              "rhs_image": apply_expr(exprB, u).to_json()})
     return EqualityResult(True)
 
 
-def _sums_agree(space: SpaceSpec, rulesA: list[MonomialRule], rulesB: list[MonomialRule]) -> bool:
+def _sums_agree(space: SpaceSpec, rulesA: list[MonomialRule], rulesB: list[MonomialRule],
+                t_max: int) -> bool:
     """True only when the rules of rulesA sum to those of rulesB on every
-    basis monomial of every degree (the proof: operators_equal); False when
-    the sums differ somewhere or the route cannot tell."""
+    basis monomial of every degree (the proof and the cell budget:
+    operators_equal); False when the sums differ or the route cannot tell."""
     rules = [(1, r) for r in rulesA] + [(-1, r) for r in rulesB]
     mode, mask, dv = space.mode, space.shape.fermionic_mask, LaurentPoly({1: 1, -1: -1})
+    f, b = sum(mask), len(mask) - sum(mask)  # monomials of degree <= t_max: the budget
+    budget = sum(math.comb(f, k) * math.comb(t_max - k + b, b) for k in range(min(f, t_max) + 1))
     if space.shape.restricted_ell is not None or any(
             any(c[4] for c in r.checks) or any(k != 1 for _, _, k in r.binoms)
             or r.scale is not None and r.scale.den not in (None, LaurentPoly.one())
@@ -444,17 +445,21 @@ def _sums_agree(space: SpaceSpec, rulesA: list[MonomialRule], rulesB: list[Monom
     for sign, r in rules:
         groups.setdefault(r.shift, []).append((sign, r))
     for group in groups.values():
-        top, terms, cut = max(len(r.binoms) for _, r in group), [], [0] * len(mask)
+        top, terms, cut, read = max(len(r.binoms) for _, r in group), [], [0] * len(mask), set()
         for sign, r in group:
             scale = (LaurentPoly.one() if r.scale is None else r.scale.num if mode.is_generic
                      else LaurentPoly(dict(enumerate(r.scale.res))))
             terms.append((sign, r, math.prod([dv] * (top - len(r.binoms)), start=scale).coeffs))
+            read.update(c[0] for c in r.checks + r.forms + r.binoms)
             for i, lo, hi, _, _ in r.checks:  # sys.maxsize - s is no bound
                 cut[i] = max(cut[i], lo, hi + 1 if hi < sys.maxsize // 2 else 0)
         # per position: the points (a, False) below its last cut L, then (L, True) for a_i >= L
-        for cell in itertools.product(*(((0, False), (1, False)) if fer else
-                                        [(a, False) for a in range(L)] + [(L, True)]
-                                        for fer, L in zip(mask, cut))):
+        axes = [((0, False), (1, False))[:1 + (i in read)] if fer else
+                [(a, False) for a in range(L)] + [(L, True)]
+                for i, (fer, L) in enumerate(zip(mask, cut))]
+        if math.prod(map(len, axes)) > budget:
+            return False
+        for cell in itertools.product(*axes):
             sums: dict[tuple, dict[int, int]] = {}
             for sign, r, base in terms:
                 if all(lo <= cell[i][0] <= hi for i, lo, hi, _, _ in r.checks):

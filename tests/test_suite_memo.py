@@ -460,7 +460,7 @@ def test_the_sums_route_refuses_what_holds_only_up_to_t_max():
     # route refuses it, so the verdict and report are the enumeration's
     t = 5
     lhs = (word(OMEGA21, *[partial(1)] * (t + 1)),)
-    assert not weyl._sums_agree(OMEGA21, [lhs[0].rule], [])
+    assert not weyl._sums_agree(OMEGA21, [lhs[0].rule], [], t)
     res = operators_equal(lhs, (), t)
     assert (res.equal, res.route) == (True, "enumeration")
     report = run_checks("beyond", OMEGA21, [Relation("d1^6 = 0", lhs, ())], t)
@@ -479,6 +479,35 @@ def test_the_sums_route_refuses_what_holds_only_up_to_t_max():
     assert res.witness is not None
 
 
+def test_the_sums_route_visits_no_more_cells_than_enumeration_visits_monomials(monkeypatch):
+    # on omega (1|12) at t_max 1 the Weyl and U_q(gl(1|12)) relations read
+    # a few positions each: per rule the route visits at most as many cells
+    # as enumeration visits monomials, and every verdict and witness is the
+    # enumeration's
+    space, t_max = make_space(Family.OMEGA, 1, 12), 1
+    monomials = sum(len(basis_of_degree(space, t)) for t in range(t_max + 1))
+    cells, add_terms = Counter(), weyl._add_terms
+
+    def counted(*args):
+        cells["rules"] += 1
+        return add_terms(*args)
+
+    with monkeypatch.context() as patch:
+        suites = record_suites(patch)
+        weyl.verify_relation_suite("weyl-generic", space, t_max)
+        verify_uq_relations(space, t_max)
+    monkeypatch.setattr(weyl, "_add_terms", counted)
+    routes = Counter()
+    for _, _, checks, _ in suites:
+        for rel in (c for c in checks if isinstance(c, Relation)):
+            cells.clear()
+            res = operators_equal(rel.lhs, rel.rhs, t_max)
+            assert cells["rules"] <= monomials * (len(rel.lhs) + len(rel.rhs))
+            assert (res.equal, res.witness) == vector_level_equal(rel.lhs, rel.rhs, t_max)
+            routes[res.route] += 1
+    assert routes == {"normal form": 3017, "enumeration": 118}
+
+
 @pytest.mark.parametrize("d", [5, 8])
 def test_the_sums_route_keys_characters_mod_d(d):
     # hand-built rules x^(a) -> (-1)^(lam.a) q^(mu.a) scale x^(a) on two
@@ -491,22 +520,24 @@ def test_the_sums_route_keys_characters_mod_d(d):
             builder.form(i, m, l)
         return builder.build(scale)
 
-    agree = weyl._sums_agree
-    assert agree(space, [rule((0, 2, 0))], [rule((0, 2 + d, 0))])
-    assert agree(space, [rule((0, 1, 0), (1, -1, 1))] * 2,
+    def agree(lhs, rhs):
+        return weyl._sums_agree(space, lhs, rhs, 11)
+
+    assert agree([rule((0, 2, 0))], [rule((0, 2 + d, 0))])
+    assert agree([rule((0, 1, 0), (1, -1, 1))] * 2,
                  [rule((0, 1 + d, 0), (1, d - 1, 1), scale=space.mode.scalar(2))])
-    assert not agree(space, [rule((0, 1, 0))], [rule((0, 2, 0))])
-    assert not agree(space, [rule((0, 1, 0))], [rule((1, 1, 0))])
-    assert not agree(space, [rule((0, 1, 1))], [rule((0, 1, 0))])
-    assert not agree(space, [rule((0, 1, 0))] * 2, [rule((0, 1, 0))])
+    assert not agree([rule((0, 1, 0))], [rule((0, 2, 0))])
+    assert not agree([rule((0, 1, 0))], [rule((1, 1, 0))])
+    assert not agree([rule((0, 1, 1))], [rule((0, 1, 0))])
+    assert not agree([rule((0, 1, 0))] * 2, [rule((0, 1, 0))])
     # (-1)^a is q^((d/2) a) at even d; the keys do not fold signs, so the
     # route refuses that sum and leaves it to enumeration
     if d % 2 == 0:
-        assert not agree(space, [rule((0, 0, 1))], [rule((0, d // 2, 0))])
+        assert not agree([rule((0, 0, 1))], [rule((0, d // 2, 0))])
         assert all(rule((0, 0, 1)).image(idx) == rule((0, d // 2, 0)).image(idx)
                    for t in range(12) for idx in basis_of_degree(space, t))
     else:
-        assert not any(agree(space, [rule((0, 0, 1))], [rule((0, m, 0))]) for m in range(d))
+        assert not any(agree([rule((0, 0, 1))], [rule((0, m, 0))]) for m in range(d))
 
 
 def test_mixed_space_expression_raises():
