@@ -43,13 +43,14 @@ from .weyl import (
     Relation,
     RelationReport,
     apply_word,
-    coproduct_check,
+    grouplike_check,
     leibniz_check,
     mult_x,
     parity,
     partial,
     run_checks,
     sigma,
+    swap_relation,
     tau,
 )
 
@@ -153,25 +154,17 @@ def verify_uq_relations(space: SpaceSpec, t_max: int, variant: str = "gl") -> Re
                 Relation(f"K{i} Kinv{i} = 1", (word(Gen.K, i).then(word(Gen.KINV, i)),), (_w(space),))
             )
             for j in range(i + 1, size + 1):
-                checks.append(
-                    Relation(
-                        f"K{i} K{j} = K{j} K{i}",
-                        (word(Gen.K, i).then(word(Gen.K, j)),),
-                        (word(Gen.K, j).then(word(Gen.K, i)),),
-                    )
-                )
+                checks.append(swap_relation(space, f"K{i} K{j} = K{j} K{i}",
+                                            word(Gen.K, i).atoms, word(Gen.K, j).atoms))
         for i in range(1, size + 1):
             qi = _q_sub(space, i)
             for j in J:
                 for kind, sgn in ((Gen.E, 1), (Gen.F, -1)):
                     exp = qi * sgn * ((1 if i == j else 0) - (1 if i == j + 1 else 0))
-                    checks.append(
-                        Relation(
-                            f"K{i} {kind.value}{j} = q_{i}^{sgn * ((i == j) - (i == j + 1))} {kind.value}{j} K{i}",
-                            (word(Gen.K, i).then(word(kind, j)),),
-                            (word(kind, j).then(word(Gen.K, i)).scaled(mode.q_power(exp)),),
-                        )
-                    )
+                    checks.append(swap_relation(
+                        space,
+                        f"K{i} {kind.value}{j} = q_{i}^{sgn * ((i == j) - (i == j + 1))} {kind.value}{j} K{i}",
+                        word(Gen.K, i).atoms, word(kind, j).atoms, mode.q_power(exp)))
     for i in J:
         checks.append(
             Relation(f"SK{i} SKinv{i} = 1", (word(Gen.SK, i).then(word(Gen.SKINV, i)),), (_w(space),))
@@ -179,13 +172,9 @@ def verify_uq_relations(space: SpaceSpec, t_max: int, variant: str = "gl") -> Re
         for j in J:
             for kind, sgn in ((Gen.E, 1), (Gen.F, -1)):
                 exp = sgn * _cartan(space, i, j)
-                checks.append(
-                    Relation(
-                        f"SK{i} {kind.value}{j} = q^{exp} {kind.value}{j} SK{i}",
-                        (word(Gen.SK, i).then(word(kind, j)),),
-                        (word(kind, j).then(word(Gen.SK, i)).scaled(mode.q_power(exp)),),
-                    )
-                )
+                checks.append(swap_relation(
+                    space, f"SK{i} {kind.value}{j} = q^{exp} {kind.value}{j} SK{i}",
+                    word(Gen.SK, i).atoms, word(kind, j).atoms, mode.q_power(exp)))
 
     denom_plus = mode.q() - mode.q_power(-1)
     for i in J:
@@ -213,13 +202,8 @@ def verify_uq_relations(space: SpaceSpec, t_max: int, variant: str = "gl") -> Re
         for i in J:
             for j in J:
                 if abs(i - j) > 1:
-                    checks.append(
-                        Relation(
-                            f"{kind.value}{i} {kind.value}{j} commute",
-                            (word(kind, i).then(word(kind, j)),),
-                            (word(kind, j).then(word(kind, i)),),
-                        )
-                    )
+                    checks.append(swap_relation(space, f"{kind.value}{i} {kind.value}{j} commute",
+                                                word(kind, i).atoms, word(kind, j).atoms))
                 if abs(i - j) == 1 and i != m:
                     a, b = word(kind, i), word(kind, j)
                     checks.append(
@@ -301,7 +285,7 @@ def verify_module_algebra(space: SpaceSpec, t_max: int) -> RelationReport:
     # K_i and the parity are algebra automorphisms: g(uv) = g(u) g(v)
     automorphisms = {f"K{i}": generator_word(Gen.K, i, space) for i in range(1, size + 1)}
     for name, g in {**automorphisms, "parity": par}.items():
-        checks.append(coproduct_check(f"{name} is an algebra automorphism", space, g, ((g, g),)))
+        checks.append(grouplike_check(f"{name} is an algebra automorphism", space, g))
     return run_checks("module-algebra", space, checks, t_max)
 
 

@@ -29,7 +29,8 @@ once into one rule of that form, its atoms' rules composed by
 RuleBuilder.then, each atom first passed through apply_atom on the unit
 monomial.  Relation suites instantiate the defining relation systems of the
 derivative algebra, its pointed-Hopf cover, and the quantum Weyl algebra of
-(m|n)-type as operator identities.
+(m|n)-type as operator identities, most of them of one of two shapes:
+``swap_relation`` a b = c b a and ``conjugation_relation`` g y g_inv = c y.
 ``operators_equal`` decides without enumeration, and in every degree, a
 relation whose sides are single words with rules of one normal form
 (``MonomialRule.same_map``), or sums of rules with one exponential
@@ -96,9 +97,11 @@ __all__ = [
     "operators_equal",
     "EqualityResult",
     "Relation",
+    "swap_relation",
+    "conjugation_relation",
     "PairCheck",
     "TripleCheck",
-    "coproduct_check",
+    "grouplike_check",
     "leibniz_check",
     "CheckResult",
     "RelationReport",
@@ -404,7 +407,7 @@ def operators_equal(wA: OperatorWord | Expr, wB: OperatorWord | Expr, t_max: int
     exprA, exprB = _as_expr(wA), _as_expr(wB)
     space = (exprA or exprB)[0].space
     if any(w.space is not space and w.space != space for w in exprA + exprB):
-        raise InvalidAtomError("operator and vector live on different spaces")
+        raise InvalidAtomError("operator words on different spaces")
     rulesA, rulesB = [w.rule for w in exprA], [w.rule for w in exprB]
     if len(exprA) == len(exprB) == 1 and rulesA[0].same_map(rulesB[0]):
         return EqualityResult(True, route="normal form")  # equal in every degree
@@ -832,6 +835,19 @@ def _w(space: SpaceSpec, *atoms: Atom, coeff: ScalarQ | None = None) -> Operator
     return OperatorWord(space, tuple(atoms), coeff)
 
 
+def swap_relation(space: SpaceSpec, name: str, a: tuple[Atom, ...], b: tuple[Atom, ...],
+                  c: ScalarQ | None = None) -> Relation:
+    """The twisted commutation a b = c b a of two atom tuples; no scalar when
+    c is None."""
+    return Relation(name, (OperatorWord(space, a + b),), (OperatorWord(space, b + a, c),))
+
+
+def conjugation_relation(space: SpaceSpec, name: str, g: tuple[Atom, ...], y: tuple[Atom, ...],
+                         g_inv: tuple[Atom, ...], c: ScalarQ) -> Relation:
+    """The conjugation g y g_inv = c y of an atom tuple y by a group-like g."""
+    return Relation(name, (OperatorWord(space, g + y + g_inv),), (OperatorWord(space, y, c),))
+
+
 def _gen_label(space: SpaceSpec, i: int, value: int = 1) -> MultiIndex:
     return MultiIndex.basis_vector(space.shape, i, value)
 
@@ -868,14 +884,8 @@ def _suite_partials(space: SpaceSpec) -> list:
         for j in range(1, size + 1):
             if i == j:
                 continue
-            c = _theta_of(space, i, j)
-            checks.append(
-                Relation(
-                    f"d{i} d{j} = theta(e{i},e{j}) d{j} d{i}",
-                    (_w(space, partial(i), partial(j)),),
-                    (_w(space, partial(j), partial(i), coeff=c),),
-                )
-            )
+            checks.append(swap_relation(space, f"d{i} d{j} = theta(e{i},e{j}) d{j} d{i}",
+                                        (partial(i),), (partial(j),), _theta_of(space, i, j)))
     for j in space.shape.fermionic_positions():
         checks.append(
             Relation(f"d{j}^2 = 0", (_w(space, partial(j), partial(j)),), ())
@@ -902,23 +912,11 @@ def _suite_dq(space: SpaceSpec) -> list:
             )
         )
     for i, j in itertools.combinations(range(1, size + 1), 2):
-        checks.append(
-            Relation(
-                f"s{i} s{j} = s{j} s{i}",
-                (_w(space, sigma(i), sigma(j)),),
-                (_w(space, sigma(j), sigma(i)),),
-            )
-        )
+        checks.append(swap_relation(space, f"s{i} s{j} = s{j} s{i}", (sigma(i),), (sigma(j),)))
     for j in fermi:
         checks.append(Relation(f"t{j}^2 = 1", (_w(space, tau(j), tau(j)),), (_w(space),)))
         for i in range(1, size + 1):
-            checks.append(
-                Relation(
-                    f"s{i} t{j} = t{j} s{i}",
-                    (_w(space, sigma(i), tau(j)),),
-                    (_w(space, tau(j), sigma(i)),),
-                )
-            )
+            checks.append(swap_relation(space, f"s{i} t{j} = t{j} s{i}", (sigma(i),), (tau(j),)))
     for i in range(1, size + 1):
         e_i = _gen_label(space, i)
         checks.append(
@@ -938,13 +936,8 @@ def _suite_dq(space: SpaceSpec) -> list:
                 )
             )
         for j in range(1, size + 1):
-            checks.append(
-                Relation(
-                    f"s{j} Th(e{i}) = Th(e{i}) s{j}",
-                    (_w(space, sigma(j), theta_op(e_i)),),
-                    (_w(space, theta_op(e_i), sigma(j)),),
-                )
-            )
+            checks.append(swap_relation(space, f"s{j} Th(e{i}) = Th(e{i}) s{j}",
+                                        (sigma(j),), (theta_op(e_i),)))
     # dependency of the simple-root twist labels on the grading twists
     for i in range(1, size):
         lab = _gen_label(space, i + 1) - _gen_label(space, i)
@@ -959,36 +952,21 @@ def _suite_dq(space: SpaceSpec) -> list:
     for i in range(1, size + 1):
         for j in range(1, size + 1):
             e_j = _gen_label(space, j)
-            c = _theta_of(space, i, j)
-            checks.append(
-                Relation(
-                    f"Th(e{j}) d{i} Th(-e{j}) = theta(e{i},e{j}) d{i}",
-                    (_w(space, theta_op(e_j), partial(i), theta_op(-e_j)),),
-                    (_w(space, partial(i), coeff=c),),
-                )
-            )
+            checks.append(conjugation_relation(
+                space, f"Th(e{j}) d{i} Th(-e{j}) = theta(e{i},e{j}) d{i}",
+                (theta_op(e_j),), (partial(i),), (theta_op(-e_j),), _theta_of(space, i, j)))
             if i == j:
                 c2 = mode.q_power(-1)
                 if space.shape.is_fermionic_pos(i):
                     c2 = -c2
             else:
                 c2 = mode.one()
-            checks.append(
-                Relation(
-                    f"s{j} d{i} s{j}^-1 = (-1)^(par) q^-delta d{i}",
-                    (_w(space, sigma(j), partial(i), sigma(j, -1)),),
-                    (_w(space, partial(i), coeff=c2),),
-                )
-            )
+            checks.append(conjugation_relation(
+                space, f"s{j} d{i} s{j}^-1 = (-1)^(par) q^-delta d{i}",
+                (sigma(j),), (partial(i),), (sigma(j, -1),), c2))
         for j in fermi:
-            c3 = mode.scalar(-1 if i == j else 1)
-            checks.append(
-                Relation(
-                    f"t{j} d{i} = (-1)^delta d{i} t{j}",
-                    (_w(space, tau(j), partial(i)),),
-                    (_w(space, partial(i), tau(j), coeff=c3),),
-                )
-            )
+            checks.append(swap_relation(space, f"t{j} d{i} = (-1)^delta d{i} t{j}",
+                                        (tau(j),), (partial(i),), mode.scalar(-1 if i == j else 1)))
     checks.extend(_suite_partials(space))
     return checks
 
@@ -1003,31 +981,17 @@ def _cross_relations(space: SpaceSpec) -> list:
     for i in range(1, size + 1):
         e_i = _gen_label(space, i)
         for j in range(1, size + 1):
-            c = _theta_of(space, i, j)
-            checks.append(
-                Relation(
-                    f"Th(e{i}) x{j} Th(-e{i}) = theta(e{i},e{j}) x{j}",
-                    (_w(space, theta_op(e_i), mult_x(j), theta_op(-e_i)),),
-                    (_w(space, mult_x(j), coeff=c),),
-                )
-            )
-            checks.append(
-                Relation(
-                    f"s{i} x{j} s{i}^-1 = q^delta x{j} (base -q on exterior directions)",
-                    (_w(space, sigma(i), mult_x(j), sigma(i, -1)),),
-                    (_w(space, mult_x(j), coeff=_sigma_x_factor(space, i, j)),),
-                )
-            )
+            checks.append(conjugation_relation(
+                space, f"Th(e{i}) x{j} Th(-e{i}) = theta(e{i},e{j}) x{j}",
+                (theta_op(e_i),), (mult_x(j),), (theta_op(-e_i),), _theta_of(space, i, j)))
+            checks.append(conjugation_relation(
+                space, f"s{i} x{j} s{i}^-1 = q^delta x{j} (base -q on exterior directions)",
+                (sigma(i),), (mult_x(j),), (sigma(i, -1),), _sigma_x_factor(space, i, j)))
         if i in fermi:
             for j in range(1, size + 1):
-                c = mode.scalar(-1 if i == j else 1)
-                checks.append(
-                    Relation(
-                        f"t{i} x{j} t{i} = (-1)^delta x{j}",
-                        (_w(space, tau(i), mult_x(j), tau(i)),),
-                        (_w(space, mult_x(j), coeff=c),),
-                    )
-                )
+                checks.append(conjugation_relation(
+                    space, f"t{i} x{j} t{i} = (-1)^delta x{j}",
+                    (tau(i),), (mult_x(j),), (tau(i),), mode.scalar(-1 if i == j else 1)))
     for i in range(1, size + 1):
         if i in fermi:
             checks.append(
@@ -1052,22 +1016,10 @@ def _cross_relations(space: SpaceSpec) -> list:
         for j in range(1, size + 1):
             if i == j:
                 continue
-            c = _theta_of(space, j, i)
-            checks.append(
-                Relation(
-                    f"d{i} x{j} = theta(e{j},e{i}) x{j} d{i}",
-                    (_w(space, partial(i), mult_x(j)),),
-                    (_w(space, mult_x(j), partial(i), coeff=c),),
-                )
-            )
-            c2 = _theta_of(space, i, j)
-            checks.append(
-                Relation(
-                    f"x{i} x{j} = theta(e{i},e{j}) x{j} x{i}",
-                    (_w(space, mult_x(i), mult_x(j)),),
-                    (_w(space, mult_x(j), mult_x(i), coeff=c2),),
-                )
-            )
+            checks.append(swap_relation(space, f"d{i} x{j} = theta(e{j},e{i}) x{j} d{i}",
+                                        (partial(i),), (mult_x(j),), _theta_of(space, j, i)))
+            checks.append(swap_relation(space, f"x{i} x{j} = theta(e{i},e{j}) x{j} x{i}",
+                                        (mult_x(i),), (mult_x(j),), _theta_of(space, i, j)))
     return checks
 
 
@@ -1092,49 +1044,21 @@ def _suite_weyl_root(space: SpaceSpec, want_parity: QParity) -> list:
     fermi = space.shape.fermionic_positions()
     one = mode.one()
     for j in bos:
+        X = (mult_x_divpow(j),)
         for i in range(1, size + 1):
             e_i = _gen_label(space, i)
             c = one if odd else (one if i == j else -one)
-            checks.append(
-                Relation(
-                    f"Th(e{i}) X{j} = +- X{j} Th(e{i})",
-                    (_w(space, theta_op(e_i), mult_x_divpow(j)),),
-                    (_w(space, mult_x_divpow(j), theta_op(e_i), coeff=c),),
-                )
-            )
+            checks.append(swap_relation(space, f"Th(e{i}) X{j} = +- X{j} Th(e{i})",
+                                        (theta_op(e_i),), X, c))
             c = one if odd else (-one if i == j else one)
-            checks.append(
-                Relation(
-                    f"s{i} X{j} = +- X{j} s{i}",
-                    (_w(space, sigma(i), mult_x_divpow(j)),),
-                    (_w(space, mult_x_divpow(j), sigma(i), coeff=c),),
-                )
-            )
+            checks.append(swap_relation(space, f"s{i} X{j} = +- X{j} s{i}", (sigma(i),), X, c))
             if i != j:
-                c = one if odd else -one
-                checks.append(
-                    Relation(
-                        f"d{i} X{j} = +- X{j} d{i}",
-                        (_w(space, partial(i), mult_x_divpow(j)),),
-                        (_w(space, mult_x_divpow(j), partial(i), coeff=c),),
-                    )
-                )
+                checks.append(swap_relation(space, f"d{i} X{j} = +- X{j} d{i}",
+                                            (partial(i),), X, one if odd else -one))
             c = one if odd else (one if i == j else -one)
-            checks.append(
-                Relation(
-                    f"x{i} X{j} = +- X{j} x{i}",
-                    (_w(space, mult_x(i), mult_x_divpow(j)),),
-                    (_w(space, mult_x_divpow(j), mult_x(i), coeff=c),),
-                )
-            )
+            checks.append(swap_relation(space, f"x{i} X{j} = +- X{j} x{i}", (mult_x(i),), X, c))
         for i in fermi:
-            checks.append(
-                Relation(
-                    f"t{i} X{j} = X{j} t{i}",
-                    (_w(space, tau(i), mult_x_divpow(j)),),
-                    (_w(space, mult_x_divpow(j), tau(i)),),
-                )
-            )
+            checks.append(swap_relation(space, f"t{i} X{j} = X{j} t{i}", (tau(i),), X))
         sgn = one if odd else -one
         checks.append(
             Relation(
@@ -1162,14 +1086,13 @@ def _suite_weyl_root(space: SpaceSpec, want_parity: QParity) -> list:
 Map = OperatorWord | Callable[[SuperVector], SuperVector] | None
 
 
-def coproduct_check(name: str, space: SpaceSpec, op: Map,
-                    terms: Sequence[tuple[Map, Map]]) -> PairCheck:
+def _pair_law(name: str, space: SpaceSpec, op: Map, terms: Sequence[tuple[Map, Map]],
+              twists: tuple) -> PairCheck:
     """The law op(uv) = sum of f(u) g(v) over (f, g) in terms, each map a
     word (applied by apply_word), a function on vectors, or None for the
     identity: a PairCheck taking each distinct map once per monomial, and
-    op(uv) as c op(x^w), for uv = c x^w, from those images.  A grouplike law
-    ((op, op),) and a Leibniz law ((op, R), (L, op)) carry their twists, for
-    PairCheck to decide by induction from the generators."""
+    op(uv) as c op(x^w), for uv = c x^w, from those images.  The law's
+    twists let PairCheck decide it by induction from the generators."""
     maps = list(dict.fromkeys((op, *itertools.chain(*terms))))
     where = [(maps.index(f), maps.index(g)) for f, g in terms]
 
@@ -1187,20 +1110,19 @@ def coproduct_check(name: str, space: SpaceSpec, op: Map,
         c, w = hit
         return {idx: c * x for idx, x in images[w.entries][0].items()}, rhs
 
-    if len(terms) == 1 and terms[0][0] is op is terms[0][1]:
-        twists = (op,)
-    elif len(terms) == 2 and terms[0][0] is op is terms[1][1]:
-        twists = (terms[1][0], terms[0][1])
-    else:
-        twists = None
     return PairCheck(name, space, fn, unary, twists)
+
+
+def grouplike_check(name: str, space: SpaceSpec, g: Map) -> PairCheck:
+    """The grouplike law g(uv) = g(u) g(v)."""
+    return _pair_law(name, space, g, ((g, g),), (g,))
 
 
 def leibniz_check(name: str, space: SpaceSpec, op: Map, left: Map = None,
                   right: Map = None) -> PairCheck:
     """The twisted Leibniz law op(uv) = op(u) right(v) + left(u) op(v), a
     missing map being the identity."""
-    return coproduct_check(name, space, op, ((op, right), (left, op)))
+    return _pair_law(name, space, op, ((op, right), (left, op)), (left, right))
 
 
 def _twist_move_check(name: str, space: SpaceSpec,

@@ -423,6 +423,20 @@ def test_the_sweep_reduces_its_pair_laws_and_agrees_with_enumeration(monkeypatch
     assert names == ["monomial twisted commutation"]
 
 
+def test_each_stated_right_side_is_needed(monkeypatch):
+    # every relation with a nonempty right side in the sweep's suites, and in
+    # the sl variant on omega (2|2), fails once that side is scaled by q; a
+    # right side of 0 is left out, as some of those sums hold by cancellation
+    with monkeypatch.context() as patch:
+        sl = record_suites(patch)
+        verify_uq_relations(make_space(Family.OMEGA, 2, 2), 6, variant="sl")
+    relations = [(c, t_max) for _, _, checks, t_max in sweep_suites(monkeypatch) + sl for c in checks
+                 if isinstance(c, Relation) and c.rhs]
+    held = [rel.name for rel, t_max in relations if operators_equal(
+        rel.lhs, tuple(w.scaled(w.space.mode.q()) for w in rel.rhs), t_max).equal]
+    assert (len(relations), held) == (744, [])
+
+
 def mutations(rel):
     """The relation with one word scaled by q, or dropped, one at a time."""
     for side in (0, 1):
@@ -542,9 +556,9 @@ def test_the_sums_route_keys_characters_mod_d(d):
 
 def test_mixed_space_expression_raises():
     lhs = (word(OMEGA11, partial(1)), word(OMEGA21, partial(1)))
-    with pytest.raises(InvalidAtomError):
+    with pytest.raises(InvalidAtomError, match="operator words on different spaces"):
         operators_equal(lhs, (), 3)
-    with pytest.raises(InvalidAtomError):
+    with pytest.raises(InvalidAtomError, match="operator words on different spaces"):
         operators_equal(word(OMEGA11, partial(1)), word(OMEGA21, partial(1)), 3)
 
 
