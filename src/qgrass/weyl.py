@@ -47,7 +47,10 @@ Leibniz and grouplike laws with character twists, and associativity, are
 checked with the first factor in a generating set F only (the unit by the
 pair (1, 1) alone), which PairCheck and _associative_upto prove decides
 them; the move of a left factor past via its twist is checked on its pairs,
-which TripleCheck proves decides it.
+which TripleCheck proves decides it; and a composite derivation law x^u0 d_i
+follows from the Leibniz law of d_i that passed before it, which PairCheck
+proves too.  A CheckResult names its route: "normal form", "induction",
+"corollary" or "enumeration".
 """
 
 from __future__ import annotations
@@ -504,7 +507,8 @@ def _add_terms(sums: dict, sign: int, r: MonomialRule, base: dict, cell: tuple, 
 @dataclass
 class CheckResult:
     """One check's verdict.  ``route`` says how it was reached ("normal
-    form", "induction" or "enumeration") and is not part of the report."""
+    form", "induction", "corollary" or "enumeration") and is not part of
+    the report."""
 
     name: str
     passed: bool
@@ -657,6 +661,26 @@ class PairCheck:
     = k^-1 g(s) g(u') g(v) = g(u) g(v).  A premise that does not hold, or a
     reduced pair that fails, runs ``enumerate``, so the verdict and the first
     failing pair are those of every pair in order.
+
+    ``base`` = (law, u0) marks a composite law (_composite_derivation_check):
+    op = x^u0 D, D being ``law.op``, law's twists (L_D, R) and this law's
+    (L, R).  Under a suite memo it passes with route "corollary", taking no
+    image, when law passed earlier under the same memo (run_checks), D is a
+    word, L and L_D are character words and R is None or one, the ledger
+    reaches t_max + deg u0 + delta, delta the degree D changes a monomial
+    by (its rule's shift), and u0 L_D(u) = L(u) u0 for each monomial u of
+    degree <= t_max.  The last is checked once, on the sum S of those u:
+    a character keeps each x^u up to a nonzero scalar and x^u0 x^u lies in
+    k x^(u0 + u), so the terms of distinct u never meet and u0 L_D(S) =
+    L(S) u0 holds only if each u's does.  Then for every pair (u, v) of
+    degree sum <= t_max, op(uv) being c op(x^w) = u0 (c D(x^w)) for uv =
+    c x^w, and c D(x^w) being how law reads D(uv), the law of D at (u, v),
+    associativity on triples of degree sum <= t_max + deg u0 + delta and
+    the premise on u give
+      op(uv) = u0 D(uv) = u0 (D(u) R(v) + L_D(u) D(v))
+             = (u0 D(u)) R(v) + (u0 L_D(u)) D(v)
+             = op(u) R(v) + (L(u) u0) D(v) = op(u) R(v) + L(u) op(v).
+    A premise that does not hold runs the law as above.
     """
 
     name: str
@@ -664,8 +688,12 @@ class PairCheck:
     fn: Callable[[MultiIndex, MultiIndex, dict], tuple[dict, dict]]
     unary: Callable[[SuperVector], tuple[dict, ...]] | None = None
     twists: tuple | None = None
+    op: Map = None  # the law's op, read by a composite law built on it
+    base: tuple[PairCheck, MultiIndex] | None = None
 
     def run(self, t_max: int) -> CheckResult:
+        if self._corollary(t_max):
+            return CheckResult(self.name, True, route="corollary")
         levels, images = self._tables(t_max)
         if self._reducible(t_max, images):
             (unit,) = levels[0]
@@ -686,10 +714,28 @@ class PairCheck:
             for level in levels for idx in level}
         return levels, images
 
+    def _corollary(self, t_max: int) -> bool:
+        """Whether ``base`` decides the law (class docstring)."""
+        memo = suite_memo.get()
+        if memo is None or self.base is None:
+            return False
+        law, u0 = self.base
+        (left, right), (law_left, law_right) = self.twists, law.twists
+        if (id(law) not in memo.get("passed", ()) or right != law_right
+                or not all(isinstance(w, OperatorWord) for w in (law.op, left, law_left))
+                or not all(map(_character, (left, law_left, right)))):
+            return False
+        space = self.space
+        if not _associative_upto(space, t_max + u0.degree() + sum(law.op.rule.shift)):
+            return False
+        one, x_u0 = space.mode.one(), SuperVector.monomial(space, u0)
+        every = SuperVector._wrap(space, {u: one for t in _degree_range(space, t_max)
+                                          for u in basis_of_degree(space, t)})
+        return multiply(x_u0, apply_word(law_left, every)) == multiply(apply_word(left, every), x_u0)
+
     def _reducible(self, t_max: int, images: dict) -> bool:
         if suite_memo.get() is None or self.twists is None or not all(
-                w is None or isinstance(w, OperatorWord) and w.rule.is_character()
-                for w in self.twists):
+                map(_character, self.twists)):
             return False
         delta = max((w.degree() - sum(a) for a, maps in images.items() for w in maps[0]), default=0)
         return _associative_upto(self.space, t_max + max(0, delta))
@@ -710,6 +756,11 @@ class PairCheck:
     def _enumerated(self, t_max: int, levels: list, images: dict) -> CheckResult:
         failure = self._first_failure(t_max, levels, levels, images)
         return CheckResult(self.name, True) if failure is None else _failure(self, "pair", *failure)
+
+
+def _character(w: Map) -> bool:
+    """Whether w is None (the identity) or a word whose rule is a character."""
+    return w is None or isinstance(w, OperatorWord) and w.rule.is_character()
 
 
 def _triples(space: SpaceSpec, t_max: int) -> Iterator[tuple[MultiIndex, MultiIndex, MultiIndex]]:
@@ -817,12 +868,19 @@ def run_checks(suite: str, space: SpaceSpec, checks: list, t_max: int) -> Relati
     once and then looked up, and under the keys (space, "atoms"), (space,
     "first") and (space, "associative") the atoms OperatorWord.rule has
     passed through apply_atom, the first factors per degree
-    (_first_factors) and the associativity ledger (_associative_upto).  All
-    of it is dropped when the call returns or a check raises.
+    (_first_factors) and the associativity ledger (_associative_upto); under
+    "passed", the ids of the checks that have passed, which a composite law
+    reads (PairCheck).  All of it is dropped when the call returns or a
+    check raises.
     """
-    token = suite_memo.set({})
+    passed: set[int] = set()
+    token = suite_memo.set({"passed": passed})
     try:
-        results = [c.run(t_max) for c in checks]
+        results = []
+        for c in checks:
+            results.append(c.run(t_max))
+            if results[-1].passed:
+                passed.add(id(c))
     finally:
         suite_memo.reset(token)
     return RelationReport(suite, space, t_max, results)
@@ -1110,7 +1168,7 @@ def _pair_law(name: str, space: SpaceSpec, op: Map, terms: Sequence[tuple[Map, M
         c, w = hit
         return {idx: c * x for idx, x in images[w.entries][0].items()}, rhs
 
-    return PairCheck(name, space, fn, unary, twists)
+    return PairCheck(name, space, fn, unary, twists, op)
 
 
 def grouplike_check(name: str, space: SpaceSpec, g: Map) -> PairCheck:
@@ -1123,6 +1181,19 @@ def leibniz_check(name: str, space: SpaceSpec, op: Map, left: Map = None,
     """The twisted Leibniz law op(uv) = op(u) right(v) + left(u) op(v), a
     missing map being the identity."""
     return _pair_law(name, space, op, ((op, right), (left, op)), (left, right))
+
+
+def _composite_derivation_check(name: str, law: PairCheck, u0: MultiIndex) -> PairCheck:
+    """The twisted Leibniz law of op = x^u0 D, D the op of the Leibniz law
+    law with twists (L_D, R): op(uv) = op(u) R(v) + L(u) op(v), L being
+    Th(u0) L_D.  It reuses law's words and, under run_checks, follows from
+    law once law has passed (PairCheck)."""
+    space, d, (left, right) = law.space, law.op, law.twists
+    x_u0 = SuperVector.monomial(space, u0)
+    check = leibniz_check(name, space, lambda z: multiply(x_u0, apply_word(d, z)),
+                          _w(space, theta_op(u0)).then(left), right)
+    check.base = (law, u0)
+    return check
 
 
 def _twist_move_check(name: str, space: SpaceSpec,
@@ -1147,17 +1218,19 @@ def _suite_leibniz(space: SpaceSpec) -> list:
     size = space.shape.size
     fermi = set(space.shape.fermionic_positions())
 
+    bases = []  # per direction, the law its composite laws follow from
     for i in range(1, size + 1):
         e_i = _gen_label(space, i)
         d_i = _w(space, partial(i))
         if i in fermi:
             tw = _w(space, theta_op(-e_i), tau(i))
             checks.append(leibniz_check(f"d{i} twisted Leibniz (exterior)", space, d_i, tw))
-            continue
-        for sign in (1, -1):
-            tw, s_i = _w(space, theta_op(-e_i), sigma(i, sign)), _w(space, sigma(i, -sign))
-            checks.append(leibniz_check(f"d{i} twisted Leibniz (sign {sign:+d})", space, d_i,
-                                        tw, s_i))
+        else:
+            for sign in (1, -1):
+                tw, s_i = _w(space, theta_op(-e_i), sigma(i, sign)), _w(space, sigma(i, -sign))
+                checks.append(leibniz_check(f"d{i} twisted Leibniz (sign {sign:+d})", space, d_i,
+                                            tw, s_i))
+        bases.append(checks[-1])
 
     one = mode.one()
 
@@ -1184,19 +1257,13 @@ def _suite_leibniz(space: SpaceSpec) -> list:
 
     checks.append(_twist_move_check("left factor moves past via its twist", space, twist))
 
-    # composite derivation law: (mult by a monomial) o d_i
+    # composite derivation law: (mult by a monomial) o d_i, from d_i's law
+    # with sign -1 (or the exterior one)
     seeds = [idx for t in range(0, 3) for idx in basis_of_degree(space, t)][:6]
-    for i in range(1, size + 1):
-        e_i = _gen_label(space, i)
-        d_i = _w(space, partial(i))
-        twist = tau(i) if i in fermi else sigma(i, -1)
-        right = None if i in fermi else _w(space, sigma(i, 1))
+    for i, law in enumerate(bases, 1):
         for lab in seeds:
-            u0 = SuperVector.monomial(space, lab)
-            checks.append(leibniz_check(
-                f"(x^{lab} d{i}) composite derivation", space,
-                lambda z, u0=u0, d_i=d_i: multiply(u0, apply_word(d_i, z)),
-                _w(space, theta_op(lab - e_i), twist), right))
+            checks.append(_composite_derivation_check(
+                f"(x^{lab} d{i}) composite derivation", law, lab))
     return checks
 
 

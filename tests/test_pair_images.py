@@ -11,10 +11,14 @@ lies in F must still fail, with the oracle's witness, when it is wrong only
 past F or on the unit, when a twist is not a character word, or when the
 product is not associative just past t_max; the twist-move law decided from
 its pairs must fail through its triples when one twist coefficient is wrong.
-Every reduced pair and triple law must agree with its full enumeration.
+A composite derivation law whose twists are not its base law's, whose base
+law failed, or that runs without its base law is no corollary and reports as
+its enumeration does.  Every reduced pair and triple law must agree with its
+full enumeration.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -406,8 +410,10 @@ def test_the_ledger_fails_at_the_degree_sum_of_a_wrong_structure_constant(monkey
 def test_a_structure_constant_wrong_past_t_max_keeps_the_composite_laws_enumerated(
         monkeypatch, mode):
     # x2^(2) x1 x3 with its sign flipped, at degree sum t_max + 1: the ledger
-    # fails there, so the composite laws whose op raises the degree by 1 (the
-    # seeds of degree 2) fall back, while every other law needs only t_max
+    # fails there, so the composite laws of the seeds of degree 2 (whose
+    # corollary needs the ledger to t_max + 1, and whose op raises the degree
+    # by 1) fall back, while the base laws go by induction and the composite
+    # laws of the seeds of degree <= 1 follow from them, needing only t_max
     space, t_max = make_space(Family.OMEGA, 2, 1, mode), 3
     a, b = (MultiIndex(e, space.shape) for e in ((0, 2, 0), (1, 0, 1)))
     flip_product(monkeypatch, a, b)
@@ -429,7 +435,8 @@ def test_a_structure_constant_wrong_past_t_max_keeps_the_composite_laws_enumerat
                           None if right is None else lambda z: apply_word(right, z))
         assert result.to_json() == oracle(check.name, space, law, 2, t_max), check.name
         raised = u0.degree() == 2
-        assert result.route == ("enumeration" if raised else "induction"), check.name
+        route = "enumeration" if raised else "corollary" if lab else "induction"
+        assert result.route == route, check.name
         failed[raised] += not result.passed
     assert failed[True] > 0 and failed[False] == 0
 
@@ -497,12 +504,27 @@ CROSS_SPACES = [make_space(family, m, n, mode)
     make_space(Family.OMEGA_RESTRICTED, 2, 1, root_of_unity(3))]
 
 
+# the routes of test_every_reduced_law_agrees_with_its_enumeration per
+# (family, m, n), alike in every mode: the leibniz suite's composite laws
+# follow from their base laws, 5 seeds per direction on (1|1), 6 otherwise
+CROSS_ROUTES = {
+    (Family.OMEGA, 1, 1): {"induction": 10, "corollary": 10, "enumeration": 1},
+    (Family.OMEGA, 2, 1): {"induction": 15, "corollary": 18, "enumeration": 1},
+    (Family.OMEGA, 1, 2): {"induction": 14, "corollary": 18, "enumeration": 1},
+    (Family.DUAL, 1, 1): {"induction": 5},
+    (Family.DUAL, 2, 1): {"induction": 8},
+    (Family.DUAL, 1, 2): {"induction": 8},
+    (Family.OMEGA_RESTRICTED, 2, 1): {"induction": 15, "corollary": 18, "enumeration": 1},
+}
+
+
 @pytest.mark.parametrize("space", CROSS_SPACES, ids=lambda space: "-".join(
     str(v) for v in space.describe().values()))
 def test_every_reduced_law_agrees_with_its_enumeration(space, monkeypatch):
     # the module-algebra laws, and on the polynomial side the leibniz suite's
     # pair and triple laws, run as run_checks runs them and by enumerating
-    # every pair or triple under a memo of their own
+    # every pair or triple under a memo of their own; every corollary verdict
+    # is among them
     t_max = 4
     checks = verify_module_algebra_checks(monkeypatch, space)
     if space.family is not Family.DUAL:
@@ -512,10 +534,84 @@ def test_every_reduced_law_agrees_with_its_enumeration(space, monkeypatch):
     enumerated = run_checks("laws", space, [Enumerated(c) for c in laws], t_max).results
     assert [r.route for r in enumerated] == ["enumeration"] * len(laws)
     assert [r.to_json() for r in results] == [r.to_json() for r in enumerated]
-    assert sum(r.route == "induction" for r in results) > len(laws) // 2
+    assert Counter(r.route for r in results) == CROSS_ROUTES[
+        space.family, space.shape.m, space.shape.n]
     twist_moves = [r for c, r in zip(laws, results) if c.name == "left factor moves past via its twist"]
     assert len(twist_moves) == (space.family is not Family.DUAL)
     assert all(r.route == "induction" for r in twist_moves if r.passed)
+
+
+# ---------------------------------------------------------------------------
+# composite derivation laws: corollaries of their base laws, or run
+# ---------------------------------------------------------------------------
+
+
+def seeds(space):
+    """The leibniz suite's composite-law seeds u0."""
+    return [u for t in range(3) for u in basis_of_degree(space, t)][:6]
+
+
+def composite_laws(space, base, i):
+    return [weyl._composite_derivation_check(f"(x^{u} d{i}) composite derivation", base, u)
+            for u in seeds(space)]
+
+
+def assert_run_as_enumerated(checks, results, t_max):
+    assert "corollary" not in [r.route for r in results]
+    assert [r.to_json() for r in results] == [c.enumerate(t_max).to_json() for c in checks]
+
+
+@MODES
+def test_a_composite_law_whose_left_drops_th_u0_is_no_corollary(mode):
+    # x1 d1 with the base law's left L_D where Th(x1) L_D belongs: u0 L_D(u)
+    # = L(u) u0 fails at u = x2, so the law runs (and fails); so does x1 d1
+    # with right s1^-1, not the base law's s1.  Kept as built, the same law
+    # is a corollary of the same base law and ledger
+    space, t_max = make_space(Family.OMEGA, 2, 1, mode), 4
+    base = the_check(build_suite("leibniz", space), "d1 twisted Leibniz (sign -1)")
+    x1 = MultiIndex.basis_vector(space.shape, 1)
+    kept = weyl._composite_derivation_check("(x1 d1) composite derivation", base, x1)
+    x_u0 = SuperVector.monomial(space, x1)
+
+    def composite(name, left, right):
+        law = leibniz_check(name, space, lambda z: multiply(x_u0, apply_word(base.op, z)),
+                            left, right)
+        return dataclasses.replace(law, base=(base, x1))
+
+    (left, right), (kept_left, _) = base.twists, kept.twists
+    mutants = [composite("(x1 d1) composite derivation, left L_D", left, right),
+               composite("(x1 d1) composite derivation, right s1^-1", kept_left,
+                         word(space, sigma(1, -1)))]
+    results = run_checks("probe", space, [base, kept, *mutants], t_max).results
+    assert [r.route for r in results[:2]] == ["induction", "corollary"]
+    assert not any(r.passed for r in results[2:])
+    assert_run_as_enumerated(mutants, results[2:], t_max)
+
+
+@MODES
+def test_the_composite_laws_of_a_failing_base_law_are_no_corollaries(mode):
+    # d1's law with its right twist s1 replaced by s1^-1 fails, and so does
+    # every composite law built on it, each through its own pairs
+    space, t_max = make_space(Family.OMEGA, 2, 1, mode), 4
+    e1 = MultiIndex.basis_vector(space.shape, 1)
+    base = leibniz_check("d1 twisted Leibniz, right s1^-1", space, word(space, partial(1)),
+                         word(space, theta_op(-e1), sigma(1, -1)), word(space, sigma(1, -1)))
+    composites = composite_laws(space, base, 1)
+    results = run_checks("probe", space, [base, *composites], t_max).results
+    assert not any(r.passed for r in results)
+    assert_run_as_enumerated(composites, results[1:], t_max)
+
+
+@MODES
+def test_a_composite_law_run_without_its_base_law_is_no_corollary(mode):
+    # alone under run_checks no base law has passed in the memo, so each
+    # composite law goes by induction, as a Leibniz law of its own
+    space, t_max = make_space(Family.OMEGA, 2, 1, mode), 4
+    composites = [c for c in build_suite("leibniz", space) if c.name.endswith("derivation")]
+    assert len(composites) == 18
+    results = [run_result(space, c, t_max) for c in composites]
+    assert {r.route for r in results} == {"induction"}
+    assert_run_as_enumerated(composites, results, t_max)
 
 
 def test_default_pair_check_hands_the_law_each_pair_in_order():
