@@ -590,6 +590,9 @@ def component_report(space: SpaceSpec, t: int) -> ComponentReport:
     # a proper reach set spans a submodule with or without weight separation;
     # without it, every seed reaching the whole basis proves nothing
     verdict = "simple" if separated else "inconclusive"
+    if not basis:  # the zero module is not simple
+        verdict = "not_simple"
+        witnesses.append({"empty_degree": t})
     proper = _first_proper_span(basis, images)
     if proper is not None:
         verdict = "not_simple"

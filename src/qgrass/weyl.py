@@ -46,11 +46,11 @@ passes apply_atom once per space, both dropped when it returns.  There,
 Leibniz and grouplike laws with character twists, and associativity, are
 checked with the first factor in a generating set F only (the unit by the
 pair (1, 1) alone), which PairCheck and _associative_upto prove decides
-them; the move of a left factor past via its twist is checked on its pairs,
-which TripleCheck proves decides it; and a composite derivation law x^u0 d_i
-follows from the Leibniz law of d_i that passed before it, which PairCheck
-proves too.  A CheckResult names its route: "normal form", "induction",
-"corollary" or "enumeration".
+them; the move of a left factor past via its twist follows from the ledger
+and the commutation law that passed before it, which TripleCheck proves; and
+a composite derivation law x^u0 d_i follows from the Leibniz law of d_i that
+passed before it, which PairCheck proves too.  A CheckResult names its
+route: "normal form", "induction", "corollary" or "enumeration".
 """
 
 from __future__ import annotations
@@ -716,12 +716,11 @@ class PairCheck:
 
     def _corollary(self, t_max: int) -> bool:
         """Whether ``base`` decides the law (class docstring)."""
-        memo = suite_memo.get()
-        if memo is None or self.base is None:
+        if self.base is None:
             return False
         law, u0 = self.base
         (left, right), (law_left, law_right) = self.twists, law.twists
-        if (id(law) not in memo.get("passed", ()) or right != law_right
+        if (not _passed(law) or right != law_right
                 or not all(isinstance(w, OperatorWord) for w in (law.op, left, law_left))
                 or not all(map(_character, (left, law_left, right)))):
             return False
@@ -758,6 +757,12 @@ class PairCheck:
         return CheckResult(self.name, True) if failure is None else _failure(self, "pair", *failure)
 
 
+def _passed(check) -> bool:
+    """Whether check passed earlier under the current suite memo (run_checks)."""
+    memo = suite_memo.get()
+    return memo is not None and id(check) in memo["passed"]
+
+
 def _character(w: Map) -> bool:
     """Whether w is None (the identity) or a word whose rule is a character."""
     return w is None or isinstance(w, OperatorWord) and w.rule.is_character()
@@ -785,49 +790,35 @@ class TripleCheck:
 
     Two laws pass under a suite memo without their triples when the space's
     ledger (_associative_upto) reaches t_max.  One is a check marked
-    ``associativity``, fn being (ab)c = a(bc).  The other is a check with a
-    ``twist`` (built by _twist_move_check), fn being the move of the left
-    factor past via its twist, (x^a x^b) x^c = th x^b (x^a x^c) with
-    th = twist(a, b).  It passes when, besides, its pair law
-    x^a x^b = th x^b x^a holds on every pair of degree sum <= t_max, th read
-    from the same ``twist``: then, by associativity on the triple (b, a, c),
+    ``associativity``, fn being (ab)c = a(bc); it passes by induction.  The
+    other is a check with a ``base`` (built by _twist_move_check), fn being
+    the move of the left factor past via its twist, (x^a x^b) x^c =
+    th x^b (x^a x^c) with th = theta(a, b), and base the commutation law
+    x^a x^b = th x^b x^a.  It passes as a corollary when, besides, base
+    passed earlier under the same memo (run_checks), so on every pair of
+    degree sum <= t_max: then, by associativity on the triple (b, a, c),
       (x^a x^b) x^c = th (x^b x^a) x^c = th x^b (x^a x^c),
-    both sides 0 when x^a x^b is.  A premise that does not hold, or a pair
-    that fails, runs ``enumerate``, so the verdict and the first failing
-    triple are those of every triple in order."""
+    both sides 0 when x^a x^b is.  A premise that does not hold runs
+    ``enumerate``, so the verdict and the first failing triple are those of
+    every triple in order."""
 
     name: str
     space: SpaceSpec
     fn: Callable[[MultiIndex, MultiIndex, MultiIndex], tuple[dict, dict]]
     associativity: bool = False
-    twist: Callable[[MultiIndex, MultiIndex], ScalarQ] | None = None
+    base: PairCheck | None = None
 
     def run(self, t_max: int) -> CheckResult:
         if self._proved(t_max):
-            return CheckResult(self.name, True, route="induction")
+            return CheckResult(self.name, True, route="induction" if self.associativity
+                               else "corollary")
         return self.enumerate(t_max)
 
     def _proved(self, t_max: int) -> bool:
-        """Whether the ledger, and for a twist its pair law, decide the law."""
-        if suite_memo.get() is None or not (self.associativity or self.twist is not None):
+        """Whether the ledger, and for a twist move its base's pass, decide the law."""
+        if suite_memo.get() is None or not (self.associativity or _passed(self.base)):
             return False
-        return _associative_upto(self.space, t_max) and (
-            self.twist is None or self._twist_commutes(t_max))
-
-    def _twist_commutes(self, t_max: int) -> bool:
-        """Whether x^a x^b = twist(a, b) x^b x^a on every pair of degree sum
-        <= t_max, as (coefficient, key) pairs."""
-        space, twist = self.space, self.twist
-        levels = [basis_of_degree(space, t) for t in _degree_range(space, t_max)]
-        for ta, level in enumerate(levels):
-            for a in level:
-                for b in itertools.chain.from_iterable(levels[: t_max - ta + 1]):
-                    ab, ba = product_of(space, a, b), product_of(space, b, a)
-                    if ab is None and ba is None:
-                        continue
-                    if ab is None or ba is None or ab != (twist(a, b) * ba[0], ba[1]):
-                        return False
-        return True
+        return _associative_upto(self.space, t_max)
 
     def enumerate(self, t_max: int) -> CheckResult:
         """The verdict from every triple."""
@@ -870,8 +861,8 @@ def run_checks(suite: str, space: SpaceSpec, checks: list, t_max: int) -> Relati
     passed through apply_atom, the first factors per degree
     (_first_factors) and the associativity ledger (_associative_upto); under
     "passed", the ids of the checks that have passed, which a composite law
-    reads (PairCheck).  All of it is dropped when the call returns or a
-    check raises.
+    and the twist move read (_passed).  All of it is dropped when the call
+    returns or a check raises.
     """
     passed: set[int] = set()
     token = suite_memo.set({"passed": passed})
@@ -1196,16 +1187,16 @@ def _composite_derivation_check(name: str, law: PairCheck, u0: MultiIndex) -> Pa
     return check
 
 
-def _twist_move_check(name: str, space: SpaceSpec,
-                      twist: Callable[[MultiIndex, MultiIndex], ScalarQ]) -> TripleCheck:
-    """The law (x^a x^b) x^c = twist(a, b) x^b (x^a x^c), its triples and its
-    pair law (TripleCheck) reading one twist coefficient."""
+def _twist_move_check(name: str, law: PairCheck) -> TripleCheck:
+    """(x^a x^b) x^c = theta(a, b) x^b (x^a x^c) on law's space: a corollary
+    of law, x^a x^b = theta(a, b) x^b x^a, once law has passed (TripleCheck)."""
+    space, mode = law.space, law.space.mode
 
     def fn(a, b, c):
         return (_terms(_chain(space, product_of(space, a, b), c, True)),
-                _terms(_chain(space, product_of(space, a, c), b, False), twist(a, b)))
+                _terms(_chain(space, product_of(space, a, c), b, False), theta(a, b, mode)))
 
-    return TripleCheck(name, space, fn, twist=twist)
+    return TripleCheck(name, space, fn, base=law)
 
 
 def _suite_leibniz(space: SpaceSpec) -> list:
@@ -1240,22 +1231,15 @@ def _suite_leibniz(space: SpaceSpec) -> list:
     def comm_fn(a, b, _images):
         return mul({a: one}, {b: one}), mul({b: theta(a, b, mode)}, {a: one})
 
-    checks.append(PairCheck("monomial twisted commutation", space, comm_fn))
+    commutation = PairCheck("monomial twisted commutation", space, comm_fn)
+    checks.append(commutation)
 
     def assoc_fn(a, b, c):
         return (_terms(_chain(space, product_of(space, a, b), c, True)),
                 _terms(_chain(space, product_of(space, b, c), a, False)))
 
     checks.append(TripleCheck("associativity", space, assoc_fn, associativity=True))
-
-    @functools.lru_cache(maxsize=None)
-    def twist_image(a: MultiIndex) -> Callable:  # the twist word of a left factor
-        return _w(space, theta_op(a)).rule.image
-
-    def twist(a, b):
-        return twist_image(a)(b)[0]  # a twist keeps b and never vanishes
-
-    checks.append(_twist_move_check("left factor moves past via its twist", space, twist))
+    checks.append(_twist_move_check("left factor moves past via its twist", commutation))
 
     # composite derivation law: (mult by a monomial) o d_i, from d_i's law
     # with sign -1 (or the exterior one)

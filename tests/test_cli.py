@@ -112,6 +112,18 @@ def test_simple_command_csv(capsys):
     assert out.splitlines()[0] == "t,dim,hw_dim,simple,hw_matches_expected"
 
 
+@pytest.mark.parametrize("family, m, n", [("dual", "1", "0"), ("omega", "0", "1")])
+def test_simple_fails_on_an_empty_degree(capsys, family, m, n):
+    # degrees 2 and 3 hold no monomial: each says so and the run exits 1
+    code, out = run(capsys, "simple", "--family", family, "--m", m, "--n", n, "--t-max", "3")
+    data = json.loads(out)
+    assert code == 1 and data["passed"] is False
+    assert [(c["dim"], c["simple"]) for c in data["components"]] == [
+        (1, True), (1, True), (0, False), (0, False)]
+    assert [c["witnesses"] for c in data["components"][2:]] == [
+        [{"empty_degree": 2}], [{"empty_degree": 3}]]
+
+
 def test_qtest_command(capsys):
     code, out = run(capsys, "qtest", "--d-list", "3,6", "--max", "6")
     assert code == 0

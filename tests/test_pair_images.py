@@ -9,12 +9,12 @@ operators_equal compares a one-word side through its rule image and brings a
 longer side to the same form.  A law reduced to the pairs whose first factor
 lies in F must still fail, with the oracle's witness, when it is wrong only
 past F or on the unit, when a twist is not a character word, or when the
-product is not associative just past t_max; the twist-move law decided from
-its pairs must fail through its triples when one twist coefficient is wrong.
-A composite derivation law whose twists are not its base law's, whose base
-law failed, or that runs without its base law is no corollary and reports as
-its enumeration does.  Every reduced pair and triple law must agree with its
-full enumeration.
+product is not associative just past t_max.  A twist move whose commutation
+law failed, whose products are not associative, or that runs without its
+commutation law, and a composite derivation law whose twists are not its
+base law's, whose base law failed, or that runs without its base law, is no
+corollary and reports as its enumeration does.  Every reduced pair and
+triple law must agree with its full enumeration.
 """
 
 import contextlib
@@ -263,12 +263,7 @@ def test_mutated_triple_law_fails_at_the_triple_of_vector_evaluation(monkeypatch
     def assoc(u, v, w):
         return multiply(multiply(u, v), w), multiply(u, multiply(v, w))
 
-    def twist_move(u, v, w):
-        (x,) = u.terms
-        return multiply(multiply(u, v), w), multiply(apply_word(word(space, theta_op(x)), v),
-                                                     multiply(u, w))
-
-    law = assoc if name == "associativity" else twist_move
+    law = assoc if name == "associativity" else twist_move_law
     assert_mutation_caught(oracle(name, space, law, 3, 3), run_one(space, check, 3))
 
 
@@ -462,30 +457,103 @@ def test_a_leibniz_op_not_zero_on_the_unit_fails_at_the_unit_pair(mode):
     assert result.to_json() == expected and result.route == "enumeration"
 
 
-@MODES
-def test_a_twist_move_coefficient_wrong_at_one_pair_fails_through_its_triples(mode):
-    # the twist coefficient of the pair (x1 x2, x3) with its sign flipped:
-    # the law's pair premise fails there, and the enumerated triples report
-    # the oracle's first failing triple
-    space = make_space(Family.OMEGA, 2, 1, mode)
-    name = "left factor moves past via its twist"
-    real = the_check(build_suite("leibniz", space), name).twist
-    a, b = (MultiIndex(e, space.shape) for e in ((1, 1, 0), (0, 0, 1)))
-    assert a.degree() == 2
+TWIST_MOVE = "left factor moves past via its twist"
 
-    def twist(x, y):
-        c = real(x, y)
+
+def flip_theta(monkeypatch, a, b):
+    """weyl.theta with its sign flipped at (a, b), read by the commutation
+    law and the twist move alike; the oracle's law scales by it too."""
+    real = weyl.theta
+
+    def flipped(x, y, md):
+        c = real(x, y, md)
         return -c if (x, y) == (a, b) else c
+
+    monkeypatch.setattr(weyl, "theta", flipped)
 
     def law(u, v, w):
         (x,), (y,) = u.terms, v.terms
-        return multiply(multiply(u, v), w), multiply(v, multiply(u, w)).scaled(twist(x, y))
+        return multiply(multiply(u, v), w), multiply(v, multiply(u, w)).scaled(
+            flipped(x, y, u.space.mode))
 
-    expected = oracle(name, space, law, 3, 4)
-    result = run_result(space, weyl._twist_move_check(name, space, twist), 4)
+    return law
+
+
+def twist_move_law(u, v, w):
+    """The twist move on vectors, its coefficient the word Th(a) applied."""
+    (x,) = u.terms
+    return multiply(multiply(u, v), w), multiply(apply_word(word(u.space, theta_op(x)), v),
+                                                 multiply(u, w))
+
+
+@MODES
+def test_a_twist_move_coefficient_wrong_at_one_pair_fails_through_its_triples(monkeypatch, mode):
+    # theta of the pair (x1 x2, x3) with its sign flipped: the commutation
+    # law the move follows from fails there, and the enumerated triples
+    # report the oracle's first failing triple
+    space = make_space(Family.OMEGA, 2, 1, mode)
+    checks = build_suite("leibniz", space)
+    commutation, move = (the_check(checks, n) for n in ("monomial twisted commutation", TWIST_MOVE))
+    a, b = (MultiIndex(e, space.shape) for e in ((1, 1, 0), (0, 0, 1)))
+    assert a.degree() == 2
+    law = flip_theta(monkeypatch, a, b)
+    expected = oracle(TWIST_MOVE, space, law, 3, 4)
+    base, result = run_checks("probe", space, [commutation, move], 4).results
+    assert not base.passed
     assert_mutation_caught(expected, result.to_json())
+    assert result.to_json() == move.enumerate(4).to_json()
     assert expected["witness"]["triple"][:2] == [str(a), str(b)]
     assert result.route == "enumeration"
+
+
+@MODES
+def test_a_twist_move_whose_commutation_law_fails_is_enumerated(monkeypatch, mode):
+    # theta of the generators (x1, x3) with its sign flipped once the suite
+    # is built: under the whole leibniz suite the commutation law fails, so
+    # the twist move is no corollary and reports as its enumeration and the
+    # oracle do
+    space = make_space(Family.OMEGA, 2, 1, mode)
+    checks = build_suite("leibniz", space)
+    x1, x3 = (MultiIndex.basis_vector(space.shape, p) for p in (1, 3))
+    law = flip_theta(monkeypatch, x1, x3)
+    results = dict(zip([c.name for c in checks], run_checks("leibniz", space, checks, 4).results))
+    assert not results["monomial twisted commutation"].passed
+    assert results["associativity"].passed
+    result = results[TWIST_MOVE]
+    expected = oracle(TWIST_MOVE, space, law, 3, 4)
+    assert_mutation_caught(expected, result.to_json())
+    assert result.to_json() == the_check(checks, TWIST_MOVE).enumerate(4).to_json()
+    assert result.route == "enumeration"
+
+
+@MODES
+def test_a_twist_move_whose_products_are_not_associative_is_enumerated(monkeypatch, mode):
+    # x1 x3 and x3 x1 both with their signs flipped: the commutation law
+    # still holds, but associativity fails at (x1, x3, x2), so the ledger
+    # premise refuses the corollary and the twist move fails by enumeration
+    space = make_space(Family.OMEGA, 2, 1, mode)
+    checks = build_suite("leibniz", space)
+    commutation, move = (the_check(checks, n) for n in ("monomial twisted commutation", TWIST_MOVE))
+    x1, x3 = (MultiIndex.basis_vector(space.shape, p) for p in (1, 3))
+    flip_product(monkeypatch, x1, x3)
+    flip_product(monkeypatch, x3, x1)
+    base, result = run_checks("probe", space, [commutation, move], 4).results
+    assert base.passed
+    expected = oracle(TWIST_MOVE, space, twist_move_law, 3, 4)
+    assert_mutation_caught(expected, result.to_json())
+    assert result.to_json() == move.enumerate(4).to_json()
+    assert result.route == "enumeration"
+
+
+@MODES
+def test_a_twist_move_run_without_its_commutation_law_is_enumerated(mode):
+    # alone under run_checks its commutation law has not passed in the memo
+    space = make_space(Family.OMEGA, 2, 1, mode)
+    move = the_check(build_suite("leibniz", space), TWIST_MOVE)
+    result = run_result(space, move, 4)
+    assert result.passed and result.route == "enumeration"
+    assert result.to_json() == move.enumerate(4).to_json()
+    assert result.to_json() == oracle(TWIST_MOVE, space, twist_move_law, 3, 4)
 
 
 class Enumerated:
@@ -506,15 +574,16 @@ CROSS_SPACES = [make_space(family, m, n, mode)
 
 # the routes of test_every_reduced_law_agrees_with_its_enumeration per
 # (family, m, n), alike in every mode: the leibniz suite's composite laws
-# follow from their base laws, 5 seeds per direction on (1|1), 6 otherwise
+# follow from their base laws, 5 seeds per direction on (1|1), 6 otherwise,
+# and its twist move from the commutation law
 CROSS_ROUTES = {
-    (Family.OMEGA, 1, 1): {"induction": 10, "corollary": 10, "enumeration": 1},
-    (Family.OMEGA, 2, 1): {"induction": 15, "corollary": 18, "enumeration": 1},
-    (Family.OMEGA, 1, 2): {"induction": 14, "corollary": 18, "enumeration": 1},
+    (Family.OMEGA, 1, 1): {"induction": 9, "corollary": 11, "enumeration": 1},
+    (Family.OMEGA, 2, 1): {"induction": 14, "corollary": 19, "enumeration": 1},
+    (Family.OMEGA, 1, 2): {"induction": 13, "corollary": 19, "enumeration": 1},
     (Family.DUAL, 1, 1): {"induction": 5},
     (Family.DUAL, 2, 1): {"induction": 8},
     (Family.DUAL, 1, 2): {"induction": 8},
-    (Family.OMEGA_RESTRICTED, 2, 1): {"induction": 15, "corollary": 18, "enumeration": 1},
+    (Family.OMEGA_RESTRICTED, 2, 1): {"induction": 14, "corollary": 19, "enumeration": 1},
 }
 
 
@@ -536,9 +605,9 @@ def test_every_reduced_law_agrees_with_its_enumeration(space, monkeypatch):
     assert [r.to_json() for r in results] == [r.to_json() for r in enumerated]
     assert Counter(r.route for r in results) == CROSS_ROUTES[
         space.family, space.shape.m, space.shape.n]
-    twist_moves = [r for c, r in zip(laws, results) if c.name == "left factor moves past via its twist"]
+    twist_moves = [r for c, r in zip(laws, results) if c.name == TWIST_MOVE]
     assert len(twist_moves) == (space.family is not Family.DUAL)
-    assert all(r.route == "induction" for r in twist_moves if r.passed)
+    assert all(r.route == "corollary" for r in twist_moves if r.passed)
 
 
 # ---------------------------------------------------------------------------

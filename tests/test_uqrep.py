@@ -315,6 +315,19 @@ def test_component_report_dual():
         assert rep.passed, rep.to_json()
 
 
+@pytest.mark.parametrize("family, m, n", [(Family.DUAL, 1, 0), (Family.OMEGA, 0, 1)])
+def test_an_empty_component_is_not_simple(family, m, n):
+    # dual (1|0) and omega (0|1) have one monomial in degrees 0 and 1 and
+    # none above: the zero module is no simple module
+    space = make_space(family, m, n)
+    for t in (2, 3):
+        rep = component_report(space, t)
+        assert (rep.dim, rep.dim_by_formula, rep.simple) == (0, 0, "not_simple")
+        assert rep.witnesses == [{"empty_degree": t}]
+        assert not rep.passed and rep.to_json()["simple"] is False
+    assert all(component_report(space, t).passed for t in (0, 1))
+
+
 def test_component_report_out_of_range():
     with pytest.raises(ValueError):
         component_report(OMEGA21_R3, 6)
