@@ -12,13 +12,13 @@ Each family is the bosonization R # kG of a quantum linear space (a diagonal
 braiding, Andruskiewitsch-Schneider) and is built from one datum: the names
 of the group generators, the named rows of G's relation lattice, the skew
 generators with their coproduct legs and nilpotency caps, and the conjugation
-and commutation characters, whose values are signed powers (-1)^lam q^mu
-kept as integer pairs (lam, mu), the form of ``superspaces.MonomialRule``'s
-constant; a ScalarQ is built from a pair only where a relation, a product or
-a report needs one.  A family's builder computes only that datum;
-``_from_datum`` derives every defining relation from it (a lattice row as the
-group word "positive part = negative part", then the conjugations, the
-commutations and the nilpotencies) and assembles the presentation.
+characters chi, signed powers (-1)^lam q^mu kept as integer pairs (lam, mu)
+(the form of ``superspaces.MonomialRule``'s constant; a ScalarQ is built only
+where a relation, a product or a report needs one).  The braiding
+q_ij = chi_{gL_i gR_i^-1}(x_j) is derived, once, from chi and the legs.  A
+builder computes only the datum; ``_from_datum`` derives every defining
+relation (a lattice row as the group word "positive part = negative part",
+the conjugations, x_i x_j = q_ij x_j x_i and the nilpotencies).
 
 The group is an explicit quotient of Z^k by a relation lattice, canonicalized
 through an echelon basis; orders and dimensions come from the lattice, not
@@ -183,7 +183,6 @@ class HopfPresentation:
     group: AbelianQuotient
     xgens: list[SkewGen]
     chi: list[list[Power]]  # chi[g][x]: g x g^-1 = chi * x
-    comm: list[list[Power]]  # comm[i][j]: x_i x_j = comm[i][j] x_j x_i
     relations: list[tuple[str, list[tuple[ScalarQ, Word]]]]
     params: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
@@ -212,6 +211,13 @@ class HopfPresentation:
                 mu += e * cm
         return lam, mu
 
+    @functools.cached_property
+    def braiding(self) -> list[list[Power]]:
+        """braiding[i][j] = chi_{gL_i gR_i^-1}(x_j): x_i x_j = braiding[i][j] x_j x_i
+        for j != i, and the swap character of Delta(x_i) for j = i."""
+        return [[self.chi_of(tuple(map(operator.sub, g.gL, g.gR)), j)
+                 for j in range(len(self.xgens))] for g in self.xgens]
+
     def _key_product(self, ka: Key, kb: Key) -> tuple[ScalarQ, Key] | None:
         """_normal_form(ka, kb), memoised: each key pair is reduced once, and
         each result key is stored once however many pairs give it."""
@@ -229,7 +235,7 @@ class HopfPresentation:
     def _normal_form(self, ka: Key, kb: Key) -> tuple[ScalarQ, Key] | None:
         """Normal form of the product of two basis keys, or None when a capped
         x exponent overflows: kb's x part moves past ka's group part (chi
-        twist) and past ka's later x generators (comm twist).  The algebra is
+        twist) and past ka's later x generators (braiding).  The algebra is
         a quantum linear space over an abelian group, so the product is one
         signed power of q, the sum of the twists, times one key."""
         (xa, ga), (xb, gb) = ka, kb
@@ -247,7 +253,7 @@ class HopfPresentation:
             if ai:
                 for j in range(i):
                     if xb[j]:
-                        cl, cm = self.comm[i][j]
+                        cl, cm = self.braiding[i][j]
                         lam += ai * xb[j] * cl
                         mu += ai * xb[j] * cm
         return _signed_power(self.mode, lam, mu), (xv, self.group.mul(ga, gb))
@@ -523,17 +529,17 @@ _DQ = _Naming("{g} {x} conjugation", "{a} {b} twisted commutation")
 
 def _from_datum(family: str, mode: QMode, group_names: list[str],
                 rows: list[tuple[str, tuple[int, ...]]], xgens: list[SkewGen],
-                chi: list[list[Power]], comm: list[list[Power]], params: dict,
-                naming: _Naming, listed: list | None = None) -> HopfPresentation:
+                chi: list[list[Power]], params: dict, naming: _Naming,
+                listed: list | None = None) -> HopfPresentation:
     """The bosonization R # kG of one diagonal braiding datum.
 
     G is Z^k (k = len(group_names)) modulo the named lattice rows; the skew
-    generators carry their coproduct legs and nilpotency caps; chi[g][x] and
-    comm[i][j] are the conjugation and commutation signed powers.  The defining
-    relations follow from the datum, in this order: each row r as the group
-    word r+ = r- (its positive part equal to its negative part), in the order
-    listed (default: the lattice order); g_i g_j = g_j g_i when the naming has
-    it; g x = chi x g; x_i x_j = comm x_j x_i for j < i; x^cap = 0."""
+    generators carry their coproduct legs and nilpotency caps; chi[g][x] is
+    the conjugation signed power, and the braiding q_ij derives from chi and
+    the legs.  The defining relations follow, in this order: each row r as the
+    group word r+ = r- (its positive part equal to its negative part), in the
+    order listed (default: the lattice order); g_i g_j = g_j g_i when the
+    naming has it; g x = chi x g; x_i x_j = q_ij x_j x_i for j < i; x^cap = 0."""
     one = mode.one()
 
     def swap(a: tuple[str, int], b: tuple[str, int], c: Power) -> list:
@@ -543,6 +549,8 @@ def _from_datum(family: str, mode: QMode, group_names: list[str],
         return tuple(("g", col) for col, e in enumerate(row) for _ in range(max(sign * e, 0)))
 
     gs, xs = group_names, [g.name for g in xgens]
+    pres = HopfPresentation(family, mode, gs, AbelianQuotient(len(gs), [row for _, row in rows]),
+                            xgens, chi, [], params)  # relations below
     relations = [(name, [(one, part(row, 1)), (-one, part(row, -1))])
                  for name, row in (rows if listed is None else listed)]
     if naming.group_commutation:
@@ -555,17 +563,13 @@ def _from_datum(family: str, mode: QMode, group_names: list[str],
     own = []  # x_i past each earlier x_j, then x_i's nilpotency
     for i, xg in enumerate(xgens):
         block = [(naming.commutation.format(a=xs[i], b=xs[j]),
-                  swap(("x", i), ("x", j), comm[i][j])) for j in range(i)]
+                  swap(("x", i), ("x", j), pres.braiding[i][j])) for j in range(i)]
         if xg.cap is not None:
             block.append((f"{xg.name}^{xg.cap} = 0", [(one, (("x", i),) * xg.cap)]))
         own.append(block)
     blocks = ([b for pair in zip(conjugations, own) for b in pair] if naming.by_generator
               else conjugations + own)
-    for block in blocks:
-        relations += block
-    pres = HopfPresentation(family, mode, group_names,
-                            AbelianQuotient(len(gs), [row for _, row in rows]),
-                            xgens, chi, comm, relations, params)
+    pres.relations = relations + [rel for block in blocks for rel in block]
     _character_warnings(pres)
     return pres
 
@@ -647,12 +651,11 @@ def _build_mixed(family: str, m: int, n: int, mode: QMode, *, x_cap: int | None,
     if tops:
         xgens += [SkewGen(f"x{i}^(top)", None, zero_g, zero_g) for i in range(1, m + 1)]
     chi = [[(0, 0)] * len(xgens) for _ in range(size)]  # the tops are central
-    comm = [[(0, 0)] * len(xgens) for _ in xgens]
     for i in range(size):
         for j in range(size):
-            chi[i][j] = comm[i][j] = _theta_gens(shape, i + 1, j + 1)
+            chi[i][j] = _theta_gens(shape, i + 1, j + 1)
         chi[i][i] = (0, diag_exp) if i < m else (1, 0)  # K_i on x_i: q^diag_exp, or -1 if odd
-    return _from_datum(family, mode, names_g, rows, xgens, chi, comm,
+    return _from_datum(family, mode, names_g, rows, xgens, chi,
                        {"m": m, "n": n, **params}, _MIXED)
 
 
@@ -660,7 +663,7 @@ def _build_diagonal(family: str, mode: QMode, orders: tuple[int, ...],
                     group_orders: tuple[int, ...] | None) -> HopfPresentation:
     """Multi-rank Taft algebras over a diagonal matrix mu: x_i of nilpotency
     orders[i], K_i of order group_orders[i] (orders[i] for taft-orders) and
-    Delta(x_i) = x_i (x) 1 + K_i (x) x_i; mu conjugates and commutes alike."""
+    Delta(x_i) = x_i (x) 1 + K_i (x) x_i; mu conjugates, so mu braids."""
     orders = tuple(orders)
     if any(o < 1 for o in orders):
         raise ValueError(f"orders must be positive, got {list(orders)}")
@@ -685,7 +688,7 @@ def _build_diagonal(family: str, mode: QMode, orders: tuple[int, ...],
     xgens = [SkewGen(f"x{i + 1}", o, _vec(n, (i, 1)), (0,) * n) for i, o in enumerate(orders)]
     return _from_datum(family, mode, names_g,
                        [_order_row(names_g, i, o) for i, o in enumerate(group_orders)],
-                       xgens, mu, mu,
+                       xgens, mu,
                        {"orders": list(orders), "group_orders": list(group_orders)}, _DIAGONAL)
 
 
@@ -747,16 +750,15 @@ def _build_dq(family: str, m: int, n: int, mode: QMode,
         xgens.append(SkewGen(f"d{i}", cap, gL, gR))
 
     chi = [[(0, 0)] * size for _ in range(rank)]
-    comm = [[(0, 0)] * size for _ in range(size)]
     for i in range(1, size + 1):  # x-gen d_i: s_i conjugates it by q^-1 (-q^-1 if odd), t_i by -1
         chi[sig(i)][i - 1] = (int(i > m), -1)
-        for g in range(1, size + 1):  # theta(e_i, e_i) = 1 leaves comm[i][i] at 1
-            chi[th(g)][i - 1] = comm[i - 1][g - 1] = _theta_gens(shape, i, g)
+        for g in range(1, size + 1):
+            chi[th(g)][i - 1] = _theta_gens(shape, i, g)
         if i > m:
             chi[ta(i)][i - 1] = (1, 0)
 
     # the relation list puts the label dependencies first, the tau orders last
-    return _from_datum(family, mode, names_g, t_rows + th_rows + order_rows, xgens, chi, comm,
+    return _from_datum(family, mode, names_g, t_rows + th_rows + order_rows, xgens, chi,
                        {"m": m, "n": n, "coproduct_variant": coproduct_variant}, _DQ,
                        listed=th_rows + order_rows + t_rows)
 
@@ -912,7 +914,7 @@ def divided_power_coproduct_check(pres: HopfPresentation, i: int, p_max: int) ->
     """Binomial expansions of Delta(x_i^p) and the threshold primitivity.
 
     For the one-sided coproduct Delta(x) = x (x) 1 + K (x) x with
-    K x K^-1 = c x the expansion reads
+    K x K^-1 = c x, c = braiding[i][i], the expansion reads
     Delta(x^p) = sum_r C_c(p, r) x^(p-r) K^r (x) x^r with one-sided binomials
     at base c; the coordinate bosonizations have c = q and the divided-power
     bosonization c = q^2, where the base-q^2 binomial equals the balanced
@@ -932,9 +934,7 @@ def divided_power_coproduct_check(pres: HopfPresentation, i: int, p_max: int) ->
     zero_x = (0,) * len(pres.xgens)
     identity = pres.group.identity()
     one_sided = pres.group.reduce(xg.gR) == identity
-    chi_L = pres.chi_of(pres.group.reduce(xg.gL), i)
-    chi_R = pres.chi_of(pres.group.reduce(xg.gR), i)
-    c_swap = chi_L[0] - chi_R[0], chi_L[1] - chi_R[1]
+    c_swap = pres.braiding[i][i]
     order = _power_order(mode, *c_swap)
     threshold = order is not None and order > 1 and (xg.cap is None or order < xg.cap)
     if not one_sided and not threshold:
@@ -957,7 +957,7 @@ def divided_power_coproduct_check(pres: HopfPresentation, i: int, p_max: int) ->
 
     if one_sided:
         top = p_max if xg.cap is None else min(p_max, xg.cap)
-        rows = _binom_rows(mode, chi_L, max(top, min(p_max, 8)))
+        rows = _binom_rows(mode, c_swap, max(top, min(p_max, 8)))
         for p in range(0, top + 1):
             lhs = delta_power(p)
             rhs: dict = {}
@@ -980,7 +980,7 @@ def divided_power_coproduct_check(pres: HopfPresentation, i: int, p_max: int) ->
                 )
             )
         # the displayed coefficient forms for the two diagonal bases
-        base, shown = _fold(mode, *chi_L), [(p, r) for p in range(min(p_max, 8) + 1)
+        base, shown = _fold(mode, *c_swap), [(p, r) for p in range(min(p_max, 8) + 1)
                                             for r in range(p + 1)]
         if base == _fold(mode, 0, 1):
             ok = all(rows[p][r] == q_binom_unbalanced(p, r, mode) for p, r in shown)

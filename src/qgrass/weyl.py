@@ -287,10 +287,6 @@ class OperatorWord:
             return OperatorWord(self.space, self.atoms + other.atoms)
         return OperatorWord(self.space, self.atoms + other.atoms, self.coeff() * other.coeff())
 
-    def render(self) -> str:
-        body = " ".join(a.render() for a in self.atoms) or "1"
-        return body
-
     @functools.cached_property
     def rule(self) -> MonomialRule:
         """The word compiled once into one rule: its atoms composed in acting
@@ -911,14 +907,15 @@ def _theta_of(space: SpaceSpec, i: int, j: int) -> ScalarQ:
     return theta(_gen_label(space, i), _gen_label(space, j), space.mode)
 
 
-def _sigma_x_factor(space: SpaceSpec, i: int, j: int) -> ScalarQ:
-    # conjugation of the j-th coordinate by sigma_i; the exterior directions
-    # carry base -q (their twist eigenvalue), the bosonic ones base q
+def _sigma_factor(space: SpaceSpec, i: int, j: int, e: int) -> ScalarQ:
+    """sigma_i's character on the j-th coordinate (e = 1) or derivative
+    (e = -1): (-q)^e on an exterior direction j = i (its twist eigenvalue is
+    -q), q^e on a bosonic one, and 1 otherwise."""
     if i != j:
         return space.mode.one()
     if space.shape.is_fermionic_pos(i):
-        return space.mode.minus_q_power(1)
-    return space.mode.q()
+        return space.mode.minus_q_power(e)
+    return space.mode.q_power(e)
 
 
 # ---- the suites ------------------------------------------------------------
@@ -1004,15 +1001,9 @@ def _suite_dq(space: SpaceSpec) -> list:
             checks.append(conjugation_relation(
                 space, f"Th(e{j}) d{i} Th(-e{j}) = theta(e{i},e{j}) d{i}",
                 (theta_op(e_j),), (partial(i),), (theta_op(-e_j),), _theta_of(space, i, j)))
-            if i == j:
-                c2 = mode.q_power(-1)
-                if space.shape.is_fermionic_pos(i):
-                    c2 = -c2
-            else:
-                c2 = mode.one()
             checks.append(conjugation_relation(
                 space, f"s{j} d{i} s{j}^-1 = (-1)^(par) q^-delta d{i}",
-                (sigma(j),), (partial(i),), (sigma(j, -1),), c2))
+                (sigma(j),), (partial(i),), (sigma(j, -1),), _sigma_factor(space, j, i, -1)))
         for j in fermi:
             checks.append(swap_relation(space, f"t{j} d{i} = (-1)^delta d{i} t{j}",
                                         (tau(j),), (partial(i),), mode.scalar(-1 if i == j else 1)))
@@ -1035,7 +1026,7 @@ def _cross_relations(space: SpaceSpec) -> list:
                 (theta_op(e_i),), (mult_x(j),), (theta_op(-e_i),), _theta_of(space, i, j)))
             checks.append(conjugation_relation(
                 space, f"s{i} x{j} s{i}^-1 = q^delta x{j} (base -q on exterior directions)",
-                (sigma(i),), (mult_x(j),), (sigma(i, -1),), _sigma_x_factor(space, i, j)))
+                (sigma(i),), (mult_x(j),), (sigma(i, -1),), _sigma_factor(space, i, j, 1)))
         if i in fermi:
             for j in range(1, size + 1):
                 checks.append(conjugation_relation(

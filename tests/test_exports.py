@@ -47,9 +47,8 @@ def test_every_definition_is_used_in_the_package():
     import anywhere in the package names it outside its own body; a string,
     such as an entry of __all__, does not count.  The match is by name only,
     so a definition that only tests call stays hidden while another one of
-    the same name is used: OperatorWord.render behind Atom.render, and
-    SuperVector.degree and SuperVector.is_zero behind their namesakes on
-    MultiIndex and ScalarQ."""
+    the same name is used: SuperVector.degree and SuperVector.is_zero behind
+    their namesakes on MultiIndex and ScalarQ."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(pathlib.Path(qgrass.__path__[0]).glob("*.py"))}
     uses = []  # (module, name, line)

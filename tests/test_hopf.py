@@ -434,12 +434,11 @@ def s_squared_order(p: HopfPresentation, bound: int = 100) -> int:
         "taft-orders(2,3)-d6", "taft-orders(3,4)-d12", "dq-restricted(1|1)-d3",
         "gq-restricted(1|1)-d3"])
 def test_antipode_order_is_the_character_closed_form(build_it, order):
-    # S^2(x_j) = chi_{gR_j gL_j^-1}(x_j) x_j and S^2(g) = g, so ord(S^2) is
-    # the lcm over j of the order of that signed power
+    # S^2(x_j) = chi_{gR_j gL_j^-1}(x_j) x_j, the inverse of the braiding
+    # scalar of x_j with itself, and S^2(g) = g, so ord(S^2) is the lcm over j
+    # of the order of braiding[j][j]
     p = build_it()
-    closed = math.lcm(*(
-        _power_order(p.mode, *p.chi_of(p.group.reduce(tuple(map(operator.sub, g.gR, g.gL))), j))
-        for j, g in enumerate(p.xgens)))
+    closed = math.lcm(*(_power_order(p.mode, *p.braiding[j][j]) for j in range(len(p.xgens))))
     assert closed == order
     assert s_squared_order(p) == order
 
@@ -561,7 +560,7 @@ def test_root_datum_is_the_generic_datum_at_a_root_of_unity():
         for root in buildable((family,), [(m, n)], map(root_of_unity, (3, 4, 5, 6, 8, 9, 12))):
             assert root.group_names[:gs] == generic.group_names
             assert [g.name for g in root.xgens[:xs]] == [g.name for g in generic.xgens]
-            for table, rows in (("chi", gs), ("comm", xs)):
+            for table, rows in (("chi", gs), ("braiding", xs)):
                 for r, j in itertools.product(range(rows), range(xs)):
                     g_entry, r_entry = getattr(generic, table)[r][j], getattr(root, table)[r][j]
                     assert value(root.mode, g_entry) == value(root.mode, r_entry), (

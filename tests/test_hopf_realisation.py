@@ -121,11 +121,11 @@ def test_a_flipped_conjugation_sign_fails_exactly_its_relation(monkeypatch, case
     # chi_{s1}(d1) times -1: only the relation s1 d1 = chi d1 s1 reads it
     real = hopf._from_datum
 
-    def flipped(family, mode, names, rows, xgens, chi, comm, *args, **kwargs):
+    def flipped(family, mode, names, rows, xgens, chi, *args, **kwargs):
         chi = [list(row) for row in chi]
         lam, mu = chi[0][0]
         chi[0][0] = (lam + 1, mu)
-        return real(family, mode, names, rows, xgens, chi, comm, *args, **kwargs)
+        return real(family, mode, names, rows, xgens, chi, *args, **kwargs)
 
     monkeypatch.setattr(hopf, "_from_datum", flipped)
     family, space_family, shape, d, _ = case

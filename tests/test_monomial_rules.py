@@ -132,6 +132,11 @@ def step_by_step(word, idx):
     return None if coeff.is_zero() else (coeff, cur)
 
 
+def rendered(word):
+    """The atoms of a word, for an assertion message."""
+    return " ".join(a.render() for a in word.atoms)
+
+
 def words_of(space):
     """All words of length <= 1, sampled words of length 2 and 3, and the
     words that reach a restricted cap or a vanishing [ell]_q; each once
@@ -154,7 +159,7 @@ def test_compiled_words_match_atom_by_atom_application(space):
     monos = basis_upto(space, 4)
     for word in words_of(space):
         for idx in monos:
-            assert word.rule.image(idx) == step_by_step(word, idx), (word.render(), str(idx))
+            assert word.rule.image(idx) == step_by_step(word, idx), (rendered(word), str(idx))
 
 
 LONG_WORD_SPACES = [(s, i) for s, i in zip(SPACES, SPACE_IDS) if s.mode in (GENERIC, D3, D8)
@@ -194,7 +199,7 @@ def test_long_compiled_words_match_atom_by_atom_application(space):
     monos = basis_upto(space, 4)
     for word in long_words(space):
         for idx in monos:
-            assert word.rule.image(idx) == step_by_step(word, idx), (word.render(), str(idx))
+            assert word.rule.image(idx) == step_by_step(word, idx), (rendered(word), str(idx))
 
 
 @pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
@@ -587,11 +592,11 @@ def test_every_twist_of_a_pair_law_is_a_character(space, monkeypatch):
     products = [multiply(u, v) for u, v in pairs]
     assert sum(not p.is_zero() for p in products) > 50
     for w in words:
-        assert isinstance(w, OperatorWord) and w.rule.is_character(), w.render()
+        assert isinstance(w, OperatorWord) and w.rule.is_character(), rendered(w)
         image = {idx: apply_word(w, SuperVector.monomial(space, idx)) for idx in monos}
         for (u, v), uv in zip(pairs, products):
             (a,), (b,) = u.terms, v.terms
-            assert apply_word(w, uv) == multiply(image[a], image[b]), (w.render(), a, b)
+            assert apply_word(w, uv) == multiply(image[a], image[b]), (rendered(w), a, b)
 
 
 def test_a_rule_is_refused_as_a_character_for_each_field_alone():
