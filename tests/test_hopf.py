@@ -15,6 +15,7 @@ import pytest
 
 from qgrass import cli, hopf
 from qgrass.hopf import (
+    HOPF_FAMILIES,
     AbelianQuotient,
     HopfPresentation,
     _fold,
@@ -363,13 +364,23 @@ def test_key_product_memo_agrees_with_the_kernel(name):
     assert products_memoised(p) == 36 ** 2
 
 
-def test_generator_probe_keeps_the_memo_below_the_triple_count():
-    # the probe memoises its g^2 pair products and none of its g^3 triples
+def test_generator_probe_keeps_the_memo_below_the_triple_count(monkeypatch):
+    # the probe reads the group's carries and forms no product: the axiom
+    # checks make 740 kernel products, where 2 g^3 triple products made 10,452
     p = build("dq", m=3, n=3, mode=GENERIC)
+    calls = []
+    kernel = HopfPresentation._normal_form
+
+    def counted(self, ka, kb):
+        calls.append((ka, kb))
+        return kernel(self, ka, kb)
+
+    monkeypatch.setattr(HopfPresentation, "_normal_form", counted)
     verify_hopf(p, "generators")
     g = len(p.xgens) + p.group.rank
     assert g == 21
     assert products_memoised(p) < g ** 3
+    assert len(calls) <= 1000
 
 
 def test_exhaustive_verification_builds_each_coproduct_once(monkeypatch):
@@ -510,22 +521,47 @@ def test_probe_equals_its_oracle_on_every_checked_presentation(checked_presentat
                                ("gq-restricted", 1, 1, 3), ("taft-mn", 1, 1, 3)]
 
 
-def test_probe_and_oracle_catch_a_changed_character():
+def with_character(p: HopfPresentation, gen: str, j: int, power) -> HopfPresentation:
+    """p with chi_gen(x_j) set to the signed power, on a copy of the datum."""
+    chi = [row[:] for row in p.chi]
+    chi[p.group_names.index(gen)][j] = power
+    return dataclasses.replace(p, chi=chi)
+
+
+def with_cap(p: HopfPresentation, j: int, cap: int) -> HopfPresentation:
+    """p with x_j's nilpotency cap set, on a copy of the datum."""
+    xgens = list(p.xgens)
+    xgens[j] = dataclasses.replace(xgens[j], cap=cap)
+    return dataclasses.replace(p, xgens=xgens)
+
+
+@pytest.mark.parametrize("build_it, mutate, passed", [
     # t2 has order 2 in dq (1|1); chi_t2(d1) = q makes (t2 t2) d1 = d1 but
     # t2 (t2 d1) = q^2 d1
-    t2 = build("dq", m=1, n=1, mode=GENERIC).group_names.index("t2")
-    for mutate in (False, True):
-        pair = [build("dq", m=1, n=1, mode=GENERIC) for _ in range(2)]
-        if mutate:
-            for p in pair:
-                p.chi[t2][0] = (0, 1)  # q
-        assert probe_verdict(pair[0]) is probe_oracle(pair[1]) is not mutate
+    (lambda: build("dq", m=1, n=1, mode=GENERIC), lambda p: with_character(p, "t2", 0, (0, 1)),
+     True),
+    # K1 has order 2 in taft-orders (2,3); chi_K1(x2) = q leaves K1^2 = 1
+    # conjugating x2 by q^2
+    (lambda: build("taft-orders", orders=(2, 3), mode=D6),
+     lambda p: with_character(p, "K1", 1, (0, 1)), True),
+    # K2^2 = 1 conjugates x1 by q^2 in taft-mn (1|1) d=3; once x1 = x1^1 = 0
+    # every triple holding x1 is 0 on both sides
+    (lambda: build("taft-mn", m=1, n=1, mode=D3), lambda p: with_cap(p, 0, 1), False),
+], ids=["dq-chi", "taft-orders-chi", "taft-mn-cap"])
+def test_probe_and_oracle_catch_a_changed_datum(build_it, mutate, passed):
+    for verdict, fresh in ((passed, build_it), (not passed, lambda: mutate(build_it()))):
+        (probe,) = verify_hopf(fresh(), "generators").probes
+        assert probe.passed is probe_oracle(fresh()) is verdict
+        assert probe.detail == (None if verdict else
+                                "the stated group orders truncate the conjugation characters")
 
 
-def buildable(families, shapes, modes, orders=()):
+def buildable(families, shapes, modes, orders=(), generalized=()):
     """Every presentation that build accepts on the grid, in grid order."""
     calls = [dict(family=f, m=m, n=n) for f in families for m, n in shapes]
     calls += [dict(family="taft-orders", orders=o) for o in orders]
+    calls += [dict(family="taft-orders-generalized", orders=o, group_orders=g)
+              for o, g in generalized]
     out = []
     for mode, kw in itertools.product(modes, calls):
         with contextlib.suppress(ValueError):
@@ -543,6 +579,18 @@ def test_warnings_decide_the_probe_on_a_grid():
     verdicts = [(not p.warnings, probe_verdict(p)) for p in grid]
     assert [clean for clean, _ in verdicts] == [passed for _, passed in verdicts]
     assert (len(verdicts), sum(not passed for _, passed in verdicts)) == (85, 24)
+
+
+def test_the_carry_probe_equals_its_oracle_on_a_grid():
+    # the probe decides (ab)c = a(bc) from the carries of group-generator
+    # pairs alone; the oracle forms both sides of every generator triple
+    grid = buildable([f for f in HOPF_FAMILIES if not f.startswith("taft-orders")],
+                     [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)],
+                     [GENERIC, *map(root_of_unity, (3, 4, 6))], [(2, 3), (3, 4)],
+                     [((2, 3), (6, 6)), ((3, 2), (6, 2))])
+    verdicts = [(probe_verdict(p), probe_oracle(p)) for p in grid]
+    assert [probe for probe, _ in verdicts] == [oracle for _, oracle in verdicts]
+    assert (len(verdicts), sum(not passed for passed, _ in verdicts)) == (83, 30)
 
 
 def test_root_datum_is_the_generic_datum_at_a_root_of_unity():
